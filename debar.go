@@ -90,8 +90,7 @@
 // dependency-free, allocation-cheap metrics package (atomic counters,
 // gauges and fixed-bucket histograms in a process-global registry) —
 // and logs structured events through log/slog. The shared CLI
-// convention across debar-server, debar-director, debar-client and
-// debar-bench:
+// convention across debar-server, debar-director and debar-client:
 //
 //   - -log-level debug|info|warn|error and -log-json select the slog
 //     handler (Debug: routine lifecycle; Info: session resumes and
@@ -111,9 +110,9 @@
 // lifecycle, dedup-2 trigger outcomes, control retries) and client_*
 // (retries, resumes, pipeline window occupancy). The storage-engine
 // series, and how to read the group-commit coalescing histograms, are
-// catalogued in internal/store/README.md. CI captures the snapshot of a
-// benchmark run via DEBAR_METRICS_OUT and embeds it in the BENCH_ci
-// artifact (tools/benchjson -metrics).
+// catalogued in internal/store/README.md. The benchmark (bench/) turns
+// these series into per-layer metrics of a whole backup cycle:
+// go run ./bench, whose --trace 1 runs report them (bench/README.md).
 //
 // # Static analysis
 //

@@ -3,7 +3,9 @@ package debar
 import (
 	"bytes"
 	"os"
+	"os/exec"
 	"path/filepath"
+	"strings"
 	"testing"
 )
 
@@ -79,4 +81,58 @@ func TestAssignClientBalances(t *testing.T) {
 	if a.ServerAddr == b.ServerAddr {
 		t.Fatalf("both clients assigned to %s; scheduler not balancing", a.ServerAddr)
 	}
+}
+
+// testHarnesses are internal packages whose callers are tests by design.
+var testHarnesses = map[string]bool{
+	"debar/internal/faultproxy": true, // the chaos suite's TCP fault proxy
+}
+
+// TestEveryInternalPackageHasACaller keeps code without a caller out of
+// the tree: every debar/internal package must be imported by some
+// non-test package (a test harness: by some test).
+func TestEveryInternalPackageHasACaller(t *testing.T) {
+	out, err := exec.Command("go", "list", "-f",
+		"{{.ImportPath}} {{join .Imports \" \"}} | {{join .TestImports \" \"}} {{join .XTestImports \" \"}}",
+		"./...").Output()
+	if err != nil {
+		t.Fatalf("go list: %v", err)
+	}
+	var internal []string
+	imported := map[string]bool{}     // by a non-test package
+	testImported := map[string]bool{} // by some package's tests
+	for _, line := range strings.Split(strings.TrimSpace(string(out)), "\n") {
+		prod, tests, _ := strings.Cut(line, "|")
+		fields := strings.Fields(prod)
+		if strings.HasPrefix(fields[0], "debar/internal/") {
+			internal = append(internal, fields[0])
+		}
+		for _, imp := range fields[1:] {
+			imported[imp] = true
+		}
+		for _, imp := range strings.Fields(tests) {
+			testImported[imp] = true
+		}
+	}
+	for _, pkg := range internal {
+		switch {
+		case testHarnesses[pkg] && !testImported[pkg]:
+			t.Errorf("%s: a test harness, but no test imports it", pkg)
+		case !testHarnesses[pkg] && !imported[pkg]:
+			t.Errorf("%s: no non-test package imports it", pkg)
+		}
+	}
+}
+
+// detRand is a tiny deterministic RNG (splitmix64) for test data.
+type detRand struct{ s uint64 }
+
+func newDetRand(seed uint64) *detRand { return &detRand{s: seed} }
+
+func (r *detRand) next() uint64 {
+	r.s += 0x9e3779b97f4a7c15
+	z := r.s
+	z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9
+	z = (z ^ (z >> 27)) * 0x94d049bb133111eb
+	return z ^ (z >> 31)
 }

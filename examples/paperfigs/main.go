@@ -1,27 +1,27 @@
-// Command debar-bench regenerates the tables and figures of the DEBAR
-// paper's evaluation (see DESIGN.md for the per-experiment index).
+// paperfigs regenerates the tables and figures of the DEBAR paper's
+// evaluation (§6) from the simulated-cluster experiments of
+// internal/experiments and internal/overflow. It reproduces shapes, not
+// this machine's throughput: the repo's benchmark is bench/.
 //
 // Usage:
 //
-//	debar-bench -exp all            # everything (minutes)
-//	debar-bench -exp table1
-//	debar-bench -exp table2 -runs 10
-//	debar-bench -exp fig6|fig7|fig8|fig9     # the month experiment
-//	debar-bench -exp fig10|fig11             # SIL/SIU sweep
-//	debar-bench -exp fig12                   # capacity sweep
-//	debar-bench -exp fig13|fig14a|fig14b|fig15
-//	debar-bench -scale 256                   # coarser/faster
+//	go run ./examples/paperfigs -exp all          # everything (minutes)
+//	go run ./examples/paperfigs -exp table1
+//	go run ./examples/paperfigs -exp table2 -runs 10
+//	go run ./examples/paperfigs -exp fig6|fig7|fig8|fig9     # the month experiment
+//	go run ./examples/paperfigs -exp fig10|fig11             # SIL/SIU sweep
+//	go run ./examples/paperfigs -exp fig12                   # capacity sweep
+//	go run ./examples/paperfigs -exp fig13|fig14a|fig14b|fig15
+//	go run ./examples/paperfigs -scale 256                   # coarser/faster
 package main
 
 import (
 	"flag"
 	"fmt"
-	"log/slog"
 	"os"
 	"strings"
 
 	"debar/internal/experiments"
-	"debar/internal/obs"
 )
 
 func main() {
@@ -29,55 +29,12 @@ func main() {
 	scale := flag.Int64("scale", int64(experiments.DefaultScale), "scale divisor S applied to all paper sizes")
 	runs := flag.Int("runs", 5, "simulation runs per row (table2)")
 	seed := flag.Int64("seed", 1, "workload seed")
-	logLevel := flag.String("log-level", "warn", "log level: debug, info, warn, error")
-	logJSON := flag.Bool("log-json", false, "emit logs as JSON instead of text")
-	debugAddr := flag.String("debug-addr", "", "serve /metrics, /metrics.json and /debug/pprof on this address (empty = disabled)")
-	metricsOut := flag.String("metrics-out", "", "write the final obs metrics snapshot as JSON to this file")
 	flag.Parse()
 
-	logger, err := obs.NewLogger(os.Stderr, *logLevel, *logJSON)
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "debar-bench:", err)
+	if err := run(strings.ToLower(*exp), experiments.Scale(*scale), *runs, *seed); err != nil {
+		fmt.Fprintln(os.Stderr, "paperfigs:", err)
 		os.Exit(1)
 	}
-	slog.SetDefault(logger)
-	if *debugAddr != "" {
-		dbg, err := obs.ServeDebug(*debugAddr, nil)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "debar-bench:", err)
-			os.Exit(1)
-		}
-		defer dbg.Close()
-		logger.Info("debug listener started", "addr", dbg.Addr())
-	}
-
-	runErr := run(strings.ToLower(*exp), experiments.Scale(*scale), *runs, *seed)
-	if *metricsOut != "" {
-		if err := writeMetrics(*metricsOut); err != nil {
-			fmt.Fprintln(os.Stderr, "debar-bench:", err)
-			if runErr == nil {
-				runErr = err
-			}
-		}
-	}
-	if runErr != nil {
-		fmt.Fprintln(os.Stderr, "debar-bench:", runErr)
-		os.Exit(1)
-	}
-}
-
-// writeMetrics dumps the process-global metric registry — every counter
-// and histogram the experiments touched — as indented JSON.
-func writeMetrics(path string) error {
-	f, err := os.Create(path)
-	if err != nil {
-		return err
-	}
-	if err := obs.Default.WriteJSON(f); err != nil {
-		f.Close()
-		return err
-	}
-	return f.Close()
 }
 
 func run(exp string, scale experiments.Scale, runs int, seed int64) error {

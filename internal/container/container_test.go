@@ -270,33 +270,6 @@ func TestClusterRepositoryValidation(t *testing.T) {
 	}
 }
 
-func TestMoveContainer(t *testing.T) {
-	cr, _ := NewClusterRepository(2, true, disksim.DiskModel{})
-	w := NewWriter(4096, true)
-	w.Add(fp.FromUint64(1), 100, nil)
-	id, _ := cr.Append(w.Seal(0))
-	from, _ := cr.NodeOf(id)
-	to := 1 - from
-	if err := cr.MoveContainer(id, to); err != nil {
-		t.Fatal(err)
-	}
-	if n, _ := cr.NodeOf(id); n != to {
-		t.Fatalf("container on node %d, want %d", n, to)
-	}
-	if _, err := cr.Load(id); err != nil {
-		t.Fatalf("Load after move: %v", err)
-	}
-	if err := cr.MoveContainer(id, to); err != nil {
-		t.Fatalf("no-op move: %v", err)
-	}
-	if err := cr.MoveContainer(999, 0); err == nil {
-		t.Fatal("move of unknown container succeeded")
-	}
-	if err := cr.MoveContainer(id, 5); err == nil {
-		t.Fatal("move to invalid node succeeded")
-	}
-}
-
 func TestDefaultSizeHoldsExpectedChunks(t *testing.T) {
 	// Paper §3.4: "for an expected chunk size of 8KB, there are about
 	// 1024 chunks in a container."

@@ -235,53 +235,3 @@ func (cr *ClusterRepository) NodeOf(id fp.ContainerID) (int, bool) {
 
 // Nodes returns the per-node repositories (for per-node clock inspection).
 func (cr *ClusterRepository) Nodes() []*MemRepository { return cr.nodes }
-
-// MoveContainer relocates a container to another node (used by the
-// defragmentation mechanism of §6.3). The container keeps its ID.
-func (cr *ClusterRepository) MoveContainer(id fp.ContainerID, toNode int) error {
-	cr.mu.Lock()
-	from, ok := cr.home[id]
-	if !ok {
-		cr.mu.Unlock()
-		return fmt.Errorf("%w: container %v", ErrNotFound, id)
-	}
-	if toNode < 0 || toNode >= len(cr.nodes) {
-		cr.mu.Unlock()
-		return fmt.Errorf("container: node %d out of range", toNode)
-	}
-	if from == toNode {
-		cr.mu.Unlock()
-		return nil
-	}
-	cr.home[id] = toNode
-	cr.mu.Unlock()
-
-	src, dst := cr.nodes[from], cr.nodes[toNode]
-	src.mu.Lock()
-	var moved *Container
-	for i, c := range src.stored {
-		if c.ID == id {
-			moved = c
-			src.stored = append(src.stored[:i], src.stored[i+1:]...)
-			delete(src.byID, id)
-			src.bytes -= c.DataBytes()
-			break
-		}
-	}
-	if src.disk != nil && moved != nil {
-		src.disk.SeqRead(moved.DataBytes())
-	}
-	src.mu.Unlock()
-	if moved == nil {
-		return fmt.Errorf("%w: container %v missing from node %d", ErrNotFound, id, from)
-	}
-	dst.mu.Lock()
-	dst.stored = append(dst.stored, moved)
-	dst.byID[id] = moved
-	dst.bytes += moved.DataBytes()
-	if dst.disk != nil {
-		dst.disk.SeqWrite(moved.DataBytes())
-	}
-	dst.mu.Unlock()
-	return nil
-}

@@ -222,6 +222,16 @@ func TestFig13SpeedsDecreaseWithIndexSize(t *testing.T) {
 	if !strings.Contains(res.Format(), "PSIL") {
 		t.Fatal("fig13 formatter broken")
 	}
+	// Figure 14(a) is the same sweep's write throughputs.
+	for _, row := range res.Rows {
+		if row.Dedup1Thr < row.TotalThr {
+			t.Fatalf("%.1f TB index: dedup-1 %.1f MB/s below total %.1f MB/s",
+				row.TotalIndexTB, row.Dedup1Thr, row.TotalThr)
+		}
+	}
+	if !strings.Contains((&Fig14aResult{Rows: res.Rows}).Format(), "dedup-1") {
+		t.Fatal("fig14a formatter broken")
+	}
 }
 
 func TestFig15ScalesWithServers(t *testing.T) {

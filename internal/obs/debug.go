@@ -11,7 +11,7 @@ import (
 // -debug-addr flag. It serves:
 //
 //	/metrics       Prometheus text exposition of the registry
-//	/metrics.json  JSON snapshot (captured by debar-bench and CI)
+//	/metrics.json  JSON snapshot of the registry
 //	/debug/pprof/  the standard net/http/pprof handlers
 //
 // The listener binds its own mux — nothing is registered on

@@ -53,7 +53,7 @@ func promFloat(v float64) string {
 }
 
 // WriteJSON renders the registry snapshot as indented JSON — the
-// /metrics.json payload benchjson and the CI trajectory consume.
+// debug listener's /metrics.json payload.
 func (r *Registry) WriteJSON(w io.Writer) error {
 	enc := json.NewEncoder(w)
 	enc.SetIndent("", "  ")

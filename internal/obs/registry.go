@@ -196,8 +196,8 @@ func (r *Registry) Snapshot() Snapshot {
 }
 
 // Flatten folds a snapshot into a flat name→value map: counters and
-// gauges directly, histograms as <name>_count and <name>_sum. This is
-// the shape benchjson embeds in bench artifacts.
+// gauges directly, histograms as <name>_count and <name>_sum. The
+// benchmark (bench/) differences two of these across a phase.
 func (s Snapshot) Flatten() map[string]float64 {
 	m := make(map[string]float64, len(s.Counters)+len(s.Gauges)+2*len(s.Histograms))
 	for name, v := range s.Counters {
