@@ -2,7 +2,10 @@
 // dedup-2 Chunk Store (paper §3.3). With -data-dir the server runs on the
 // durable storage engine (internal/store): containers, disk index and
 // chunk-log WAL live in the data directory and survive restarts, with
-// crash recovery on open. Without it every store is in-memory.
+// crash recovery on open. Chunk-log and container appends are group
+// committed: concurrent sessions share each fsync, and a chunk batch is
+// acknowledged only once the fsync covering it has landed. Without
+// -data-dir every store is in-memory.
 //
 // Usage:
 //
@@ -27,9 +30,6 @@ func main() {
 	indexBits := flag.Uint("index-bits", 0, "disk index bucket bits, 2^n buckets (0 = default: 18 in-memory; a data dir keeps its manifest geometry)")
 	dataDir := flag.String("data-dir", "", "durable data directory (empty = in-memory stores)")
 	silWorkers := flag.Int("sil-workers", 0, "dedup-2 SIL workers: index regions scanned in parallel (0 = derive from GOMAXPROCS, 1 = serialized)")
-	commitMaxBytes := flag.Int64("commit-max-bytes", 0, "group-commit window size: staged bytes that trigger an early fsync (0 = 8 MB, negative = disable group commit)")
-	commitHold := flag.Duration("commit-hold", 0, "group-commit hold: how long the flusher keeps a window open for late joiners (0 = 200µs, negative = no hold)")
-	preallocBytes := flag.Int64("prealloc-bytes", 0, "zero-fill step kept ahead of the WAL/segment append cursors; >0 enables (0 = off, the default: the zero-fill costs write bandwidth and only pays when per-sync journal latency dominates)")
 	idleTimeout := flag.Duration("idle-timeout", 0, "reap connections (and their backup sessions) silent this long (0 = 5m, negative = never)")
 	writeTimeout := flag.Duration("write-timeout", 0, "per-write deadline on client connections (0 = 2m, negative = none)")
 	controlTimeout := flag.Duration("control-timeout", 0, "dial and per-I/O deadline for director control calls (0 = 10s, negative = none)")
@@ -66,9 +66,6 @@ func main() {
 		IndexBits:      *indexBits,
 		DataDir:        *dataDir,
 		SILWorkers:     *silWorkers,
-		CommitMaxBytes: *commitMaxBytes,
-		CommitHold:     *commitHold,
-		PreallocBytes:  *preallocBytes,
 		IdleTimeout:    *idleTimeout,
 		WriteTimeout:   *writeTimeout,
 		ControlTimeout: *controlTimeout,

@@ -10,10 +10,8 @@
 package chunklog
 
 import (
-	"encoding/binary"
 	"errors"
 	"fmt"
-	"io"
 	"os"
 	"sync"
 
@@ -33,28 +31,20 @@ const recordHeader = fp.Size + 4
 // Log is a chunk log. Append and Iterate are mutually exclusive phases;
 // the log serialises them with a mutex so a File Store (dedup-1 writer)
 // and Chunk Store (dedup-2 reader) never interleave mid-record.
+//
+// A Log is either memory-backed (NewMem) or a durable WAL (OpenWAL).
 type Log struct {
 	mu       sync.Mutex
 	metaOnly bool
 	recs     []Record // guarded by mu
 	bytes    int64    // guarded by mu; payload bytes represented
 	disk     *disksim.Disk
-	file     *os.File // non-nil for file-backed logs; set once at open
+	file     *os.File // non-nil for WAL logs; set once at open
 
-	// WAL mode (OpenWAL): checksummed record framing, batched fsync,
-	// torn-tail recovery. See wal.go.
-	crc       bool
-	end       int64 // guarded by mu; append offset (WAL mode)
-	dirty     int   // guarded by mu; bytes appended since the last completed fsync
-	syncBytes int   // fsync batching threshold (<0 disables fsync)
-	extSync   bool  // guarded by mu; sync scheduling owned by an external group committer
-
-	// prealloc extends the file's allocation ahead of the append cursor
-	// in steps of this many bytes (0 disables), so in-step appends leave
-	// the inode size unchanged and a data-only sync skips the metadata
-	// journal. preallocTo is the extent already allocated.
-	prealloc   int64 // guarded by mu
-	preallocTo int64 // guarded by mu
+	// WAL mode (OpenWAL): checksummed record framing, owner-scheduled
+	// fsync, torn-tail recovery. See wal.go.
+	end   int64 // guarded by mu; append offset
+	dirty int   // guarded by mu; bytes appended since the last completed fsync
 
 	// syncMu serialises Sync callers so the fsync itself runs outside mu
 	// — appends proceed while the disk flushes — without two syncers
@@ -87,38 +77,10 @@ func (l *Log) SetSyncFailFunc(fn func() error) {
 	l.mu.Unlock()
 }
 
-// SetExternalSync marks the log's sync scheduling as owned by an
-// external group-commit scheduler (store.Committer): the inline
-// threshold fsync in the append path is skipped — the scheduler calls
-// Sync from its flusher instead, outside the append lock — while Reset
-// and Close keep their durability syncs. Call before the first append.
-func (l *Log) SetExternalSync() {
-	l.mu.Lock()
-	l.extSync = true
-	l.mu.Unlock()
-}
-
-// SetPrealloc sets the allocation step the WAL keeps ahead of its append
-// cursor (0 disables). Call before the first append.
-func (l *Log) SetPrealloc(step int64) {
-	l.mu.Lock()
-	l.prealloc = step
-	l.mu.Unlock()
-}
-
 // NewMem returns a memory-backed log. metaOnly drops payloads while
 // keeping sizes. disk may be nil.
 func NewMem(metaOnly bool, disk *disksim.Disk) *Log {
 	return &Log{metaOnly: metaOnly, disk: disk}
-}
-
-// OpenFile returns a file-backed log at path (always retaining payloads).
-func OpenFile(path string, disk *disksim.Disk) (*Log, error) {
-	f, err := os.OpenFile(path, os.O_RDWR|os.O_CREATE|os.O_TRUNC, 0o644)
-	if err != nil {
-		return nil, fmt.Errorf("chunklog: %w", err)
-	}
-	return &Log{disk: disk, file: f}, nil
 }
 
 // Append adds one <F, D(F)> group. size declares the payload length; data
@@ -149,19 +111,9 @@ func (l *Log) append(f fp.FP, size uint32, data []byte, owned bool) error {
 			return fmt.Errorf("chunklog: append: %w", err)
 		}
 	}
-	if l.crc {
+	if l.file != nil {
 		if err := l.appendWAL(f, size, data); err != nil {
 			return err
-		}
-	} else if l.file != nil {
-		var hdr [recordHeader]byte
-		copy(hdr[:], f[:])
-		binary.BigEndian.PutUint32(hdr[fp.Size:], size)
-		if _, err := l.file.Write(hdr[:]); err != nil {
-			return fmt.Errorf("chunklog: append: %w", err)
-		}
-		if _, err := l.file.Write(data); err != nil {
-			return fmt.Errorf("chunklog: append: %w", err)
 		}
 	} else {
 		r := Record{FP: f, Size: size}
@@ -185,33 +137,11 @@ func (l *Log) append(f fp.FP, size uint32, data []byte, owned bool) error {
 func (l *Log) Count() int64 {
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	if l.crc {
+	if l.file != nil {
 		n, _ := l.countWAL()
 		return n
 	}
-	if l.file != nil {
-		n, _ := l.countFile()
-		return n
-	}
 	return int64(len(l.recs))
-}
-
-func (l *Log) countFile() (int64, error) {
-	// Cheap scan of headers; used only in tests/tools for file logs.
-	var n int64
-	off := int64(0)
-	var hdr [recordHeader]byte
-	for {
-		if _, err := l.file.ReadAt(hdr[:], off); err != nil {
-			if errors.Is(err, io.EOF) {
-				return n, nil
-			}
-			return n, err
-		}
-		size := binary.BigEndian.Uint32(hdr[fp.Size:])
-		off += recordHeader + int64(size)
-		n++
-	}
 }
 
 // Bytes returns the payload bytes represented in the log.
@@ -230,11 +160,8 @@ func (l *Log) Iterate(fn func(Record) error) error {
 	if l.disk != nil {
 		l.disk.SeqRead(l.bytes + int64(l.Len())*recordHeader)
 	}
-	if l.crc {
-		return l.iterateWAL(fn)
-	}
 	if l.file != nil {
-		return l.iterateFile(fn)
+		return walkWAL(l.file, l.end, fn)
 	}
 	for _, r := range l.recs {
 		if err := fn(r); err != nil {
@@ -249,30 +176,6 @@ func (l *Log) Iterate(fn func(Record) error) error {
 // debarvet:holds mu -- the caller holds l.mu.
 func (l *Log) Len() int { return len(l.recs) }
 
-func (l *Log) iterateFile(fn func(Record) error) error {
-	off := int64(0)
-	var hdr [recordHeader]byte
-	for {
-		if _, err := l.file.ReadAt(hdr[:], off); err != nil {
-			if errors.Is(err, io.EOF) {
-				return nil
-			}
-			return fmt.Errorf("chunklog: iterate: %w", err)
-		}
-		var r Record
-		copy(r.FP[:], hdr[:fp.Size])
-		r.Size = binary.BigEndian.Uint32(hdr[fp.Size:])
-		r.Data = make([]byte, r.Size)
-		if _, err := l.file.ReadAt(r.Data, off+recordHeader); err != nil {
-			return fmt.Errorf("chunklog: iterate: %w", err)
-		}
-		if err := fn(r); err != nil {
-			return err
-		}
-		off += recordHeader + int64(r.Size)
-	}
-}
-
 // Reset discards all records after a completed dedup-2 pass. In WAL mode
 // the truncation is made durable immediately: once dedup-2 has stored the
 // chunks, a recovered WAL must not replay them.
@@ -283,38 +186,22 @@ func (l *Log) Reset() error {
 	l.bytes = 0
 	l.end = 0
 	l.dirty = 0
-	l.preallocTo = 0
-	if l.file != nil {
-		if err := l.file.Truncate(0); err != nil {
-			return fmt.Errorf("chunklog: reset: %w", err)
-		}
-		if _, err := l.file.Seek(0, io.SeekStart); err != nil {
-			return fmt.Errorf("chunklog: reset: %w", err)
-		}
-		if l.crc && (l.syncBytes > 0 || l.extSync) {
-			if err := l.file.Sync(); err != nil {
-				return fmt.Errorf("chunklog: reset sync: %w", err)
-			}
-		}
+	if l.file == nil {
+		return nil
+	}
+	if err := l.file.Truncate(0); err != nil {
+		return fmt.Errorf("chunklog: reset: %w", err)
+	}
+	if err := l.file.Sync(); err != nil {
+		return fmt.Errorf("chunklog: reset sync: %w", err)
 	}
 	return nil
 }
 
-// Close flushes batched appends and releases the backing file, if any.
+// Close syncs outstanding WAL appends and releases the file, if any.
 func (l *Log) Close() error {
-	if l.file != nil {
-		if l.crc {
-			l.mu.Lock()
-			var err error
-			if l.syncBytes > 0 || l.extSync {
-				err = l.syncLocked()
-			}
-			l.mu.Unlock()
-			if err != nil {
-				return err
-			}
-		}
-		return l.file.Close()
+	if l.file == nil {
+		return nil
 	}
-	return nil
+	return errors.Join(l.Sync(), l.file.Close())
 }

@@ -2,7 +2,6 @@ package chunklog
 
 import (
 	"bytes"
-	"path/filepath"
 	"testing"
 
 	"debar/internal/disksim"
@@ -90,46 +89,6 @@ func TestChargesIO(t *testing.T) {
 	_ = l.Iterate(func(Record) error { return nil })
 	if disk.Clock.Now() <= w {
 		t.Fatal("Iterate charged nothing")
-	}
-}
-
-func TestFileBackedLog(t *testing.T) {
-	path := filepath.Join(t.TempDir(), "chunks.log")
-	l, err := OpenFile(path, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer l.Close()
-	var want [][]byte
-	for i := 0; i < 50; i++ {
-		data := bytes.Repeat([]byte{byte(i)}, 33+i)
-		want = append(want, data)
-		if err := l.Append(fp.New(data), uint32(len(data)), data); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if l.Count() != 50 {
-		t.Fatalf("Count = %d", l.Count())
-	}
-	i := 0
-	err = l.Iterate(func(r Record) error {
-		if !bytes.Equal(r.Data, want[i]) {
-			t.Fatalf("file record %d differs", i)
-		}
-		if r.FP != fp.New(want[i]) {
-			t.Fatalf("file record %d fingerprint differs", i)
-		}
-		i++
-		return nil
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := l.Reset(); err != nil {
-		t.Fatal(err)
-	}
-	if l.Count() != 0 {
-		t.Fatal("file Reset left records")
 	}
 }
 

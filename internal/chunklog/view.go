@@ -1,15 +1,5 @@
 package chunklog
 
-import (
-	"encoding/binary"
-	"errors"
-	"fmt"
-	"hash/crc32"
-	"io"
-
-	"debar/internal/fp"
-)
-
 // View is a stable snapshot of the log taken at a point in time: it covers
 // exactly the records appended before View() returned and can be iterated
 // WITHOUT holding the log's mutex, so several readers — the per-region
@@ -20,38 +10,29 @@ import (
 // happens only at the end of the pass that owns the views).
 type View struct {
 	l    *Log
-	recs []Record // memory-backed snapshot (nil for file/WAL logs)
-	end  int64    // snapshot byte bound for file/WAL logs
+	recs []Record // memory-backed snapshot (nil for WAL logs)
+	end  int64    // snapshot byte bound for WAL logs
 }
 
 // View captures a snapshot of the current log contents.
-func (l *Log) View() (*View, error) {
+func (l *Log) View() *View {
 	l.mu.Lock()
 	defer l.mu.Unlock()
 	v := &View{l: l}
-	switch {
-	case l.crc:
+	if l.file != nil {
 		v.end = l.end
-	case l.file != nil:
-		// Plain file logs append through the file offset; the current
-		// offset is the snapshot bound.
-		off, err := l.file.Seek(0, io.SeekCurrent)
-		if err != nil {
-			return nil, fmt.Errorf("chunklog: view: %w", err)
-		}
-		v.end = off
-	default:
+	} else {
 		// Appends only ever append, so this slice header is an immutable
 		// prefix even while the log grows (or is Reset) underneath.
 		v.recs = l.recs
 	}
-	return v, nil
+	return v
 }
 
-// Len returns the number of records the snapshot covers (a scan for
-// file-backed logs).
+// Len returns the number of records the snapshot covers (a scan for WAL
+// logs).
 func (v *View) Len() (int64, error) {
-	if v.recs != nil || (v.l.file == nil && !v.l.crc) {
+	if v.l.file == nil {
 		return int64(len(v.recs)), nil
 	}
 	var n int64
@@ -61,79 +42,18 @@ func (v *View) Len() (int64, error) {
 
 // Iterate replays the snapshot's records in append order. Unlike
 // Log.Iterate it holds no lock, so any number of views (or iterations of
-// one view) may run concurrently; file reads are positional (ReadAt) and
-// never touch the append offset. No sequential-read charge is made here:
-// the disk cost model meters the lock-serialised path, while concurrent
-// replay cost is measured by the wall-clock benchmarks.
+// one view) may run concurrently; WAL reads are positional (ReadAt). No
+// sequential-read charge is made here: the disk cost model meters the
+// lock-serialised path, while concurrent replay cost is measured by the
+// wall-clock benchmarks.
 func (v *View) Iterate(fn func(Record) error) error {
-	l := v.l
-	switch {
-	case l.crc:
-		return v.iterateWALView(fn)
-	case l.file != nil:
-		return v.iterateFileView(fn)
-	default:
-		for _, r := range v.recs {
-			if err := fn(r); err != nil {
-				return err
-			}
-		}
-		return nil
+	if v.l.file != nil {
+		return walkWAL(v.l.file, v.end, fn)
 	}
-}
-
-func (v *View) iterateFileView(fn func(Record) error) error {
-	off := int64(0)
-	var hdr [recordHeader]byte
-	for off+recordHeader <= v.end {
-		if _, err := v.l.file.ReadAt(hdr[:], off); err != nil {
-			if errors.Is(err, io.EOF) {
-				return nil
-			}
-			return fmt.Errorf("chunklog: view iterate: %w", err)
-		}
-		var r Record
-		copy(r.FP[:], hdr[:fp.Size])
-		r.Size = binary.BigEndian.Uint32(hdr[fp.Size:])
-		if off+recordHeader+int64(r.Size) > v.end {
-			return nil
-		}
-		r.Data = make([]byte, r.Size)
-		if _, err := v.l.file.ReadAt(r.Data, off+recordHeader); err != nil {
-			return fmt.Errorf("chunklog: view iterate: %w", err)
-		}
+	for _, r := range v.recs {
 		if err := fn(r); err != nil {
 			return err
 		}
-		off += recordHeader + int64(r.Size)
-	}
-	return nil
-}
-
-func (v *View) iterateWALView(fn func(Record) error) error {
-	var hdr [walHeader]byte
-	off := int64(0)
-	for off < v.end {
-		if _, err := v.l.file.ReadAt(hdr[:], off); err != nil {
-			return fmt.Errorf("chunklog: view iterate: %w", err)
-		}
-		size := int64(binary.BigEndian.Uint32(hdr[4+fp.Size:]))
-		body := make([]byte, fp.Size+4+size)
-		copy(body, hdr[4:])
-		if _, err := v.l.file.ReadAt(body[fp.Size+4:], off+walHeader); err != nil {
-			return fmt.Errorf("chunklog: view iterate: %w", err)
-		}
-		if binary.BigEndian.Uint32(hdr[:4]) != crc32.Checksum(body, castagnoli) {
-			return fmt.Errorf("chunklog: wal record at offset %d fails checksum (media corruption?)", off)
-		}
-		var r Record
-		copy(r.FP[:], body[:fp.Size])
-		r.Size = uint32(size)
-		r.Data = body[fp.Size+4:]
-		if err := fn(r); err != nil {
-			return err
-		}
-		off += walHeader + size
 	}
 	return nil
 }

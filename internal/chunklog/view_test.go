@@ -36,28 +36,20 @@ func viewFPs(t *testing.T, v *View) []fp.FP {
 // TestViewSnapshotBoundary: a view sees exactly the records appended before
 // it was taken, for every backing mode.
 func TestViewSnapshotBoundary(t *testing.T) {
-	dir := t.TempDir()
-	logs := map[string]*Log{
-		"mem": NewMem(false, nil),
-	}
-	if fl, err := OpenFile(filepath.Join(dir, "plain.log"), nil); err == nil {
-		logs["file"] = fl
-	} else {
-		t.Fatal(err)
-	}
-	wl, _, err := OpenWAL(filepath.Join(dir, "wal.log"), -1)
+	wl, _, err := OpenWAL(filepath.Join(t.TempDir(), "wal.log"))
 	if err != nil {
 		t.Fatal(err)
 	}
-	logs["wal"] = wl
+	defer wl.Close()
+	logs := map[string]*Log{
+		"mem": NewMem(false, nil),
+		"wal": wl,
+	}
 
 	for name, l := range logs {
 		t.Run(name, func(t *testing.T) {
 			appendN(t, l, 0, 40)
-			v, err := l.View()
-			if err != nil {
-				t.Fatal(err)
-			}
+			v := l.View()
 			appendN(t, l, 40, 25) // behind the snapshot: invisible
 			fps := viewFPs(t, v)
 			if len(fps) != 40 {
@@ -89,16 +81,14 @@ func TestViewConcurrentReaders(t *testing.T) {
 				l = NewMem(false, nil)
 			} else {
 				var err error
-				l, _, err = OpenWAL(filepath.Join(t.TempDir(), "wal.log"), -1)
+				l, _, err = OpenWAL(filepath.Join(t.TempDir(), "wal.log"))
 				if err != nil {
 					t.Fatal(err)
 				}
+				defer l.Close()
 			}
 			appendN(t, l, 0, 200)
-			v, err := l.View()
-			if err != nil {
-				t.Fatal(err)
-			}
+			v := l.View()
 			var wg sync.WaitGroup
 			counts := make([]int, 4)
 			for g := 0; g < 4; g++ {
@@ -129,10 +119,7 @@ func TestViewConcurrentReaders(t *testing.T) {
 func TestViewSurvivesReset(t *testing.T) {
 	l := NewMem(false, nil)
 	appendN(t, l, 0, 10)
-	v, err := l.View()
-	if err != nil {
-		t.Fatal(err)
-	}
+	v := l.View()
 	if err := l.Reset(); err != nil {
 		t.Fatal(err)
 	}

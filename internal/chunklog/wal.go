@@ -26,9 +26,7 @@ var (
 
 // WAL mode turns the chunk log into a durable write-ahead log: every
 // record is framed with a CRC32-C checksum so a torn tail (a crash mid
-// append) is detected and truncated on open, and appends are fsynced in
-// batches so dedup-1 state survives a crash without paying one fsync per
-// chunk.
+// append) is detected and truncated on open.
 //
 // WAL record framing:
 //
@@ -40,14 +38,14 @@ var (
 // start of the file and truncates at the first record whose header is
 // short, whose declared size is implausible, or whose checksum mismatches:
 // everything before that point is a complete prefix of the appended
-// stream (a preallocated-but-unwritten tail reads as zeros and fails the
-// scan the same way a torn record does). Durability is scheduled one of
-// two ways: standalone, appends fsync inline every syncBytes; under the
-// engine's group committer (SetExternalSync) the scheduler calls Sync
-// from its flusher and the backup server holds each ChunkBatch verdict
-// until the covering sync lands, so an acknowledged chunk is always
-// recoverable — see internal/store/README.md ("Consistency model"). The
-// recovered prefix is always a consistent replay point.
+// stream (a zero-filled tail, which a crash can leave when the file size
+// reached disk before the data did, fails the scan the same way a torn
+// record does). Append never fsyncs: the log's owner schedules Sync. In
+// the storage engine that owner is the "wal" group committer, and the
+// backup server holds each ChunkBatch verdict until the covering sync
+// lands, so an acknowledged chunk is always recoverable — see
+// internal/store/README.md ("Consistency model"). Reset and Close always
+// sync. The recovered prefix is always a consistent replay point.
 
 // walHeader is the serialised record header: checksum + fingerprint + size.
 const walHeader = 4 + fp.Size + 4
@@ -58,27 +56,18 @@ const walHeader = 4 + fp.Size + 4
 // default), so 256 MB is far above any legitimate record.
 const walMaxRecord = 256 << 20
 
-// DefaultWALSyncBytes is the default fsync batching threshold: the file is
-// fsynced once at least this many bytes have been appended since the last
-// sync (and on Sync/Reset/Close).
-const DefaultWALSyncBytes = 1 << 20
-
 var castagnoli = crc32.MakeTable(crc32.Castagnoli)
 
 // OpenWAL opens (creating if needed) a durable chunk-log WAL at path,
 // recovering any existing records. It returns the log and the fingerprints
 // of the recovered records in append order (the crash-recovery seed for
-// the undetermined fingerprint file). syncBytes sets the fsync batching
-// threshold; 0 selects DefaultWALSyncBytes, negative disables fsync (tests).
-func OpenWAL(path string, syncBytes int) (*Log, []fp.FP, error) {
+// the undetermined fingerprint file).
+func OpenWAL(path string) (*Log, []fp.FP, error) {
 	f, err := os.OpenFile(path, os.O_RDWR|os.O_CREATE, 0o644)
 	if err != nil {
 		return nil, nil, fmt.Errorf("chunklog: open wal: %w", err)
 	}
-	if syncBytes == 0 {
-		syncBytes = DefaultWALSyncBytes
-	}
-	l := &Log{file: f, crc: true, syncBytes: syncBytes}
+	l := &Log{file: f}
 	fps, err := l.recoverWAL()
 	if err != nil {
 		return nil, nil, errors.Join(err, f.Close())
@@ -125,10 +114,9 @@ func (l *Log) recoverWAL() ([]fp.FP, error) {
 		off += walHeader + size
 	}
 	if off < fileSize {
-		// Truncating covers both a torn tail and a preallocated-but-
-		// unwritten one (zeros fail the checksum scan the same way); the
-		// shrink also guarantees the dropped range reads as zeros if it
-		// is later re-extended by preallocation.
+		// Truncating covers both a torn tail and a zero-filled one (zeros
+		// fail the checksum scan the same way), so the next append lands
+		// at the logical end.
 		if err := l.file.Truncate(off); err != nil {
 			return nil, fmt.Errorf("chunklog: wal truncating torn tail: %w", err)
 		}
@@ -137,13 +125,11 @@ func (l *Log) recoverWAL() ([]fp.FP, error) {
 		}
 	}
 	l.end = off
-	l.preallocTo = off
 	return fps, nil
 }
 
-// appendWAL writes one checksummed record at the end of the WAL and
-// applies the fsync batching policy (unless an external group committer
-// owns sync scheduling).
+// appendWAL writes one checksummed record at the end of the WAL. It
+// never fsyncs: the record is durable once a later Sync returns.
 //
 // debarvet:holds mu -- Append enters WAL mode with l.mu held.
 func (l *Log) appendWAL(f fp.FP, size uint32, data []byte) error {
@@ -153,45 +139,30 @@ func (l *Log) appendWAL(f fp.FP, size uint32, data []byte) error {
 	binary.BigEndian.PutUint32(rec[4+fp.Size:], size)
 	copy(rec[walHeader:], data)
 	binary.BigEndian.PutUint32(rec[:4], crc32.Checksum(rec[4:], castagnoli))
-	if l.prealloc > 0 && l.end+int64(len(rec)) > l.preallocTo {
-		// Keep the allocation ahead of the cursor so the writes below
-		// (and data-only syncs covering them) never grow the inode.
-		to := l.end + int64(len(rec))
-		to += l.prealloc - 1
-		to -= to % l.prealloc
-		if err := fsx.Preallocate(l.file, to); err != nil {
-			return fmt.Errorf("chunklog: wal preallocate: %w", err)
-		}
-		l.preallocTo = to
-	}
 	if _, err := l.file.WriteAt(rec, l.end); err != nil {
 		return fmt.Errorf("chunklog: wal append: %w", err)
 	}
 	l.end += int64(len(rec))
 	l.dirty += len(rec)
 	mWALAppendBytes.Add(int64(len(rec)))
-	if !l.extSync && l.syncBytes > 0 && l.dirty >= l.syncBytes {
-		return l.syncLocked()
-	}
 	return nil
 }
 
-// iterateWAL replays the records in append order, re-verifying checksums
-// (corruption after recovery — bad sectors — surfaces here rather than as
-// a wrong chunk in a container).
-//
-// debarvet:holds mu -- ForEach/Iterate enter with l.mu held.
-func (l *Log) iterateWAL(fn func(Record) error) error {
+// walkWAL replays the records of file below offset end in append order,
+// re-verifying checksums (corruption after recovery — bad sectors —
+// surfaces here rather than as a wrong chunk in a container). Log.Iterate
+// bounds it at the live append offset, View.Iterate at its snapshot.
+func walkWAL(file *os.File, end int64, fn func(Record) error) error {
 	var hdr [walHeader]byte
 	off := int64(0)
-	for off < l.end {
-		if _, err := l.file.ReadAt(hdr[:], off); err != nil {
+	for off < end {
+		if _, err := file.ReadAt(hdr[:], off); err != nil {
 			return fmt.Errorf("chunklog: wal iterate: %w", err)
 		}
 		size := int64(binary.BigEndian.Uint32(hdr[4+fp.Size:]))
 		body := make([]byte, fp.Size+4+size)
 		copy(body, hdr[4:])
-		if _, err := l.file.ReadAt(body[fp.Size+4:], off+walHeader); err != nil {
+		if _, err := file.ReadAt(body[fp.Size+4:], off+walHeader); err != nil {
 			return fmt.Errorf("chunklog: wal iterate: %w", err)
 		}
 		if binary.BigEndian.Uint32(hdr[:4]) != crc32.Checksum(body, castagnoli) {
@@ -226,7 +197,7 @@ func (l *Log) countWAL() (int64, error) {
 	return n, nil
 }
 
-// Sync flushes batched appends to stable storage. The fsync runs
+// Sync makes every append before the call durable. The fsync runs
 // *outside* the append lock: it snapshots the dirty count, syncs, and
 // subtracts only what it observed, so appends from concurrent sessions
 // proceed while the disk flushes and bytes appended mid-sync stay dirty
@@ -266,28 +237,5 @@ func (l *Log) Sync() error {
 		l.dirty = 0
 	}
 	l.mu.Unlock()
-	return nil
-}
-
-// syncLocked is the under-mu fsync used by the inline batching threshold
-// and Close. It shares Sync's failure invariant: the dirty counter is
-// reset only after a successful fsync.
-func (l *Log) syncLocked() error {
-	if l.file == nil || l.dirty == 0 {
-		return nil
-	}
-	if l.syncFailFn != nil {
-		if err := l.syncFailFn(); err != nil {
-			return fmt.Errorf("chunklog: sync: %w", err)
-		}
-	}
-	start := time.Now()
-	if err := fsx.SyncData(l.file); err != nil {
-		return fmt.Errorf("chunklog: sync: %w", err)
-	}
-	mWALFsyncs.Inc()
-	mWALFsyncSeconds.Since(start)
-	mWALSyncedBytes.Add(int64(l.dirty))
-	l.dirty = 0
 	return nil
 }

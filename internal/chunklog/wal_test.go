@@ -7,6 +7,7 @@ import (
 	"testing"
 
 	"debar/internal/fp"
+	"debar/internal/obs"
 )
 
 func walRecord(i int) (fp.FP, []byte) {
@@ -19,7 +20,7 @@ func walRecord(i int) (fp.FP, []byte) {
 
 func TestWALRoundTrip(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "chunklog.wal")
-	l, fps, err := OpenWAL(path, -1)
+	l, fps, err := OpenWAL(path)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -40,7 +41,7 @@ func TestWALRoundTrip(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	l2, fps, err := OpenWAL(path, -1)
+	l2, fps, err := OpenWAL(path)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -68,62 +69,101 @@ func TestWALRoundTrip(t *testing.T) {
 	}
 }
 
+// TestWALTornTailTruncated: recovery keeps exactly the complete records
+// in front of a damaged tail — a record torn mid-write, or zeros past the
+// last record (a crash can leave the file size on disk ahead of its data)
+// — and the next append lands at the logical end.
 func TestWALTornTailTruncated(t *testing.T) {
-	path := filepath.Join(t.TempDir(), "chunklog.wal")
-	l, _, err := OpenWAL(path, -1)
-	if err != nil {
-		t.Fatal(err)
-	}
 	const n = 5
-	for i := 0; i < n; i++ {
-		f, data := walRecord(i)
-		if err := l.Append(f, uint32(len(data)), data); err != nil {
-			t.Fatal(err)
-		}
+	cases := []struct {
+		name   string
+		damage func(t *testing.T, path string, size int64)
+		keep   int
+	}{
+		{"torn", func(t *testing.T, path string, size int64) {
+			// Drop the last record's final 10 bytes.
+			if err := os.Truncate(path, size-10); err != nil {
+				t.Fatal(err)
+			}
+		}, n - 1},
+		{"zero-tail", func(t *testing.T, path string, size int64) {
+			f, err := os.OpenFile(path, os.O_RDWR, 0o644)
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer f.Close()
+			if _, err := f.WriteAt(make([]byte, 4096), size); err != nil {
+				t.Fatal(err)
+			}
+		}, n},
 	}
-	if err := l.Close(); err != nil {
-		t.Fatal(err)
-	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			path := filepath.Join(t.TempDir(), "chunklog.wal")
+			l, _, err := OpenWAL(path)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for i := 0; i < n; i++ {
+				f, data := walRecord(i)
+				if err := l.Append(f, uint32(len(data)), data); err != nil {
+					t.Fatal(err)
+				}
+			}
+			if err := l.Close(); err != nil {
+				t.Fatal(err)
+			}
+			st, err := os.Stat(path)
+			if err != nil {
+				t.Fatal(err)
+			}
+			tc.damage(t, path, st.Size())
 
-	// Tear the last record: drop its final 10 bytes.
-	st, err := os.Stat(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := os.Truncate(path, st.Size()-10); err != nil {
-		t.Fatal(err)
-	}
-
-	l2, fps, err := OpenWAL(path, -1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(fps) != n-1 {
-		t.Fatalf("recovered %d fps after torn tail, want %d", len(fps), n-1)
-	}
-	if got := l2.Count(); got != n-1 {
-		t.Fatalf("Count = %d after torn tail, want %d", got, n-1)
-	}
-	// The log must append cleanly after recovery.
-	f, data := walRecord(99)
-	if err := l2.Append(f, uint32(len(data)), data); err != nil {
-		t.Fatal(err)
-	}
-	if err := l2.Close(); err != nil {
-		t.Fatal(err)
-	}
-	_, fps, err = OpenWAL(path, -1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(fps) != n || fps[n-1] != f {
-		t.Fatalf("post-recovery append not recovered (got %d fps)", len(fps))
+			l2, fps, err := OpenWAL(path)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if len(fps) != tc.keep {
+				t.Fatalf("recovered %d fps, want %d", len(fps), tc.keep)
+			}
+			var end int64
+			for i, got := range fps {
+				want, data := walRecord(i)
+				if got != want {
+					t.Fatalf("recovered fp %d mismatch", i)
+				}
+				end += walHeader + int64(len(data))
+			}
+			if got := l2.Count(); got != int64(tc.keep) {
+				t.Fatalf("Count = %d, want %d", got, tc.keep)
+			}
+			// The log must append cleanly after recovery, at the logical end.
+			f, data := walRecord(99)
+			if err := l2.Append(f, uint32(len(data)), data); err != nil {
+				t.Fatal(err)
+			}
+			if err := l2.Close(); err != nil {
+				t.Fatal(err)
+			}
+			if st, err := os.Stat(path); err != nil {
+				t.Fatal(err)
+			} else if want := end + walHeader + int64(len(data)); st.Size() != want {
+				t.Fatalf("file size %d after post-recovery append, want %d", st.Size(), want)
+			}
+			_, fps, err = OpenWAL(path)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if len(fps) != tc.keep+1 || fps[tc.keep] != f {
+				t.Fatalf("post-recovery append not recovered (got %d fps)", len(fps))
+			}
+		})
 	}
 }
 
 func TestWALCorruptMiddleTruncates(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "chunklog.wal")
-	l, _, err := OpenWAL(path, -1)
+	l, _, err := OpenWAL(path)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -150,7 +190,7 @@ func TestWALCorruptMiddleTruncates(t *testing.T) {
 	}
 	f.Close()
 
-	_, fps, err := OpenWAL(path, -1)
+	_, fps, err := OpenWAL(path)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -167,11 +207,10 @@ func TestWALCorruptMiddleTruncates(t *testing.T) {
 // records had never reached the disk.
 func TestWALSyncFailureKeepsDirty(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "chunklog.wal")
-	l, _, err := OpenWAL(path, -1)
+	l, _, err := OpenWAL(path)
 	if err != nil {
 		t.Fatal(err)
 	}
-	l.SetExternalSync() // caller-scheduled syncs, as under the group committer
 
 	const n = 3
 	for i := 0; i < n; i++ {
@@ -214,7 +253,7 @@ func TestWALSyncFailureKeepsDirty(t *testing.T) {
 	if err := l.Close(); err != nil {
 		t.Fatal(err)
 	}
-	_, fps, err := OpenWAL(path, -1)
+	_, fps, err := OpenWAL(path)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -223,75 +262,50 @@ func TestWALSyncFailureKeepsDirty(t *testing.T) {
 	}
 }
 
-// TestWALPreallocRecovery: with preallocation the file extends ahead of
-// the append cursor, so a crash (or plain Close) leaves a zero-filled
-// tail. Recovery must accept exactly the appended records — the zero
-// tail fails the checksum scan like a torn record — and appending must
-// resume cleanly afterwards.
-func TestWALPreallocRecovery(t *testing.T) {
+// TestWALAppendNeverSyncsInline pins the WAL's one durability policy:
+// Append never fsyncs on its own, however much it has buffered. The log's
+// owner schedules Sync (in the storage engine, the "wal" group committer),
+// and one Sync covers every earlier append.
+func TestWALAppendNeverSyncsInline(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "chunklog.wal")
-	l, _, err := OpenWAL(path, -1)
+	l, _, err := OpenWAL(path)
 	if err != nil {
 		t.Fatal(err)
 	}
-	const step = int64(4096)
-	l.SetPrealloc(step)
-	const n = 6
+	fsyncs := obs.GetCounter("store_wal_fsyncs_total")
+	before := fsyncs.Value()
+	data := make([]byte, 32<<10)
+	const n = 40 // 1.25 MiB of records
 	for i := 0; i < n; i++ {
-		f, data := walRecord(i)
-		if err := l.Append(f, uint32(len(data)), data); err != nil {
+		data[0] = byte(i)
+		if err := l.Append(fp.New(data), uint32(len(data)), data); err != nil {
 			t.Fatal(err)
 		}
+	}
+	if got := fsyncs.Value() - before; got != 0 {
+		t.Fatalf("%d fsyncs during Append, want 0", got)
+	}
+	if err := l.Sync(); err != nil {
+		t.Fatal(err)
+	}
+	if got := fsyncs.Value() - before; got != 1 {
+		t.Fatalf("%d fsyncs after one Sync, want 1", got)
 	}
 	if err := l.Close(); err != nil {
 		t.Fatal(err)
 	}
-
-	// The on-disk file is larger than the logical log: the preallocated
-	// tail is still attached, exactly the shape a crash leaves behind.
-	st, err := os.Stat(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if st.Size()%step != 0 || st.Size() == 0 {
-		t.Fatalf("file size %d not a preallocation multiple of %d", st.Size(), step)
-	}
-
-	l2, fps, err := OpenWAL(path, -1)
+	_, fps, err := OpenWAL(path)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if len(fps) != n {
-		t.Fatalf("recovered %d fps under a preallocated tail, want %d", len(fps), n)
-	}
-	for i, f := range fps {
-		want, _ := walRecord(i)
-		if f != want {
-			t.Fatalf("recovered fp %d mismatch", i)
-		}
-	}
-	// Recovery truncated the zero tail, so appends restart from the
-	// logical end (and re-extend the allocation as they go).
-	l2.SetPrealloc(step)
-	f, data := walRecord(99)
-	if err := l2.Append(f, uint32(len(data)), data); err != nil {
-		t.Fatal(err)
-	}
-	if err := l2.Close(); err != nil {
-		t.Fatal(err)
-	}
-	_, fps, err = OpenWAL(path, -1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(fps) != n+1 || fps[n] != f {
-		t.Fatalf("post-recovery append lost (got %d fps)", len(fps))
+		t.Fatalf("recovered %d fps, want %d", len(fps), n)
 	}
 }
 
 func TestWALResetDurable(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "chunklog.wal")
-	l, _, err := OpenWAL(path, 0) // default fsync batching
+	l, _, err := OpenWAL(path)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -305,7 +319,7 @@ func TestWALResetDurable(t *testing.T) {
 	if err := l.Close(); err != nil {
 		t.Fatal(err)
 	}
-	_, fps, err := OpenWAL(path, 0)
+	_, fps, err := OpenWAL(path)
 	if err != nil {
 		t.Fatal(err)
 	}

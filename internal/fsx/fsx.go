@@ -1,55 +1,9 @@
-// Package fsx holds the filesystem primitives the durable write path
-// needs beyond the portable os API: file preallocation ahead of an
-// append cursor and data-only fsync (fdatasync(2) on Linux, a full Sync
-// elsewhere).
-//
-// The pairing is what makes appends cheap: Preallocate extends the file
-// by *writing zeros* ahead of the cursor (the same trick as PostgreSQL's
-// wal_init_zero), so by the time real appends land there the blocks are
-// allocated, written extents and the inode size already covers them.
-// Every append inside the preallocated region is then a pure data
-// overwrite — a data-only sync flushes just those blocks and never
-// forces a filesystem-journal transaction, which matters twice over: the
-// fsync itself is cheaper, and concurrent appends do not stall behind a
-// journal commit while the sync is in flight. A fallocate(2)-based
-// preallocation would not achieve this: it creates *unwritten* extents
-// whose first overwrite still needs a journaled extent conversion at
-// writeback, putting the metadata commit right back into every sync.
-//
-// Preallocated-but-unwritten bytes read as zeros (they are zeros), which
-// is what lets the recovery scans of the WAL and the container log treat
-// a zero tail as "never written" and truncate it away.
+// Package fsx holds the filesystem primitive the durable write path needs
+// beyond the portable os API: data-only fsync (fdatasync(2) on Linux, a
+// full Sync elsewhere).
 package fsx
 
 import "os"
-
-// zeroChunk is the reusable source for zero-fill writes. Read-only.
-var zeroChunk [1 << 20]byte
-
-// Preallocate extends f to at least size bytes by writing zeros from the
-// current end. Bytes between the old and new size read as zeros. It is a
-// no-op when the file is already at least size bytes long.
-func Preallocate(f *os.File, size int64) error {
-	if size <= 0 {
-		return nil
-	}
-	st, err := f.Stat()
-	if err != nil {
-		return err
-	}
-	off := st.Size()
-	for off < size {
-		n := size - off
-		if n > int64(len(zeroChunk)) {
-			n = int64(len(zeroChunk))
-		}
-		if _, err := f.WriteAt(zeroChunk[:n], off); err != nil {
-			return err
-		}
-		off += n
-	}
-	return nil
-}
 
 // SyncData flushes f's written data (and the metadata required to read
 // it back, such as a changed file size) to stable storage. On Linux this

@@ -30,9 +30,6 @@ func TestChunkBatchAckHeldForWALSync(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !eng.GroupCommit() {
-		t.Fatal("engine did not enable group commit by default")
-	}
 	injected := errors.New("injected media failure")
 	eng.ChunkLog().SetSyncFailFunc(func() error { return injected })
 	t.Cleanup(func() { eng.ChunkLog().SetSyncFailFunc(nil) })

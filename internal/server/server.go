@@ -80,17 +80,6 @@ type Config struct {
 	// single-pass dedup-2.
 	SILWorkers int
 
-	// CommitMaxBytes, CommitHold and PreallocBytes tune the durable write
-	// path of a DataDir-opened store engine: the cross-session
-	// group-commit window size and hold latency, and the allocation step
-	// kept ahead of the WAL/segment append cursors (see store.Options).
-	// Zero selects the store defaults, negative disables, matching the
-	// knob convention everywhere else. Ignored when Storage is supplied
-	// directly (the engine's creator chose its options).
-	CommitMaxBytes int64
-	CommitHold     time.Duration
-	PreallocBytes  int64
-
 	// Storage wires the server onto a durable store engine: container
 	// repository, disk index and chunk-log WAL all come from the engine,
 	// and the server takes ownership (Close closes it). Nil keeps the
@@ -316,11 +305,8 @@ func New(cfg Config) (*Server, error) {
 	if eng == nil && cfg.DataDir != "" {
 		var err error
 		eng, err = store.Open(cfg.DataDir, store.Options{
-			IndexBits:      cfg.IndexBits,
-			IndexBlocks:    cfg.IndexBlocks,
-			CommitMaxBytes: cfg.CommitMaxBytes,
-			CommitHold:     cfg.CommitHold,
-			PreallocBytes:  cfg.PreallocBytes,
+			IndexBits:   cfg.IndexBits,
+			IndexBlocks: cfg.IndexBlocks,
 		})
 		if err != nil {
 			return nil, fmt.Errorf("server: opening data dir: %w", err)
@@ -1145,9 +1131,8 @@ func (s *Server) chunkBatch(m proto.ChunkBatch) (any, error) {
 		// group-commit window and let the writer goroutine release it
 		// once the covering fsync has landed, so an acknowledged chunk is
 		// always recoverable after a crash. The deferral costs no
-		// pipeline stalls — the next frame dispatches while this verdict
-		// waits — and with group commit disabled the ticket is already
-		// resolved (legacy inline batching).
+		// pipeline stalls: the next frame dispatches while this verdict
+		// waits.
 		t := s.storage.WALTicket(staged)
 		return deferredReply{
 			done: t.Done(),

@@ -54,8 +54,8 @@ type commitWindow struct {
 func (w *commitWindow) fill() { w.fullOnce.Do(func() { close(w.full) }) }
 
 // Ticket is a claim on a commit window. The zero Ticket is resolved:
-// Wait returns nil immediately (the disabled-group-commit path, where
-// the caller's own write already synced inline).
+// Wait returns nil immediately. Enqueue returns it only after Close, by
+// which time the owner has made its own final sync.
 type Ticket struct{ w *commitWindow }
 
 // Wait blocks until the ticket's window has been synced and returns the
@@ -115,13 +115,11 @@ type Committer struct {
 	lastArrival time.Time     // guarded by mu; previous Enqueue (inter-arrival metering)
 
 	// Arrival-rate and coalescing metrics, nil on unnamed committers
-	// (obs methods are nil-safe). These are the measurement half of the
-	// ROADMAP's adaptive commit-hold follow-up: windowWriters and
-	// windowBytes show how wide coalescing actually gets, interarrival
-	// against the hold says whether the hold is doing anything, and
-	// holdOccupancy (window open time over the configured hold) shows
-	// whether windows close on the byte cap, the timer, or flusher
-	// backpressure (occupancy > 1).
+	// (obs methods are nil-safe). windowWriters and windowBytes show how
+	// wide coalescing actually gets, interarrival against the hold says
+	// whether the hold is doing anything, and holdOccupancy (window open
+	// time over the configured hold) shows whether windows close on the
+	// byte cap, the timer, or flusher backpressure (occupancy > 1).
 	mEnqueues      *obs.Counter
 	mWindows       *obs.Counter
 	mWindowsFull   *obs.Counter
@@ -132,16 +130,12 @@ type Committer struct {
 	mSyncSeconds   *obs.Histogram
 }
 
-// NewCommitter builds a scheduler over syncFn. hold and maxBytes follow
-// the knob convention: 0 selects DefaultCommitHold/DefaultCommitMaxBytes,
-// negative disables (no hold / no early flush).
+// NewCommitter builds a scheduler over syncFn. hold is how long the
+// flusher keeps a window open for late joiners and maxBytes the staged
+// bytes that flush it early; a value ≤ 0 disables either (no hold / no
+// early flush). The storage engine passes DefaultCommitHold and
+// DefaultCommitMaxBytes.
 func NewCommitter(syncFn func() error, hold time.Duration, maxBytes int64) *Committer {
-	if hold == 0 {
-		hold = DefaultCommitHold
-	}
-	if maxBytes == 0 {
-		maxBytes = DefaultCommitMaxBytes
-	}
 	c := &Committer{syncFn: syncFn, hold: hold, maxBytes: maxBytes}
 	c.cond = sync.NewCond(&c.mu)
 	return c

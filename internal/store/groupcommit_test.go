@@ -120,8 +120,8 @@ func TestCommitterClose(t *testing.T) {
 	}
 }
 
-// TestTicketZeroValue: the zero Ticket is resolved — the disabled-group-
-// commit path hands these out and must never block a session.
+// TestTicketZeroValue: the zero Ticket is resolved — a closed committer
+// hands these out and must never block a session.
 func TestTicketZeroValue(t *testing.T) {
 	var tk Ticket
 	if tk.Pending() {

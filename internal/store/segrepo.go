@@ -32,16 +32,14 @@ var (
 // the mapping for the LPC/restore path; appends go through pread-coherent
 // WriteAt on the active segment.
 //
-// Durability is scheduled one of two ways. Standalone (no group
-// committer), every Append fsyncs before publishing the container ID.
-// Under the engine's group committer (SetGroupCommit), Append only
-// *stages* the frame — the committer's flusher syncs the active segment
-// in coalesced windows, and the "everything stored is durable" edge that
-// dedup-2's WAL truncation relies on moves to Flush, which the engine's
-// Checkpoint calls before truncating the WAL or trusting the index. A
-// crash between Append and the covering sync can lose (or tear) trailing
-// containers; recovery truncates the damage and the un-truncated WAL
-// replays their chunks, so nothing acknowledged is lost.
+// Durability is group-committed: Append writes the frame and *stages* it
+// with the repository's "repo" committer, whose flusher syncs the active
+// segment in coalesced windows. A container ID is durable once its
+// window has synced or Flush has returned; the engine's Checkpoint calls
+// Flush before truncating the WAL or trusting the index. A crash between
+// Append and the covering sync can lose (or tear) trailing containers;
+// recovery truncates the damage and the un-truncated WAL replays their
+// chunks, so nothing acknowledged is lost.
 //
 // Record framing inside a segment:
 //
@@ -65,33 +63,9 @@ type SegRepo struct {
 	end    int64                     // guarded by mu; append offset in the active segment
 	closed bool                      // guarded by mu
 
-	gc *Committer // group-commit scheduler; nil → fsync inline per Append
-
-	// prealloc keeps the active segment's allocation this many bytes
-	// ahead of the append cursor (0 disables): in-step appends leave the
-	// inode size unchanged, so the committer's data-only syncs skip the
-	// metadata journal. preallocTo is the extent already allocated.
-	prealloc   int64 // guarded by mu
-	preallocTo int64 // guarded by mu
+	gc *Committer // group-commit scheduler over syncActive; set once at open
 
 	failFn func() error // guarded by mu; fault injection: non-nil error fails Append
-}
-
-// SetGroupCommit hands the repository's sync scheduling to c: Append
-// stages frames instead of fsyncing inline, and Flush/the committer's
-// flusher make them durable. Call once, before the first Append.
-func (r *SegRepo) SetGroupCommit(c *Committer) {
-	r.mu.Lock()
-	r.gc = c
-	r.mu.Unlock()
-}
-
-// SetPrealloc sets the allocation step kept ahead of the active
-// segment's append cursor (0 disables). Call before the first Append.
-func (r *SegRepo) SetPrealloc(step int64) {
-	r.mu.Lock()
-	r.prealloc = step
-	r.mu.Unlock()
 }
 
 // SetFailFunc installs a fault-injection hook consulted before every
@@ -144,6 +118,7 @@ func OpenSegRepo(dir string, segBytes int64) (*SegRepo, error) {
 		return nil, fmt.Errorf("store: %w", err)
 	}
 	r := &SegRepo{dir: dir, segBytes: segBytes, loc: make(map[fp.ContainerID]segLoc)}
+	r.gc = NewNamedCommitter("repo", r.syncActive, DefaultCommitHold, DefaultCommitMaxBytes)
 	if err := r.recover(); err != nil {
 		return nil, errors.Join(err, r.Close())
 	}
@@ -185,9 +160,8 @@ func (r *SegRepo) recover() error {
 		}
 		seg.size = end
 		if last {
-			// Drop any torn or preallocated-but-unwritten tail so the next
-			// append lands on a clean edge; the shrink also guarantees a
-			// later preallocation re-extends over zeros.
+			// Drop any torn or zero-filled tail so the next append lands
+			// on a clean edge.
 			st, err := f.Stat()
 			if err != nil {
 				return fmt.Errorf("store: %w", err)
@@ -201,7 +175,6 @@ func (r *SegRepo) recover() error {
 				}
 			}
 			r.end = end
-			r.preallocTo = end
 		}
 		mapLen := seg.size
 		if last && r.segBytes > mapLen {
@@ -312,7 +285,6 @@ func (r *SegRepo) addSegmentSized(n int, minMap int64) error {
 	}
 	r.segs = append(r.segs, &segment{path: segPath(r.dir, n), f: f, m: m})
 	r.end = 0
-	r.preallocTo = 0
 	return nil
 }
 
@@ -338,7 +310,8 @@ func (r *SegRepo) active() *segment { return r.segs[len(r.segs)-1] }
 
 // Append implements container.Repository: it assigns the next container
 // ID, frames and appends the image to the active segment (rotating first
-// when the segment is full), and fsyncs before publishing the ID.
+// when the segment is full), and stages the frame with the committer. The
+// returned ID is durable once the covering window syncs or Flush returns.
 func (r *SegRepo) Append(c *container.Container) (fp.ContainerID, error) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
@@ -359,10 +332,11 @@ func (r *SegRepo) Append(c *container.Container) (fp.ContainerID, error) {
 	frameLen := int64(segFrameHdr + len(img))
 	if r.end > 0 && r.end+frameLen > r.segBytes {
 		// Seal the active segment: shrink it to its exact record length
-		// (dropping any preallocated tail — sealed segments must scan
-		// exactly to their end on recovery) and fsync data + size before
-		// the next segment exists, so a crash anywhere in the rotation
-		// leaves either a fully sealed segment or this one still last.
+		// (dropping any bytes a failed partial write left past r.end —
+		// sealed segments must scan exactly to their end on recovery) and
+		// fsync data + size before the next segment exists, so a crash
+		// anywhere in the rotation leaves either a fully sealed segment or
+		// this one still last.
 		// The mapping (with append headroom) is kept as-is for the life
 		// of the repository: remapping would invalidate zero-copy slices
 		// already handed out to the LPC cache and in-flight restores.
@@ -379,15 +353,6 @@ func (r *SegRepo) Append(c *container.Container) (fp.ContainerID, error) {
 		mSegmentRotations.Inc()
 	}
 	seg := r.active()
-	if r.prealloc > 0 && r.end+frameLen > r.preallocTo {
-		to := r.end + frameLen
-		to += r.prealloc - 1
-		to -= to % r.prealloc
-		if err := fsx.Preallocate(seg.f, to); err != nil {
-			return 0, fmt.Errorf("store: preallocating segment: %w", err)
-		}
-		r.preallocTo = to
-	}
 	frame := make([]byte, frameLen)
 	binary.BigEndian.PutUint32(frame[0:], segFrameMagic)
 	binary.BigEndian.PutUint32(frame[4:], uint32(len(img)))
@@ -396,17 +361,7 @@ func (r *SegRepo) Append(c *container.Container) (fp.ContainerID, error) {
 	if _, err := seg.f.WriteAt(frame, r.end); err != nil {
 		return 0, fmt.Errorf("store: appending container %v: %w", id, err)
 	}
-	if r.gc == nil {
-		if err := seg.f.Sync(); err != nil {
-			return 0, fmt.Errorf("store: appending container %v: %w", id, err)
-		}
-	} else {
-		// Stage the frame with the group committer: the flusher's next
-		// window sync (or Flush) makes it durable. The ID published below
-		// is durable only after that sync — the engine's Checkpoint
-		// flushes before any state depends on it.
-		r.gc.Enqueue(frameLen)
-	}
+	r.gc.Enqueue(frameLen)
 	r.loc[id] = segLoc{seg: len(r.segs) - 1, off: r.end, imgLen: int64(len(img))}
 	r.end += frameLen
 	seg.size = r.end
@@ -417,18 +372,9 @@ func (r *SegRepo) Append(c *container.Container) (fp.ContainerID, error) {
 	return id, nil
 }
 
-// Flush blocks until every container appended before the call is durable.
-// With a group committer attached this is a commit barrier; without one
-// every Append already fsynced inline and Flush is a no-op.
-func (r *SegRepo) Flush() error {
-	r.mu.RLock()
-	gc := r.gc
-	r.mu.RUnlock()
-	if gc == nil {
-		return nil
-	}
-	return gc.Commit(0)
-}
+// Flush blocks until every container appended before the call is durable:
+// the commit barrier.
+func (r *SegRepo) Flush() error { return r.gc.Commit(0) }
 
 // syncActive is the group committer's sync function: it flushes the
 // active segment's written data outside the repository lock, so appends
@@ -585,9 +531,11 @@ func (r *SegRepo) ForEachMeta(fn func(id fp.ContainerID, metas []container.Chunk
 	return nil
 }
 
-// Close unmaps and closes every segment. Zero-copy slices handed out by
-// Load become invalid.
+// Close stops the committer, then syncs, unmaps and closes every segment.
+// Zero-copy slices handed out by Load become invalid.
 func (r *SegRepo) Close() error {
+	// Outside r.mu: the flusher's syncActive takes the read lock.
+	r.gc.Close()
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	if r.closed {

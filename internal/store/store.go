@@ -30,7 +30,6 @@ import (
 	"strconv"
 	"strings"
 	"sync"
-	"time"
 
 	"debar/internal/chunklog"
 	"debar/internal/container"
@@ -45,37 +44,11 @@ const FormatVersion = 1
 const manifestMagic = "DEBAR-STORE"
 
 // Options sizes a new engine. On reopen the manifest's recorded geometry
-// wins; explicitly conflicting options are an error. The durable-write
-// knobs (CommitMaxBytes, CommitHold, PreallocBytes) are runtime tuning,
-// not format geometry: they may differ per open.
+// wins; explicitly conflicting options are an error.
 type Options struct {
 	IndexBits    uint  // disk index bucket bits (default 16)
 	IndexBlocks  int   // bucket size in 512-byte blocks (default 1)
 	SegmentBytes int64 // container-log segment capacity (default 256 MB)
-	WALSyncBytes int   // chunk-log WAL fsync batching (0 default, <0 disables)
-
-	// CommitMaxBytes sizes the cross-session group-commit windows that
-	// coalesce fsyncs of the chunk-log WAL and the container log: a
-	// window is flushed early once this many bytes are staged. 0 selects
-	// DefaultCommitMaxBytes; negative disables group commit entirely —
-	// every container Append fsyncs inline and the WAL falls back to its
-	// WALSyncBytes inline batching (the pre-group-commit behaviour, where
-	// ChunkBatch replies may precede the covering fsync).
-	CommitMaxBytes int64
-	// CommitHold is how long the group-commit flusher holds a window open
-	// for late joiners before syncing. 0 selects DefaultCommitHold;
-	// negative syncs each window as soon as the flusher reaches it.
-	CommitHold time.Duration
-	// PreallocBytes > 0 zero-fills this much file ahead of the WAL's and
-	// the active segment's append cursors (fsx.Preallocate), so in-step
-	// appends are pure data overwrites and data-only syncs never touch
-	// the filesystem's metadata journal. 0 (the default) and negative
-	// leave preallocation off: the zero-fill is extra write traffic that
-	// a bandwidth-bound disk feels directly, and measurement showed it
-	// only pays when per-sync journal latency — not write bandwidth —
-	// dominates. Opt in when fsyncs are small and frequent on an
-	// otherwise idle disk.
-	PreallocBytes int64
 }
 
 func (o Options) withDefaults() Options {
@@ -113,10 +86,9 @@ type Engine struct {
 	rebuilt bool    // index was rebuilt from container metadata
 	lock    *os.File
 
-	// Group-commit schedulers (nil when disabled): one per durable file,
-	// so a WAL window never waits behind a container-log fsync.
-	walGC  *Committer
-	repoGC *Committer
+	// walGC schedules the WAL's fsyncs; the container log owns its own
+	// committer, so a WAL window never waits behind a container-log fsync.
+	walGC *Committer
 
 	roMu  sync.Mutex
 	roErr error // guarded by roMu; non-nil: engine is read-only (see Fail)
@@ -196,23 +168,13 @@ func Open(dir string, o Options) (*Engine, error) {
 	if e.repo, err = OpenSegRepo(filepath.Join(dir, "containers"), man.SegmentBytes); err != nil {
 		return nil, errors.Join(err, lock.Close())
 	}
-	if e.wal, e.pending, err = chunklog.OpenWAL(filepath.Join(dir, walName), o.WALSyncBytes); err != nil {
+	if e.wal, e.pending, err = chunklog.OpenWAL(filepath.Join(dir, walName)); err != nil {
 		return nil, errors.Join(err, e.repo.Close(), lock.Close())
 	}
-	if o.PreallocBytes > 0 {
-		e.wal.SetPrealloc(o.PreallocBytes)
-		e.repo.SetPrealloc(o.PreallocBytes)
-	}
-	if o.CommitMaxBytes >= 0 {
-		// Group commit on (the default): the WAL's inline threshold sync
-		// is replaced by the committer's window flushes, and container
-		// appends stage instead of fsyncing inline. Checkpoint remains
-		// the durability barrier both schedulers are flushed through.
-		e.wal.SetExternalSync()
-		e.walGC = NewNamedCommitter("wal", e.wal.Sync, o.CommitHold, o.CommitMaxBytes)
-		e.repoGC = NewNamedCommitter("repo", e.repo.syncActive, o.CommitHold, o.CommitMaxBytes)
-		e.repo.SetGroupCommit(e.repoGC)
-	}
+	// The WAL never fsyncs on its own: this committer's window flushes
+	// are its sync schedule, and Checkpoint is the barrier both the WAL
+	// and the container log are flushed through.
+	e.walGC = NewNamedCommitter("wal", e.wal.Sync, DefaultCommitHold, DefaultCommitMaxBytes)
 	if err := e.openIndex(); err != nil {
 		return nil, errors.Join(err, e.wal.Close(), e.repo.Close(), lock.Close())
 	}
@@ -456,19 +418,8 @@ func (e *Engine) IndexRebuilt() bool { return e.rebuilt }
 // scheduler and returns a Ticket resolving when the covering fsync has
 // landed. The backup server appends a chunk batch, takes a ticket, and
 // holds the batch's verdict until Wait returns — so an acknowledged
-// chunk is always recoverable. With group commit disabled the zero
-// Ticket is returned (Wait is immediate; the WAL's inline batching
-// applies).
-func (e *Engine) WALTicket(n int64) Ticket {
-	if e.walGC == nil {
-		return Ticket{}
-	}
-	return e.walGC.Enqueue(n)
-}
-
-// GroupCommit reports whether the engine schedules durability through
-// group-commit windows.
-func (e *Engine) GroupCommit() bool { return e.walGC != nil }
+// chunk is always recoverable.
+func (e *Engine) WALTicket(n int64) Ticket { return e.walGC.Enqueue(n) }
 
 // Checkpoint makes the engine's state durable and consistent: batched WAL
 // appends are fsynced, staged container frames are flushed, the index
@@ -496,15 +447,11 @@ func (e *Engine) Checkpoint() error {
 func (e *Engine) Close() error {
 	e.closeOnce.Do(func() {
 		err := e.Checkpoint()
-		// Stop the flushers after the final checkpoint and before the
-		// files close underneath them; post-close Enqueues resolve
-		// immediately (the server drains its handlers first).
-		if e.walGC != nil {
-			e.walGC.Close()
-		}
-		if e.repoGC != nil {
-			e.repoGC.Close()
-		}
+		// Stop the WAL flusher after the final checkpoint and before the
+		// file closes underneath it (the container log stops its own);
+		// post-close Enqueues resolve immediately (the server drains its
+		// handlers first).
+		e.walGC.Close()
 		if werr := e.wal.Close(); err == nil {
 			err = werr
 		}

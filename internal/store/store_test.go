@@ -29,7 +29,7 @@ func testContainer(seed, n int) *container.Container {
 
 func openTestEngine(t *testing.T, dir string) *Engine {
 	t.Helper()
-	e, err := Open(dir, Options{IndexBits: 8, SegmentBytes: 1 << 20, WALSyncBytes: -1})
+	e, err := Open(dir, Options{IndexBits: 8, SegmentBytes: 1 << 20})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -137,51 +137,98 @@ func TestSegRepoZeroCopyLoad(t *testing.T) {
 	}
 }
 
+// TestSegRepoTornTailRecovered: recovery keeps exactly the complete
+// containers in front of a damaged tail — a record torn mid-image, or
+// zeros past the last record (a crash can leave the file size on disk
+// ahead of its data) — and the next append lands at the logical end.
 func TestSegRepoTornTailRecovered(t *testing.T) {
-	dir := t.TempDir()
-	r, err := OpenSegRepo(dir, 1<<20)
-	if err != nil {
-		t.Fatal(err)
+	const n = 3
+	cases := []struct {
+		name   string
+		damage func(t *testing.T, path string, size int64)
+		keep   int
+	}{
+		{"torn", func(t *testing.T, path string, size int64) {
+			// A crash during the last container's WriteAt.
+			if err := os.Truncate(path, size-100); err != nil {
+				t.Fatal(err)
+			}
+		}, n - 1},
+		{"zero-tail", func(t *testing.T, path string, size int64) {
+			f, err := os.OpenFile(path, os.O_RDWR, 0o644)
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer f.Close()
+			if _, err := f.WriteAt(make([]byte, 64<<10), size); err != nil {
+				t.Fatal(err)
+			}
+		}, n},
 	}
-	for i := 0; i < 3; i++ {
-		if _, err := r.Append(testContainer(i, 50)); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if err := r.Close(); err != nil {
-		t.Fatal(err)
-	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			dir := t.TempDir()
+			r, err := OpenSegRepo(dir, 1<<20)
+			if err != nil {
+				t.Fatal(err)
+			}
+			var want []*container.Container
+			for i := 0; i < n; i++ {
+				c := testContainer(i, 50)
+				if _, err := r.Append(c); err != nil {
+					t.Fatal(err)
+				}
+				want = append(want, c)
+			}
+			if err := r.Close(); err != nil {
+				t.Fatal(err)
+			}
+			path := segPath(dir, 0)
+			st, err := os.Stat(path)
+			if err != nil {
+				t.Fatal(err)
+			}
+			tc.damage(t, path, st.Size())
 
-	// Tear the last record mid-image: a crash during the 8 MB WriteAt.
-	path := segPath(filepath.Join(dir), 0)
-	st, err := os.Stat(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := os.Truncate(path, st.Size()-100); err != nil {
-		t.Fatal(err)
-	}
-
-	r2, err := OpenSegRepo(dir, 1<<20)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer r2.Close()
-	if got := r2.Containers(); got != 2 {
-		t.Fatalf("recovered %d containers after torn tail, want 2", got)
-	}
-	for i := 0; i < 2; i++ {
-		if _, err := r2.Load(fp.ContainerID(i)); err != nil {
-			t.Fatalf("surviving container %d unreadable: %v", i, err)
-		}
-	}
-	// The torn ID is reassigned to the next append.
-	id, err := r2.Append(testContainer(9, 10))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if id != 2 {
-		t.Fatalf("post-recovery ID %v, want 2", id)
+			r2, err := OpenSegRepo(dir, 1<<20)
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer r2.Close()
+			if got := r2.Containers(); got != int64(tc.keep) {
+				t.Fatalf("recovered %d containers, want %d", got, tc.keep)
+			}
+			// frameLen re-derives a stored container's on-disk frame size.
+			frameLen := func(id fp.ContainerID) int64 {
+				got, err := r2.Load(id)
+				if err != nil {
+					t.Fatalf("container %v unreadable: %v", id, err)
+				}
+				return segFrameHdr + int64(len(got.Marshal()))
+			}
+			var end int64
+			for i := 0; i < tc.keep; i++ {
+				got, err := r2.Load(fp.ContainerID(i))
+				if err != nil || !bytes.Equal(got.Data, want[i].Data) {
+					t.Fatalf("surviving container %d did not round-trip: %v", i, err)
+				}
+				end += frameLen(fp.ContainerID(i))
+			}
+			// The first lost ID (or the next fresh one) goes to the next
+			// append, which lands at the logical end.
+			id, err := r2.Append(testContainer(9, 10))
+			if err != nil {
+				t.Fatal(err)
+			}
+			if id != fp.ContainerID(tc.keep) {
+				t.Fatalf("post-recovery ID %v, want %v", id, tc.keep)
+			}
+			if st, err := os.Stat(path); err != nil {
+				t.Fatal(err)
+			} else if want := end + frameLen(id); st.Size() != want {
+				t.Fatalf("segment size %d after post-recovery append, want %d", st.Size(), want)
+			}
+		})
 	}
 }
 
@@ -365,7 +412,7 @@ func TestEngineGeometryConflictRejected(t *testing.T) {
 		t.Fatal("conflicting index geometry accepted")
 	}
 	// Default (unspecified) geometry adopts the manifest's.
-	e2, err := Open(dir, Options{WALSyncBytes: -1})
+	e2, err := Open(dir, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -429,93 +476,12 @@ func TestSegRepoConcurrentReadsDuringAppends(t *testing.T) {
 	}
 }
 
-// TestSegRepoPreallocRecovery: with preallocation the active segment's
-// file extends ahead of the append cursor. Rotation must seal segments
-// at their exact record length (sealed segments strict-scan on open, so
-// a leftover tail would fail recovery outright), and the last segment's
-// zero tail must be truncated away like a torn one.
-func TestSegRepoPreallocRecovery(t *testing.T) {
-	dir := t.TempDir()
-	const step = int64(64 << 10)
-	r, err := OpenSegRepo(dir, 200<<10)
-	if err != nil {
-		t.Fatal(err)
-	}
-	r.SetPrealloc(step)
-	var want []*container.Container
-	for i := 0; i < 8; i++ {
-		c := testContainer(i, 200) // ~60 KB: several rotations at 200 KB
-		if _, err := r.Append(c); err != nil {
-			t.Fatal(err)
-		}
-		want = append(want, c)
-	}
-	if r.Segments() < 2 {
-		t.Fatalf("expected rotation, got %d segments", r.Segments())
-	}
-	segs := r.Segments()
-	if err := r.Close(); err != nil {
-		t.Fatal(err)
-	}
-
-	// Sealed segments were shrunk to their records; the active one still
-	// carries its preallocated tail (the shape a crash leaves behind).
-	for i := 0; i < segs-1; i++ {
-		st, err := os.Stat(segPath(dir, i))
-		if err != nil {
-			t.Fatal(err)
-		}
-		if st.Size()%step == 0 {
-			t.Fatalf("sealed segment %d size %d still on a preallocation boundary (tail not dropped)", i, st.Size())
-		}
-	}
-	st, err := os.Stat(segPath(dir, segs-1))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if st.Size()%step != 0 {
-		t.Fatalf("active segment size %d not a preallocation multiple of %d", st.Size(), step)
-	}
-
-	r2, err := OpenSegRepo(dir, 200<<10)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer r2.Close()
-	if got := r2.Containers(); got != int64(len(want)) {
-		t.Fatalf("recovered %d containers under preallocated tails, want %d", got, len(want))
-	}
-	for i, c := range want {
-		got, err := r2.Load(fp.ContainerID(i))
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !bytes.Equal(got.Data, c.Data) {
-			t.Fatalf("container %d did not round-trip", i)
-		}
-	}
-	// IDs continue past the recovered maximum: the zero tail was dropped.
-	id, err := r2.Append(testContainer(99, 10))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if id != fp.ContainerID(len(want)) {
-		t.Fatalf("post-recovery ID %v, want %v", id, len(want))
-	}
-}
-
-// TestEngineGroupCommitRoundTrip: the default engine runs with group
-// commit on — appends stage, Checkpoint is the durability barrier — and
-// everything checkpointed must survive a reopen.
+// TestEngineGroupCommitRoundTrip: the engine group-commits — appends
+// stage, Checkpoint is the durability barrier — and everything
+// checkpointed must survive a reopen.
 func TestEngineGroupCommitRoundTrip(t *testing.T) {
 	dir := t.TempDir()
-	e, err := Open(dir, Options{IndexBits: 8, SegmentBytes: 1 << 20, PreallocBytes: 64 << 10})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !e.GroupCommit() {
-		t.Fatal("default options did not enable group commit")
-	}
+	e := openTestEngine(t, dir)
 
 	c := testContainer(7, 100)
 	id, err := e.Repo().Append(c)
@@ -538,10 +504,7 @@ func TestEngineGroupCommitRoundTrip(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	e2, err := Open(dir, Options{IndexBits: 8, SegmentBytes: 1 << 20, PreallocBytes: 64 << 10})
-	if err != nil {
-		t.Fatal(err)
-	}
+	e2 := openTestEngine(t, dir)
 	defer e2.Close()
 	got, err := e2.Repo().Load(id)
 	if err != nil {
@@ -556,22 +519,6 @@ func TestEngineGroupCommitRoundTrip(t *testing.T) {
 	}
 }
 
-// TestEngineGroupCommitDisabled: a negative CommitMaxBytes falls back to
-// inline fsync scheduling — no committer, resolved WAL tickets.
-func TestEngineGroupCommitDisabled(t *testing.T) {
-	e, err := Open(t.TempDir(), Options{IndexBits: 8, CommitMaxBytes: -1, WALSyncBytes: -1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer e.Close()
-	if e.GroupCommit() {
-		t.Fatal("negative CommitMaxBytes left group commit enabled")
-	}
-	if tk := e.WALTicket(1); tk.Pending() {
-		t.Fatal("disabled group commit issued a pending ticket")
-	}
-}
-
 func TestEngineDataDirLocked(t *testing.T) {
 	if !mmapSupported {
 		t.Skip("no advisory locking on this platform")
@@ -579,7 +526,7 @@ func TestEngineDataDirLocked(t *testing.T) {
 	dir := t.TempDir()
 	e := openTestEngine(t, dir)
 	defer e.Close()
-	if _, err := Open(dir, Options{IndexBits: 8, WALSyncBytes: -1}); err == nil {
+	if _, err := Open(dir, Options{IndexBits: 8}); err == nil {
 		t.Fatal("second engine over a live data dir was not rejected")
 	}
 }

@@ -139,10 +139,7 @@ func (cs *ChunkStore) runSILAndStoreParallel(undetermined []fp.FP, log *chunklog
 		}
 	}
 
-	view, err := log.View()
-	if err != nil {
-		return res, nil, fmt.Errorf("tpds: snapshotting chunk log: %w", err)
-	}
+	view := log.View()
 
 	// turns[i] opens when region i may commit its containers; the chain
 	// starts open at region 0 and each worker opens its successor on exit

@@ -92,7 +92,7 @@ func inStoragePkg(path string) bool {
 // anything that writes, syncs or releases durable state.
 var ioMethodPrefixes = []string{
 	"write", "sync", "close", "flush", "truncate", "append", "reset",
-	"checkpoint", "commit", "seal", "invalidate", "preallocate", "markclean",
+	"checkpoint", "commit", "seal", "invalidate", "markclean",
 }
 
 var osIOFuncs = map[string]bool{

@@ -16,7 +16,7 @@ import (
 //
 // The walk is conservative and intra-procedural: a file that escapes the
 // opening function (stored in a struct, returned, or passed to another
-// function besides the fsx helpers) is assumed to be synced by its new
+// function besides fsx.SyncData) is assumed to be synced by its new
 // owner and is not tracked further. A bare `defer f.Close()` is accepted
 // only as the error-path backstop of the open/write/sync/close idiom —
 // that is, when the same function also checks an explicit Close error.
@@ -169,14 +169,11 @@ func classifyFileUse(info *types.Info, id *ast.Ident, stack []ast.Node, u *fileU
 		return
 	}
 
-	// Argument to the fsx durability helpers: counted, not an escape.
+	// Argument to fsx.SyncData: counted, not an escape.
 	if call, ok := parent.(*ast.CallExpr); ok && call.Fun != id {
 		fn := calleeOf(info, call)
 		if isPkgFunc(fn, "debar/internal/fsx", "SyncData") {
 			u.syncs++
-			return
-		}
-		if isPkgFunc(fn, "debar/internal/fsx", "Preallocate") {
 			return
 		}
 		u.escaped = true // passed to an arbitrary function
