@@ -1,7 +1,7 @@
 // Command debar-director runs the DEBAR director: job scheduling,
-// metadata management and dedup-2 coordination (paper §3.1). With
-// -data-dir the job catalog and file indexes persist through a journaled
-// metastore (crash-recovered on open); without it metadata is in-memory.
+// metadata management and dedup-2 coordination (paper §3.1). The job
+// catalog and file indexes persist through a journaled metastore in the
+// required -data-dir (crash-recovered on open).
 //
 // Usage:
 //
@@ -10,6 +10,7 @@ package main
 
 import (
 	"flag"
+	"fmt"
 	"log"
 	"log/slog"
 	"os"
@@ -24,7 +25,7 @@ import (
 
 func main() {
 	listen := flag.String("listen", ":7700", "address to listen on")
-	dataDir := flag.String("data-dir", "", "durable data directory (empty = in-memory metadata)")
+	dataDir := flag.String("data-dir", "", "data directory for the metadata journal (required)")
 	idleTimeout := flag.Duration("idle-timeout", 0, "close metadata connections silent this long (0 = 5m, negative = never)")
 	controlTimeout := flag.Duration("control-timeout", 0, "dial and per-I/O deadline for outbound dedup-2 triggers (0 = 10s, negative = none)")
 	dedup2Timeout := flag.Duration("dedup2-timeout", 0, "how long to wait for a server's dedup-2 pass to finish (0 = 15m, negative = forever)")
@@ -33,6 +34,11 @@ func main() {
 	logJSON := flag.Bool("log-json", false, "emit logs as JSON instead of text")
 	debugAddr := flag.String("debug-addr", "", "serve /metrics, /metrics.json and /debug/pprof on this address (empty = disabled)")
 	flag.Parse()
+	if *dataDir == "" {
+		fmt.Fprintln(os.Stderr, "debar-director: -data-dir is required")
+		flag.Usage()
+		os.Exit(2)
+	}
 
 	logger, err := obs.NewLogger(os.Stderr, *logLevel, *logJSON)
 	if err != nil {
@@ -48,22 +54,16 @@ func main() {
 		logger.Info("debug listener started", "addr", dbg.Addr())
 	}
 
-	var d *director.Director
-	var ms *metastore.Store
-	if *dataDir != "" {
-		if err := os.MkdirAll(*dataDir, 0o755); err != nil {
-			log.Fatalf("debar-director: %v", err)
-		}
-		var err error
-		ms, err = metastore.Open(filepath.Join(*dataDir, "meta.journal"), 0)
-		if err != nil {
-			log.Fatalf("debar-director: %v", err)
-		}
-		if d, err = director.NewDurable(ms); err != nil {
-			log.Fatalf("debar-director: %v", err)
-		}
-	} else {
-		d = director.New()
+	if err := os.MkdirAll(*dataDir, 0o755); err != nil {
+		log.Fatalf("debar-director: %v", err)
+	}
+	ms, err := metastore.Open(filepath.Join(*dataDir, "meta.journal"), 0)
+	if err != nil {
+		log.Fatalf("debar-director: %v", err)
+	}
+	d, err := director.NewDurable(ms)
+	if err != nil {
+		log.Fatalf("debar-director: %v", err)
 	}
 	d.SetLogger(logger)
 	d.IdleTimeout = *idleTimeout
@@ -74,11 +74,7 @@ func main() {
 	if err != nil {
 		log.Fatalf("debar-director: %v", err)
 	}
-	if *dataDir != "" {
-		log.Printf("debar-director: listening on %s (data dir %s)", addr, *dataDir)
-	} else {
-		log.Printf("debar-director: listening on %s (in-memory metadata)", addr)
-	}
+	log.Printf("debar-director: listening on %s (data dir %s)", addr, *dataDir)
 
 	sig := make(chan os.Signal, 1)
 	signal.Notify(sig, syscall.SIGINT, syscall.SIGTERM)
@@ -87,9 +83,7 @@ func main() {
 	if err := d.Close(); err != nil {
 		log.Printf("debar-director: close: %v", err)
 	}
-	if ms != nil {
-		if err := ms.Close(); err != nil {
-			log.Printf("debar-director: metastore close: %v", err)
-		}
+	if err := ms.Close(); err != nil {
+		log.Printf("debar-director: metastore close: %v", err)
 	}
 }

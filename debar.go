@@ -10,7 +10,9 @@
 // user needs:
 //
 //   - System: an in-process DEBAR deployment (director + backup servers
-//     over loopback TCP) for embedding and experimentation;
+//     over loopback TCP) for embedding and experimentation, always on the
+//     durable store engine: in ServerConfig.DataDir, or in a temporary
+//     directory that System.Close removes;
 //   - re-exported client for talking to any DEBAR deployment;
 //   - the experiments API regenerating the paper's tables and figures.
 //
@@ -39,8 +41,8 @@
 // the out-of-line pass — the store converges on byte-identical contents
 // with the fast path on or off, proven by the equivalence tests in
 // internal/server. Capability negotiation intersects what both sides
-// offer, so either side predating (or disabling) the capability yields
-// exactly the classic send-everything protocol.
+// offer, so either side disabling the capability yields the classic
+// out-of-line protocol.
 //
 // # Fault tolerance
 //
@@ -171,35 +173,42 @@ type System struct {
 	DirectorAddr string
 	Servers      []*server.Server
 	ServerAddrs  []string
-	meta         *metastore.Store // non-nil when the director is durable
+	meta         *metastore.Store
+	tempDir      string // non-empty: created by StartLocal, removed by Close
 }
 
-// StartLocal boots a director and n backup servers on 127.0.0.1. When
-// cfg.DataDir is set the whole deployment is durable: the director
-// journals its metadata under <DataDir>/director and each server gets its
-// own storage engine under <DataDir>/server-<i>, so a deployment
-// restarted over the same directory recovers its backups.
+// StartLocal boots a director and n backup servers on 127.0.0.1, all on
+// durable storage under one data directory: the director journals its
+// metadata under <DataDir>/director and each server gets its own storage
+// engine under <DataDir>/server-<i>, so a deployment restarted over the
+// same directory recovers its backups. With cfg.DataDir empty the
+// deployment runs in a fresh temporary directory that Close removes.
 func StartLocal(n int, cfg ServerConfig) (*System, error) {
 	if n <= 0 {
 		return nil, fmt.Errorf("debar: need at least one backup server, got %d", n)
 	}
 	sys := &System{}
-	if cfg.DataDir != "" {
-		dirDir := filepath.Join(cfg.DataDir, "director")
-		if err := os.MkdirAll(dirDir, 0o755); err != nil {
+	if cfg.DataDir == "" {
+		dir, err := os.MkdirTemp("", "debar-local-*")
+		if err != nil {
 			return nil, fmt.Errorf("debar: %w", err)
 		}
-		ms, err := metastore.Open(filepath.Join(dirDir, "meta.journal"), 0)
-		if err != nil {
-			return nil, err
-		}
-		sys.meta = ms
-		if sys.Director, err = director.NewDurable(ms); err != nil {
-			ms.Close()
-			return nil, err
-		}
-	} else {
-		sys.Director = director.New()
+		sys.tempDir, cfg.DataDir = dir, dir
+	}
+	dirDir := filepath.Join(cfg.DataDir, "director")
+	if err := os.MkdirAll(dirDir, 0o755); err != nil {
+		sys.Close()
+		return nil, fmt.Errorf("debar: %w", err)
+	}
+	ms, err := metastore.Open(filepath.Join(dirDir, "meta.journal"), 0)
+	if err != nil {
+		sys.Close()
+		return nil, err
+	}
+	sys.meta = ms
+	if sys.Director, err = director.NewDurable(ms); err != nil {
+		sys.Close()
+		return nil, err
 	}
 	addr, err := sys.Director.Serve("127.0.0.1:0")
 	if err != nil {
@@ -210,9 +219,7 @@ func StartLocal(n int, cfg ServerConfig) (*System, error) {
 	for i := 0; i < n; i++ {
 		c := cfg
 		c.DirectorAddr = addr
-		if cfg.DataDir != "" {
-			c.DataDir = filepath.Join(cfg.DataDir, fmt.Sprintf("server-%d", i))
-		}
+		c.DataDir = filepath.Join(cfg.DataDir, fmt.Sprintf("server-%d", i))
 		srv, err := server.New(c)
 		if err != nil {
 			sys.Close()
@@ -242,7 +249,8 @@ func (s *System) AssignClient(name string) (*Client, error) {
 // RunDedup2 triggers de-duplication Phase II on every backup server.
 func (s *System) RunDedup2() error { return s.Director.TriggerDedup2(true) }
 
-// Close shuts the deployment down.
+// Close shuts the deployment down and removes the temporary data
+// directory StartLocal created, if any.
 func (s *System) Close() {
 	for _, srv := range s.Servers {
 		srv.Close()
@@ -252,5 +260,8 @@ func (s *System) Close() {
 	}
 	if s.meta != nil {
 		s.meta.Close()
+	}
+	if s.tempDir != "" {
+		os.RemoveAll(s.tempDir)
 	}
 }

@@ -6,12 +6,66 @@ import (
 	"os/exec"
 	"path/filepath"
 	"strings"
+	"sync"
 	"testing"
 )
 
 func TestStartLocalValidation(t *testing.T) {
 	if _, err := StartLocal(0, ServerConfig{}); err == nil {
 		t.Fatal("zero servers accepted")
+	}
+}
+
+// TestStartLocalEphemeralDataDir pins what a deployment without a
+// DataDir is: the durable engine on one temporary directory, which Close
+// removes.
+func TestStartLocalEphemeralDataDir(t *testing.T) {
+	tmp := t.TempDir()
+	t.Setenv("TMPDIR", tmp)
+	sys, err := StartLocal(1, ServerConfig{IndexBits: 10})
+	if err != nil {
+		t.Fatal(err)
+	}
+	closeSys := sync.OnceFunc(sys.Close)
+	defer closeSys()
+
+	src := t.TempDir()
+	payload := bytes.Repeat([]byte("ephemeral deployment "), 20000)
+	if err := os.WriteFile(filepath.Join(src, "a.txt"), payload, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	cl, err := sys.AssignClient("ephemeral")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := cl.Backup("ephemeral-job", src); err != nil {
+		t.Fatal(err)
+	}
+	if err := sys.RunDedup2(); err != nil {
+		t.Fatal(err)
+	}
+	dst := t.TempDir()
+	if _, err := cl.Restore("ephemeral-job", dst); err != nil {
+		t.Fatal(err)
+	}
+	if got, err := os.ReadFile(filepath.Join(dst, "a.txt")); err != nil || !bytes.Equal(got, payload) {
+		t.Fatalf("restored content differs (err=%v)", err)
+	}
+
+	dirs, err := filepath.Glob(filepath.Join(tmp, "debar-local-*"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(dirs) != 1 {
+		t.Fatalf("TMPDIR holds %d debar-local-* dirs while running, want 1: %v", len(dirs), dirs)
+	}
+	closeSys()
+	left, err := os.ReadDir(tmp)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(left) != 0 {
+		t.Fatalf("TMPDIR not empty after Close: %v", left)
 	}
 }
 

@@ -36,9 +36,9 @@
 // Options.DisableInlineDedup); against a capable server, confirmed
 // duplicates come back as VerdictSkipDuplicate and their chunk bytes are
 // never shipped — the pipeline records the fingerprints in the file
-// entry and recycles the buffers. Against a capability-less server (or
-// with the knob off) every exchange is byte-identical to the
-// pre-capability protocol.
+// entry and recycles the buffers. Against a server with inline dedup
+// disabled (or with the knob off) the server skips only what its
+// preliminary filter and chunk log already hold.
 //
 // # Streaming restore
 //
@@ -292,10 +292,8 @@ func (c *Client) start(conn *proto.Conn, jobName string) (uint64, error) {
 	switch m := msg.(type) {
 	case proto.BackupStartOK:
 		// The negotiated caps (m.Caps & c.caps()) need no client-side
-		// branch: both verdict frame forms decode into the same FPVerdicts
-		// and the pipeline obeys whatever verdicts arrive. The offer
-		// matters server-side — it licenses the tag-8 frame and
-		// index-backed skip verdicts.
+		// branch: the pipeline obeys whatever verdicts arrive. The offer
+		// matters server-side — it licenses index-backed skip verdicts.
 		return m.SessionID, nil
 	case proto.Ack:
 		return 0, fmt.Errorf("client: BackupStart refused: %w", proto.AckError(m))

@@ -27,6 +27,7 @@ func startSystem(t *testing.T) (*director.Director, string) {
 		DirectorAddr:  dirAddr,
 		ContainerSize: 64 << 10,
 		IndexBits:     12,
+		DataDir:       t.TempDir(),
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -170,6 +171,7 @@ func TestBackupErrorPropagates(t *testing.T) {
 		DirectorAddr:  dirAddr,
 		ContainerSize: 64 << 10,
 		IndexBits:     12,
+		DataDir:       t.TempDir(),
 	})
 	if err != nil {
 		t.Fatal(err)

@@ -223,7 +223,17 @@ func TestFaultProxyCloseReleasesStalledConns(t *testing.T) {
 	px.SetPlan(Plan{StallC2S: 1})
 
 	c := dialProxy(t, px)
-	c.Write(make([]byte, 1<<10))
+	if _, err := c.Write(make([]byte, 1<<10)); err != nil {
+		t.Fatal(err)
+	}
+	// The one byte forwarded before the stall comes back from the echo
+	// server. Reading it first proves the pair is established and stalled;
+	// a Read racing it would legitimately succeed.
+	c.SetReadDeadline(time.Now().Add(5 * time.Second))
+	if _, err := io.ReadFull(c, make([]byte, 1)); err != nil {
+		t.Fatalf("reading the byte forwarded before the stall: %v", err)
+	}
+	c.SetReadDeadline(time.Time{})
 	done := make(chan error, 1)
 	go func() {
 		_, err := c.Read(make([]byte, 1))

@@ -15,7 +15,6 @@ func FuzzRecv(f *testing.F) {
 	seeds := []any{
 		FPBatch{SessionID: 1, Seq: 2, FPs: nil, Sizes: nil},
 		FPVerdicts{Seq: 3, Verdicts: []Verdict{VerdictSend, VerdictSkipDuplicate, VerdictSend}},
-		FPVerdicts{Seq: 3, Verdicts: []Verdict{VerdictSend, VerdictSkipDuplicate, VerdictSend}, Legacy: true},
 		ChunkBatch{SessionID: 4, Data: [][]byte{[]byte("abc")}},
 		Ack{OK: true, Err: "x"},
 		RestoreBegin{Entry: FileEntry{Path: "a/b", Size: 3, Sizes: []uint32{3}}, BatchChunks: 8, Window: 2},
@@ -36,6 +35,9 @@ func FuzzRecv(f *testing.F) {
 	for tag := byte(0); tag <= tagFPVerdicts2+1; tag++ {
 		f.Add([]byte{tag, 0, 0, 0, 4, 1, 2, 3, 4})
 	}
+	// A well-formed frame of the retired version-1 bitmap verdict form:
+	// tag 2 is reserved and decodes as unknown.
+	f.Add([]byte{2, 0, 0, 0, 13, 0, 0, 0, 0, 0, 0, 0, 3, 0, 0, 0, 3, 5})
 
 	f.Fuzz(func(t *testing.T, raw []byte) {
 		c := NewConn(nopCloser{struct {

@@ -32,7 +32,7 @@
 //	  │ ── FPBatch{seq=1, ...}        ───────────▶ │  (window of batches in flight)
 //	  │ ◀── FPVerdicts{seq=0, verdicts} ────────── │
 //	  │ ── ChunkBatch{fps, data} ────────────────▶ │  (only VerdictSend chunks)
-//	  │ ◀── Ack ────────────────────────────────── │  (durable servers: after fsync)
+//	  │ ◀── Ack ────────────────────────────────── │  (after the covering fsync)
 //	  │ ── FileMeta{entry} ──────────────────────▶ │  (per completed file)
 //	  │ ◀── Ack ────────────────────────────────── │
 //	  │ ── BackupEnd ────────────────────────────▶ │
@@ -53,33 +53,32 @@
 // BackupStartOK echoes the server's version and the negotiated
 // intersection of the two cap sets. The rules:
 //
+//   - ProtocolVersion is the minimum a server accepts. A BackupStart with
+//     a lower Version (a peer predating the field sends 0) is refused
+//     with a CodeUnsupportedVersion Ack before any session exists.
 //   - Control messages are gob-encoded: decoders ignore fields they do
 //     not know and zero-fill fields the peer did not send, so adding
-//     fields to control messages is always compatible. A peer that
-//     predates the Version/Caps fields therefore reads (and sends) them
-//     as zero — which is exactly "no capabilities".
+//     fields to control messages is always compatible.
 //   - A capability-gated behaviour may be used only after BOTH ends
 //     advertised it (the negotiated intersection from BackupStartOK).
-//     Absent a capability, each side must behave exactly as the build
-//     that predates it.
-//   - CapInlineDedup gates the binary FPVerdicts2 frame (tag 8) and the
-//     server's inline duplicate detection against its disk index. Without
-//     it the server answers with the legacy tag-2 bitmap frame, which any
-//     historical peer decodes.
+//   - CapInlineDedup gates the server's inline duplicate detection
+//     against its disk index. Every session, with or without it, gets
+//     verdicts in the 2-bit packed FPVerdicts frame (tag 8).
 //
 // # Frame evolution policy
 //
 // Binary frames (tags >= 1) are NOT field-extensible: decoders reject
-// trailing bytes, and an unknown tag is a connection-fatal decode error
-// on old peers. Evolving the binary plane therefore always takes the
-// pair (new tag, new capability bit): the new-form frame may be emitted
-// only toward a peer that advertised the capability, and the old form
-// must remain emittable forever for capability-less peers. The same
+// trailing bytes, and an unknown tag is a connection-fatal decode error.
+// A new frame form takes a new tag plus either a capability bit (emitted
+// only toward peers that advertised it) or a raised ProtocolVersion. An
+// old form is not kept forever: it is retired by raising the minimum
+// version, after which its tag stays reserved and decodes as unknown
+// (tag 2, the version-1 bitmap verdict frame, went this way). The same
 // applies to enum ranges inside a frame: a decoder rejects verdict
-// values it does not know, so new Verdict values require a fresh
-// capability bit (and new tag if the packing changes). Control-plane
-// (tag-0 gob) messages evolve by field addition as above, never by
-// changing the meaning of an existing field's zero value.
+// values it does not know, so new Verdict values require a capability
+// bit or a version bump. Control-plane (tag-0 gob) messages evolve by
+// field addition as above, never by changing the meaning of an existing
+// field's zero value.
 //
 // # Restore streaming
 //
@@ -158,13 +157,13 @@ import (
 )
 
 // Frame tags. Tag 0 is the gob fallback for control-plane messages; tags
-// 1–8 are the binary codecs for the hot data-path messages. Tag 8 is the
-// verdict-enum form of FPVerdicts, emitted only under CapInlineDedup (see
-// the frame evolution policy in the package comment).
+// 1–8 are the binary codecs for the hot data-path messages. Tag 2 (the
+// retired version-1 bitmap verdict frame) stays reserved so no other tag
+// value moves (see the frame evolution policy in the package comment).
 const (
 	tagGob byte = iota
 	tagFPBatch
-	tagFPVerdicts
+	_ // reserved: retired version-1 FPVerdicts bitmap
 	tagChunkBatch
 	tagAck
 	tagRestoreBegin
@@ -173,23 +172,24 @@ const (
 	tagFPVerdicts2
 )
 
-// ProtocolVersion is the protocol revision this build speaks. Version 1
-// predates the Version/Caps fields (gob decodes it as 0 or 1); version 2
-// introduced capability negotiation. Versions are informational — feature
-// gating is by capability bit, never by version comparison.
+// ProtocolVersion is the protocol revision this build speaks, and the
+// minimum it accepts. Version 1 predates the Version/Caps fields (gob
+// decodes it as 0) and used the retired bitmap verdict frame; version 2
+// introduced capability negotiation and the packed verdict frame.
+// Optional behaviours are gated by capability bit; the version only
+// retires frame forms.
 const ProtocolVersion = 2
 
 // Caps is a capability bitset exchanged in BackupStart/BackupStartOK.
-// Each bit names a protocol behaviour beyond the version-1 baseline; a
-// behaviour may be used only when both ends advertised its bit (the
-// client proposes its set, the server answers with the intersection).
+// Each bit names an optional protocol behaviour; a behaviour may be used
+// only when both ends advertised its bit (the client proposes its set,
+// the server answers with the intersection).
 type Caps uint64
 
 const (
-	// CapInlineDedup: the peer understands the verdict-enum FPVerdicts
-	// frame (tag 8) and, on the server side, answers FPBatch with inline
-	// duplicate detection against its disk index/LPC — so confirmed
-	// duplicates are never transferred.
+	// CapInlineDedup: the server answers FPBatch with inline duplicate
+	// detection against its disk index/LPC, so confirmed duplicates are
+	// never transferred.
 	CapInlineDedup Caps = 1 << iota
 )
 
@@ -342,11 +342,7 @@ func (c *Conn) Send(msg any) error {
 	case FPBatch:
 		tag, buf = tagFPBatch, m.encode(buf)
 	case FPVerdicts:
-		if m.Legacy {
-			tag, buf = tagFPVerdicts, m.encodeLegacy(buf)
-		} else {
-			tag, buf = tagFPVerdicts2, m.encode(buf)
-		}
+		tag, buf = tagFPVerdicts2, m.encode(buf)
 	case ChunkBatch:
 		tag, buf = tagChunkBatch, m.encode(buf)
 	case Ack:
@@ -437,10 +433,6 @@ func (c *Conn) Recv() (any, error) {
 			var m FPBatch
 			err := m.decode(payload)
 			return m, err
-		case tagFPVerdicts:
-			var m FPVerdicts
-			err := m.decodeLegacy(payload)
-			return m, err
 		case tagFPVerdicts2:
 			var m FPVerdicts
 			err := m.decode(payload)
@@ -515,53 +507,8 @@ func (m *FPBatch) decode(p []byte) error {
 	return nil
 }
 
-// encodeLegacy emits the version-1 tag-2 bitmap: bit set means "send".
-// The legacy form has no room for verdict values beyond send/skip, which
-// is fine — it is only emitted when CapInlineDedup was not negotiated,
-// and without that capability the only verdicts are the baseline two.
-func (m FPVerdicts) encodeLegacy(buf []byte) []byte {
-	buf = binary.BigEndian.AppendUint64(buf, m.Seq)
-	buf = binary.BigEndian.AppendUint32(buf, uint32(len(m.Verdicts)))
-	var acc byte
-	for i, v := range m.Verdicts {
-		if v == VerdictSend {
-			acc |= 1 << (i & 7)
-		}
-		if i&7 == 7 {
-			buf = append(buf, acc)
-			acc = 0
-		}
-	}
-	if len(m.Verdicts)&7 != 0 {
-		buf = append(buf, acc)
-	}
-	return buf
-}
-
-func (m *FPVerdicts) decodeLegacy(p []byte) error {
-	if len(p) < 12 {
-		return errShort("FPVerdicts")
-	}
-	m.Seq = binary.BigEndian.Uint64(p)
-	n := int(binary.BigEndian.Uint32(p[8:]))
-	p = p[12:]
-	if len(p) != (n+7)/8 {
-		return errShort("FPVerdicts")
-	}
-	m.Verdicts = make([]Verdict, n)
-	for i := range m.Verdicts {
-		if p[i>>3]&(1<<(i&7)) != 0 {
-			m.Verdicts[i] = VerdictSend
-		} else {
-			m.Verdicts[i] = VerdictSkipDuplicate
-		}
-	}
-	m.Legacy = true
-	return nil
-}
-
-// encode emits the tag-8 verdict-enum form: verdicts packed two bits
-// each, four per byte, little-endian within the byte.
+// encode emits the tag-8 verdict frame: verdicts packed two bits each,
+// four per byte, little-endian within the byte.
 func (m FPVerdicts) encode(buf []byte) []byte {
 	buf = binary.BigEndian.AppendUint64(buf, m.Seq)
 	buf = binary.BigEndian.AppendUint32(buf, uint32(len(m.Verdicts)))
@@ -594,13 +541,13 @@ func (m *FPVerdicts) decode(p []byte) error {
 		v := Verdict(p[i>>2] >> (2 * (i & 3)) & 3)
 		if v >= verdictMax {
 			// Per the frame evolution policy, a verdict value this build
-			// does not know can only mean a peer used a capability we
-			// never advertised — a protocol violation, not a soft skip.
+			// does not know can only mean a peer used a capability or
+			// version we never advertised — a protocol violation, not a
+			// soft skip.
 			return fmt.Errorf("proto: recv: unknown verdict %d in FPVerdicts", v)
 		}
 		m.Verdicts[i] = v
 	}
-	m.Legacy = false
 	return nil
 }
 
@@ -850,13 +797,10 @@ const (
 )
 
 // FPVerdicts answers an FPBatch with one verdict per offered chunk. Seq
-// echoes the FPBatch it answers. Legacy selects the version-1 bitmap
-// frame (tag 2) on send and records which form was received on decode;
-// senders must set it when the session lacks CapInlineDedup.
+// echoes the FPBatch it answers.
 type FPVerdicts struct {
 	Seq      uint64
 	Verdicts []Verdict
-	Legacy   bool
 }
 
 // NeedsTransfer reports whether chunk i must be shipped in a ChunkBatch.
@@ -882,6 +826,9 @@ const (
 	// error) and is serving reads only; backups are refused until the
 	// operator restarts the server with the fault cleared.
 	CodeReadOnly
+	// CodeUnsupportedVersion: the BackupStart carried a Version below the
+	// server's minimum (ProtocolVersion); the peer must upgrade.
+	CodeUnsupportedVersion
 )
 
 // Ack is a generic success/failure reply.

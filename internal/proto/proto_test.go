@@ -5,6 +5,7 @@ import (
 	"io"
 	"net"
 	"reflect"
+	"strings"
 	"testing"
 
 	"debar/internal/fp"
@@ -45,7 +46,6 @@ func TestRoundTripAllMessages(t *testing.T) {
 		BackupStartOK{SessionID: 7, Version: ProtocolVersion, Caps: CapInlineDedup},
 		FPBatch{SessionID: 7, FPs: []fp.FP{fp.FromUint64(9)}, Sizes: []uint32{100}},
 		FPVerdicts{Verdicts: []Verdict{VerdictSend, VerdictSkipDuplicate}},
-		FPVerdicts{Verdicts: []Verdict{VerdictSend, VerdictSkipDuplicate}, Legacy: true},
 		ChunkBatch{SessionID: 7, FPs: []fp.FP{fp.FromUint64(9)}, Data: [][]byte{[]byte("xyz")}},
 		Ack{OK: true},
 		Ack{OK: false, Err: "boom"},
@@ -128,7 +128,7 @@ func TestBinaryCodecRoundTrip(t *testing.T) {
 	var fps []fp.FP
 	var sizes []uint32
 	var data [][]byte
-	for i := 0; i < 300; i++ { // >256: multi-byte bitmap, big batch
+	for i := 0; i < 300; i++ { // >256: multi-byte verdict packing, big batch
 		fps = append(fps, fp.FromUint64(uint64(i)))
 		sizes = append(sizes, uint32(i*7))
 		data = append(data, bytes.Repeat([]byte{byte(i)}, i%97))
@@ -144,11 +144,9 @@ func TestBinaryCodecRoundTrip(t *testing.T) {
 
 	msgs := []any{
 		FPBatch{SessionID: 5, Seq: 42, FPs: fps, Sizes: sizes},
-		FPBatch{SessionID: 5, Seq: 43},                        // empty batch
-		FPVerdicts{Seq: 42, Verdicts: verdicts},               // >256: multi-byte 2-bit packing
-		FPVerdicts{Seq: 42, Verdicts: verdicts, Legacy: true}, // legacy bitmap form
+		FPBatch{SessionID: 5, Seq: 43},          // empty batch
+		FPVerdicts{Seq: 42, Verdicts: verdicts}, // >256: multi-byte 2-bit packing
 		FPVerdicts{Seq: 43, Verdicts: []Verdict{}},
-		FPVerdicts{Seq: 43, Verdicts: []Verdict{}, Legacy: true},
 		ChunkBatch{SessionID: 5, FPs: fps, Data: data},
 		ChunkBatch{SessionID: 5},
 		Ack{OK: true},
@@ -248,7 +246,6 @@ func TestTruncatedFrames(t *testing.T) {
 	msgs := []any{
 		FPBatch{SessionID: 1, Seq: 2, FPs: []fp.FP{fp.FromUint64(1)}, Sizes: []uint32{10}},
 		FPVerdicts{Seq: 2, Verdicts: []Verdict{VerdictSend, VerdictSkipDuplicate, VerdictSend}},
-		FPVerdicts{Seq: 2, Verdicts: []Verdict{VerdictSend, VerdictSkipDuplicate, VerdictSend}, Legacy: true},
 		ChunkBatch{SessionID: 1, FPs: []fp.FP{fp.FromUint64(1)}, Data: [][]byte{[]byte("abc")}},
 		Ack{OK: true, Err: "x"},
 		RestoreBegin{Entry: FileEntry{Path: "p", Chunks: []fp.FP{fp.FromUint64(2)}, Sizes: []uint32{3}}, BatchChunks: 1, Window: 1},
@@ -284,6 +281,19 @@ func TestCorruptLengthRejected(t *testing.T) {
 	}{bytes.NewReader(frame), io.Discard}})
 	if _, err := c.Recv(); err == nil {
 		t.Fatal("4 GB frame accepted")
+	}
+}
+
+// TestRetiredVerdictTagRejected checks that the reserved tag of the
+// retired version-1 bitmap verdict frame decodes as an unknown tag.
+func TestRetiredVerdictTagRejected(t *testing.T) {
+	frame := []byte{2, 0, 0, 0, 13, 0, 0, 0, 0, 0, 0, 0, 1, 0, 0, 0, 1, 1}
+	c := NewConn(nopCloser{struct {
+		io.Reader
+		io.Writer
+	}{bytes.NewReader(frame), io.Discard}})
+	if _, err := c.Recv(); err == nil || !strings.Contains(err.Error(), "unknown frame tag") {
+		t.Fatalf("tag-2 frame: err = %v, want unknown frame tag", err)
 	}
 }
 

@@ -12,7 +12,6 @@ import (
 	"debar/internal/client"
 	"debar/internal/fp"
 	"debar/internal/proto"
-	"debar/internal/server"
 )
 
 // TestConcurrentSessions drives ≥4 clients backing up different datasets
@@ -20,7 +19,7 @@ import (
 // dataset restores byte-identically. Run under -race this exercises the
 // per-session locking of the server and the client's pipelined data path.
 func TestConcurrentSessions(t *testing.T) {
-	d, srvAddr := startSystem(t)
+	d, _, srvAddr := startServer(t, nil)
 
 	const nClients = 4
 	type job struct {
@@ -96,7 +95,7 @@ func TestConcurrentSessions(t *testing.T) {
 // container loads) and the per-connection restore streams overlapping
 // instead of queueing behind a global restore lock.
 func TestConcurrentRestores(t *testing.T) {
-	d, srvAddr := startSystem(t)
+	d, _, srvAddr := startServer(t, nil)
 
 	const nJobs = 4
 	type job struct {
@@ -161,7 +160,7 @@ func TestConcurrentRestores(t *testing.T) {
 // backup of another: the restorer must not be blocked behind (or block)
 // an in-flight dedup-1 stream.
 func TestConcurrentBackupAndRestore(t *testing.T) {
-	d, srvAddr := startSystem(t)
+	d, _, srvAddr := startServer(t, nil)
 
 	src1 := t.TempDir()
 	files1 := writeTree(t, src1, 51)
@@ -203,21 +202,14 @@ func TestConcurrentBackupAndRestore(t *testing.T) {
 // TestCloseUnblocksActiveConnections verifies Server.Close tears down
 // in-flight connection handlers, not just the listener.
 func TestCloseUnblocksActiveConnections(t *testing.T) {
-	srv, err := server.New(server.Config{IndexBits: 12})
-	if err != nil {
-		t.Fatal(err)
-	}
-	addr, err := srv.Serve("127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
+	_, srv, addr := startServer(t, nil)
 
 	conn, err := proto.Dial(addr)
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer conn.Close()
-	if err := conn.Send(proto.BackupStart{JobName: "close-test", Client: "c"}); err != nil {
+	if err := conn.Send(proto.BackupStart{JobName: "close-test", Client: "c", Version: proto.ProtocolVersion}); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := conn.Recv(); err != nil {
@@ -248,15 +240,7 @@ func TestCloseUnblocksActiveConnections(t *testing.T) {
 // corrupt and checks the whole batch is rejected without touching the
 // session accounting, then that a corrected batch still lands.
 func TestChunkBatchAtomicOnMismatch(t *testing.T) {
-	srv, err := server.New(server.Config{IndexBits: 12})
-	if err != nil {
-		t.Fatal(err)
-	}
-	addr, err := srv.Serve("127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer srv.Close()
+	_, _, addr := startServer(t, nil)
 
 	conn, err := proto.Dial(addr)
 	if err != nil {
@@ -264,7 +248,7 @@ func TestChunkBatchAtomicOnMismatch(t *testing.T) {
 	}
 	defer conn.Close()
 
-	if err := conn.Send(proto.BackupStart{JobName: "atomic", Client: "c"}); err != nil {
+	if err := conn.Send(proto.BackupStart{JobName: "atomic", Client: "c", Version: proto.ProtocolVersion}); err != nil {
 		t.Fatal(err)
 	}
 	msg, err := conn.Recv()

@@ -7,11 +7,8 @@ import (
 	"testing"
 
 	"debar/internal/client"
-	"debar/internal/director"
 	"debar/internal/fp"
 	"debar/internal/proto"
-	"debar/internal/server"
-	"debar/internal/store"
 )
 
 // TestCrossSessionLogDedup is the cross-session log-dedup regression
@@ -23,26 +20,7 @@ import (
 // chunk only A ever transferred, must still restore byte-identical
 // after dedup-2.
 func TestCrossSessionLogDedup(t *testing.T) {
-	dir := director.New()
-	dirAddr, err := dir.Serve("127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(func() { dir.Close() })
-
-	eng, err := store.Open(t.TempDir(), store.Options{IndexBits: 12})
-	if err != nil {
-		t.Fatal(err)
-	}
-	srv, err := server.New(server.Config{DirectorAddr: dirAddr, Storage: eng})
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(func() { srv.Close() })
-	srvAddr, err := srv.Serve("127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
+	dir, _, srvAddr := startServer(t, nil)
 
 	startSession := func(job, cl string) (*proto.Conn, uint64) {
 		t.Helper()
@@ -51,7 +29,7 @@ func TestCrossSessionLogDedup(t *testing.T) {
 			t.Fatal(err)
 		}
 		t.Cleanup(func() { conn.Close() })
-		if err := conn.Send(proto.BackupStart{JobName: job, Client: cl}); err != nil {
+		if err := conn.Send(proto.BackupStart{JobName: job, Client: cl, Version: proto.ProtocolVersion}); err != nil {
 			t.Fatal(err)
 		}
 		msg, err := conn.Recv()

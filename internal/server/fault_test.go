@@ -5,7 +5,6 @@ import (
 	"testing"
 	"time"
 
-	"debar/internal/director"
 	"debar/internal/fp"
 	"debar/internal/proto"
 	"debar/internal/server"
@@ -19,13 +18,6 @@ import (
 // delivered — the client must see a read-only refusal instead, and the
 // store must latch read-only for subsequent sessions.
 func TestChunkBatchAckHeldForWALSync(t *testing.T) {
-	dir := director.New()
-	dirAddr, err := dir.Serve("127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(func() { dir.Close() })
-
 	eng, err := store.Open(t.TempDir(), store.Options{IndexBits: 12})
 	if err != nil {
 		t.Fatal(err)
@@ -33,23 +25,14 @@ func TestChunkBatchAckHeldForWALSync(t *testing.T) {
 	injected := errors.New("injected media failure")
 	eng.ChunkLog().SetSyncFailFunc(func() error { return injected })
 	t.Cleanup(func() { eng.ChunkLog().SetSyncFailFunc(nil) })
-
-	srv, err := server.New(server.Config{DirectorAddr: dirAddr, Storage: eng})
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(func() { srv.Close() })
-	srvAddr, err := srv.Serve("127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
+	_, _, srvAddr := startServer(t, func(c *server.Config) { c.Storage = eng })
 
 	conn, err := proto.Dial(srvAddr)
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer conn.Close()
-	if err := conn.Send(proto.BackupStart{JobName: "sync-fail-job", Client: "c1"}); err != nil {
+	if err := conn.Send(proto.BackupStart{JobName: "sync-fail-job", Client: "c1", Version: proto.ProtocolVersion}); err != nil {
 		t.Fatal(err)
 	}
 	msg, err := conn.Recv()
@@ -94,7 +77,7 @@ func TestChunkBatchAckHeldForWALSync(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer c2.Close()
-	if err := c2.Send(proto.BackupStart{JobName: "after-fail", Client: "c2"}); err != nil {
+	if err := c2.Send(proto.BackupStart{JobName: "after-fail", Client: "c2", Version: proto.ProtocolVersion}); err != nil {
 		t.Fatal(err)
 	}
 	if msg, err = c2.Recv(); err != nil {
@@ -112,32 +95,14 @@ func TestChunkBatchAckHeldForWALSync(t *testing.T) {
 // dedup-2 pass stores it rather than the quiet-truncation path discarding
 // it.
 func TestIdleSessionReaped(t *testing.T) {
-	dir := director.New()
-	dirAddr, err := dir.Serve("127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(func() { dir.Close() })
-	srv, err := server.New(server.Config{
-		DirectorAddr: dirAddr,
-		IndexBits:    12,
-		IdleTimeout:  300 * time.Millisecond,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(func() { srv.Close() })
-	srvAddr, err := srv.Serve("127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
+	_, srv, srvAddr := startServer(t, func(c *server.Config) { c.IdleTimeout = 300 * time.Millisecond })
 
 	conn, err := proto.Dial(srvAddr)
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer conn.Close()
-	if err := conn.Send(proto.BackupStart{JobName: "reap-job", Client: "ghost"}); err != nil {
+	if err := conn.Send(proto.BackupStart{JobName: "reap-job", Client: "ghost", Version: proto.ProtocolVersion}); err != nil {
 		t.Fatal(err)
 	}
 	msg, err := conn.Recv()

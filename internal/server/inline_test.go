@@ -6,40 +6,10 @@ import (
 	"path/filepath"
 	"testing"
 
-	"debar/internal/director"
-	"debar/internal/fp"
 	"debar/internal/obs"
 	"debar/internal/proto"
 	"debar/internal/server"
 )
-
-// startSystemInline boots a director and one backup server with the
-// inline-dedup fast path switched by disable.
-func startSystemInline(t *testing.T, disable bool) (*director.Director, string) {
-	t.Helper()
-	d := director.New()
-	dirAddr, err := d.Serve("127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(func() { d.Close() })
-
-	srv, err := server.New(server.Config{
-		DirectorAddr:       dirAddr,
-		ContainerSize:      64 << 10,
-		IndexBits:          12,
-		DisableInlineDedup: disable,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	srvAddr, err := srv.Serve("127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(func() { srv.Close() })
-	return d, srvAddr
-}
 
 // runDedup2Direct asks the server itself for a dedup-2 pass and returns
 // the outcome frame (the director's trigger path discards the counters
@@ -111,7 +81,7 @@ func TestInlineDedupDedup2Equivalence(t *testing.T) {
 		{"inline-off", true},
 	} {
 		t.Run(mode.name, func(t *testing.T) {
-			_, srvAddr := startSystemInline(t, mode.disable)
+			_, _, srvAddr := startServer(t, func(c *server.Config) { c.DisableInlineDedup = mode.disable })
 			src := t.TempDir()
 			files := writeTree(t, src, 9)
 			c := testClient(srvAddr)
@@ -161,17 +131,17 @@ func TestInlineDedupDedup2Equivalence(t *testing.T) {
 }
 
 // TestMixedVersionInterop downgrades each side of the capability
-// negotiation in turn: a capability-less client against a new server, and
-// a new client against a server with the fast path disabled. Both
-// sessions must negotiate down to the pre-capability protocol with no
+// negotiation in turn: a client offering no capabilities against a server
+// with the fast path on, and a capable client against a server with it
+// disabled. Both sessions must negotiate down to no capabilities with no
 // errors, no inline skips, and byte-identical restores.
 func TestMixedVersionInterop(t *testing.T) {
 	t.Run("old-client-new-server", func(t *testing.T) {
-		d, srvAddr := startSystemInline(t, false)
+		d, _, srvAddr := startServer(t, nil)
 		src := t.TempDir()
 		files := writeTree(t, src, 21)
 		c := testClient(srvAddr)
-		c.Options.DisableInlineDedup = true // offers no capabilities, like an old build
+		c.Options.DisableInlineDedup = true // offers no capabilities
 
 		first, err := c.Backup("interop-a", src)
 		if err != nil {
@@ -197,7 +167,7 @@ func TestMixedVersionInterop(t *testing.T) {
 	})
 
 	t.Run("new-client-old-server", func(t *testing.T) {
-		d, srvAddr := startSystemInline(t, true)
+		d, _, srvAddr := startServer(t, func(c *server.Config) { c.DisableInlineDedup = true })
 		src := t.TempDir()
 		files := writeTree(t, src, 22)
 		c := testClient(srvAddr) // offers CapInlineDedup; the server refuses it
@@ -224,78 +194,33 @@ func TestMixedVersionInterop(t *testing.T) {
 	})
 }
 
-// TestLegacyPeerWireCompat speaks the pre-capability wire protocol
-// directly: a BackupStart with zero Version and Caps is byte-for-byte
-// what an old binary sends (gob omits zero-valued fields). The server
-// must grant no capabilities it was never offered and must answer the
-// fingerprint exchange with the legacy bitmap verdict frame an old peer
-// can parse.
-func TestLegacyPeerWireCompat(t *testing.T) {
-	_, srvAddr := startSystemInline(t, false)
+// TestPreVersionPeerRefused speaks the version-1 wire protocol directly:
+// a BackupStart with zero Version and Caps is byte-for-byte what a peer
+// predating the Version field sends (gob omits zero-valued fields). Such
+// a peer would expect the retired bitmap verdict frame, so the server
+// must refuse it with the typed unsupported-version code before it opens
+// a session.
+func TestPreVersionPeerRefused(t *testing.T) {
+	_, srv, srvAddr := startServer(t, nil)
 
 	conn, err := proto.Dial(srvAddr)
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer conn.Close()
-	if err := conn.Send(proto.BackupStart{JobName: "legacy-wire", Client: "old"}); err != nil {
+	if err := conn.Send(proto.BackupStart{JobName: "v1-wire", Client: "old"}); err != nil {
 		t.Fatal(err)
 	}
 	msg, err := conn.Recv()
 	if err != nil {
 		t.Fatal(err)
 	}
-	ok, is := msg.(proto.BackupStartOK)
-	if !is {
-		t.Fatalf("BackupStart reply = %T %+v", msg, msg)
+	ack, is := msg.(proto.Ack)
+	if !is || ack.OK || ack.Code != proto.CodeUnsupportedVersion {
+		t.Fatalf("version-0 BackupStart reply = %T %+v, want unsupported-version refusal", msg, msg)
 	}
-	if ok.Caps != 0 {
-		t.Fatalf("server granted caps %b to a client that offered none", ok.Caps)
-	}
-
-	chunk := bytes.Repeat([]byte("legacy peer payload "), 64)
-	f := fp.New(chunk)
-	if err := conn.Send(proto.FPBatch{
-		SessionID: ok.SessionID, Seq: 0, FPs: []fp.FP{f}, Sizes: []uint32{uint32(len(chunk))},
-	}); err != nil {
-		t.Fatal(err)
-	}
-	if msg, err = conn.Recv(); err != nil {
-		t.Fatal(err)
-	}
-	v, is := msg.(proto.FPVerdicts)
-	if !is {
-		t.Fatalf("FPBatch reply = %T %+v", msg, msg)
-	}
-	if !v.Legacy {
-		t.Fatal("capability-less session got the packed verdict frame an old peer cannot parse")
-	}
-	if len(v.Verdicts) != 1 || !v.NeedsTransfer(0) {
-		t.Fatalf("verdicts = %+v, want [send]", v.Verdicts)
-	}
-
-	if err := conn.Send(proto.ChunkBatch{
-		SessionID: ok.SessionID, FPs: []fp.FP{f}, Data: [][]byte{chunk},
-	}); err != nil {
-		t.Fatal(err)
-	}
-	if msg, err = conn.Recv(); err != nil {
-		t.Fatal(err)
-	} else if ack, is := msg.(proto.Ack); !is || !ack.OK {
-		t.Fatalf("ChunkBatch reply = %T %+v", msg, msg)
-	}
-	if err := conn.Send(proto.BackupEnd{SessionID: ok.SessionID}); err != nil {
-		t.Fatal(err)
-	}
-	if msg, err = conn.Recv(); err != nil {
-		t.Fatal(err)
-	}
-	done, is := msg.(proto.BackupDone)
-	if !is {
-		t.Fatalf("BackupEnd reply = %T %+v", msg, msg)
-	}
-	if done.InlineSkippedBytes != 0 {
-		t.Fatalf("legacy session reported %d inline-skipped bytes", done.InlineSkippedBytes)
+	if n := srv.SessionCount(); n != 0 {
+		t.Fatalf("SessionCount = %d after a refused BackupStart, want 0", n)
 	}
 }
 
@@ -306,7 +231,7 @@ func TestLegacyPeerWireCompat(t *testing.T) {
 // versus the first generation, with the savings visible in both the
 // server- and client-side counters.
 func TestInlineDedupCutsWireBytes(t *testing.T) {
-	d, srvAddr := startSystem(t)
+	d, _, srvAddr := startServer(t, nil)
 	src := t.TempDir()
 	files := writeTree(t, src, 11)
 	c := testClient(srvAddr)

@@ -11,32 +11,61 @@ import (
 	"debar/internal/client"
 	"debar/internal/director"
 	"debar/internal/server"
+	"debar/internal/store"
 )
 
-// startSystem boots a director and one backup server on loopback TCP.
-func startSystem(t *testing.T) (d *director.Director, srvAddr string) {
+// startServer boots a director and one backup server on loopback TCP and
+// closes both when the test ends. mod, when non-nil, adjusts the server
+// config; unless it sets Storage, the server opens its engine in a fresh
+// test temp dir.
+func startServer(t *testing.T, mod func(*server.Config)) (*director.Director, *server.Server, string) {
 	t.Helper()
-	d = director.New()
+	d := director.New()
 	dirAddr, err := d.Serve("127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
 	}
 	t.Cleanup(func() { d.Close() })
 
-	srv, err := server.New(server.Config{
+	cfg := server.Config{
 		DirectorAddr:  dirAddr,
 		ContainerSize: 64 << 10,
 		IndexBits:     12,
-	})
-	if err != nil {
-		t.Fatal(err)
 	}
-	srvAddr, err = srv.Serve("127.0.0.1:0")
+	if mod != nil {
+		mod(&cfg)
+	}
+	if cfg.Storage == nil {
+		cfg.DataDir = t.TempDir()
+	}
+	srv, err := server.New(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
 	t.Cleanup(func() { srv.Close() })
-	return d, srvAddr
+	srvAddr, err := srv.Serve("127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	return d, srv, srvAddr
+}
+
+// TestNewNeedsStorage pins the one-storage-design contract: a server
+// needs exactly one of an engine or a data directory.
+func TestNewNeedsStorage(t *testing.T) {
+	if srv, err := server.New(server.Config{}); err == nil {
+		srv.Close()
+		t.Fatal("server.New with neither Storage nor DataDir succeeded")
+	}
+	eng, err := store.Open(t.TempDir(), store.Options{IndexBits: 10})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer eng.Close()
+	if srv, err := server.New(server.Config{Storage: eng, DataDir: t.TempDir()}); err == nil {
+		srv.Close()
+		t.Fatal("server.New with both Storage and DataDir succeeded")
+	}
 }
 
 // writeTree builds a deterministic file tree with duplicate content.
@@ -70,7 +99,7 @@ func testClient(srvAddr string) *client.Client {
 }
 
 func TestBackupDedup2RestoreRoundTrip(t *testing.T) {
-	d, srvAddr := startSystem(t)
+	d, _, srvAddr := startServer(t, nil)
 	src := t.TempDir()
 	files := writeTree(t, src, 1)
 
@@ -117,7 +146,7 @@ func TestBackupDedup2RestoreRoundTrip(t *testing.T) {
 }
 
 func TestSecondRunJobChainDedup(t *testing.T) {
-	d, srvAddr := startSystem(t)
+	d, _, srvAddr := startServer(t, nil)
 	src := t.TempDir()
 	writeTree(t, src, 2)
 	c := testClient(srvAddr)
@@ -146,7 +175,7 @@ func TestSecondRunJobChainDedup(t *testing.T) {
 }
 
 func TestModifiedFileIncrementalBackup(t *testing.T) {
-	d, srvAddr := startSystem(t)
+	d, _, srvAddr := startServer(t, nil)
 	src := t.TempDir()
 	files := writeTree(t, src, 3)
 	c := testClient(srvAddr)
@@ -190,8 +219,7 @@ func TestModifiedFileIncrementalBackup(t *testing.T) {
 }
 
 func TestRestoreUnknownJobFails(t *testing.T) {
-	d, srvAddr := startSystem(t)
-	_ = d
+	_, _, srvAddr := startServer(t, nil)
 	c := testClient(srvAddr)
 	if _, err := c.Restore("no-such-job", t.TempDir()); err == nil {
 		t.Fatal("restore of unknown job succeeded")
@@ -199,7 +227,7 @@ func TestRestoreUnknownJobFails(t *testing.T) {
 }
 
 func TestVerifyDetectsModifications(t *testing.T) {
-	d, srvAddr := startSystem(t)
+	d, _, srvAddr := startServer(t, nil)
 	src := t.TempDir()
 	writeTree(t, src, 4)
 	c := testClient(srvAddr)
@@ -246,8 +274,7 @@ func TestVerifyDetectsModifications(t *testing.T) {
 }
 
 func TestVerifyUnknownJob(t *testing.T) {
-	d, srvAddr := startSystem(t)
-	_ = d
+	_, _, srvAddr := startServer(t, nil)
 	c := testClient(srvAddr)
 	if _, err := c.Verify("ghost-job", t.TempDir()); err == nil {
 		t.Fatal("verify of unknown job succeeded")

@@ -3,9 +3,7 @@ package server_test
 import (
 	"testing"
 
-	"debar/internal/director"
 	"debar/internal/obs"
-	"debar/internal/server"
 )
 
 // snapshotDelta reads the named series from the process-global registry
@@ -24,26 +22,7 @@ func snapshotDelta(base map[string]float64) func(name string) float64 {
 // — lands as preliminary-filter hits, and the fsync-coalescing series
 // stay consistent (every window serves at least one enqueue).
 func TestObservabilityCountersMove(t *testing.T) {
-	d := director.New()
-	dirAddr, err := d.Serve("127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(func() { d.Close() })
-
-	srv, err := server.New(server.Config{
-		DirectorAddr:  dirAddr,
-		ContainerSize: 64 << 10,
-		DataDir:       t.TempDir(),
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	srvAddr, err := srv.Serve("127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(func() { srv.Close() })
+	d, _, srvAddr := startServer(t, nil)
 
 	src := t.TempDir()
 	writeTree(t, src, 7)

@@ -10,11 +10,9 @@ import (
 	"testing"
 	"time"
 
-	"debar/internal/director"
 	"debar/internal/faultproxy"
 	"debar/internal/fp"
 	"debar/internal/proto"
-	"debar/internal/server"
 )
 
 // writeBigFile writes one deterministic multi-chunk file and returns its
@@ -36,7 +34,7 @@ func writeBigFile(t *testing.T, dir, name string, size int, seed int64) []byte {
 // guarantee that neither end ever buffers more than window × batch of
 // chunk data — then resume one batch per credit once acks flow.
 func TestRestoreWindowBoundsInFlightBatches(t *testing.T) {
-	d, srvAddr := startSystem(t)
+	d, _, srvAddr := startServer(t, nil)
 	src := t.TempDir()
 	want := writeBigFile(t, src, "data.bin", 1<<20, 41)
 
@@ -164,7 +162,7 @@ func TestRestoreWindowBoundsInFlightBatches(t *testing.T) {
 // single-attempt failure path; retry-and-resume is covered by the chaos
 // suite at the repo root.
 func TestRestoreInterruptedMidStream(t *testing.T) {
-	d, srvAddr := startSystem(t)
+	d, _, srvAddr := startServer(t, nil)
 	src := t.TempDir()
 	writeBigFile(t, src, "data.bin", 2<<20, 43)
 
@@ -226,24 +224,7 @@ func TestRestoreInterruptedMidStream(t *testing.T) {
 // must unwind (not block forever in its ack wait), so Close returns
 // promptly.
 func TestRestoreClientGoneServerReclaimed(t *testing.T) {
-	dir := director.New()
-	dirAddr, err := dir.Serve("127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(func() { dir.Close() })
-	srv, err := server.New(server.Config{
-		DirectorAddr:  dirAddr,
-		ContainerSize: 64 << 10,
-		IndexBits:     12,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	srvAddr, err := srv.Serve("127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
+	dir, srv, srvAddr := startServer(t, nil)
 
 	src := t.TempDir()
 	writeBigFile(t, src, "data.bin", 1<<20, 47)
@@ -288,7 +269,7 @@ func TestRestoreClientGoneServerReclaimed(t *testing.T) {
 // chunks were never stored: dedup-2 has not run) and checks the failure
 // arrives in-band, after which the same connection still serves requests.
 func TestRestoreAbortInBand(t *testing.T) {
-	d, srvAddr := startSystem(t)
+	d, _, srvAddr := startServer(t, nil)
 	src := t.TempDir()
 	writeBigFile(t, src, "data.bin", 256<<10, 53)
 	c := testClient(srvAddr)

@@ -2,6 +2,12 @@
 // Store module performing dedup-1 on incoming client streams (preliminary
 // filtering, file indexing, chunk logging) and the Chunk Store module
 // performing dedup-2 (SIL, chunk storing, SIU) plus LPC-cached restores.
+//
+// A server has one storage design: a store.Engine owns the chunk-log WAL
+// the File Store appends to, and the container log and disk index the
+// Chunk Store drains it into. A chunk batch is acknowledged only after
+// the group-commit fsync covering it has landed. A short-lived server
+// (tests, examples) is simply an engine on a temporary directory.
 package server
 
 import (
@@ -16,7 +22,6 @@ import (
 
 	"debar/internal/chunklog"
 	"debar/internal/container"
-	"debar/internal/diskindex"
 	"debar/internal/fp"
 	"debar/internal/obs"
 	"debar/internal/prefilter"
@@ -56,8 +61,8 @@ var (
 
 // Config sizes a backup server.
 type Config struct {
-	IndexBits     uint // disk index bucket bits (default 16 for tooling)
-	IndexBlocks   int  // bucket blocks (default 1)
+	IndexBits     uint // disk index bucket bits for a new DataDir (0 = store default)
+	IndexBlocks   int  // bucket blocks for a new DataDir (0 = store default)
 	ContainerSize int  // default 8 MB
 	FilterEntries int  // preliminary filter capacity (0 = unlimited)
 	CacheBits     uint // index cache bucket bits for SIL/SIU
@@ -80,14 +85,14 @@ type Config struct {
 	// single-pass dedup-2.
 	SILWorkers int
 
-	// Storage wires the server onto a durable store engine: container
-	// repository, disk index and chunk-log WAL all come from the engine,
-	// and the server takes ownership (Close closes it). Nil keeps the
-	// default in-memory stores.
+	// Storage and DataDir name the server's store engine; exactly one
+	// must be set. Storage is an engine the caller already opened (fault
+	// tests inject faults into it): container repository, disk index and
+	// chunk-log WAL all come from it, and the server takes ownership
+	// (Close closes it). DataDir opens (creating if needed) an engine at
+	// the path with this Config's index geometry; the daemon binaries set
+	// it from -data-dir.
 	Storage *store.Engine
-	// DataDir, when non-empty and Storage is nil, opens (creating if
-	// needed) a store engine at the path with this Config's index
-	// geometry. The daemon binaries set it from -data-dir.
 	DataDir string
 
 	// IdleTimeout is the per-connection idle read deadline and the
@@ -114,11 +119,10 @@ type Config struct {
 	ControlRetries int
 
 	// DisableInlineDedup withholds proto.CapInlineDedup from capability
-	// negotiation: every session gets send-everything verdicts exactly as
-	// a pre-capability build would answer, and duplicates are caught by
-	// dedup-2 alone. For interop testing and for measuring the inline fast
-	// path's contribution; the stored state converges identically either
-	// way.
+	// negotiation: verdicts come from the preliminary filter and chunk log
+	// alone, and duplicates already in containers are caught by dedup-2.
+	// For interop testing and for measuring the inline fast path's
+	// contribution; the stored state converges identically either way.
 	DisableInlineDedup bool
 
 	// Dedup2StageHook, when non-nil, is invoked at dedup-2 stage
@@ -136,12 +140,6 @@ type Config struct {
 }
 
 func (c Config) withDefaults() Config {
-	if c.IndexBits == 0 {
-		c.IndexBits = 16
-	}
-	if c.IndexBlocks == 0 {
-		c.IndexBlocks = 1
-	}
 	if c.ContainerSize == 0 {
 		c.ContainerSize = container.DefaultSize
 	}
@@ -273,10 +271,10 @@ type Server struct {
 	// landed in the chunk log since its last truncation, across all
 	// sessions. Dedup-1 consults it so concurrent sessions racing the
 	// same content (the per-session preliminary filters cannot see each
-	// other) neither transfer nor re-log a chunk the log already holds —
-	// on the durable path that directly shrinks the bytes every
-	// group-commit fsync must push out. loggedMu is innermost: it is
-	// never held while acquiring another lock.
+	// other) neither transfer nor re-log a chunk the log already holds,
+	// which directly shrinks the bytes every group-commit fsync must push
+	// out. loggedMu is innermost: it is never held while acquiring
+	// another lock.
 	loggedMu sync.Mutex
 	loggedFP map[fp.FP]struct{} // guarded by loggedMu
 
@@ -289,20 +287,21 @@ type Server struct {
 	log      *chunklog.Log
 	chunk    *tpds.ChunkStore
 	restorer *tpds.Restorer // internally synchronised
-	storage  *store.Engine  // nil for in-memory servers
+	storage  *store.Engine
 	slog     *slog.Logger
 }
 
-// New builds a backup server. By default every store is in-memory (tests,
-// experiments); the Storage and DataDir config options wire the server
-// onto a durable store engine instead — containers, index and chunk log
-// all live in one data directory and survive restarts, with crash
-// recovery on open. The daemon binaries wire file-backed stores through
-// -data-dir.
+// New builds a backup server on the store engine named by exactly one of
+// cfg.Storage and cfg.DataDir: containers, index and chunk log all live
+// in one data directory and survive restarts, with crash recovery on
+// open.
 func New(cfg Config) (*Server, error) {
+	if (cfg.Storage == nil) == (cfg.DataDir == "") {
+		return nil, errors.New("server: exactly one of Config.Storage and Config.DataDir must be set")
+	}
 	cfg = cfg.withDefaults()
 	eng := cfg.Storage
-	if eng == nil && cfg.DataDir != "" {
+	if eng == nil {
 		var err error
 		eng, err = store.Open(cfg.DataDir, store.Options{
 			IndexBits:   cfg.IndexBits,
@@ -313,29 +312,10 @@ func New(cfg Config) (*Server, error) {
 		}
 	}
 
-	var ix *diskindex.Index
-	var repo container.Repository
-	var log *chunklog.Log
-	var pending []fp.FP
-	if eng != nil {
-		ix = eng.Index()
-		repo = eng.Repo()
-		log = eng.ChunkLog()
-		// Chunks logged before a crash re-enter dedup-2 as undetermined
-		// fingerprints (the WAL replay seed).
-		pending = eng.PendingFPs()
-	} else {
-		var err error
-		ix, err = diskindex.NewMem(diskindex.Config{
-			BucketBits:   cfg.IndexBits,
-			BucketBlocks: cfg.IndexBlocks,
-		}, nil)
-		if err != nil {
-			return nil, err
-		}
-		repo = container.NewMemRepository(false, nil)
-		log = chunklog.NewMem(false, nil)
-	}
+	ix, repo := eng.Index(), eng.Repo()
+	// Chunks logged before a crash re-enter dedup-2 as undetermined
+	// fingerprints (the WAL replay seed).
+	pending := eng.PendingFPs()
 	cs := tpds.NewChunkStore(ix, repo, false, true)
 	cs.ContainerSize = cfg.ContainerSize
 	cs.Workers = cfg.SILWorkers
@@ -354,7 +334,7 @@ func New(cfg Config) (*Server, error) {
 		cfg:      cfg,
 		sessions: make(map[uint64]*session),
 		conns:    make(map[*proto.Conn]struct{}),
-		log:      log,
+		log:      eng.ChunkLog(),
 		chunk:    cs,
 		restorer: tpds.NewRestorer(ix, repo, 16),
 		pending:  pending,
@@ -461,10 +441,8 @@ func (s *Server) Close() error {
 	// would turn a graceful shutdown into a SIGBUS. The closed conns
 	// unblock them promptly.
 	s.handlers.Wait()
-	if s.storage != nil {
-		if serr := s.storage.Close(); err == nil {
-			err = serr
-		}
+	if serr := s.storage.Close(); err == nil {
+		err = serr
 	}
 	return err
 }
@@ -845,7 +823,7 @@ func readOnlyRefusal(cause error) *proto.RemoteError {
 	return &proto.RemoteError{Code: proto.CodeReadOnly, Msg: "server: store is read-only: " + cause.Error()}
 }
 
-// latchFault flips the durable store read-only after a write fault and
+// latchFault flips the store read-only after a write fault and
 // logs the degradation (once — Fail itself is first-fault-wins, so a
 // repeat latch with the mode already set stays quiet).
 func (s *Server) latchFault(err error) {
@@ -856,10 +834,14 @@ func (s *Server) latchFault(err error) {
 }
 
 func (s *Server) startBackup(m proto.BackupStart, st *connState) (any, error) {
-	if s.storage != nil {
-		if roErr := s.storage.ReadOnlyErr(); roErr != nil {
-			return nil, readOnlyRefusal(roErr)
-		}
+	// A peer older than the minimum version would expect a retired frame
+	// form; refuse it before any session or director state exists.
+	if m.Version < proto.ProtocolVersion {
+		return nil, &proto.RemoteError{Code: proto.CodeUnsupportedVersion, Msg: fmt.Sprintf(
+			"server: protocol version %d unsupported, need %d", m.Version, proto.ProtocolVersion)}
+	}
+	if roErr := s.storage.ReadOnlyErr(); roErr != nil {
+		return nil, readOnlyRefusal(roErr)
 	}
 	// Allocate a run with the director and fetch the job chain's
 	// filtering fingerprints (§5.1).
@@ -905,9 +887,9 @@ func (s *Server) startBackup(m proto.BackupStart, st *connState) (any, error) {
 	}
 
 	// Capability negotiation: the session gets the intersection of the
-	// client's offer and what this server is willing to use. A client that
-	// predates the Caps field offered zero, so the intersection is empty
-	// and the session runs exactly the pre-capability protocol.
+	// client's offer and what this server is willing to use. A client
+	// offering none gets send-everything verdicts: its duplicates are
+	// caught by the job-chain filter and dedup-2 alone.
 	serverCaps := proto.CapInlineDedup
 	if s.cfg.DisableInlineDedup {
 		serverCaps = 0
@@ -1052,9 +1034,7 @@ func (s *Server) fpBatch(m proto.FPBatch) (any, error) {
 		mInlineDupHits.Add(inlineHits)
 		mInlineSkipped.Add(inlineBytes)
 	}
-	// Legacy (tag-2 bitmap) framing for capability-less sessions keeps the
-	// wire byte-identical to a pre-capability server.
-	return proto.FPVerdicts{Seq: m.Seq, Verdicts: verdicts, Legacy: !inline}, nil
+	return proto.FPVerdicts{Seq: m.Seq, Verdicts: verdicts}, nil
 }
 
 func (s *Server) chunkBatch(m proto.ChunkBatch) (any, error) {
@@ -1074,10 +1054,8 @@ func (s *Server) chunkBatch(m proto.ChunkBatch) (any, error) {
 			return nil, fmt.Errorf("server: chunk %d fingerprint mismatch (corruption in transit)", i)
 		}
 	}
-	if s.storage != nil {
-		if roErr := s.storage.ReadOnlyErr(); roErr != nil {
-			return nil, readOnlyRefusal(roErr)
-		}
+	if roErr := s.storage.ReadOnlyErr(); roErr != nil {
+		return nil, readOnlyRefusal(roErr)
 	}
 	// The batch's Data slices alias the connection's receive buffer,
 	// whose ownership passed to this message (proto's zero-copy decode),
@@ -1096,16 +1074,13 @@ func (s *Server) chunkBatch(m proto.ChunkBatch) (any, error) {
 			continue
 		}
 		if err := s.log.AppendOwned(f, uint32(len(m.Data[i])), m.Data[i]); err != nil {
-			// A failed append on the durable path (ENOSPC, media error)
-			// flips the store read-only: the WAL tail is no longer
-			// trustworthy for further writes, but everything already
-			// acked is intact and restores keep serving. The client gets
-			// the typed refusal instead of a retry loop.
-			if s.storage != nil {
-				s.latchFault(err)
-				return nil, readOnlyRefusal(err)
-			}
-			return nil, err
+			// A failed append (ENOSPC, media error) flips the store
+			// read-only: the WAL tail is no longer trustworthy for
+			// further writes, but everything already acked is intact and
+			// restores keep serving. The client gets the typed refusal
+			// instead of a retry loop.
+			s.latchFault(err)
+			return nil, readOnlyRefusal(err)
 		}
 		s.markLogged(f)
 		staged += int64(len(m.Data[i]))
@@ -1126,29 +1101,25 @@ func (s *Server) chunkBatch(m proto.ChunkBatch) (any, error) {
 	// regardless of fsync.)
 	sess.logged = append(sess.logged, appended...)
 	sess.mu.Unlock()
-	if s.storage != nil {
-		// Durability-ack ordering: park the verdict on the batch's
-		// group-commit window and let the writer goroutine release it
-		// once the covering fsync has landed, so an acknowledged chunk is
-		// always recoverable after a crash. The deferral costs no
-		// pipeline stalls: the next frame dispatches while this verdict
-		// waits.
-		t := s.storage.WALTicket(staged)
-		return deferredReply{
-			done: t.Done(),
-			resolve: func() any {
-				if err := t.Wait(); err != nil {
-					// The covering fsync failed: the batch is not durable
-					// and must not be acknowledged. Latch read-only and
-					// refuse, exactly as a failed append would.
-					s.latchFault(err)
-					return ackFromErr(readOnlyRefusal(err))
-				}
-				return proto.Ack{OK: true}
-			},
-		}, nil
-	}
-	return proto.Ack{OK: true}, nil
+	// Durability-ack ordering: park the verdict on the batch's
+	// group-commit window and let the writer goroutine release it once
+	// the covering fsync has landed, so an acknowledged chunk is always
+	// recoverable after a crash. The deferral costs no pipeline stalls:
+	// the next frame dispatches while this verdict waits.
+	t := s.storage.WALTicket(staged)
+	return deferredReply{
+		done: t.Done(),
+		resolve: func() any {
+			if err := t.Wait(); err != nil {
+				// The covering fsync failed: the batch is not durable and
+				// must not be acknowledged. Latch read-only and refuse,
+				// exactly as a failed append would.
+				s.latchFault(err)
+				return ackFromErr(readOnlyRefusal(err))
+			}
+			return proto.Ack{OK: true}
+		},
+	}, nil
 }
 
 func (s *Server) fileMeta(m proto.FileMeta) (any, error) {
@@ -1206,17 +1177,15 @@ func (s *Server) endBackup(m proto.BackupEnd) (any, error) {
 	}
 	sess.mu.Unlock()
 
-	if s.storage != nil {
-		// Durability barrier before the run is marked complete: this
-		// run's recipes may reference chunks appended — and not yet
-		// synced — by a concurrent session (the log-layer dedup above),
-		// which this session's own batch tickets never covered. A
-		// zero-byte ticket waits for the next cumulative fsync, after
-		// which everything the run references is on disk.
-		if err := s.storage.WALTicket(0).Wait(); err != nil {
-			s.latchFault(err)
-			return nil, readOnlyRefusal(err)
-		}
+	// Durability barrier before the run is marked complete: this run's
+	// recipes may reference chunks appended — and not yet synced — by a
+	// concurrent session (the log-layer dedup above), which this
+	// session's own batch tickets never covered. A zero-byte ticket waits
+	// for the next cumulative fsync, after which everything the run
+	// references is on disk.
+	if err := s.storage.WALTicket(0).Wait(); err != nil {
+		s.latchFault(err)
+		return nil, readOnlyRefusal(err)
 	}
 
 	// Mark the run complete with the director before tearing the session
@@ -1266,13 +1235,11 @@ func (s *Server) runDedup2(m proto.Dedup2Request) (any, error) {
 	s.dedup2Mu.Lock()
 	defer s.dedup2Mu.Unlock()
 
-	if s.storage != nil {
-		if roErr := s.storage.ReadOnlyErr(); roErr != nil {
-			// A pass on a faulted store would append containers it cannot
-			// trust; refuse and leave the pending set untouched for a
-			// retry after the operator restarts with the fault cleared.
-			return proto.Dedup2Done{Err: readOnlyRefusal(roErr).Error()}, nil
-		}
+	if roErr := s.storage.ReadOnlyErr(); roErr != nil {
+		// A pass on a faulted store would append containers it cannot
+		// trust; refuse and leave the pending set untouched for a retry
+		// after the operator restarts with the fault cleared.
+		return proto.Dedup2Done{Err: readOnlyRefusal(roErr).Error()}, nil
 	}
 
 	// Quiet detection for the log truncation below: records belonging to
@@ -1342,32 +1309,30 @@ func (s *Server) runDedup2(m proto.Dedup2Request) (any, error) {
 			s.cfg.Dedup2StageHook("siu-done")
 		}
 	}
-	if s.storage != nil {
-		// Make the pass durable: fsync the index and write the clean
-		// marker, so a restart trusts the index file instead of
-		// rebuilding it from container metadata.
-		if err := s.storage.Checkpoint(); err != nil {
-			s.failOnDiskFault(err)
-			mDedup2Errors.Inc()
-			s.slog.Warn("dedup-2 checkpoint failed", "err", err)
-			return proto.Dedup2Done{Err: err.Error()}, nil
-		}
+	// Make the pass durable: fsync the index and write the clean marker,
+	// so a restart trusts the index file instead of rebuilding it from
+	// container metadata.
+	if err := s.storage.Checkpoint(); err != nil {
+		s.failOnDiskFault(err)
+		mDedup2Errors.Inc()
+		s.slog.Warn("dedup-2 checkpoint failed", "err", err)
+		return proto.Dedup2Done{Err: err.Error()}, nil
 	}
 	// Truncate the drained chunk log only when (a) the pass was quiet —
 	// no backup session was in flight, so every logged chunk was either
 	// stored or proven duplicate — and (b) the stored chunks are
 	// reachable through a durable index (after SIU + checkpoint; when SIU
-	// was deferred, a durable server keeps the WAL because the
-	// unregistered entries exist only in memory). s.mu is held across the
-	// truncation: with the session table empty and locked, no session can
-	// start (startBackup needs s.mu) and no chunk can reach the log
-	// (chunkBatch needs a live session), so the quiet invariant holds
-	// atomically with the Reset. A skipped truncation costs nothing but
-	// log space: the records replay as duplicates on the next pass.
+	// was deferred the WAL stays, because the unregistered entries exist
+	// only in memory). s.mu is held across the truncation: with the
+	// session table empty and locked, no session can start (startBackup
+	// needs s.mu) and no chunk can reach the log (chunkBatch needs a live
+	// session), so the quiet invariant holds atomically with the Reset. A
+	// skipped truncation costs nothing but log space: the records replay
+	// as duplicates on the next pass.
 	s.mu.Lock()
 	quiet = quiet && len(s.sessions) == 0 && s.sessEpoch == epoch
 	var resetErr error
-	if quiet && (runSIU || s.storage == nil) {
+	if quiet && runSIU {
 		resetErr = s.log.Reset()
 		if resetErr == nil {
 			// The truncated log holds nothing: the logged-fingerprint
@@ -1392,7 +1357,7 @@ func (s *Server) runDedup2(m proto.Dedup2Request) (any, error) {
 		"new_chunks", res.Store.NewChunks,
 		"dup_chunks", res.IndexDups+res.Store.DupChunks+res.CheckingDups,
 		"containers", res.Store.Containers,
-		"siu_ran", runSIU, "log_truncated", quiet && (runSIU || s.storage == nil))
+		"siu_ran", runSIU, "log_truncated", quiet && runSIU)
 	return proto.Dedup2Done{
 		NewChunks:  res.Store.NewChunks,
 		DupChunks:  res.IndexDups + res.Store.DupChunks + res.CheckingDups,
@@ -1400,12 +1365,12 @@ func (s *Server) runDedup2(m proto.Dedup2Request) (any, error) {
 	}, nil
 }
 
-// failOnDiskFault flips a durable store read-only when a dedup-2 stage
-// failed because the disk is full: further appends would only dig the
-// hole deeper, while the re-queued pending work keeps every logged chunk
+// failOnDiskFault flips the store read-only when a dedup-2 stage failed
+// because the disk is full: further appends would only dig the hole
+// deeper, while the re-queued pending work keeps every logged chunk
 // reachable for a pass after the operator intervenes.
 func (s *Server) failOnDiskFault(err error) {
-	if s.storage != nil && errors.Is(err, syscall.ENOSPC) {
+	if errors.Is(err, syscall.ENOSPC) {
 		s.latchFault(err)
 	}
 }
