@@ -29,7 +29,6 @@ func main() {
 	dir := flag.String("director", "", "director address (required for metadata)")
 	indexBits := flag.Uint("index-bits", 0, "disk index bucket bits, 2^n buckets, for a new data dir (0 = store default 16; an existing data dir keeps its manifest geometry)")
 	dataDir := flag.String("data-dir", "", "data directory for containers, disk index and chunk-log WAL (required)")
-	silWorkers := flag.Int("sil-workers", 0, "dedup-2 SIL workers: index regions scanned in parallel (0 = derive from GOMAXPROCS, 1 = serialized)")
 	idleTimeout := flag.Duration("idle-timeout", 0, "reap connections (and their backup sessions) silent this long (0 = 5m, negative = never)")
 	writeTimeout := flag.Duration("write-timeout", 0, "per-write deadline on client connections (0 = 2m, negative = none)")
 	controlTimeout := flag.Duration("control-timeout", 0, "dial and per-I/O deadline for director control calls (0 = 10s, negative = none)")
@@ -64,7 +63,6 @@ func main() {
 		DirectorAddr:   *dir,
 		IndexBits:      *indexBits,
 		DataDir:        *dataDir,
-		SILWorkers:     *silWorkers,
 		IdleTimeout:    *idleTimeout,
 		WriteTimeout:   *writeTimeout,
 		ControlTimeout: *controlTimeout,

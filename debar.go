@@ -107,8 +107,8 @@
 // Metric names are prefixed by layer: server_* (sessions, prefilter
 // hits/misses, chunk ingest, dedup-2 pass latencies, restore streams),
 // store_* (WAL append/fsync latencies, group-commit window
-// distributions, segment rotations, index lookups), dedup2_region_*
-// (per-region SIL scan/pack/commit latencies), director_* (run
+// distributions, segment rotations, index lookups), dedup2_pass_* (the
+// dedup-2 pass's SIL scan, packing and container-append split), director_* (run
 // lifecycle, dedup-2 trigger outcomes, control retries) and client_*
 // (retries, resumes, pipeline window occupancy). The storage-engine
 // series, and how to read the group-commit coalescing histograms, are

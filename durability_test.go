@@ -301,7 +301,7 @@ func TestDurabilityStreamingRestoreAfterKill(t *testing.T) {
 }
 
 // TestDurabilityCrashBetweenSILAndSIU kills the deployment in the middle
-// of a dedup-2 pass: the sharded SIL stage has committed its containers
+// of a dedup-2 pass: SIL and chunk storing have appended the containers
 // but the SIU index writes, the engine checkpoint and the WAL truncation
 // never happen. The on-disk state is snapshotted byte-for-byte from
 // inside the "sil-stored" stage hook — exactly what a SIGKILL at that

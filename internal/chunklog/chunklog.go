@@ -20,17 +20,24 @@ import (
 )
 
 // Record is one <F, D(F)> group.
+//
+// Data is nil in accounting mode. A record handed to an Iterate callback
+// borrows Data from the walk's read window: it is valid only until the
+// callback returns, so a callback that keeps the payload copies it.
 type Record struct {
 	FP   fp.FP
 	Size uint32
-	Data []byte // nil in accounting mode
+	Data []byte
 }
 
 const recordHeader = fp.Size + 4
 
-// Log is a chunk log. Append and Iterate are mutually exclusive phases;
-// the log serialises them with a mutex so a File Store (dedup-1 writer)
-// and Chunk Store (dedup-2 reader) never interleave mid-record.
+// Log is a chunk log. Appends are serialised by a mutex. Iterate (and a
+// View) reads a snapshot bounded under that mutex and then walks it
+// without holding it, so the File Store (dedup-1 writer) keeps appending
+// while the Chunk Store (dedup-2 reader) drains the log; records appended
+// meanwhile lie past the snapshot and wait for the next pass. Reset must
+// not run while a walk is in progress.
 //
 // A Log is either memory-backed (NewMem) or a durable WAL (OpenWAL).
 type Log struct {
@@ -152,23 +159,18 @@ func (l *Log) Bytes() int64 {
 }
 
 // Iterate sequentially reads the log, invoking fn per group in append
-// order. Charges one sequential read over the log. fn's data argument is
-// nil in accounting mode.
+// order. Charges one sequential read over the log. It walks a View of the
+// records appended before the call without holding the log's lock, so
+// appends proceed while fn runs. The Record's Data is valid only during
+// fn (see Record).
 func (l *Log) Iterate(fn func(Record) error) error {
 	l.mu.Lock()
-	defer l.mu.Unlock()
 	if l.disk != nil {
 		l.disk.SeqRead(l.bytes + int64(l.Len())*recordHeader)
 	}
-	if l.file != nil {
-		return walkWAL(l.file, l.end, fn)
-	}
-	for _, r := range l.recs {
-		if err := fn(r); err != nil {
-			return err
-		}
-	}
-	return nil
+	v := l.view()
+	l.mu.Unlock()
+	return v.Iterate(fn)
 }
 
 // Len returns the in-memory record count without locking.

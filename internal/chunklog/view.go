@@ -2,12 +2,12 @@ package chunklog
 
 // View is a stable snapshot of the log taken at a point in time: it covers
 // exactly the records appended before View() returned and can be iterated
-// WITHOUT holding the log's mutex, so several readers — the per-region
-// chunk-store workers of parallel dedup-2 — may replay the same snapshot
-// concurrently while dedup-1 keeps appending behind it. Appends past the
-// snapshot boundary are invisible to the view; Reset must not be called
-// while views are live (the server's dedup-2 pass guarantees this: Reset
-// happens only at the end of the pass that owns the views).
+// WITHOUT holding the log's mutex, so dedup-2 replays the snapshot while
+// dedup-1 keeps appending behind it, and several readers may replay the
+// same snapshot concurrently. Appends past the snapshot boundary are
+// invisible to the view; Reset must not be called while views are live
+// (the server's dedup-2 pass guarantees this: Reset happens only at the
+// end of the pass that owns the view).
 type View struct {
 	l    *Log
 	recs []Record // memory-backed snapshot (nil for WAL logs)
@@ -18,6 +18,13 @@ type View struct {
 func (l *Log) View() *View {
 	l.mu.Lock()
 	defer l.mu.Unlock()
+	return l.view()
+}
+
+// view is View for a caller already holding the log's lock.
+//
+// debarvet:holds mu -- View and Iterate call it with l.mu held.
+func (l *Log) view() *View {
 	v := &View{l: l}
 	if l.file != nil {
 		v.end = l.end
@@ -40,12 +47,12 @@ func (v *View) Len() (int64, error) {
 	return n, err
 }
 
-// Iterate replays the snapshot's records in append order. Unlike
-// Log.Iterate it holds no lock, so any number of views (or iterations of
-// one view) may run concurrently; WAL reads are positional (ReadAt). No
-// sequential-read charge is made here: the disk cost model meters the
-// lock-serialised path, while concurrent replay cost is measured by the
-// wall-clock benchmarks.
+// Iterate replays the snapshot's records in append order. It holds no
+// lock, so any number of views (or iterations of one view) may run
+// concurrently; WAL reads are positional (ReadAt), each walk through its
+// own read window, and a Record's Data is valid only during fn (see
+// Record). No sequential-read charge is made here: the disk cost model is
+// charged by Log.Iterate.
 func (v *View) Iterate(fn func(Record) error) error {
 	if v.l.file != nil {
 		return walkWAL(v.l.file, v.end, fn)

@@ -56,7 +56,25 @@ const walHeader = 4 + fp.Size + 4
 // default), so 256 MB is far above any legitimate record.
 const walMaxRecord = 256 << 20
 
+// walWindow is the read window walkWAL streams the log through: one
+// positional read per window rather than an allocation and two reads per
+// record. A record larger than the window grows it for the rest of the
+// walk.
+const walWindow = 4 << 20
+
 var castagnoli = crc32.MakeTable(crc32.Castagnoli)
+
+// corruptRecord reports a record whose framing or checksum is invalid.
+// Recovery truncates the log at off; a walk of a recovered log returns it
+// as an error, since the damage happened after the log was opened.
+type corruptRecord struct {
+	off int64
+	why string
+}
+
+func (e *corruptRecord) Error() string {
+	return fmt.Sprintf("chunklog: wal record at offset %d %s (media corruption?)", e.off, e.why)
+}
 
 // OpenWAL opens (creating if needed) a durable chunk-log WAL at path,
 // recovering any existing records. It returns the log and the fingerprints
@@ -86,32 +104,17 @@ func (l *Log) recoverWAL() ([]fp.FP, error) {
 	}
 	fileSize := st.Size()
 	var fps []fp.FP
-	var hdr [walHeader]byte
-	off := int64(0)
-	for {
-		if off+walHeader > fileSize {
-			break // short header: torn tail
-		}
-		if _, err := l.file.ReadAt(hdr[:], off); err != nil {
-			return nil, fmt.Errorf("chunklog: wal scan: %w", err)
-		}
-		size := int64(binary.BigEndian.Uint32(hdr[4+fp.Size:]))
-		if size > walMaxRecord || off+walHeader+size > fileSize {
-			break // implausible length or short payload: torn tail
-		}
-		body := make([]byte, fp.Size+4+size)
-		copy(body, hdr[4:])
-		if _, err := l.file.ReadAt(body[fp.Size+4:], off+walHeader); err != nil {
-			return nil, fmt.Errorf("chunklog: wal scan: %w", err)
-		}
-		if binary.BigEndian.Uint32(hdr[:4]) != crc32.Checksum(body, castagnoli) {
-			break // checksum mismatch: torn or corrupt tail
-		}
-		var f fp.FP
-		copy(f[:], body[:fp.Size])
-		fps = append(fps, f)
-		l.bytes += size
-		off += walHeader + size
+	err = walkWAL(l.file, fileSize, func(r Record) error {
+		fps = append(fps, r.FP)
+		l.bytes += int64(r.Size)
+		return nil
+	})
+	off := fileSize
+	var bad *corruptRecord
+	if errors.As(err, &bad) {
+		off = bad.off // short header, implausible length or bad checksum: torn tail
+	} else if err != nil {
+		return nil, err
 	}
 	if off < fileSize {
 		// Truncating covers both a torn tail and a zero-filled one (zeros
@@ -149,33 +152,66 @@ func (l *Log) appendWAL(f fp.FP, size uint32, data []byte) error {
 }
 
 // walkWAL replays the records of file below offset end in append order,
-// re-verifying checksums (corruption after recovery — bad sectors —
-// surfaces here rather than as a wrong chunk in a container). Log.Iterate
-// bounds it at the live append offset, View.Iterate at its snapshot.
+// streaming the file through one reused read window and verifying every
+// record's checksum in place (corruption after recovery — bad sectors —
+// surfaces here rather than as a wrong chunk in a container). A record
+// whose framing or checksum is invalid stops the walk with a
+// *corruptRecord naming its offset; a declared size is bounded before
+// anything is read or allocated for it. Each Record's Data aliases the
+// window and is valid only until fn returns. Recovery bounds the walk at
+// the file size, View.Iterate at its snapshot.
 func walkWAL(file *os.File, end int64, fn func(Record) error) error {
-	var hdr [walHeader]byte
-	off := int64(0)
-	for off < end {
-		if _, err := file.ReadAt(hdr[:], off); err != nil {
-			return fmt.Errorf("chunklog: wal iterate: %w", err)
+	buf := make([]byte, min(end, walWindow))
+	var base, filled int64 // buf[:filled-base] holds file bytes [base, filled)
+	// load makes buf hold file bytes [off, off+n), sliding the unread part
+	// of the window to its front (at most one partial record) and
+	// refilling the rest with one read.
+	load := func(off, n int64) error {
+		if off+n <= filled {
+			return nil
 		}
-		size := int64(binary.BigEndian.Uint32(hdr[4+fp.Size:]))
-		body := make([]byte, fp.Size+4+size)
-		copy(body, hdr[4:])
-		if _, err := file.ReadAt(body[fp.Size+4:], off+walHeader); err != nil {
-			return fmt.Errorf("chunklog: wal iterate: %w", err)
+		keep := filled - off
+		if n > int64(len(buf)) {
+			grown := make([]byte, n)
+			copy(grown, buf[off-base:filled-base])
+			buf = grown
+		} else {
+			copy(buf, buf[off-base:filled-base])
 		}
-		if binary.BigEndian.Uint32(hdr[:4]) != crc32.Checksum(body, castagnoli) {
-			return fmt.Errorf("chunklog: wal record at offset %d fails checksum (media corruption?)", off)
+		base = off
+		top := min(int64(len(buf)), end-base)
+		if _, err := file.ReadAt(buf[keep:top], filled); err != nil {
+			return fmt.Errorf("chunklog: wal read at offset %d: %w", filled, err)
 		}
-		var r Record
-		copy(r.FP[:], body[:fp.Size])
-		r.Size = uint32(size)
-		r.Data = body[fp.Size+4:]
+		filled = base + top
+		return nil
+	}
+	for off := int64(0); off < end; {
+		if off+walHeader > end {
+			return &corruptRecord{off, "has a short header"}
+		}
+		if err := load(off, walHeader); err != nil {
+			return err
+		}
+		size := int64(binary.BigEndian.Uint32(buf[off-base+4+fp.Size:]))
+		if size > walMaxRecord || off+walHeader+size > end {
+			return &corruptRecord{off, fmt.Sprintf("declares %d payload bytes (limit %d, %d left in the log)",
+				size, walMaxRecord, end-off-walHeader)}
+		}
+		n := walHeader + size
+		if err := load(off, n); err != nil {
+			return err
+		}
+		rec := buf[off-base : off-base+n]
+		if binary.BigEndian.Uint32(rec) != crc32.Checksum(rec[4:], castagnoli) {
+			return &corruptRecord{off, "fails checksum"}
+		}
+		r := Record{Size: uint32(size), Data: rec[walHeader:n:n]}
+		copy(r.FP[:], rec[4:])
 		if err := fn(r); err != nil {
 			return err
 		}
-		off += walHeader + size
+		off += n
 	}
 	return nil
 }

@@ -1,10 +1,15 @@
 package chunklog
 
 import (
+	"bytes"
+	"encoding/binary"
 	"errors"
+	"fmt"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
+	"time"
 
 	"debar/internal/fp"
 	"debar/internal/obs"
@@ -300,6 +305,197 @@ func TestWALAppendNeverSyncsInline(t *testing.T) {
 	}
 	if len(fps) != n {
 		t.Fatalf("recovered %d fps, want %d", len(fps), n)
+	}
+}
+
+// windowPayload is the deterministic payload of record i of size n.
+func windowPayload(i, n int) []byte {
+	data := make([]byte, n)
+	for j := range data {
+		data[j] = byte(i*7 + j)
+	}
+	return data
+}
+
+// TestWALWalkWindowEdges walks records laid out against the read window:
+// a header and a payload that each straddle a window edge, one record
+// larger than the window, and small records after it. Log.Iterate,
+// View.Iterate and recovery must all see them byte-identically.
+func TestWALWalkWindowEdges(t *testing.T) {
+	sizes := []int{
+		walWindow - 10 - walHeader,  // the next header straddles the first edge
+		walWindow - 100 - walHeader, // the next payload straddles the second
+		1000,
+		walWindow + 1000, // larger than the window: the walk grows it
+		64,
+		65,
+	}
+	path := filepath.Join(t.TempDir(), "chunklog.wal")
+	l, _, err := OpenWAL(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer l.Close()
+	for i, n := range sizes {
+		data := windowPayload(i, n)
+		if err := l.Append(fp.New(data), uint32(n), data); err != nil {
+			t.Fatal(err)
+		}
+	}
+	check := func(name string, iterate func(func(Record) error) error) {
+		t.Helper()
+		i := 0
+		err := iterate(func(r Record) error {
+			want := windowPayload(i, sizes[i])
+			if r.FP != fp.New(want) || int(r.Size) != len(want) || !bytes.Equal(r.Data, want) {
+				t.Fatalf("%s: record %d (%d bytes) differs", name, i, sizes[i])
+			}
+			i++
+			return nil
+		})
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		if i != len(sizes) {
+			t.Fatalf("%s: walked %d records, want %d", name, i, len(sizes))
+		}
+	}
+	check("Log.Iterate", l.Iterate)
+	check("View.Iterate", l.View().Iterate)
+	if err := l.Sync(); err != nil {
+		t.Fatal(err)
+	}
+	l2, fps, err := OpenWAL(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer l2.Close()
+	if len(fps) != len(sizes) {
+		t.Fatalf("recovered %d records, want %d", len(fps), len(sizes))
+	}
+	check("reopened Log.Iterate", l2.Iterate)
+}
+
+// TestWALWalkAllocsConstant: a walk allocates its read window once, not a
+// buffer per record.
+func TestWALWalkAllocsConstant(t *testing.T) {
+	l, _, err := OpenWAL(filepath.Join(t.TempDir(), "chunklog.wal"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer l.Close()
+	data := make([]byte, 64)
+	for i := 0; i < 1000; i++ {
+		data[0], data[1] = byte(i), byte(i>>8)
+		if err := l.Append(fp.FromUint64(uint64(i)), uint32(len(data)), data); err != nil {
+			t.Fatal(err)
+		}
+	}
+	var walked int
+	allocs := testing.AllocsPerRun(5, func() {
+		walked = 0
+		if err := l.Iterate(func(Record) error { walked++; return nil }); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if walked != 1000 {
+		t.Fatalf("walked %d records, want 1000", walked)
+	}
+	if allocs > 8 {
+		t.Fatalf("a 1000-record walk made %.0f allocations, want a small constant", allocs)
+	}
+}
+
+// TestWALWalkRejectsOversizedRecord: a size field damaged after recovery
+// stops the walk with a corruption error naming the record's offset,
+// before a buffer of the declared size is allocated.
+func TestWALWalkRejectsOversizedRecord(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "chunklog.wal")
+	l, _, err := OpenWAL(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer l.Close()
+	for i := 0; i < 3; i++ {
+		f, data := walRecord(i)
+		if err := l.Append(f, uint32(len(data)), data); err != nil {
+			t.Fatal(err)
+		}
+	}
+	_, first := walRecord(0)
+	off := int64(walHeader + len(first)) // record 2
+	f, err := os.OpenFile(path, os.O_RDWR, 0o644)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var size [4]byte
+	binary.BigEndian.PutUint32(size[:], 300<<20) // over walMaxRecord, still allocatable
+	if _, err := f.WriteAt(size[:], off+4+fp.Size); err != nil {
+		t.Fatal(err)
+	}
+	if err := f.Close(); err != nil {
+		t.Fatal(err)
+	}
+	err = l.Iterate(func(Record) error { return nil })
+	if err == nil || !strings.Contains(err.Error(), fmt.Sprintf("offset %d ", off)) {
+		t.Fatalf("Iterate over a damaged size field = %v, want a corruption error at offset %d", err, off)
+	}
+}
+
+// TestIterateDoesNotBlockAppend: Iterate walks a snapshot without the
+// log's lock, so dedup-1 appends proceed while a dedup-2 walk is parked
+// in its callback, and land past the snapshot.
+func TestIterateDoesNotBlockAppend(t *testing.T) {
+	for _, mode := range []string{"mem", "wal"} {
+		t.Run(mode, func(t *testing.T) {
+			l := NewMem(false, nil)
+			if mode == "wal" {
+				var err error
+				if l, _, err = OpenWAL(filepath.Join(t.TempDir(), "chunklog.wal")); err != nil {
+					t.Fatal(err)
+				}
+				defer l.Close()
+			}
+			appendN(t, l, 0, 3)
+			entered, release := make(chan struct{}), make(chan struct{})
+			walked := 0
+			iterDone := make(chan error, 1)
+			go func() {
+				iterDone <- l.Iterate(func(Record) error {
+					if walked++; walked == 1 {
+						close(entered)
+						<-release
+					}
+					return nil
+				})
+			}()
+			<-entered
+			appended := make(chan error, 1)
+			go func() {
+				data := []byte("appended during the walk")
+				appended <- l.Append(fp.New(data), uint32(len(data)), data)
+			}()
+			select {
+			case err := <-appended:
+				if err != nil {
+					close(release)
+					t.Fatal(err)
+				}
+			case <-time.After(5 * time.Second):
+				close(release)
+				t.Fatal("Append blocked behind a parked Iterate")
+			}
+			close(release)
+			if err := <-iterDone; err != nil {
+				t.Fatal(err)
+			}
+			if walked != 3 {
+				t.Fatalf("walk saw %d records, want the 3 appended before it", walked)
+			}
+			if got := l.Count(); got != 4 {
+				t.Fatalf("Count = %d, want 4", got)
+			}
+		})
 	}
 }
 

@@ -72,22 +72,32 @@ func (c *Container) Chunk(f fp.FP) ([]byte, bool) {
 	return nil, false
 }
 
-// Marshal serialises the container (header, metadata section, data
-// section). Accounting-mode containers marshal with an empty data section.
+// Marshal serialises the container: MarshalHead followed by the data
+// section. Accounting-mode containers marshal with an empty data section.
 func (c *Container) Marshal() []byte {
-	buf := make([]byte, headerSize+len(c.Meta)*metaEntrySize+len(c.Data))
-	binary.BigEndian.PutUint32(buf[0:], magic)
-	binary.BigEndian.PutUint64(buf[4:], uint64(c.ID))
-	binary.BigEndian.PutUint32(buf[12:], uint32(len(c.Meta)))
-	binary.BigEndian.PutUint32(buf[16:], uint32(len(c.Data)))
-	off := headerSize
+	return append(c.appendHead(make([]byte, 0, c.headLen()+len(c.Data))), c.Data...)
+}
+
+// MarshalHead serialises the header and metadata section: Marshal's image
+// up to the data section, which follows it unchanged. A writer that emits
+// MarshalHead and then c.Data produces the Marshal image without copying
+// the chunk bytes into it.
+func (c *Container) MarshalHead() []byte {
+	return c.appendHead(make([]byte, 0, c.headLen()))
+}
+
+func (c *Container) headLen() int { return headerSize + len(c.Meta)*metaEntrySize }
+
+func (c *Container) appendHead(buf []byte) []byte {
+	buf = binary.BigEndian.AppendUint32(buf, magic)
+	buf = binary.BigEndian.AppendUint64(buf, uint64(c.ID))
+	buf = binary.BigEndian.AppendUint32(buf, uint32(len(c.Meta)))
+	buf = binary.BigEndian.AppendUint32(buf, uint32(len(c.Data)))
 	for _, m := range c.Meta {
-		copy(buf[off:], m.FP[:])
-		binary.BigEndian.PutUint32(buf[off+fp.Size:], m.Size)
-		binary.BigEndian.PutUint32(buf[off+fp.Size+4:], m.Offset)
-		off += metaEntrySize
+		buf = append(buf, m.FP[:]...)
+		buf = binary.BigEndian.AppendUint32(buf, m.Size)
+		buf = binary.BigEndian.AppendUint32(buf, m.Offset)
 	}
-	copy(buf[off:], c.Data)
 	return buf
 }
 
@@ -211,6 +221,11 @@ func (w *Writer) Add(f fp.FP, size uint32, data []byte) bool {
 	}
 	w.meta = append(w.meta, ChunkMeta{FP: f, Size: size, Offset: uint32(len(w.data))})
 	if !w.metaOnly {
+		if w.data == nil {
+			// Size the data section once per container (Fits bounds it by
+			// the container size), so filling it never regrows and recopies.
+			w.data = make([]byte, 0, w.size-headerSize)
+		}
 		w.data = append(w.data, data...)
 	}
 	w.used += metaEntrySize + int(size)

@@ -126,6 +126,47 @@ func TestMarshalUnmarshalRoundTrip(t *testing.T) {
 	}
 }
 
+// TestMarshalHeadPrefixesImage: MarshalHead is exactly the image Marshal
+// writes in front of the data section, with and without payloads.
+func TestMarshalHeadPrefixesImage(t *testing.T) {
+	for _, metaOnly := range []bool{false, true} {
+		w := NewWriter(1<<16, metaOnly)
+		for i := uint64(0); i < 10; i++ {
+			f, data := chunkOf(i, 100+int(i))
+			if metaOnly {
+				data = nil
+			}
+			w.Add(f, uint32(100+i), data)
+		}
+		c := w.Seal(42)
+		if got := append(c.MarshalHead(), c.Data...); !bytes.Equal(got, c.Marshal()) {
+			t.Fatalf("metaOnly=%v: MarshalHead+Data differs from Marshal", metaOnly)
+		}
+	}
+}
+
+// TestWriterSizesDataOnce: the data section is allocated at the container
+// size on the first Add and filled in place, never regrown.
+func TestWriterSizesDataOnce(t *testing.T) {
+	const size = 1 << 16
+	w := NewWriter(size, false)
+	var first *byte
+	for i := uint64(0); ; i++ {
+		f, data := chunkOf(i, 1000)
+		if !w.Add(f, 1000, data) {
+			break
+		}
+		if first == nil {
+			first = &w.data[0]
+		} else if &w.data[0] != first {
+			t.Fatalf("data section moved after %d chunks", i)
+		}
+	}
+	if c := w.Seal(0); cap(c.Data) != size-headerSize {
+		t.Fatalf("data section capacity %d, want %d", cap(c.Data), size-headerSize)
+	}
+}
+
 func TestUnmarshalRejectsCorrupt(t *testing.T) {
 	if _, err := Unmarshal([]byte("xx")); err == nil {
 		t.Error("short buffer accepted")

@@ -6,25 +6,18 @@ import (
 	"path/filepath"
 	"sync"
 	"testing"
-
-	"debar/internal/server"
 )
 
-// sharded runs the server with 4 SIL workers, so the region-sharded
-// dedup-2 path is exercised end to end regardless of the host's
-// GOMAXPROCS (the config default derives from it and would fall back to
-// the serialized path on a single-core machine).
-func sharded(c *server.Config) { c.SILWorkers = 4 }
-
 // TestShardedDedup2ServerRoundTrip drives two duplicate-heavy backup
-// generations through a server running 4 SIL workers and restores both
-// byte-identical. The second generation re-sends the first generation's
-// content under a new job, so its dedup-2 pass resolves nearly every
-// fingerprint through the parallel region scans. The subtest name marks
-// the durable storage engine, which every server now runs on.
+// generations through the server's single-stream dedup-2 pass and
+// restores the second byte-identical. The second generation re-sends the
+// first generation's content under a new job, so its pass resolves nearly
+// every fingerprint through the SIL index scan. The name predates the
+// removal of the server's region-sharded pass; the subtest name marks the
+// durable storage engine, which every server runs on.
 func TestShardedDedup2ServerRoundTrip(t *testing.T) {
 	t.Run("durable", func(t *testing.T) {
-		d, _, srvAddr := startServer(t, sharded)
+		d, _, srvAddr := startServer(t, nil)
 
 		src := t.TempDir()
 		files := writeTree(t, src, 3)
@@ -68,12 +61,13 @@ func TestShardedDedup2ServerRoundTrip(t *testing.T) {
 	})
 }
 
-// TestShardedDedup2DuringBackup overlaps sharded dedup-2 passes with a
-// live backup session: the pass snapshots the chunk log while dedup-1
-// keeps appending behind it, and chunks of the in-flight session must
-// survive to the next pass (their fingerprints are not yet pending).
+// TestShardedDedup2DuringBackup overlaps dedup-2 passes with live backup
+// sessions: each pass walks a snapshot of the chunk log without its lock
+// while dedup-1 keeps appending behind it, and chunks of the in-flight
+// sessions must survive to the next pass (their fingerprints are not yet
+// pending).
 func TestShardedDedup2DuringBackup(t *testing.T) {
-	d, _, srvAddr := startServer(t, sharded)
+	d, _, srvAddr := startServer(t, nil)
 
 	src := t.TempDir()
 	files := writeTree(t, src, 9)

@@ -51,6 +51,12 @@ func TestObservabilityCountersMove(t *testing.T) {
 	if gen1("server_dedup2_sil_seconds_count") < 1 {
 		t.Fatal("dedup-2 SIL latency not observed")
 	}
+	// The pass's own stage split: SIL scan, packing, container appends.
+	for _, stage := range []string{"sil", "pack", "append"} {
+		if name := "dedup2_pass_" + stage + "_seconds_count"; gen1(name) < 1 {
+			t.Fatalf("dedup-2 pass stage %s not observed", name)
+		}
+	}
 
 	// Group commit: every fsync window must have served >= 1 enqueue,
 	// and a durable backup cannot complete without syncing at all.

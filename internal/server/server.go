@@ -15,7 +15,6 @@ import (
 	"fmt"
 	"log/slog"
 	"net"
-	"runtime"
 	"sync"
 	"syscall"
 	"time"
@@ -77,14 +76,6 @@ type Config struct {
 	RestoreBatchChunks int // default 256
 	RestoreWindow      int // default 4
 
-	// SILWorkers is the dedup-2 parallelism: the disk index splits into
-	// this many contiguous fingerprint-prefix regions, each scanned by its
-	// own SIL worker with overlapped per-region container packing (see
-	// internal/tpds, "Region-sharded dedup-2"). 0 derives the worker count
-	// from GOMAXPROCS (capped at maxSILWorkers); 1 keeps the serialized
-	// single-pass dedup-2.
-	SILWorkers int
-
 	// Storage and DataDir name the server's store engine; exactly one
 	// must be set. Storage is an engine the caller already opened (fault
 	// tests inject faults into it): container repository, disk index and
@@ -126,9 +117,10 @@ type Config struct {
 	DisableInlineDedup bool
 
 	// Dedup2StageHook, when non-nil, is invoked at dedup-2 stage
-	// boundaries ("sil-stored" after the sharded SIL container commits,
-	// "siu-done" after the index writes). Fault-injection tests use it to
-	// snapshot or kill the store between stages; production leaves it nil.
+	// boundaries ("sil-stored" after SIL and chunk storing have appended
+	// the pass's containers, "siu-done" after the index writes).
+	// Fault-injection tests use it to snapshot or kill the store between
+	// stages; production leaves it nil.
 	Dedup2StageHook func(stage string)
 
 	// Logger receives the server's structured log events (connection
@@ -152,15 +144,6 @@ func (c Config) withDefaults() Config {
 	if c.RestoreWindow == 0 {
 		c.RestoreWindow = 4
 	}
-	if c.SILWorkers == 0 {
-		c.SILWorkers = runtime.GOMAXPROCS(0)
-		if c.SILWorkers > maxSILWorkers {
-			c.SILWorkers = maxSILWorkers
-		}
-	}
-	if c.SILWorkers < 1 {
-		c.SILWorkers = 1
-	}
 	c.IdleTimeout = resolveTimeout(c.IdleTimeout, 5*time.Minute)
 	c.WriteTimeout = resolveTimeout(c.WriteTimeout, 2*time.Minute)
 	c.ControlTimeout = resolveTimeout(c.ControlTimeout, 10*time.Second)
@@ -183,12 +166,6 @@ func resolveTimeout(v, def time.Duration) time.Duration {
 	}
 	return v
 }
-
-// maxSILWorkers caps the GOMAXPROCS-derived dedup-2 parallelism: past a
-// handful of workers the per-region scans stop being the bottleneck while
-// the staged-container memory and log re-read amplification keep growing.
-// An explicit Config.SILWorkers overrides the cap.
-const maxSILWorkers = 8
 
 // Hard caps on client-requested restore flow control, and the byte budget
 // at which a batch is cut regardless of its chunk count. 4 MB keeps every
@@ -280,8 +257,9 @@ type Server struct {
 
 	// dedup2Mu serialises dedup-2 passes: SIU is a whole-index
 	// read-modify-write and overlapping passes would double-drain the
-	// chunk log. Within one pass, SIL and chunk storing shard across
-	// cfg.SILWorkers index regions (internal/tpds).
+	// chunk log. One pass is a single stream: SIL, then chunk storing over
+	// a lock-free snapshot of the chunk log (tpds.ChunkStore.RunSILAndStore),
+	// so dedup-1 appends keep flowing behind it.
 	dedup2Mu sync.Mutex
 
 	log      *chunklog.Log
@@ -318,7 +296,6 @@ func New(cfg Config) (*Server, error) {
 	pending := eng.PendingFPs()
 	cs := tpds.NewChunkStore(ix, repo, false, true)
 	cs.ContainerSize = cfg.ContainerSize
-	cs.Workers = cfg.SILWorkers
 	// Seed the logged-fingerprint set from the WAL replay: chunks already
 	// in the log need no second copy from any session.
 	loggedFP := make(map[fp.FP]struct{}, len(pending))

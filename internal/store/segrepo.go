@@ -328,8 +328,9 @@ func (r *SegRepo) Append(c *container.Container) (fp.ContainerID, error) {
 		return 0, fmt.Errorf("store: repository full (40-bit ID space exhausted)")
 	}
 	stored := &container.Container{ID: id, Meta: c.Meta, Data: c.Data}
-	img := stored.Marshal()
-	frameLen := int64(segFrameHdr + len(img))
+	head := stored.MarshalHead()
+	imgLen := int64(len(head) + len(c.Data))
+	frameLen := segFrameHdr + imgLen
 	if r.end > 0 && r.end+frameLen > r.segBytes {
 		// Seal the active segment: shrink it to its exact record length
 		// (dropping any bytes a failed partial write left past r.end —
@@ -353,16 +354,23 @@ func (r *SegRepo) Append(c *container.Container) (fp.ContainerID, error) {
 		mSegmentRotations.Inc()
 	}
 	seg := r.active()
-	frame := make([]byte, frameLen)
+	// The image is never assembled: frame header and container head go
+	// out in one write, the data section straight from the caller's buffer
+	// in a second, and the checksum runs over both in image order.
+	crc := crc32.Update(crc32.Checksum(head, segCastagnoli), segCastagnoli, c.Data)
+	frame := make([]byte, segFrameHdr, segFrameHdr+len(head))
 	binary.BigEndian.PutUint32(frame[0:], segFrameMagic)
-	binary.BigEndian.PutUint32(frame[4:], uint32(len(img)))
-	binary.BigEndian.PutUint32(frame[8:], crc32.Checksum(img, segCastagnoli))
-	copy(frame[segFrameHdr:], img)
+	binary.BigEndian.PutUint32(frame[4:], uint32(imgLen))
+	binary.BigEndian.PutUint32(frame[8:], crc)
+	frame = append(frame, head...)
 	if _, err := seg.f.WriteAt(frame, r.end); err != nil {
 		return 0, fmt.Errorf("store: appending container %v: %w", id, err)
 	}
+	if _, err := seg.f.WriteAt(c.Data, r.end+int64(len(frame))); err != nil {
+		return 0, fmt.Errorf("store: appending container %v: %w", id, err)
+	}
 	r.gc.Enqueue(frameLen)
-	r.loc[id] = segLoc{seg: len(r.segs) - 1, off: r.end, imgLen: int64(len(img))}
+	r.loc[id] = segLoc{seg: len(r.segs) - 1, off: r.end, imgLen: imgLen}
 	r.end += frameLen
 	seg.size = r.end
 	r.bytes += stored.DataBytes()

@@ -2,6 +2,8 @@ package store
 
 import (
 	"bytes"
+	"encoding/binary"
+	"hash/crc32"
 	"os"
 	"path/filepath"
 	"sync"
@@ -265,6 +267,50 @@ func TestSegRepoCorruptRecordDetected(t *testing.T) {
 	defer r2.Close()
 	if got := r2.Containers(); got != 1 {
 		t.Fatalf("recovered %d containers after corruption, want 1", got)
+	}
+}
+
+// TestSegRepoAppendFramePinned pins the segment frame Append writes:
+// magic | len | crc32c(img) | img, with img the Marshal image of the
+// container under its assigned ID, and store_container_append_bytes_total
+// grows by exactly the frame length. A metaOnly (nil Data) container is
+// framed the same way.
+func TestSegRepoAppendFramePinned(t *testing.T) {
+	r, err := OpenSegRepo(t.TempDir(), 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer r.Close()
+	metaOnly := container.NewWriter(1<<20, true)
+	for i := 0; i < 5; i++ {
+		metaOnly.Add(fp.FromUint64(uint64(i)), 4096, nil)
+	}
+	for _, c := range []*container.Container{testContainer(1, 50), metaOnly.Seal(0), testContainer(2, 300)} {
+		before := mRepoAppendBytes.Value()
+		id, err := r.Append(c)
+		if err != nil {
+			t.Fatal(err)
+		}
+		img := (&container.Container{ID: id, Meta: c.Meta, Data: c.Data}).Marshal()
+		want := binary.BigEndian.AppendUint32(nil, segFrameMagic)
+		want = binary.BigEndian.AppendUint32(want, uint32(len(img)))
+		want = binary.BigEndian.AppendUint32(want, crc32.Checksum(img, crc32.MakeTable(crc32.Castagnoli)))
+		want = append(want, img...)
+
+		seg, loc, err := r.locate(id)
+		if err != nil {
+			t.Fatal(err)
+		}
+		got := make([]byte, len(want))
+		if _, err := seg.f.ReadAt(got, loc.off); err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(got, want) {
+			t.Fatalf("container %v: segment frame differs from magic|len|crc32c(img)|img", id)
+		}
+		if n := mRepoAppendBytes.Value() - before; n != int64(len(want)) {
+			t.Fatalf("container %v: append bytes grew by %d, want the frame length %d", id, n, len(want))
+		}
 	}
 }
 

@@ -30,6 +30,12 @@
 //
 // # Region-sharded dedup-2
 //
+// The backup server no longer runs this path: it runs the single-stream
+// pass (Workers 0 or 1), which keeps SISL stream order across the whole
+// pass and measured faster. Only the benchmark's SIL-worker probe and the
+// tests below still set Workers > 1, and the path (with
+// diskindex.Regions and indexcache.Partitioned) is slated for deletion.
+//
 // With ChunkStore.Workers > 1 the batch pass shards by fingerprint prefix,
 // the in-process analogue of the paper's performance scaling (§4.1: the
 // first w fingerprint bits select a backup server). The bucket space
@@ -67,6 +73,17 @@ import (
 	"debar/internal/diskindex"
 	"debar/internal/fp"
 	"debar/internal/indexcache"
+	"debar/internal/obs"
+)
+
+// Wall-clock split of one single-stream dedup-2 pass (RunSILAndStore):
+// the SIL index scan; packing, i.e. the chunk-log walk and the copy into
+// container buffers, with the appends excluded; and the sum of the
+// container appends.
+var (
+	mPassSILSec    = obs.GetHistogram("dedup2_pass_sil_seconds", obs.DurationBuckets)
+	mPassPackSec   = obs.GetHistogram("dedup2_pass_pack_seconds", obs.DurationBuckets)
+	mPassAppendSec = obs.GetHistogram("dedup2_pass_append_seconds", obs.DurationBuckets)
 )
 
 // SIL performs the sequential index lookup: it scans the disk index in
@@ -155,9 +172,20 @@ type StoreResult struct {
 // its container ID (§5.3).
 func StoreChunks(log *chunklog.Log, cache *indexcache.Cache, repo container.Repository,
 	containerSize int, metaOnly bool) (StoreResult, error) {
-	return packChunks(log.Iterate, nil, cache, containerSize, metaOnly, true,
+	res, _, err := storeChunks(log, cache, repo, containerSize, metaOnly)
+	return res, err
+}
+
+// storeChunks is StoreChunks that also returns the wall time spent in
+// repo.Append.
+func storeChunks(log *chunklog.Log, cache *indexcache.Cache, repo container.Repository,
+	containerSize int, metaOnly bool) (StoreResult, time.Duration, error) {
+	var appendTime time.Duration
+	res, err := packChunks(log.Iterate, nil, cache, containerSize, metaOnly, true,
 		func(c *container.Container, fps []fp.FP) error {
+			start := time.Now()
 			id, err := repo.Append(c)
+			appendTime += time.Since(start)
 			if err != nil {
 				return err
 			}
@@ -166,6 +194,7 @@ func StoreChunks(log *chunklog.Log, cache *indexcache.Cache, repo container.Repo
 			}
 			return nil
 		})
+	return res, appendTime, err
 }
 
 // packChunks is the container-packing engine shared by sequential chunk
@@ -323,7 +352,8 @@ type ChunkStore struct {
 	// Workers is the SIL parallelism: with Workers > 1 the SIL and
 	// chunk-store phases of a dedup-2 pass shard across that many
 	// contiguous index regions (see the package comment, "Region-sharded
-	// dedup-2"). 0 or 1 keeps the serialized single-pass path.
+	// dedup-2"). 0 or 1 keeps the single-stream pass, which is what the
+	// backup server runs.
 	Workers int
 }
 
@@ -353,9 +383,11 @@ func (cs *ChunkStore) clockNow() time.Duration {
 
 // RunSILAndStore executes SIL over the undetermined fingerprints and then
 // chunk storing over the log, returning the unregistered entries that a
-// (possibly asynchronous) SIU must still write to the disk index. With
-// Workers > 1 the pass shards across index regions with overlapped
-// per-region SIL and chunk storing (see runSILAndStoreParallel).
+// (possibly asynchronous) SIU must still write to the disk index. The
+// single-stream pass records its wall-clock split in the
+// dedup2_pass_{sil,pack,append}_seconds histograms. With Workers > 1 the
+// pass shards across index regions with overlapped per-region SIL and
+// chunk storing (see runSILAndStoreParallel).
 func (cs *ChunkStore) RunSILAndStore(undetermined []fp.FP, log *chunklog.Log, cacheBits uint) (Dedup2Result, []fp.Entry, error) {
 	if cs.Workers > 1 {
 		return cs.runSILAndStoreParallel(undetermined, log, cacheBits, cs.Workers)
@@ -370,8 +402,9 @@ func (cs *ChunkStore) RunSILAndStore(undetermined []fp.FP, log *chunklog.Log, ca
 		}
 	}
 
-	t0 := cs.clockNow()
+	t0, silStart := cs.clockNow(), time.Now()
 	dups, err := SIL(cs.Index, cache, cs.ScanBuckets)
+	mPassSILSec.Since(silStart)
 	if err != nil {
 		return res, nil, fmt.Errorf("tpds: SIL: %w", err)
 	}
@@ -382,8 +415,10 @@ func (cs *ChunkStore) RunSILAndStore(undetermined []fp.FP, log *chunklog.Log, ca
 		res.CheckingDups = cs.Checking.FilterSILResult(cache)
 	}
 
-	t1 := cs.clockNow()
-	store, err := StoreChunks(log, cache, cs.Repo, cs.ContainerSize, cs.MetaOnly)
+	t1, storeStart := cs.clockNow(), time.Now()
+	store, appendTime, err := storeChunks(log, cache, cs.Repo, cs.ContainerSize, cs.MetaOnly)
+	mPassPackSec.ObserveDuration(time.Since(storeStart) - appendTime)
+	mPassAppendSec.ObserveDuration(appendTime)
 	if err != nil {
 		return res, nil, fmt.Errorf("tpds: chunk storing: %w", err)
 	}
