@@ -2,6 +2,10 @@ package chunker
 
 import (
 	"bytes"
+	"crypto/sha256"
+	"encoding/binary"
+	"encoding/hex"
+	"errors"
 	"io"
 	"math/rand"
 	"testing"
@@ -15,84 +19,55 @@ func randBytes(seed int64, n int) []byte {
 	return b
 }
 
-func TestDefaultPolyIrreducible(t *testing.T) {
-	if !DefaultPoly.Irreducible() {
-		t.Fatal("DefaultPoly is not irreducible")
+// directHash is the gear hash of w computed without rolling: byte j
+// contributes gear[w[j]] shifted left once per byte after it.
+func directHash(w []byte) uint64 {
+	var h uint64
+	for j, b := range w {
+		h += gear[b] << (len(w) - 1 - j)
 	}
-	if DefaultPoly.Deg() != 53 {
-		t.Fatalf("DefaultPoly degree = %d, want 53", DefaultPoly.Deg())
-	}
-}
-
-func TestIrreducibleRejectsComposites(t *testing.T) {
-	// x^2 = x*x is reducible; (x+1)^2 = x^2+1 = 0b101 is reducible.
-	for _, p := range []Poly{0b100, 0b101, 0b11000} {
-		if p.Irreducible() {
-			t.Errorf("%b reported irreducible", p)
-		}
-	}
-	// x^2+x+1 = 0b111 is the unique irreducible quadratic.
-	if !Poly(0b111).Irreducible() {
-		t.Error("x^2+x+1 reported reducible")
-	}
-}
-
-func TestPolyDeg(t *testing.T) {
-	cases := []struct {
-		p    Poly
-		want int
-	}{{0, -1}, {1, 0}, {2, 1}, {3, 1}, {8, 3}, {DefaultPoly, 53}}
-	for _, c := range cases {
-		if got := c.p.Deg(); got != c.want {
-			t.Errorf("Deg(%#x) = %d, want %d", uint64(c.p), got, c.want)
-		}
-	}
+	return h
 }
 
 func TestRollingMatchesDirectHash(t *testing.T) {
-	// The rolling fingerprint at every position must equal the direct
-	// Rabin hash of the trailing window. This is the core invariant that
-	// makes chunk boundaries position-independent.
-	const w = 16
-	tab := tablesFor(DefaultPoly, w)
+	// The rolled hash at every position past the first window must equal
+	// the direct hash of the trailing 64 bytes: older bytes have shifted
+	// out. This is the invariant that makes boundaries position-independent.
 	data := randBytes(1, 4096)
-
-	var h Poly
+	var h uint64
 	for i, b := range data {
-		if i >= w {
-			h ^= tab.out[data[i-w]]
-		}
-		h = tab.roll(h, b)
-		if i >= w-1 {
-			want := Hash(data[i+1-w:i+1], DefaultPoly)
-			if h != want {
-				t.Fatalf("rolling hash at %d = %#x, want %#x", i, uint64(h), uint64(want))
+		h = roll(h, b)
+		if i >= window-1 {
+			if want := directHash(data[i+1-window : i+1]); h != want {
+				t.Fatalf("rolling hash at %d = %#x, want %#x", i, h, want)
 			}
 		}
 	}
 }
 
 func TestRollingMatchesDirectQuick(t *testing.T) {
-	const w = 8
-	tab := tablesFor(DefaultPoly, w)
-	f := func(seed int64) bool {
-		data := randBytes(seed, 256)
-		var h Poly
-		for i, b := range data {
-			if i >= w {
-				h ^= tab.out[data[i-w]]
+	// boundary must cut exactly where the direct hash of the trailing
+	// window first has its top AvgBits bits zero at or beyond Min.
+	cfg := smallCfg()
+	f := func(seed int64, n uint16) bool {
+		data := randBytes(seed, int(n)%(2*cfg.Max))
+		end := min(len(data), cfg.Max)
+		want := end
+		for p := cfg.Min; p <= end && end > cfg.Min; p++ {
+			if directHash(data[p-window:p])>>(64-cfg.AvgBits) == 0 {
+				want = p
+				break
 			}
-			h = tab.roll(h, b)
 		}
-		return h == Hash(data[len(data)-w:], DefaultPoly)
+		return boundary(data, cfg) == want
 	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 50}); err != nil {
+	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
 		t.Fatal(err)
 	}
 }
 
 func smallCfg() Config {
-	return Config{AvgBits: 8, Min: 64, Max: 1024, Window: 16}
+	return Config{AvgBits: 8, Min: 64, Max: 1024}
 }
 
 func TestSplitReassembles(t *testing.T) {
@@ -142,14 +117,16 @@ func TestSplitDeterministic(t *testing.T) {
 
 func TestSplitAverageSize(t *testing.T) {
 	// For random data, the mean chunk size should be near 2^AvgBits + Min
-	// (boundary is a geometric trial beyond the minimum).
-	cfg := smallCfg()
-	data := randBytes(5, 1<<20)
+	// (boundary is a geometric trial beyond the minimum). At DEBAR's
+	// parameters 16 MiB gives ~1 600 chunks, so ±10 % is about five
+	// standard errors.
+	cfg := Config{}.withDefaults()
+	data := randBytes(5, 16<<20)
 	chunks, _ := Split(data, cfg)
-	avg := len(data) / len(chunks)
-	expected := (1 << cfg.AvgBits) + cfg.Min
-	if avg < expected/3 || avg > expected*3 {
-		t.Fatalf("average chunk size %d too far from expected %d", avg, expected)
+	avg := float64(len(data)) / float64(len(chunks))
+	expected := float64(int(1)<<cfg.AvgBits + cfg.Min)
+	if avg < 0.9*expected || avg > 1.1*expected {
+		t.Fatalf("average chunk size %.0f more than 10%% from expected %.0f", avg, expected)
 	}
 }
 
@@ -194,8 +171,8 @@ func TestShiftResistance(t *testing.T) {
 }
 
 func TestAllZerosRespectsMax(t *testing.T) {
-	// An all-zero stream never matches the (non-zero) break value, so every
-	// chunk is forced at Max: the pathological case the bound exists for.
+	// An all-zero stream never anchors (see gearSeed), so every chunk is
+	// forced at Max: the pathological case the bound exists for.
 	cfg := smallCfg()
 	chunks, _ := Split(make([]byte, 10*1024), cfg)
 	for i, c := range chunks[:len(chunks)-1] {
@@ -205,33 +182,104 @@ func TestAllZerosRespectsMax(t *testing.T) {
 	}
 }
 
-func TestStreamingMatchesSplit(t *testing.T) {
-	data := randBytes(7, 1<<19)
-	want, _ := Split(data, smallCfg())
+func TestConstantRunsCutAtMax(t *testing.T) {
+	// A run of any one byte value settles at h = -gear[b], whose top byte
+	// gearSeed keeps non-zero: no constant run may anchor before Max.
+	for _, k := range []uint{8, 13} {
+		cfg := Config{AvgBits: k, Min: 64, Max: 1024}
+		for b := 0; b < 256; b++ {
+			chunks, err := Split(bytes.Repeat([]byte{byte(b)}, 4*cfg.Max+1), cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for i, c := range chunks[:len(chunks)-1] {
+				if len(c) != cfg.Max {
+					t.Fatalf("AvgBits %d, run of %#02x: chunk %d size %d, want max %d", k, b, i, len(c), cfg.Max)
+				}
+			}
+		}
+	}
+}
 
-	c, err := New(bytes.NewReader(data), smallCfg())
+// TestDefaultBoundariesPinned fixes where DEBAR's default parameters cut a
+// known stream. Changing the gear table, its seed or the cut rule moves
+// every boundary, so every fingerprint changes and the first backup of
+// each job after the upgrade re-sends and re-stores all of its data; such
+// a change must be deliberate, and then this constant is updated.
+func TestDefaultBoundariesPinned(t *testing.T) {
+	const want = "a413bb3debe641c2b515eb5c74add345ff5ac1049f004fd5bb9e9dfd506d99f4"
+	chunks, err := Split(randBytes(10, 4<<20), Config{})
 	if err != nil {
 		t.Fatal(err)
 	}
+	h := sha256.New()
+	var off uint64
+	for _, c := range chunks {
+		off += uint64(len(c))
+		h.Write(binary.LittleEndian.AppendUint64(nil, off))
+	}
+	if got := hex.EncodeToString(h.Sum(nil)); got != want {
+		t.Fatalf("default cut offsets hash to %s, want %s (%d chunks)", got, want, len(chunks))
+	}
+}
+
+// collect chunks r through a fresh Chunker, recycling one buffer across
+// AppendNext calls when recycle is set, and checks offsets as it goes.
+func collect(t testing.TB, r io.Reader, cfg Config, recycle bool) [][]byte {
+	t.Helper()
+	c, err := New(r, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var out [][]byte
+	var buf []byte
 	var off int64
-	for i := 0; ; i++ {
-		ch, err := c.Next()
+	for {
+		var ch Chunk
+		if recycle {
+			ch, err = c.AppendNext(buf[:0])
+		} else {
+			ch, err = c.Next()
+		}
 		if err == io.EOF {
-			if i != len(want) {
-				t.Fatalf("stream produced %d chunks, Split produced %d", i, len(want))
-			}
-			break
+			return out
 		}
 		if err != nil {
 			t.Fatal(err)
 		}
 		if ch.Offset != off {
-			t.Fatalf("chunk %d offset %d, want %d", i, ch.Offset, off)
-		}
-		if !bytes.Equal(ch.Data, want[i]) {
-			t.Fatalf("chunk %d differs between streaming and Split", i)
+			t.Fatalf("chunk %d offset %d, want %d", len(out), ch.Offset, off)
 		}
 		off += int64(len(ch.Data))
+		out = append(out, bytes.Clone(ch.Data))
+		buf = ch.Data
+	}
+}
+
+func equalChunks(t testing.TB, what string, got, want [][]byte) {
+	t.Helper()
+	if len(got) != len(want) {
+		t.Fatalf("%s: %d chunks, Split produced %d", what, len(got), len(want))
+	}
+	for i := range want {
+		if !bytes.Equal(got[i], want[i]) {
+			t.Fatalf("%s: chunk %d differs from Split", what, i)
+		}
+	}
+}
+
+func TestStreamingMatchesSplit(t *testing.T) {
+	// The second config's chunks are larger than the default read buffer.
+	for _, tc := range []struct {
+		cfg  Config
+		size int
+	}{
+		{smallCfg(), 1 << 19},
+		{Config{AvgBits: 20, Min: 64, Max: 1 << 20}, 3 << 20},
+	} {
+		data := randBytes(7, tc.size)
+		want, _ := Split(data, tc.cfg)
+		equalChunks(t, "streaming", collect(t, bytes.NewReader(data), tc.cfg, false), want)
 	}
 }
 
@@ -239,21 +287,20 @@ func TestStreamingSmallReads(t *testing.T) {
 	// One-byte reads through iotest-style reader must not change chunking.
 	data := randBytes(8, 1<<16)
 	want, _ := Split(data, smallCfg())
-	c, _ := New(oneByteReader{bytes.NewReader(data)}, smallCfg())
-	for i := 0; ; i++ {
-		ch, err := c.Next()
-		if err == io.EOF {
-			if i != len(want) {
-				t.Fatalf("got %d chunks, want %d", i, len(want))
-			}
-			return
-		}
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !bytes.Equal(ch.Data, want[i]) {
-			t.Fatalf("chunk %d differs under 1-byte reads", i)
-		}
+	equalChunks(t, "1-byte reads", collect(t, oneByteReader{bytes.NewReader(data)}, smallCfg(), false), want)
+}
+
+func TestStreamingEmptyReads(t *testing.T) {
+	// A (0, nil) read means nothing happened (io.Reader), not failure.
+	data := randBytes(12, 1<<14)
+	want, _ := Split(data, smallCfg())
+	r := &stutterReader{r: bytes.NewReader(data)}
+	equalChunks(t, "empty reads", collect(t, r, smallCfg(), false), want)
+
+	// A reader that never makes progress still fails, after a bound.
+	c, _ := New(&stutterReader{r: bytes.NewReader(data), stuck: true}, smallCfg())
+	if _, err := c.Next(); !errors.Is(err, io.ErrNoProgress) {
+		t.Fatalf("Next on a stuck reader = %v, want io.ErrNoProgress", err)
 	}
 }
 
@@ -264,6 +311,22 @@ func (o oneByteReader) Read(p []byte) (int, error) {
 		p = p[:1]
 	}
 	return o.r.Read(p)
+}
+
+// stutterReader alternates (0, nil) with 1-byte reads, or returns only
+// (0, nil) when stuck.
+type stutterReader struct {
+	r     io.Reader
+	stuck bool
+	odd   bool
+}
+
+func (s *stutterReader) Read(p []byte) (int, error) {
+	s.odd = !s.odd
+	if s.stuck || s.odd {
+		return 0, nil
+	}
+	return oneByteReader{s.r}.Read(p)
 }
 
 func TestEmptyInput(t *testing.T) {
@@ -292,14 +355,28 @@ func TestTinyInput(t *testing.T) {
 }
 
 func TestConfigValidation(t *testing.T) {
-	if _, err := Split(nil, Config{Min: 8, Window: 16, Max: 1024, AvgBits: 8}); err == nil {
-		t.Error("min < window accepted")
+	for _, bad := range []Config{
+		{Min: 8},                     // min < window
+		{Min: 2048, Max: 64},         // max < min
+		{Max: 1024},                  // max < default min
+		{AvgBits: 7},                 // constant runs could anchor
+		{AvgBits: 31},                // beyond the supported range
+		{Min: 8, Max: 4, AvgBits: 8}, // several faults at once
+	} {
+		if err := bad.Validate(); err == nil {
+			t.Errorf("Validate accepted %+v", bad)
+		}
+		if _, err := Split(nil, bad); err == nil {
+			t.Errorf("Split accepted %+v", bad)
+		}
+		if _, err := New(bytes.NewReader(nil), bad); err == nil {
+			t.Errorf("New accepted %+v", bad)
+		}
 	}
-	if _, err := Split(nil, Config{Min: 2048, Window: 16, Max: 64, AvgBits: 8}); err == nil {
-		t.Error("max < min accepted")
-	}
-	if _, err := New(bytes.NewReader(nil), Config{Min: 8, Window: 16, Max: 4, AvgBits: 8}); err == nil {
-		t.Error("New accepted invalid config")
+	for _, good := range []Config{{}, smallCfg(), {AvgBits: 8, Min: 64, Max: 64}, {AvgBits: 30}} {
+		if err := good.Validate(); err != nil {
+			t.Errorf("Validate(%+v) = %v", good, err)
+		}
 	}
 }
 
@@ -322,9 +399,39 @@ func TestFixedSplit(t *testing.T) {
 
 func TestDefaultConfigDebarParameters(t *testing.T) {
 	cfg := Config{}.withDefaults()
-	if cfg.Min != 2*1024 || cfg.Max != 64*1024 || cfg.AvgBits != 13 || cfg.Window != 48 {
-		t.Fatalf("defaults = %+v, want DEBAR's 2KB/64KB/8KB/48B", cfg)
+	if cfg.Min != 2*1024 || cfg.Max != 64*1024 || cfg.AvgBits != 13 {
+		t.Fatalf("defaults = %+v, want DEBAR's 2KB/64KB/8KB", cfg)
 	}
+}
+
+// FuzzSplit maps its inputs onto a small valid Config and checks that
+// the chunks reassemble the input, respect the bounds, and come out the
+// same from Split, from Next over 1-byte reads and from AppendNext with a
+// recycled buffer.
+func FuzzSplit(f *testing.F) {
+	f.Add([]byte{}, uint8(0), uint16(0))
+	f.Add(make([]byte, 10<<10), uint8(3), uint16(100))
+	f.Add(randBytes(13, 64<<10), uint8(5), uint16(2000))
+	f.Fuzz(func(t *testing.T, data []byte, avgBits uint8, minSz uint16) {
+		minLen := window + int(minSz)%1024
+		cfg := Config{AvgBits: 8 + uint(avgBits)%5, Min: minLen, Max: 4 * minLen}
+		chunks, err := Split(data, cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var whole []byte
+		for i, c := range chunks {
+			if len(c) > cfg.Max || (len(c) < cfg.Min && i != len(chunks)-1) {
+				t.Fatalf("chunk %d of %d has %d bytes, bounds [%d, %d]", i, len(chunks), len(c), cfg.Min, cfg.Max)
+			}
+			whole = append(whole, c...)
+		}
+		if !bytes.Equal(whole, data) {
+			t.Fatal("chunks do not reassemble the input")
+		}
+		equalChunks(t, "Next over 1-byte reads", collect(t, oneByteReader{bytes.NewReader(data)}, cfg, false), chunks)
+		equalChunks(t, "AppendNext, recycled buffer", collect(t, bytes.NewReader(data), cfg, true), chunks)
+	})
 }
 
 func BenchmarkSplit(b *testing.B) {

@@ -6,6 +6,7 @@ import (
 	"math/rand"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 	"time"
 
@@ -42,7 +43,7 @@ func startSystem(t *testing.T) (*director.Director, string) {
 
 func newTestClient(addr string) *client.Client {
 	c := client.New(addr, "pipe-client")
-	c.Options.Chunking = chunker.Config{AvgBits: 10, Min: 512, Max: 8192, Window: 32}
+	c.Options.Chunking = chunker.Config{AvgBits: 10, Min: 512, Max: 8192}
 	return c
 }
 
@@ -213,6 +214,21 @@ func TestBackupErrorPropagates(t *testing.T) {
 	c.ServerAddr = "127.0.0.1:1"
 	if _, err := c.Backup("dead-job-2", srcDir); err == nil {
 		t.Fatal("backup to dead server succeeded")
+	}
+}
+
+// TestBackupRejectsBadChunking checks an invalid Options.Chunking fails
+// validation up front, naming the field, instead of surfacing as a dial
+// error or deep inside the pipeline.
+func TestBackupRejectsBadChunking(t *testing.T) {
+	c := client.New("127.0.0.1:1", "bad-chunking") // nobody listens
+	c.Options.Chunking = chunker.Config{Min: 8}
+	_, err := c.Backup("job", t.TempDir())
+	if err == nil || !strings.Contains(err.Error(), "Options.Chunking") {
+		t.Fatalf("Backup with Chunking{Min: 8} = %v, want an Options.Chunking error", err)
+	}
+	if _, err := client.NewWithOptions("127.0.0.1:1", "bad-chunking", c.Options); err == nil {
+		t.Fatal("NewWithOptions accepted Chunking{Min: 8}")
 	}
 }
 

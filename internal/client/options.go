@@ -19,8 +19,11 @@ import (
 // client's Options field before the first operation; Backup, Restore and
 // Verify validate the options at entry.
 type Options struct {
-	// Chunking configures CDC anchoring (see chunker.Config; the zero
-	// value selects the chunker defaults).
+	// Chunking configures backup's CDC anchoring (see chunker.Config; the
+	// zero value selects the chunker defaults). Backup and verify need
+	// not agree on it: verify cuts files at the chunk sizes each run
+	// recorded. Changing it moves chunk boundaries, so the next backup of
+	// each job re-sends and re-stores its data once.
 	Chunking chunker.Config
 
 	// BatchSize is the fingerprints per FPBatch (default 256, the
@@ -74,10 +77,13 @@ func DefaultOptions() Options {
 	return Options{BatchSize: 256}
 }
 
-// Validate rejects option values that have no meaning: negative counts.
-// Zero values (defaults) and negative durations/retries (disabled) are
-// valid by the knob convention.
+// Validate rejects option values that have no meaning: negative counts
+// and a Chunking the chunker would refuse. Zero values (defaults) and
+// negative durations/retries (disabled) are valid by the knob convention.
 func (o Options) Validate() error {
+	if err := o.Chunking.Validate(); err != nil {
+		return fmt.Errorf("client: Options.Chunking: %w", err)
+	}
 	for _, k := range []struct {
 		name string
 		v    int

@@ -7,7 +7,6 @@ import (
 	"os"
 	"time"
 
-	"debar/internal/chunker"
 	"debar/internal/fp"
 	"debar/internal/proto"
 	"debar/internal/retry"
@@ -26,8 +25,9 @@ type VerifyResult struct {
 func (v VerifyResult) OK() bool { return len(v.Modified) == 0 && len(v.Missing) == 0 }
 
 // Verify compares the latest run of jobName against the local directory
-// tree without transferring any chunk data: files are re-anchored and
-// re-fingerprinted locally and compared against the stored file indexes.
+// tree without transferring any chunk data: each local file is cut at the
+// chunk sizes its stored file index records, re-fingerprinted locally and
+// compared against the stored fingerprints.
 // Transient connection failures retry the whole pass with backoff (the
 // pass moves no data and holds no server state, so a re-run is cheap and
 // safe).
@@ -96,7 +96,7 @@ func (c *Client) verifyOnce(jobName, dir string) (VerifyResult, error) {
 		if err != nil {
 			return res, err
 		}
-		match, err := c.fileMatches(local, meta.Entry)
+		match, err := fileMatches(local, meta.Entry)
 		if errors.Is(err, os.ErrNotExist) {
 			res.Missing = append(res.Missing, path)
 			continue
@@ -113,31 +113,56 @@ func (c *Client) verifyOnce(jobName, dir string) (VerifyResult, error) {
 	return res, nil
 }
 
-// fileMatches re-chunks the local file and compares fingerprints against
-// the stored file index.
-func (c *Client) fileMatches(path string, entry proto.FileEntry) (bool, error) {
+// fileMatches slices the local file by the chunk sizes the backup recorded
+// and compares each piece's fingerprint with the stored one. It never
+// re-anchors, so the verdict does not depend on the chunking parameters
+// the backup or this client uses.
+func fileMatches(path string, entry proto.FileEntry) (bool, error) {
 	f, err := os.Open(path)
 	if err != nil {
 		return false, err
 	}
 	defer f.Close()
-	ch, err := chunker.New(f, c.Options.Chunking)
+	if len(entry.Sizes) != len(entry.Chunks) {
+		return false, nil
+	}
+	// A file whose size differs from the recorded total is modified.
+	// Checking first also keeps the buffer, sized from the server's
+	// Sizes, no larger than the local file.
+	info, err := f.Stat()
 	if err != nil {
 		return false, err
 	}
-	i := 0
-	for {
-		chunk, err := ch.Next()
-		if errors.Is(err, io.EOF) {
-			break
+	var total int64
+	for _, size := range entry.Sizes {
+		total += int64(size)
+	}
+	if total != info.Size() {
+		return false, nil
+	}
+	var buf []byte
+	for i, size := range entry.Sizes {
+		if cap(buf) < int(size) {
+			buf = make([]byte, size)
 		}
-		if err != nil {
+		piece := buf[:size]
+		if _, err := io.ReadFull(f, piece); err != nil {
+			if errors.Is(err, io.EOF) || errors.Is(err, io.ErrUnexpectedEOF) {
+				return false, nil // shrank since the Stat
+			}
 			return false, err
 		}
-		if i >= len(entry.Chunks) || fp.New(chunk.Data) != entry.Chunks[i] {
+		if fp.New(piece) != entry.Chunks[i] {
 			return false, nil
 		}
-		i++
 	}
-	return i == len(entry.Chunks), nil
+	var one [1]byte
+	switch _, err := io.ReadFull(f, one[:]); {
+	case errors.Is(err, io.EOF):
+		return true, nil
+	case err == nil:
+		return false, nil // grew since the Stat
+	default:
+		return false, err
+	}
 }

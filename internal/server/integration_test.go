@@ -94,7 +94,7 @@ func writeTree(t *testing.T, dir string, seed int64) map[string][]byte {
 
 func testClient(srvAddr string) *client.Client {
 	c := client.New(srvAddr, "it-client")
-	c.Options.Chunking = chunker.Config{AvgBits: 10, Min: 512, Max: 8192, Window: 32}
+	c.Options.Chunking = chunker.Config{AvgBits: 10, Min: 512, Max: 8192}
 	return c
 }
 
@@ -248,13 +248,23 @@ func TestVerifyDetectsModifications(t *testing.T) {
 		t.Fatalf("pristine verify = %+v", res)
 	}
 
-	// Modify one file, delete another: verify must flag exactly those.
-	mod := filepath.Join(src, "sub", "filea.bin")
-	orig, _ := os.ReadFile(mod)
-	orig[0] ^= 0xFF
-	if err := os.WriteFile(mod, orig, 0o644); err != nil {
-		t.Fatal(err)
+	// Flip a byte in one file, overwrite the middle of another at the same
+	// size, append one byte to a third and delete a fourth: verify must
+	// flag exactly those.
+	edit := func(name string, change func([]byte) []byte) {
+		t.Helper()
+		path := filepath.Join(src, "sub", name)
+		data, err := os.ReadFile(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(path, change(data), 0o644); err != nil {
+			t.Fatal(err)
+		}
 	}
+	edit("filea.bin", func(b []byte) []byte { b[0] ^= 0xFF; return b })
+	edit("filec.bin", func(b []byte) []byte { copy(b[len(b)/2:], "same size, new bytes"); return b })
+	edit("filed.bin", func(b []byte) []byte { return append(b, 0) })
 	if err := os.Remove(filepath.Join(src, "sub", "fileb.bin")); err != nil {
 		t.Fatal(err)
 	}
@@ -265,11 +275,36 @@ func TestVerifyDetectsModifications(t *testing.T) {
 	if res.OK() {
 		t.Fatal("verify missed the damage")
 	}
-	if len(res.Modified) != 1 || len(res.Missing) != 1 {
+	if len(res.Modified) != 3 || len(res.Missing) != 1 {
 		t.Fatalf("verify = %+v", res)
 	}
-	if res.Matched != 3 {
-		t.Fatalf("matched = %d, want 3", res.Matched)
+	if res.Matched != 1 {
+		t.Fatalf("matched = %d, want 1", res.Matched)
+	}
+}
+
+// TestVerifyIgnoresChunkingChange verifies a run with a client whose
+// chunking parameters differ from the ones the backup used: verify cuts
+// files at the recorded chunk sizes, so an untouched tree still matches.
+func TestVerifyIgnoresChunkingChange(t *testing.T) {
+	d, _, srvAddr := startServer(t, nil)
+	src := t.TempDir()
+	writeTree(t, src, 5)
+	if _, err := testClient(srvAddr).Backup("job-rechunk", src); err != nil {
+		t.Fatal(err)
+	}
+	if err := d.TriggerDedup2(true); err != nil {
+		t.Fatal(err)
+	}
+
+	c := client.New(srvAddr, "it-client")
+	c.Options.Chunking = chunker.Config{AvgBits: 12, Min: 1024, Max: 16384}
+	res, err := c.Verify("job-rechunk", src)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !res.OK() || res.Matched != 5 {
+		t.Fatalf("verify under other chunking = %+v, want all 5 matched", res)
 	}
 }
 
