@@ -32,12 +32,12 @@ type Record struct {
 
 const recordHeader = fp.Size + 4
 
-// Log is a chunk log. Appends are serialised by a mutex. Iterate (and a
-// View) reads a snapshot bounded under that mutex and then walks it
-// without holding it, so the File Store (dedup-1 writer) keeps appending
-// while the Chunk Store (dedup-2 reader) drains the log; records appended
-// meanwhile lie past the snapshot and wait for the next pass. Reset must
-// not run while a walk is in progress.
+// Log is a chunk log. Appends are serialised by a mutex. Iterate bounds
+// its walk under that mutex and then walks without holding it, so the
+// File Store (dedup-1 writer) keeps appending while the Chunk Store
+// (dedup-2 reader) drains the log; records appended meanwhile lie past the
+// bound and wait for the next pass. Reset must not run while a walk is in
+// progress.
 //
 // A Log is either memory-backed (NewMem) or a durable WAL (OpenWAL).
 type Log struct {
@@ -159,18 +159,30 @@ func (l *Log) Bytes() int64 {
 }
 
 // Iterate sequentially reads the log, invoking fn per group in append
-// order. Charges one sequential read over the log. It walks a View of the
-// records appended before the call without holding the log's lock, so
-// appends proceed while fn runs. The Record's Data is valid only during
-// fn (see Record).
+// order. Charges one sequential read over the log. Under the log's lock it
+// only snapshots the walk's bound — the append offset of a WAL, the record
+// slice of a memory log — and then walks the records appended before the
+// call without the lock, so appends proceed while fn runs (they land past
+// the bound and wait for the next walk) and concurrent Iterate calls do
+// not serialise. The Record's Data is valid only during fn (see Record).
 func (l *Log) Iterate(fn func(Record) error) error {
 	l.mu.Lock()
 	if l.disk != nil {
 		l.disk.SeqRead(l.bytes + int64(l.Len())*recordHeader)
 	}
-	v := l.view()
+	// Appends only ever append, so the slice header is an immutable prefix
+	// even while the log grows underneath.
+	end, recs := l.end, l.recs
 	l.mu.Unlock()
-	return v.Iterate(fn)
+	if l.file != nil {
+		return walkWAL(l.file, end, fn)
+	}
+	for _, r := range recs {
+		if err := fn(r); err != nil {
+			return err
+		}
+	}
+	return nil
 }
 
 // Len returns the in-memory record count without locking.

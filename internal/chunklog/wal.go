@@ -159,7 +159,7 @@ func (l *Log) appendWAL(f fp.FP, size uint32, data []byte) error {
 // *corruptRecord naming its offset; a declared size is bounded before
 // anything is read or allocated for it. Each Record's Data aliases the
 // window and is valid only until fn returns. Recovery bounds the walk at
-// the file size, View.Iterate at its snapshot.
+// the file size, Log.Iterate at the append offset it snapshots.
 func walkWAL(file *os.File, end int64, fn func(Record) error) error {
 	buf := make([]byte, min(end, walWindow))
 	var base, filled int64 // buf[:filled-base] holds file bytes [base, filled)

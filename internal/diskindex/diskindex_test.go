@@ -507,6 +507,31 @@ func TestInsertLookupQuick(t *testing.T) {
 	}
 }
 
+// TestInsertIdempotent: re-offering an entry (recovery replay, SIU retry
+// after partial failure) must keep the existing mapping, not burn a slot.
+func TestInsertIdempotent(t *testing.T) {
+	ix, err := NewMem(Config{BucketBits: 6, BucketBlocks: 1}, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	e := fp.Entry{FP: fp.FromUint64(99), CID: 5}
+	for i := 0; i < 3; i++ {
+		if err := ix.Insert(e); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := ix.Insert(fp.Entry{FP: e.FP, CID: 9}); err != nil {
+		t.Fatal(err)
+	}
+	if ix.Count() != 1 {
+		t.Fatalf("Count = %d after re-inserts, want 1", ix.Count())
+	}
+	cid, err := ix.Lookup(e.FP)
+	if err != nil || cid != 5 {
+		t.Fatalf("Lookup = %v, %v; want first mapping 5", cid, err)
+	}
+}
+
 func BenchmarkInsert(b *testing.B) {
 	ix, _ := NewMem(Config{BucketBits: 16, BucketBlocks: 1}, nil)
 	b.ResetTimer()

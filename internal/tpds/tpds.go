@@ -28,38 +28,10 @@
 // index by an SIU are remembered and deduplicated against subsequent SIL
 // results, so one SIU can service several SILs without storing duplicates.
 //
-// # Region-sharded dedup-2
-//
-// The backup server no longer runs this path: it runs the single-stream
-// pass (Workers 0 or 1), which keeps SISL stream order across the whole
-// pass and measured faster. Only the benchmark's SIL-worker probe and the
-// tests below still set Workers > 1, and the path (with
-// diskindex.Regions and indexcache.Partitioned) is slated for deletion.
-//
-// With ChunkStore.Workers > 1 the batch pass shards by fingerprint prefix,
-// the in-process analogue of the paper's performance scaling (§4.1: the
-// first w fingerprint bits select a backup server). The bucket space
-// splits into P contiguous regions (diskindex.Regions) and the
-// undetermined-fingerprint cache partitions by the same prefixes
-// (indexcache.Partitioned), so each region's SIL worker scans its index
-// range and prunes its own shard with no shared mutable state. The phases
-// overlap: a worker that finishes its region scan immediately packs that
-// region's new chunks into containers from a lock-free chunk-log snapshot
-// (chunklog.View) while other regions are still scanning. Commits to the
-// container repository are pipelined in region order — region i appends
-// only after regions < i — which keeps container IDs deterministic for a
-// given P and preserves the repository's single sequential append stream.
-// SIU remains a single sequential writer: each worker sorts its
-// unregistered entries by home bucket, the contiguous disjoint region runs
-// concatenate into one globally sorted run, and SIU merges it into the
-// index in one sequential read-modify-write pass (the index is a
-// single-writer structure; parallelising the read-side SIL is where the
-// time goes, and a second writer would only contend on the same spindle).
-// Dedup decisions are identical to the sequential pass — the same
-// fingerprints judged duplicate, the same chunks stored exactly once, the
-// same index membership — with one representational difference: containers
-// pack per region (stream order within a region) instead of global stream
-// order, so container IDs differ from the P=1 layout.
+// A dedup-2 pass is one single-stream pass: one SIL scan over the whole
+// index, one packer walking the chunk log in stream order, one SIU merge.
+// The paper scales across servers by fingerprint prefix (§4.1), not across
+// goroutines inside one server.
 package tpds
 
 import (
@@ -104,31 +76,24 @@ func SIL(ix *diskindex.Index, cache *indexcache.Cache, scanBuckets int) (dups in
 	return dups, err
 }
 
-// SIU performs the sequential index update: entries are sorted by their
-// target bucket (they already nearly are, coming out of the index cache in
-// bucket order) and merged into the disk index in one sequential
+// SIU performs the sequential index update: a copy of the entries is
+// sorted by target bucket (the caller's slice is left as is; entries come
+// out of the index cache only roughly in bucket order, since cache buckets
+// keep insertion order) and merged into the disk index in one sequential
 // read-modify-write pass. Entries whose home bucket overflows past a
 // window edge fall back to the random-insert path after the pass — the
 // same physical effect, just accounted separately. ErrIndexFull from the
 // index propagates so the caller can trigger capacity scaling.
 func SIU(ix *diskindex.Index, entries []fp.Entry, scanBuckets int) error {
-	less := func(a, b fp.Entry) bool {
-		ba, bb := ix.BucketOf(a.FP), ix.BucketOf(b.FP)
-		if ba != bb {
-			return ba < bb
+	sorted := make([]fp.Entry, len(entries))
+	copy(sorted, entries)
+	sort.Slice(sorted, func(i, j int) bool {
+		bi, bj := ix.BucketOf(sorted[i].FP), ix.BucketOf(sorted[j].FP)
+		if bi != bj {
+			return bi < bj
 		}
-		return a.FP.Less(b.FP)
-	}
-	sorted := entries
-	// Parallel dedup-2 hands SIU a concatenation of per-region runs that
-	// is already globally bucket-sorted (regions are contiguous and
-	// disjoint); detecting that in one cheap pass turns the merge into a
-	// pure sequential write with no O(n log n) re-sort and no copy.
-	if !sort.SliceIsSorted(sorted, func(i, j int) bool { return less(sorted[i], sorted[j]) }) {
-		sorted = make([]fp.Entry, len(entries))
-		copy(sorted, entries)
-		sort.Slice(sorted, func(i, j int) bool { return less(sorted[i], sorted[j]) })
-	}
+		return sorted[i].FP.Less(sorted[j].FP)
+	})
 
 	var leftover []fp.Entry
 	idx := 0
@@ -177,75 +142,44 @@ func StoreChunks(log *chunklog.Log, cache *indexcache.Cache, repo container.Repo
 }
 
 // storeChunks is StoreChunks that also returns the wall time spent in
-// repo.Append.
+// repo.Append. It walks the log once and discards every record that is
+// not surviving in the cache, already mapped to a container, or already
+// packed into the open container; the survivors fill containers in record
+// order. Each sealed container is appended there and then, and its
+// fingerprints get the new container ID in the cache, so chunks of sealed
+// containers are caught by the non-nil-CID check and the packed map only
+// ever holds the open container's fingerprints.
 func storeChunks(log *chunklog.Log, cache *indexcache.Cache, repo container.Repository,
 	containerSize int, metaOnly bool) (StoreResult, time.Duration, error) {
-	var appendTime time.Duration
-	res, err := packChunks(log.Iterate, nil, cache, containerSize, metaOnly, true,
-		func(c *container.Container, fps []fp.FP) error {
-			start := time.Now()
-			id, err := repo.Append(c)
-			appendTime += time.Since(start)
-			if err != nil {
-				return err
-			}
-			for _, f := range fps {
-				cache.SetCID(f, id)
-			}
-			return nil
-		})
-	return res, appendTime, err
-}
-
-// packChunks is the container-packing engine shared by sequential chunk
-// storing and the per-region store of parallel dedup-2: it replays records
-// through iterate, discards every record that is not owned (owns nil: own
-// everything), not surviving in the cache, already mapped to a container,
-// or already packed this pass, and packs the survivors into containers in
-// record order. Each sealed container is handed to commit with the
-// fingerprints it holds — the sequential path appends it to the repository
-// there and then, the parallel path stages it for its region's ordered
-// commit turn. Keeping both paths on one packer is what makes their dedup
-// decisions identical by construction.
-//
-// cidsOnCommit declares that commit assigns container IDs in the cache
-// immediately (the sequential path): sealed chunks are then caught by the
-// non-nil-CID check and the packed map can be cleared per container,
-// bounding it at one container's fingerprints however large the pass. The
-// parallel path defers CID assignment to its commit turn, so there the map
-// must span the pass.
-func packChunks(iterate func(func(chunklog.Record) error) error, owns func(fp.FP) bool,
-	cache *indexcache.Cache, containerSize int, metaOnly bool, cidsOnCommit bool,
-	commit func(c *container.Container, fps []fp.FP) error) (StoreResult, error) {
-
 	var res StoreResult
+	var appendTime time.Duration
 	w := container.NewWriter(containerSize, metaOnly)
 	var open []fp.FP               // fingerprints staged in the open container
-	packed := make(map[fp.FP]bool) // packed this pass and not yet CID-mapped
+	packed := make(map[fp.FP]bool) // the same set, for the duplicate-record check
 
 	seal := func() error {
 		if w.Empty() {
 			return nil
 		}
-		fps := open
-		open = nil
 		res.Containers++
-		if err := commit(w.Seal(0), fps); err != nil {
+		start := time.Now()
+		id, err := repo.Append(w.Seal(0))
+		appendTime += time.Since(start)
+		if err != nil {
 			return err
 		}
-		if cidsOnCommit {
-			clear(packed)
+		for _, f := range open {
+			cache.SetCID(f, id)
 		}
+		open = open[:0]
+		clear(packed)
 		return nil
 	}
 
-	err := iterate(func(r chunklog.Record) error {
-		if owns != nil && !owns(r.FP) {
-			return nil // another region's worker accounts for this record
-		}
+	err := log.Iterate(func(r chunklog.Record) error {
 		n, ok := cache.Lookup(r.FP)
 		if !ok || n.CID != fp.NilContainer || packed[r.FP] {
-			// Not new, already stored by an earlier dedup-2, or already
+			// Not new, already stored in a sealed container, or already
 			// packed from a duplicate log record: discard (§5.3).
 			res.DupChunks++
 			res.DupBytes += int64(r.Size)
@@ -266,9 +200,10 @@ func packChunks(iterate func(func(chunklog.Record) error) error, owns func(fp.FP
 		return nil
 	})
 	if err != nil {
-		return res, err
+		return res, appendTime, err
 	}
-	return res, seal()
+	err = seal()
+	return res, appendTime, err
 }
 
 // CheckingFile is the per-server checking fingerprint file (§5.4). It
@@ -349,11 +284,9 @@ type ChunkStore struct {
 	ScanBuckets   int
 	Checking      *CheckingFile // nil: synchronous SIU, no checking file
 
-	// Workers is the SIL parallelism: with Workers > 1 the SIL and
-	// chunk-store phases of a dedup-2 pass shard across that many
-	// contiguous index regions (see the package comment, "Region-sharded
-	// dedup-2"). 0 or 1 keeps the single-stream pass, which is what the
-	// backup server runs.
+	// Deprecated: ignored; dedup-2 is one single-stream pass. Kept only
+	// because the benchmark's SIL-worker probe still sets it; it goes with
+	// that probe.
 	Workers int
 }
 
@@ -383,15 +316,12 @@ func (cs *ChunkStore) clockNow() time.Duration {
 
 // RunSILAndStore executes SIL over the undetermined fingerprints and then
 // chunk storing over the log, returning the unregistered entries that a
-// (possibly asynchronous) SIU must still write to the disk index. The
-// single-stream pass records its wall-clock split in the
-// dedup2_pass_{sil,pack,append}_seconds histograms. With Workers > 1 the
-// pass shards across index regions with overlapped per-region SIL and
-// chunk storing (see runSILAndStoreParallel).
+// (possibly asynchronous) SIU must still write to the disk index. The pass
+// records its wall-clock split in the dedup2_pass_{sil,pack,append}_seconds
+// histograms. A failed pass hands out no entries and leaves the checking
+// file untouched; containers it appended before the failure stay in the
+// repository unreferenced, and a retry stores their chunks again.
 func (cs *ChunkStore) RunSILAndStore(undetermined []fp.FP, log *chunklog.Log, cacheBits uint) (Dedup2Result, []fp.Entry, error) {
-	if cs.Workers > 1 {
-		return cs.runSILAndStoreParallel(undetermined, log, cacheBits, cs.Workers)
-	}
 	var res Dedup2Result
 	res.Undetermined = int64(len(undetermined))
 

@@ -1,7 +1,10 @@
 package tpds
 
 import (
+	"bytes"
 	"errors"
+	"fmt"
+	"sort"
 	"testing"
 
 	"debar/internal/chunklog"
@@ -356,6 +359,291 @@ func TestChunkStoreAsyncNoDuplicateStorage(t *testing.T) {
 	}
 	if ix.Count() != 150 {
 		t.Fatalf("index count = %d, want 150", ix.Count())
+	}
+}
+
+// dedup2Fixture is one independent dedup-2 engine instance (fresh index,
+// repository, checking file) plus the payloads it has been fed.
+type dedup2Fixture struct {
+	ix       *diskindex.Index
+	repo     *container.MemRepository
+	cs       *ChunkStore
+	payloads map[fp.FP][]byte
+}
+
+func newDedup2Fixture(t *testing.T) *dedup2Fixture {
+	t.Helper()
+	ix := newIndex(t, 10)
+	repo := container.NewMemRepository(false, nil)
+	cs := NewChunkStore(ix, repo, false, true) // async: checking file active
+	cs.ContainerSize = 4 << 10                 // many containers per pass
+	cs.ScanBuckets = 37                        // windows that do not divide the 1024 buckets
+	return &dedup2Fixture{ix: ix, repo: repo, cs: cs, payloads: make(map[fp.FP][]byte)}
+}
+
+// feed builds a chunk log holding the payloads for counter values
+// [start, start+n), re-logging every loggedTwice'th record to exercise the
+// intra-log duplicate guard, and returns the log with its undetermined set.
+func (fx *dedup2Fixture) feed(start, n int, loggedTwice int) (*chunklog.Log, []fp.FP) {
+	log := chunklog.NewMem(false, nil)
+	var und []fp.FP
+	for i := 0; i < n; i++ {
+		data := []byte(fmt.Sprintf("chunk-payload-%05d-%s", start+i, bytes.Repeat([]byte{byte(start + i)}, 64)))
+		f := fp.New(data)
+		fx.payloads[f] = data
+		und = append(und, f)
+		_ = log.Append(f, uint32(len(data)), data)
+		if loggedTwice > 0 && i%loggedTwice == 0 {
+			_ = log.Append(f, uint32(len(data)), data)
+		}
+	}
+	return log, und
+}
+
+// run drives the fixture through a three-pass workload: two overlapping
+// first-generation passes sharing one deferred SIU (checking-file
+// traffic), then a duplicate-heavy second generation.
+func (fx *dedup2Fixture) run(t *testing.T) (resA, resB, resC Dedup2Result) {
+	t.Helper()
+	logA, undA := fx.feed(0, 400, 7)
+	resA, unregA, err := fx.cs.RunSILAndStore(undA, logA, 6)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// Pass B overlaps A by 150 fingerprints before any SIU has run: those
+	// must fall to the checking file, not be stored twice.
+	logB, undB := fx.feed(250, 300, 0)
+	resB, unregB, err := fx.cs.RunSILAndStore(undB, logB, 6)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := fx.cs.RunSIU(append(unregA, unregB...)); err != nil {
+		t.Fatal(err)
+	}
+	// Second generation: all 550 previous chunks again (index duplicates
+	// now) plus 100 new ones.
+	logC, undC := fx.feed(0, 650, 11)
+	resC, unregC, err := fx.cs.RunSILAndStore(undC, logC, 6)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := fx.cs.RunSIU(unregC); err != nil {
+		t.Fatal(err)
+	}
+	return resA, resB, resC
+}
+
+// indexImage serialises the index's full bucket layout: bucket numbers,
+// slot order, fingerprints and container IDs.
+func indexImage(t *testing.T, ix *diskindex.Index) []byte {
+	t.Helper()
+	var buf bytes.Buffer
+	err := ix.ForEach(func(bucket uint64, e fp.Entry) bool {
+		fmt.Fprintf(&buf, "%d:%s:%v\n", bucket, e.FP, e.CID)
+		return true
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return buf.Bytes()
+}
+
+// verifyRestorable asserts every payload ever fed restores byte-identical
+// through the index and repository.
+func (fx *dedup2Fixture) verifyRestorable(t *testing.T) {
+	t.Helper()
+	for f, want := range fx.payloads {
+		cid, err := fx.ix.Lookup(f)
+		if err != nil {
+			t.Fatalf("lookup %v: %v", f.Short(), err)
+		}
+		c, err := fx.repo.Load(cid)
+		if err != nil {
+			t.Fatalf("load container %v for %v: %v", cid, f.Short(), err)
+		}
+		got, ok := c.Chunk(f)
+		if !ok || !bytes.Equal(got, want) {
+			t.Fatalf("chunk %v: restored %d bytes, ok=%v, want %d", f.Short(), len(got), ok, len(want))
+		}
+	}
+}
+
+// TestShardedDedup2Equivalence runs the three-pass workload with the
+// deprecated Workers field unset and again at Workers = 1, 2, 4 and 7: the
+// field is ignored, so every run ends with the same results in every pass,
+// byte-identical index images (container IDs included) and identical
+// repositories, and every payload restores. The name predates the removal
+// of the region-sharded pass that Workers once selected.
+func TestShardedDedup2Equivalence(t *testing.T) {
+	ref := newDedup2Fixture(t)
+	refA, refB, refC := ref.run(t)
+	if refC.IndexDups != 550 {
+		t.Fatalf("workload sanity: second generation found %d index dups, want 550", refC.IndexDups)
+	}
+	if refB.CheckingDups != 150 {
+		t.Fatalf("workload sanity: overlapping pass found %d checking dups, want 150", refB.CheckingDups)
+	}
+	refImage := indexImage(t, ref.ix)
+	ref.verifyRestorable(t)
+
+	for _, p := range []int{1, 2, 4, 7} {
+		t.Run(fmt.Sprintf("P=%d", p), func(t *testing.T) {
+			fx := newDedup2Fixture(t)
+			fx.cs.Workers = p
+			resA, resB, resC := fx.run(t)
+			for pass, pair := range [][2]Dedup2Result{{refA, resA}, {refB, resB}, {refC, resC}} {
+				if pair[0] != pair[1] {
+					t.Fatalf("pass %d results differ:\nref:       %+v\nWorkers=%d: %+v", pass, pair[0], p, pair[1])
+				}
+			}
+			if !bytes.Equal(refImage, indexImage(t, fx.ix)) {
+				t.Fatalf("index image at Workers=%d differs from the reference run", p)
+			}
+			if ref.repo.Containers() != fx.repo.Containers() || ref.repo.Bytes() != fx.repo.Bytes() {
+				t.Fatalf("repositories differ: %d/%d containers, %d/%d bytes",
+					ref.repo.Containers(), fx.repo.Containers(), ref.repo.Bytes(), fx.repo.Bytes())
+			}
+			fx.verifyRestorable(t)
+		})
+	}
+}
+
+// TestShardedDedup2Deterministic: two independent runs of the same
+// workload on fresh fixtures end with byte-identical index images,
+// container IDs included, and every payload restores from both.
+func TestShardedDedup2Deterministic(t *testing.T) {
+	a, b := newDedup2Fixture(t), newDedup2Fixture(t)
+	a.run(t)
+	b.run(t)
+	if !bytes.Equal(indexImage(t, a.ix), indexImage(t, b.ix)) {
+		t.Fatal("two runs of the same workload produced different index images")
+	}
+	a.verifyRestorable(t)
+	b.verifyRestorable(t)
+}
+
+// failingRepo fails its failAt'th Append and delegates every other call,
+// recording the IDs of the containers it appended before the failure.
+type failingRepo struct {
+	*container.MemRepository
+	calls, failAt int
+	before        []fp.ContainerID
+}
+
+func (r *failingRepo) Append(c *container.Container) (fp.ContainerID, error) {
+	r.calls++
+	if r.calls == r.failAt {
+		return 0, fmt.Errorf("injected append failure")
+	}
+	id, err := r.MemRepository.Append(c)
+	if err == nil && r.calls < r.failAt {
+		r.before = append(r.before, id)
+	}
+	return id, err
+}
+
+// TestShardedDedup2CommitFailureRetries: a pass whose third container
+// append fails reports the error, hands out no unregistered entries and
+// leaves the checking file as it was; the two containers appended before
+// the failure are stranded. A retry of the same undetermined set over the
+// same log (the server re-queues the pending fingerprints on error)
+// stores every chunk, and after SIU no index entry names a stranded
+// container: an index entry only ever names a container of a completed
+// pass.
+func TestShardedDedup2CommitFailureRetries(t *testing.T) {
+	fx := newDedup2Fixture(t)
+	repo := &failingRepo{MemRepository: fx.repo}
+	fx.cs.Repo = repo
+
+	// An earlier pass whose SIU is still outstanding fills the checking file.
+	logEarlier, undEarlier := fx.feed(300, 50, 0)
+	_, unregEarlier, err := fx.cs.RunSILAndStore(undEarlier, logEarlier, 6)
+	if err != nil {
+		t.Fatal(err)
+	}
+	checking := fx.cs.Checking.Len()
+	if checking != 50 {
+		t.Fatalf("checking file holds %d, want 50", checking)
+	}
+
+	log, und := fx.feed(0, 300, 0)
+	repo.failAt = repo.calls + 3
+	_, unreg, err := fx.cs.RunSILAndStore(und, log, 6)
+	if err == nil {
+		t.Fatal("append failure not reported")
+	}
+	if len(unreg) != 0 {
+		t.Fatalf("failed pass handed out %d unregistered entries", len(unreg))
+	}
+	if got := fx.cs.Checking.Len(); got != checking {
+		t.Fatalf("failed pass changed the checking file: %d entries, want %d", got, checking)
+	}
+	if len(repo.before) != 2 {
+		t.Fatalf("%d containers appended before the failure, want 2", len(repo.before))
+	}
+
+	res, unreg, err := fx.cs.RunSILAndStore(und, log, 6)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.Store.NewChunks != 300 || int64(len(unreg)) != 300 {
+		t.Fatalf("retry stored %d chunks, %d unreg, want 300/300", res.Store.NewChunks, len(unreg))
+	}
+	if _, err := fx.cs.RunSIU(append(unregEarlier, unreg...)); err != nil {
+		t.Fatal(err)
+	}
+	stranded := make(map[fp.ContainerID]bool)
+	for _, id := range repo.before {
+		stranded[id] = true
+	}
+	if err := fx.ix.ForEach(func(_ uint64, e fp.Entry) bool {
+		if stranded[e.CID] {
+			t.Fatalf("index entry %v names stranded container %v", e.FP.Short(), e.CID)
+		}
+		return true
+	}); err != nil {
+		t.Fatal(err)
+	}
+	fx.verifyRestorable(t)
+}
+
+// TestSIUPreSortedRuns: SIU merges a sorted copy of its input, so neither
+// input already in merge order nor the same entries reversed is mutated,
+// and both reach identical index images.
+func TestSIUPreSortedRuns(t *testing.T) {
+	ix := newIndex(t, 8)
+	entries := make([]fp.Entry, 500)
+	for i := range entries {
+		entries[i] = fp.Entry{FP: fp.FromUint64(uint64(i)), CID: fp.ContainerID(i)}
+	}
+	sort.Slice(entries, func(i, j int) bool {
+		bi, bj := ix.BucketOf(entries[i].FP), ix.BucketOf(entries[j].FP)
+		if bi != bj {
+			return bi < bj
+		}
+		return entries[i].FP.Less(entries[j].FP)
+	})
+	reversed := make([]fp.Entry, len(entries))
+	for i := range entries {
+		reversed[i] = entries[len(entries)-1-i]
+	}
+	ix2 := newIndex(t, 8)
+	for _, in := range []struct {
+		ix      *diskindex.Index
+		entries []fp.Entry
+	}{{ix, entries}, {ix2, reversed}} {
+		snapshot := append([]fp.Entry(nil), in.entries...)
+		if err := SIU(in.ix, in.entries, 16); err != nil {
+			t.Fatal(err)
+		}
+		for i := range in.entries {
+			if in.entries[i] != snapshot[i] {
+				t.Fatalf("SIU mutated caller slice at %d", i)
+			}
+		}
+	}
+	if !bytes.Equal(indexImage(t, ix), indexImage(t, ix2)) {
+		t.Fatal("sorted and reversed SIU inputs produced different index states")
 	}
 }
 
