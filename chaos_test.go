@@ -47,10 +47,10 @@ func chaosClient(addr string) *Client {
 
 // TestChaosBackupRetriesThroughCut cuts the first backup connection after
 // 256 KiB uploaded; the client's automatic retry must reconnect, resume
-// via the fingerprint re-offer (the server primes the new session with
-// the reclaimed pending set), and complete — after which dedup-2 and a
-// byte-identical restore prove no chunk was lost or duplicated into the
-// file index.
+// via the fingerprint re-offer (the server answers "don't transfer" for
+// every chunk already in its chunk log), and complete — after which
+// dedup-2 and a byte-identical restore prove no chunk was lost or
+// duplicated into the file index.
 func TestChaosBackupRetriesThroughCut(t *testing.T) {
 	sys, err := StartLocal(1, ServerConfig{IndexBits: 10})
 	if err != nil {
@@ -80,10 +80,11 @@ func TestChaosBackupRetriesThroughCut(t *testing.T) {
 		t.Fatalf("proxy accepted %d connections, want ≥2 (a retry)", n)
 	}
 	// The retry is a resume, not a re-run: chunks that landed before the
-	// cut were reclaimed into the pending set and primed into the new
-	// session's filter, so the successful attempt moved less than the
-	// logical data. (The reclaim completes when the server sees the cut,
-	// long before the client's ≥25ms backoff expires.)
+	// cut are records in the chunk log, and the server's logged set
+	// answers their re-offer with "don't transfer", so the successful
+	// attempt moved less than the logical data. (A chunk is in the
+	// logged set from its append on, whether or not the server has
+	// noticed the cut yet.)
 	if stats.TransferredBytes >= stats.LogicalBytes {
 		t.Fatalf("retried backup transferred %d of %d logical bytes — resume priming did not kick in",
 			stats.TransferredBytes, stats.LogicalBytes)

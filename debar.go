@@ -52,10 +52,10 @@
 //
 //	Failure                      Detection                Behaviour
 //	-------                      ---------                ---------
-//	Cut link mid-backup          read/write error         Client retries with backoff; the server reclaims the
-//	                                                      dead session's logged fingerprints into the pending
-//	                                                      set and primes the retry's filter with them, so only
-//	                                                      chunks that never arrived are re-transferred.
+//	Cut link mid-backup          read/write error         Client retries with backoff; the dead session's chunks
+//	                                                      stay in the chunk log, and the server answers their
+//	                                                      re-offer with "don't transfer", so only chunks that
+//	                                                      never arrived are re-transferred.
 //	Cut link mid-restore         read/write error         Client retries and resumes the interrupted file
 //	                                                      mid-stream (RestoreFile.StartChunk); the partial temp
 //	                                                      file is kept across attempts and verified chunk by
@@ -69,8 +69,8 @@
 //	on the server                                         typed in-band refusal (proto.IsReadOnly); restores and
 //	                                                      verifies keep serving. Cleared by fixing the medium
 //	                                                      and restarting (normal crash recovery applies).
-//	Crash between dedup-2        chunk-log WAL replay     Chunks not yet checkpointed re-enter the pending set
-//	stages                       on reopen                on recovery; the next pass converges (re-stored
+//	Crash between dedup-2        chunk-log WAL replay     Records a pass had not consumed replay on recovery
+//	stages                       on reopen                as pending work; the next pass converges (re-stored
 //	                                                      duplicates waste space but never corrupt restores).
 //	Backup aborted before        run never marked          The director serves only completed runs (EndRun) as
 //	completion                   complete                  restore sources or filtering fingerprints, so a
@@ -95,8 +95,8 @@
 // convention across debar-server, debar-director and debar-client:
 //
 //   - -log-level debug|info|warn|error and -log-json select the slog
-//     handler (Debug: routine lifecycle; Info: session resumes and
-//     dedup-2 pass summaries; Warn: reclaims, retries, stage failures;
+//     handler (Debug: routine lifecycle; Info: dedup-2 pass summaries;
+//     Warn: reclaims, retries, stage failures;
 //     Error: the store latching read-only);
 //   - -debug-addr starts an opt-in HTTP listener serving /metrics
 //     (Prometheus text format), /metrics.json (the obs snapshot) and

@@ -12,6 +12,7 @@ import (
 
 	"debar/internal/client"
 	"debar/internal/director"
+	"debar/internal/fp"
 	"debar/internal/metastore"
 	"debar/internal/proto"
 	"debar/internal/server"
@@ -359,8 +360,17 @@ func TestDurabilityCrashBetweenSILAndSIU(t *testing.T) {
 	checkRestoreWith(t, saddr, job, src, 32, 2)
 
 	// Convergence: with the retried pass complete, yet another pass must
-	// find nothing new — the re-queued work was finished, not duplicated
-	// into an ever-growing pending set.
+	// find nothing new — the replayed work was finished, not duplicated
+	// into an ever-growing chunk log.
+	if done := dedup2Pass(t, saddr); done.NewChunks != 0 {
+		t.Fatalf("convergence pass stored %d new chunks, want 0", done.NewChunks)
+	}
+}
+
+// dedup2Pass runs one dedup-2 pass with SIU on the server at saddr and
+// returns its result, failing the test if the pass reports an error.
+func dedup2Pass(t *testing.T, saddr string) proto.Dedup2Done {
+	t.Helper()
 	conn, err := proto.Dial(saddr)
 	if err != nil {
 		t.Fatal(err)
@@ -374,14 +384,93 @@ func TestDurabilityCrashBetweenSILAndSIU(t *testing.T) {
 		t.Fatal(err)
 	}
 	done, ok := msg.(proto.Dedup2Done)
-	if !ok {
+	if !ok || done.Err != "" {
 		t.Fatalf("Dedup2Request reply = %T %+v", msg, msg)
 	}
-	if done.Err != "" {
-		t.Fatalf("convergence pass failed: %s", done.Err)
+	return done
+}
+
+// TestDurabilityKillAfterLiveConsume pins "an acked chunk is durable" on
+// the path that truncates the WAL while a backup session is live: session
+// A holds acked chunks, a dedup-2 pass consumes them and truncates the
+// WAL, and the deployment is killed (data dirs snapshotted) with A still
+// open. Booting from the snapshot, every acked fingerprint must resolve
+// through the disk index, and a further pass must store nothing.
+func TestDurabilityKillAfterLiveConsume(t *testing.T) {
+	dirData, srvData := t.TempDir(), t.TempDir()
+	d, ms, srv, saddr := bootDurable(t, dirData, srvData, nil)
+
+	rng := newDetRand(73)
+	var fps []fp.FP
+	var sizes []uint32
+	var data [][]byte
+	for range 12 {
+		chunk := make([]byte, 4096)
+		for i := 0; i < len(chunk); i += 8 {
+			binary.LittleEndian.PutUint64(chunk[i:], rng.next())
+		}
+		fps = append(fps, fp.New(chunk))
+		sizes = append(sizes, uint32(len(chunk)))
+		data = append(data, chunk)
 	}
-	if done.NewChunks != 0 {
-		t.Fatalf("convergence pass stored %d new chunks, want 0", done.NewChunks)
+
+	conn, err := proto.Dial(saddr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer conn.Close()
+	call := func(req any) any {
+		t.Helper()
+		if err := conn.Send(req); err != nil {
+			t.Fatal(err)
+		}
+		msg, err := conn.Recv()
+		if err != nil {
+			t.Fatal(err)
+		}
+		return msg
+	}
+	start, ok := call(proto.BackupStart{JobName: "live-consume-job", Client: "a", Version: proto.ProtocolVersion}).(proto.BackupStartOK)
+	if !ok {
+		t.Fatal("BackupStart refused")
+	}
+	if v, ok := call(proto.FPBatch{SessionID: start.SessionID, FPs: fps, Sizes: sizes}).(proto.FPVerdicts); !ok || len(v.Verdicts) != len(fps) {
+		t.Fatal("FPBatch refused")
+	}
+	if ack, ok := call(proto.ChunkBatch{SessionID: start.SessionID, FPs: fps, Data: data}).(proto.Ack); !ok || !ack.OK {
+		t.Fatal("ChunkBatch not acked")
+	}
+
+	// The pass consumes A's records and, caught up, truncates the WAL.
+	if err := d.TriggerDedup2(true); err != nil {
+		t.Fatalf("dedup-2: %v", err)
+	}
+	if st, err := os.Stat(filepath.Join(srvData, "chunklog.wal")); err != nil {
+		t.Fatal(err)
+	} else if st.Size() != 0 {
+		t.Fatalf("WAL holds %d bytes after the pass, want 0", st.Size())
+	}
+
+	// The kill, with A still open.
+	killDir, killSrv := t.TempDir(), t.TempDir()
+	copyTree(t, dirData, killDir)
+	copyTree(t, srvData, killSrv)
+	conn.Close()
+	shutdownDurable(t, d, ms, srv)
+
+	eng, err := store.Open(killSrv, store.Options{IndexBits: 10})
+	if err != nil {
+		t.Fatal(err)
+	}
+	d, ms, srv, saddr = bootDurable(t, killDir, killSrv, eng)
+	defer shutdownDurable(t, d, ms, srv)
+	for i, f := range fps {
+		if _, err := eng.Index().Lookup(f); err != nil {
+			t.Fatalf("acked chunk %d lost after the kill: %v", i, err)
+		}
+	}
+	if done := dedup2Pass(t, saddr); done.NewChunks != 0 {
+		t.Fatalf("pass after reboot stored %d new chunks, want 0", done.NewChunks)
 	}
 }
 

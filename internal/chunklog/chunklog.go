@@ -36,22 +36,29 @@ const recordHeader = fp.Size + 4
 // its walk under that mutex and then walks without holding it, so the
 // File Store (dedup-1 writer) keeps appending while the Chunk Store
 // (dedup-2 reader) drains the log; records appended meanwhile lie past the
-// bound and wait for the next pass. Reset must not run while a walk is in
-// progress.
+// bound and wait for the next pass. Consume and Reset must not run while a
+// walk is in progress.
+//
+// The log is its own work queue: the records appended since the last
+// Consume are exactly the chunks dedup-2 has yet to store. Pending
+// snapshots their fingerprints together with a Mark bounding them, and
+// Consume(mark) drops them once a pass has made them durable elsewhere.
 //
 // A Log is either memory-backed (NewMem) or a durable WAL (OpenWAL).
 type Log struct {
 	mu       sync.Mutex
 	metaOnly bool
-	recs     []Record // guarded by mu
-	bytes    int64    // guarded by mu; payload bytes represented
+	recs     []Record // guarded by mu; memory log: the unconsumed records
+	bytes    int64    // guarded by mu; payload bytes appended since the last truncation
 	disk     *disksim.Disk
 	file     *os.File // non-nil for WAL logs; set once at open
 
 	// WAL mode (OpenWAL): checksummed record framing, owner-scheduled
 	// fsync, torn-tail recovery. See wal.go.
-	end   int64 // guarded by mu; append offset
-	dirty int   // guarded by mu; bytes appended since the last completed fsync
+	fps   []fp.FP // guarded by mu; fingerprints of the unconsumed records, in append order
+	start int64   // guarded by mu; offset of the first unconsumed record
+	end   int64   // guarded by mu; append offset
+	dirty int     // guarded by mu; bytes appended since the last completed fsync
 
 	// syncMu serialises Sync callers so the fsync itself runs outside mu
 	// — appends proceed while the disk flushes — without two syncers
@@ -140,31 +147,78 @@ func (l *Log) append(f fp.FP, size uint32, data []byte, owned bool) error {
 	return nil
 }
 
-// Count returns the number of logged groups.
+// Count returns the number of unconsumed records.
 func (l *Log) Count() int64 {
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	if l.file != nil {
-		n, _ := l.countWAL()
-		return n
-	}
-	return int64(len(l.recs))
+	return int64(l.Len())
 }
 
-// Bytes returns the payload bytes represented in the log.
+// Bytes returns the payload bytes appended since the log was last
+// truncated.
 func (l *Log) Bytes() int64 {
 	l.mu.Lock()
 	defer l.mu.Unlock()
 	return l.bytes
 }
 
-// Iterate sequentially reads the log, invoking fn per group in append
-// order. Charges one sequential read over the log. Under the log's lock it
-// only snapshots the walk's bound — the append offset of a WAL, the record
-// slice of a memory log — and then walks the records appended before the
-// call without the lock, so appends proceed while fn runs (they land past
-// the bound and wait for the next walk) and concurrent Iterate calls do
-// not serialise. The Record's Data is valid only during fn (see Record).
+// Mark is a position in the log returned by Pending: it bounds the
+// records whose fingerprints that call returned. A mark is only valid
+// until the log is next truncated (Consume reaching the end, or Reset).
+type Mark struct {
+	off int64 // WAL: append offset when the mark was taken
+	n   int   // unconsumed records the mark covers
+}
+
+// Pending returns the fingerprints of every record appended since the
+// last Consume, in append order, and the Mark bounding them. Fingerprint
+// and mark are taken together under the log's lock, so each appended
+// record is in exactly one Pending snapshot before it is consumed. The
+// returned slice must not be modified.
+func (l *Log) Pending() ([]fp.FP, Mark) {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	if l.file != nil {
+		// Appends only ever write past len(l.fps), so the capped slice is
+		// an immutable snapshot without a copy.
+		n := len(l.fps)
+		return l.fps[:n:n], Mark{off: l.end, n: n}
+	}
+	fps := make([]fp.FP, len(l.recs))
+	for i, r := range l.recs {
+		fps[i] = r.FP
+	}
+	return fps, Mark{n: len(l.recs)}
+}
+
+// Consume drops the records up to m: later Pending calls and walks start
+// after them. When nothing was appended past m the log is empty and is
+// truncated, durably for a WAL; otherwise the file is kept and only the
+// in-memory start cursor moves, so a reopened WAL replays the consumed
+// records too (their chunks are stored, and dedup-2 discards them as
+// duplicates).
+func (l *Log) Consume(m Mark) error {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	if m.n == l.Len() {
+		return l.truncate()
+	}
+	if l.file != nil {
+		l.fps, l.start = l.fps[m.n:], m.off
+	} else {
+		l.recs = l.recs[m.n:]
+	}
+	return nil
+}
+
+// Iterate sequentially reads the unconsumed records, invoking fn per group
+// in append order. Charges one sequential read over the log. Under the
+// log's lock it only snapshots the walk's bounds — the start and append
+// offsets of a WAL, the record slice of a memory log — and then walks the
+// records appended before the call without the lock, so appends proceed
+// while fn runs (they land past the bound and wait for the next walk) and
+// concurrent Iterate calls do not serialise. The Record's Data is valid
+// only during fn (see Record).
 func (l *Log) Iterate(fn func(Record) error) error {
 	l.mu.Lock()
 	if l.disk != nil {
@@ -172,10 +226,10 @@ func (l *Log) Iterate(fn func(Record) error) error {
 	}
 	// Appends only ever append, so the slice header is an immutable prefix
 	// even while the log grows underneath.
-	end, recs := l.end, l.recs
+	start, end, recs := l.start, l.end, l.recs
 	l.mu.Unlock()
 	if l.file != nil {
-		return walkWAL(l.file, end, fn)
+		return walkWAL(l.file, start, end, fn)
 	}
 	for _, r := range recs {
 		if err := fn(r); err != nil {
@@ -185,29 +239,42 @@ func (l *Log) Iterate(fn func(Record) error) error {
 	return nil
 }
 
-// Len returns the in-memory record count without locking.
+// Len returns the unconsumed record count without locking.
 //
 // debarvet:holds mu -- the caller holds l.mu.
-func (l *Log) Len() int { return len(l.recs) }
+func (l *Log) Len() int {
+	if l.file != nil {
+		return len(l.fps)
+	}
+	return len(l.recs)
+}
 
-// Reset discards all records after a completed dedup-2 pass. In WAL mode
-// the truncation is made durable immediately: once dedup-2 has stored the
-// chunks, a recovered WAL must not replay them.
+// Reset discards all records. In WAL mode the truncation is made durable
+// immediately, so a recovered WAL does not replay them.
 func (l *Log) Reset() error {
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	l.recs = nil
+	return l.truncate()
+}
+
+// truncate empties the log and, for a WAL, durably truncates the file. A
+// failed truncation leaves the log as it was; the state follows the file.
+//
+// debarvet:holds mu -- Reset and Consume enter with l.mu held.
+func (l *Log) truncate() error {
+	if l.file != nil {
+		if err := l.file.Truncate(0); err != nil {
+			return fmt.Errorf("chunklog: truncate: %w", err)
+		}
+	}
+	l.recs, l.fps = nil, nil
 	l.bytes = 0
-	l.end = 0
+	l.start, l.end = 0, 0
 	l.dirty = 0
-	if l.file == nil {
-		return nil
-	}
-	if err := l.file.Truncate(0); err != nil {
-		return fmt.Errorf("chunklog: reset: %w", err)
-	}
-	if err := l.file.Sync(); err != nil {
-		return fmt.Errorf("chunklog: reset sync: %w", err)
+	if l.file != nil {
+		if err := l.file.Sync(); err != nil {
+			return fmt.Errorf("chunklog: truncate sync: %w", err)
+		}
 	}
 	return nil
 }

@@ -120,7 +120,7 @@ func appendN(t *testing.T, l *Log, start, n int) {
 // openLogs returns one log per backing mode.
 func openLogs(t *testing.T) map[string]*Log {
 	t.Helper()
-	wl, _, err := OpenWAL(filepath.Join(t.TempDir(), "wal.log"))
+	wl, err := OpenWAL(filepath.Join(t.TempDir(), "wal.log"))
 	if err != nil {
 		t.Fatal(err)
 	}

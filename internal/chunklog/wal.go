@@ -44,8 +44,9 @@ var (
 // the storage engine that owner is the "wal" group committer, and the
 // backup server holds each ChunkBatch verdict until the covering sync
 // lands, so an acknowledged chunk is always recoverable — see
-// internal/store/README.md ("Consistency model"). Reset and Close always
-// sync. The recovered prefix is always a consistent replay point.
+// internal/store/README.md ("Consistency model"). A truncation (Consume
+// reaching the end, or Reset) and Close always sync. The recovered prefix
+// is always a consistent replay point.
 
 // walHeader is the serialised record header: checksum + fingerprint + size.
 const walHeader = 4 + fp.Size + 4
@@ -77,35 +78,34 @@ func (e *corruptRecord) Error() string {
 }
 
 // OpenWAL opens (creating if needed) a durable chunk-log WAL at path,
-// recovering any existing records. It returns the log and the fingerprints
-// of the recovered records in append order (the crash-recovery seed for
-// the undetermined fingerprint file).
-func OpenWAL(path string) (*Log, []fp.FP, error) {
+// recovering any existing records. Every recovered record is pending: the
+// start cursor is not persisted, so records a pass consumed without
+// truncating the file replay too, and dedup-2 discards them as
+// duplicates.
+func OpenWAL(path string) (*Log, error) {
 	f, err := os.OpenFile(path, os.O_RDWR|os.O_CREATE, 0o644)
 	if err != nil {
-		return nil, nil, fmt.Errorf("chunklog: open wal: %w", err)
+		return nil, fmt.Errorf("chunklog: open wal: %w", err)
 	}
 	l := &Log{file: f}
-	fps, err := l.recoverWAL()
-	if err != nil {
-		return nil, nil, errors.Join(err, f.Close())
+	if err := l.recoverWAL(); err != nil {
+		return nil, errors.Join(err, f.Close())
 	}
-	return l, fps, nil
+	return l, nil
 }
 
 // recoverWAL scans the WAL, accepting the longest prefix of complete,
 // checksum-valid records and truncating the file after it.
 //
 //debarvet:ignore guardedby -- recovery runs inside OpenWAL before the log is shared; no other goroutine exists yet
-func (l *Log) recoverWAL() ([]fp.FP, error) {
+func (l *Log) recoverWAL() error {
 	st, err := l.file.Stat()
 	if err != nil {
-		return nil, fmt.Errorf("chunklog: wal stat: %w", err)
+		return fmt.Errorf("chunklog: wal stat: %w", err)
 	}
 	fileSize := st.Size()
-	var fps []fp.FP
-	err = walkWAL(l.file, fileSize, func(r Record) error {
-		fps = append(fps, r.FP)
+	err = walkWAL(l.file, 0, fileSize, func(r Record) error {
+		l.fps = append(l.fps, r.FP)
 		l.bytes += int64(r.Size)
 		return nil
 	})
@@ -114,21 +114,21 @@ func (l *Log) recoverWAL() ([]fp.FP, error) {
 	if errors.As(err, &bad) {
 		off = bad.off // short header, implausible length or bad checksum: torn tail
 	} else if err != nil {
-		return nil, err
+		return err
 	}
 	if off < fileSize {
 		// Truncating covers both a torn tail and a zero-filled one (zeros
 		// fail the checksum scan the same way), so the next append lands
 		// at the logical end.
 		if err := l.file.Truncate(off); err != nil {
-			return nil, fmt.Errorf("chunklog: wal truncating torn tail: %w", err)
+			return fmt.Errorf("chunklog: wal truncating torn tail: %w", err)
 		}
 		if err := l.file.Sync(); err != nil {
-			return nil, fmt.Errorf("chunklog: wal sync after truncate: %w", err)
+			return fmt.Errorf("chunklog: wal sync after truncate: %w", err)
 		}
 	}
 	l.end = off
-	return fps, nil
+	return nil
 }
 
 // appendWAL writes one checksummed record at the end of the WAL. It
@@ -147,22 +147,24 @@ func (l *Log) appendWAL(f fp.FP, size uint32, data []byte) error {
 	}
 	l.end += int64(len(rec))
 	l.dirty += len(rec)
+	l.fps = append(l.fps, f)
 	mWALAppendBytes.Add(int64(len(rec)))
 	return nil
 }
 
-// walkWAL replays the records of file below offset end in append order,
+// walkWAL replays the records of file in [start, end) in append order,
 // streaming the file through one reused read window and verifying every
 // record's checksum in place (corruption after recovery — bad sectors —
 // surfaces here rather than as a wrong chunk in a container). A record
 // whose framing or checksum is invalid stops the walk with a
 // *corruptRecord naming its offset; a declared size is bounded before
 // anything is read or allocated for it. Each Record's Data aliases the
-// window and is valid only until fn returns. Recovery bounds the walk at
-// the file size, Log.Iterate at the append offset it snapshots.
-func walkWAL(file *os.File, end int64, fn func(Record) error) error {
-	buf := make([]byte, min(end, walWindow))
-	var base, filled int64 // buf[:filled-base] holds file bytes [base, filled)
+// window and is valid only until fn returns. Recovery walks the whole
+// file, Log.Iterate the unconsumed records below the append offset it
+// snapshots.
+func walkWAL(file *os.File, start, end int64, fn func(Record) error) error {
+	buf := make([]byte, min(end-start, walWindow))
+	base, filled := start, start // buf[:filled-base] holds file bytes [base, filled)
 	// load makes buf hold file bytes [off, off+n), sliding the unread part
 	// of the window to its front (at most one partial record) and
 	// refilling the rest with one read.
@@ -186,7 +188,7 @@ func walkWAL(file *os.File, end int64, fn func(Record) error) error {
 		filled = base + top
 		return nil
 	}
-	for off := int64(0); off < end; {
+	for off := start; off < end; {
 		if off+walHeader > end {
 			return &corruptRecord{off, "has a short header"}
 		}
@@ -214,23 +216,6 @@ func walkWAL(file *os.File, end int64, fn func(Record) error) error {
 		off += n
 	}
 	return nil
-}
-
-// countWAL counts records by walking headers.
-//
-// debarvet:holds mu -- Count enters with l.mu held.
-func (l *Log) countWAL() (int64, error) {
-	var n int64
-	var hdr [walHeader]byte
-	off := int64(0)
-	for off < l.end {
-		if _, err := l.file.ReadAt(hdr[:], off); err != nil {
-			return n, err
-		}
-		off += walHeader + int64(binary.BigEndian.Uint32(hdr[4+fp.Size:]))
-		n++
-	}
-	return n, nil
 }
 
 // Sync makes every append before the call durable. The fsync runs

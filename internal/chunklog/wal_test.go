@@ -7,7 +7,9 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"slices"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 
@@ -23,12 +25,22 @@ func walRecord(i int) (fp.FP, []byte) {
 	return fp.New(data), data
 }
 
-func TestWALRoundTrip(t *testing.T) {
-	path := filepath.Join(t.TempDir(), "chunklog.wal")
-	l, fps, err := OpenWAL(path)
+// reopenWAL opens the WAL at path, closing it at test end, and returns it
+// with the fingerprints it recovered (every recovered record is pending).
+func reopenWAL(t *testing.T, path string) (*Log, []fp.FP) {
+	t.Helper()
+	l, err := OpenWAL(path)
 	if err != nil {
 		t.Fatal(err)
 	}
+	t.Cleanup(func() { l.Close() })
+	fps, _ := l.Pending()
+	return l, fps
+}
+
+func TestWALRoundTrip(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "chunklog.wal")
+	l, fps := reopenWAL(t, path)
 	if len(fps) != 0 {
 		t.Fatalf("fresh WAL recovered %d fps", len(fps))
 	}
@@ -46,16 +58,12 @@ func TestWALRoundTrip(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	l2, fps, err := OpenWAL(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer l2.Close()
+	l2, fps := reopenWAL(t, path)
 	if len(fps) != n {
 		t.Fatalf("recovered %d fps, want %d", len(fps), n)
 	}
 	i := 0
-	err = l2.Iterate(func(r Record) error {
+	err := l2.Iterate(func(r Record) error {
 		f, data := walRecord(i)
 		if r.FP != f || string(r.Data) != string(data) {
 			t.Fatalf("record %d mismatch", i)
@@ -105,7 +113,7 @@ func TestWALTornTailTruncated(t *testing.T) {
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
 			path := filepath.Join(t.TempDir(), "chunklog.wal")
-			l, _, err := OpenWAL(path)
+			l, err := OpenWAL(path)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -124,10 +132,7 @@ func TestWALTornTailTruncated(t *testing.T) {
 			}
 			tc.damage(t, path, st.Size())
 
-			l2, fps, err := OpenWAL(path)
-			if err != nil {
-				t.Fatal(err)
-			}
+			l2, fps := reopenWAL(t, path)
 			if len(fps) != tc.keep {
 				t.Fatalf("recovered %d fps, want %d", len(fps), tc.keep)
 			}
@@ -155,10 +160,7 @@ func TestWALTornTailTruncated(t *testing.T) {
 			} else if want := end + walHeader + int64(len(data)); st.Size() != want {
 				t.Fatalf("file size %d after post-recovery append, want %d", st.Size(), want)
 			}
-			_, fps, err = OpenWAL(path)
-			if err != nil {
-				t.Fatal(err)
-			}
+			_, fps = reopenWAL(t, path)
 			if len(fps) != tc.keep+1 || fps[tc.keep] != f {
 				t.Fatalf("post-recovery append not recovered (got %d fps)", len(fps))
 			}
@@ -168,7 +170,7 @@ func TestWALTornTailTruncated(t *testing.T) {
 
 func TestWALCorruptMiddleTruncates(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "chunklog.wal")
-	l, _, err := OpenWAL(path)
+	l, err := OpenWAL(path)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -195,10 +197,7 @@ func TestWALCorruptMiddleTruncates(t *testing.T) {
 	}
 	f.Close()
 
-	_, fps, err := OpenWAL(path)
-	if err != nil {
-		t.Fatal(err)
-	}
+	_, fps := reopenWAL(t, path)
 	// Recovery keeps the valid prefix: records 0 and 1.
 	if len(fps) != 2 {
 		t.Fatalf("recovered %d fps after mid-log corruption, want 2", len(fps))
@@ -212,7 +211,7 @@ func TestWALCorruptMiddleTruncates(t *testing.T) {
 // records had never reached the disk.
 func TestWALSyncFailureKeepsDirty(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "chunklog.wal")
-	l, _, err := OpenWAL(path)
+	l, err := OpenWAL(path)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -258,10 +257,7 @@ func TestWALSyncFailureKeepsDirty(t *testing.T) {
 	if err := l.Close(); err != nil {
 		t.Fatal(err)
 	}
-	_, fps, err := OpenWAL(path)
-	if err != nil {
-		t.Fatal(err)
-	}
+	_, fps := reopenWAL(t, path)
 	if len(fps) != n {
 		t.Fatalf("recovered %d fps, want %d", len(fps), n)
 	}
@@ -273,7 +269,7 @@ func TestWALSyncFailureKeepsDirty(t *testing.T) {
 // and one Sync covers every earlier append.
 func TestWALAppendNeverSyncsInline(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "chunklog.wal")
-	l, _, err := OpenWAL(path)
+	l, err := OpenWAL(path)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -299,10 +295,7 @@ func TestWALAppendNeverSyncsInline(t *testing.T) {
 	if err := l.Close(); err != nil {
 		t.Fatal(err)
 	}
-	_, fps, err := OpenWAL(path)
-	if err != nil {
-		t.Fatal(err)
-	}
+	_, fps := reopenWAL(t, path)
 	if len(fps) != n {
 		t.Fatalf("recovered %d fps, want %d", len(fps), n)
 	}
@@ -332,7 +325,7 @@ func TestWALWalkWindowEdges(t *testing.T) {
 		65,
 	}
 	path := filepath.Join(t.TempDir(), "chunklog.wal")
-	l, _, err := OpenWAL(path)
+	l, err := OpenWAL(path)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -384,11 +377,7 @@ func TestWALWalkWindowEdges(t *testing.T) {
 	if err := l.Sync(); err != nil {
 		t.Fatal(err)
 	}
-	l2, fps, err := OpenWAL(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer l2.Close()
+	l2, fps := reopenWAL(t, path)
 	if len(fps) != len(sizes) {
 		t.Fatalf("recovered %d records, want %d", len(fps), len(sizes))
 	}
@@ -398,7 +387,7 @@ func TestWALWalkWindowEdges(t *testing.T) {
 // TestWALWalkAllocsConstant: a walk allocates its read window once, not a
 // buffer per record.
 func TestWALWalkAllocsConstant(t *testing.T) {
-	l, _, err := OpenWAL(filepath.Join(t.TempDir(), "chunklog.wal"))
+	l, err := OpenWAL(filepath.Join(t.TempDir(), "chunklog.wal"))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -430,7 +419,7 @@ func TestWALWalkAllocsConstant(t *testing.T) {
 // before a buffer of the declared size is allocated.
 func TestWALWalkRejectsOversizedRecord(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "chunklog.wal")
-	l, _, err := OpenWAL(path)
+	l, err := OpenWAL(path)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -470,7 +459,7 @@ func TestIterateDoesNotBlockAppend(t *testing.T) {
 			l := NewMem(false, nil)
 			if mode == "wal" {
 				var err error
-				if l, _, err = OpenWAL(filepath.Join(t.TempDir(), "chunklog.wal")); err != nil {
+				if l, err = OpenWAL(filepath.Join(t.TempDir(), "chunklog.wal")); err != nil {
 					t.Fatal(err)
 				}
 				defer l.Close()
@@ -520,7 +509,7 @@ func TestIterateDoesNotBlockAppend(t *testing.T) {
 
 func TestWALResetDurable(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "chunklog.wal")
-	l, _, err := OpenWAL(path)
+	l, err := OpenWAL(path)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -534,11 +523,198 @@ func TestWALResetDurable(t *testing.T) {
 	if err := l.Close(); err != nil {
 		t.Fatal(err)
 	}
-	_, fps, err := OpenWAL(path)
+	if _, fps := reopenWAL(t, path); len(fps) != 0 {
+		t.Fatalf("reset WAL recovered %d fps, want 0", len(fps))
+	}
+}
+
+// walSize returns the WAL file's size on disk.
+func walSize(t *testing.T, path string) int64 {
+	t.Helper()
+	st, err := os.Stat(path)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(fps) != 0 {
-		t.Fatalf("reset WAL recovered %d fps, want 0", len(fps))
+	return st.Size()
+}
+
+// walkFPs returns the fingerprints an Iterate walk visits.
+func walkFPs(t *testing.T, l *Log) []fp.FP {
+	t.Helper()
+	var fps []fp.FP
+	if err := l.Iterate(func(r Record) error {
+		fps = append(fps, r.FP)
+		return nil
+	}); err != nil {
+		t.Fatal(err)
+	}
+	return fps
+}
+
+// appendWALRecords appends walRecord(lo..hi-1) and returns their
+// fingerprints.
+func appendWALRecords(t *testing.T, l *Log, lo, hi int) []fp.FP {
+	t.Helper()
+	var fps []fp.FP
+	for i := lo; i < hi; i++ {
+		f, data := walRecord(i)
+		if err := l.Append(f, uint32(len(data)), data); err != nil {
+			t.Fatal(err)
+		}
+		fps = append(fps, f)
+	}
+	return fps
+}
+
+// TestWALPendingConsume pins the log as dedup-2's work queue: Pending
+// excludes consumed records, Iterate starts at the consume cursor, a
+// Consume with appends past its mark keeps the file, and a Consume that
+// catches up truncates it to 0 bytes, after which a reopen replays
+// nothing.
+func TestWALPendingConsume(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "chunklog.wal")
+	l, _ := reopenWAL(t, path)
+	first := appendWALRecords(t, l, 0, 5)
+	got, mark := l.Pending()
+	if !slices.Equal(got, first) {
+		t.Fatalf("Pending = %d fps, want the 5 appended", len(got))
+	}
+	rest := appendWALRecords(t, l, 5, 8)
+	size := walSize(t, path)
+	if err := l.Consume(mark); err != nil {
+		t.Fatal(err)
+	}
+	if got := walSize(t, path); got != size {
+		t.Fatalf("Consume with records past its mark resized the file: %d -> %d bytes", size, got)
+	}
+
+	got, mark = l.Pending()
+	if !slices.Equal(got, rest) {
+		t.Fatalf("Pending after Consume = %d fps, want the 3 appended past the mark", len(got))
+	}
+	if n := l.Count(); n != 3 {
+		t.Fatalf("Count after Consume = %d, want 3", n)
+	}
+	if walked := walkFPs(t, l); !slices.Equal(walked, rest) {
+		t.Fatalf("Iterate after Consume walked %d records, want the 3 past the cursor", len(walked))
+	}
+
+	if err := l.Consume(mark); err != nil {
+		t.Fatal(err)
+	}
+	if got := walSize(t, path); got != 0 {
+		t.Fatalf("caught-up Consume left %d bytes, want 0", got)
+	}
+	if got, _ := l.Pending(); len(got) != 0 {
+		t.Fatalf("Pending after a caught-up Consume = %d fps, want 0", len(got))
+	}
+	if walked := walkFPs(t, l); len(walked) != 0 {
+		t.Fatalf("Iterate after a caught-up Consume walked %d records, want 0", len(walked))
+	}
+	if err := l.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if _, fps := reopenWAL(t, path); len(fps) != 0 {
+		t.Fatalf("reopen after a caught-up Consume replayed %d records, want 0", len(fps))
+	}
+}
+
+// TestWALPendingReplayAfterPartialConsume: the consume cursor is not
+// persisted, so a reopen after a Consume that kept the file replays every
+// record, the consumed ones included (dedup-2's SIL discards those as
+// duplicates).
+func TestWALPendingReplayAfterPartialConsume(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "chunklog.wal")
+	l, _ := reopenWAL(t, path)
+	all := appendWALRecords(t, l, 0, 4)
+	_, mark := l.Pending()
+	all = append(all, appendWALRecords(t, l, 4, 6)...)
+	if err := l.Consume(mark); err != nil {
+		t.Fatal(err)
+	}
+	if err := l.Close(); err != nil {
+		t.Fatal(err)
+	}
+	l2, fps := reopenWAL(t, path)
+	if !slices.Equal(fps, all) {
+		t.Fatalf("reopen replayed %d records, want all %d", len(fps), len(all))
+	}
+	if walked := walkFPs(t, l2); !slices.Equal(walked, all) {
+		t.Fatalf("reopened walk saw %d records, want all %d", len(walked), len(all))
+	}
+}
+
+// TestWALPendingRace runs four appenders against a consumer that loops
+// Pending, Iterate and Consume, under the race detector: every appended
+// fingerprint lands in exactly one Pending snapshot before it is
+// consumed, and the walk after each snapshot sees a record for every
+// fingerprint in it.
+func TestWALPendingRace(t *testing.T) {
+	for name, l := range openLogs(t) {
+		t.Run(name, func(t *testing.T) {
+			const appenders, each = 4, 300
+			var wg sync.WaitGroup
+			appendErrs := make([]error, appenders)
+			for a := range appenders {
+				wg.Add(1)
+				go func() {
+					defer wg.Done()
+					for i := range each {
+						n := a*each + i
+						data := []byte{byte(n), byte(n >> 8), 0x5A}
+						if err := l.Append(fp.FromUint64(uint64(n)), uint32(len(data)), data); err != nil {
+							appendErrs[a] = err
+							return
+						}
+					}
+				}()
+			}
+			done := make(chan struct{})
+			go func() { wg.Wait(); close(done) }()
+
+			seen := make(map[fp.FP]bool)
+			for {
+				finished := false
+				select {
+				case <-done:
+					finished = true // this pass drains every append
+				default:
+				}
+				fps, mark := l.Pending()
+				walked := make(map[fp.FP]bool)
+				if err := l.Iterate(func(r Record) error {
+					walked[r.FP] = true
+					return nil
+				}); err != nil {
+					t.Fatal(err)
+				}
+				for _, f := range fps {
+					if seen[f] {
+						t.Fatalf("fingerprint %s in two Pending snapshots", f.Short())
+					}
+					seen[f] = true
+					if !walked[f] {
+						t.Fatalf("walk after Pending missed fingerprint %s", f.Short())
+					}
+				}
+				if err := l.Consume(mark); err != nil {
+					t.Fatal(err)
+				}
+				if finished {
+					break
+				}
+			}
+			for _, err := range appendErrs {
+				if err != nil {
+					t.Fatal(err)
+				}
+			}
+			if len(seen) != appenders*each {
+				t.Fatalf("Pending snapshots held %d fingerprints, want %d", len(seen), appenders*each)
+			}
+			if n := l.Count(); n != 0 {
+				t.Fatalf("Count after draining = %d, want 0", n)
+			}
+		})
 	}
 }

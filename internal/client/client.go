@@ -66,8 +66,8 @@
 // transient network failures with exponential backoff and jitter under a
 // retry budget (Options.Retries, Options.RetryBackoff). The retries are efficient resumes, not
 // blind re-runs: a retried backup re-offers fingerprints (idempotent on
-// the server, which primes a new session with its pending set) and only
-// re-ships chunks that never landed; a retried restore resumes mid-file
+// the server, which answers "don't transfer" for every chunk already in
+// its chunk log) and only re-ships chunks that never landed; a retried restore resumes mid-file
 // from the last verified chunk via the protocol's resume offset. Errors
 // the server reported in-band (a refused request, e.g. a store gone
 // read-only after ENOSPC) are permanent and never retried — see
@@ -201,9 +201,9 @@ type BackupStats struct {
 // Backup walks dir and backs up every regular file under it as job
 // jobName, retrying transient connection failures with backoff. A retry
 // opens a fresh session (and run) and re-offers every fingerprint; the
-// server's preliminary filter — primed with the interrupted session's
-// pending fingerprints — answers "don't transfer" for chunks that
-// already landed, so only the missing tail of the data moves again.
+// server answers "don't transfer" for chunks that already landed — they
+// are records in its chunk log, whatever became of the interrupted
+// session — so only the missing tail of the data moves again.
 func (c *Client) Backup(jobName, dir string) (BackupStats, error) {
 	var stats BackupStats
 	if err := c.Options.Validate(); err != nil {

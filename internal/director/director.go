@@ -396,9 +396,10 @@ func (d *Director) FilterFPs(jobName string) []fp.FP {
 // TriggerDedup2 asks every registered backup server to run dedup-2 (§3.1:
 // "the director initiates a dedup-2 job in which all the backup servers
 // cooperate to store new chunks"). Connection-level failures retry with
-// backoff — re-triggering dedup-2 is idempotent (a pass that already ran
-// finds an empty chunk log) — while a server-reported failure (Dedup2Done
-// with an error, e.g. a read-only store) is returned as-is.
+// backoff — re-triggering dedup-2 is idempotent (a pass that completed
+// consumed its chunk-log records, so a repeat sees only chunks logged
+// since) — while a server-reported failure (Dedup2Done with an error, e.g.
+// a read-only store) is returned as-is.
 func (d *Director) TriggerDedup2(runSIU bool) error {
 	attempts := d.Retries + 1
 	if d.Retries == 0 {

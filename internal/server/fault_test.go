@@ -91,9 +91,8 @@ func TestChunkBatchAckHeldForWALSync(t *testing.T) {
 // backup session, ships one chunk, and vanishes without closing the
 // connection (no FIN ever arrives — the handler can only notice via its
 // idle read deadline). The server must reap the session, and the orphaned
-// chunk's fingerprint must survive into the pending set so the next
-// dedup-2 pass stores it rather than the quiet-truncation path discarding
-// it.
+// chunk must stay a record in the chunk log — dedup-2's work queue — so
+// the next pass stores it.
 func TestIdleSessionReaped(t *testing.T) {
 	_, srv, srvAddr := startServer(t, func(c *server.Config) { c.IdleTimeout = 300 * time.Millisecond })
 
@@ -155,7 +154,7 @@ func TestIdleSessionReaped(t *testing.T) {
 		time.Sleep(20 * time.Millisecond)
 	}
 
-	// The reclaimed fingerprint must reach dedup-2: exactly the one
+	// The orphaned chunk's record reaches dedup-2: exactly the one
 	// orphaned chunk gets stored.
 	c2, err := proto.Dial(srvAddr)
 	if err != nil {

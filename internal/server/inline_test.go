@@ -101,7 +101,7 @@ func TestInlineDedupDedup2Equivalence(t *testing.T) {
 			}
 			done2 := runDedup2Direct(t, srvAddr)
 			// The equivalence claim: whether duplicates were skipped inline
-			// (nothing re-logged, empty pending set) or shipped and caught
+			// (nothing re-logged, nothing for the pass to read) or shipped and caught
 			// out-of-line by SIL, the pass stores no chunk twice and seals
 			// no container. DupChunks legitimately differs between modes —
 			// inline hits never reach dedup-2 to be counted.

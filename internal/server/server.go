@@ -45,7 +45,7 @@ var (
 	mLoggedDupHits  = obs.GetCounter("server_logged_dup_hits_total")
 	mChunkBatches   = obs.GetCounter("server_chunk_batches_total")
 	mBytesIn        = obs.GetCounter("server_chunk_bytes_in_total")
-	mPendingFPs     = obs.GetGauge("server_pending_fps")
+	mLogPending     = obs.GetGauge("server_pending_fps")
 	mDedup2Passes   = obs.GetCounter("server_dedup2_passes_total")
 	mDedup2Errors   = obs.GetCounter("server_dedup2_errors_total")
 	mDedup2SILSec   = obs.GetHistogram("server_dedup2_sil_seconds", obs.DurationBuckets)
@@ -89,10 +89,10 @@ type Config struct {
 	// IdleTimeout is the per-connection idle read deadline and the
 	// server's session reaper in one: a connection that goes silent for
 	// this long (client SIGKILL, NAT half-open, cut link with no FIN) is
-	// closed, and any backup sessions it opened are reclaimed — their
-	// undetermined fingerprints move to the pending set so the chunks
-	// already logged survive to the next dedup-2 pass instead of leaking
-	// until process exit. 0 selects 5 minutes; negative disables.
+	// closed, and any backup sessions it opened are reclaimed instead of
+	// leaking until process exit. The chunks they already logged stay in
+	// the chunk log for the next dedup-2 pass. 0 selects 5 minutes;
+	// negative disables.
 	IdleTimeout time.Duration
 	// WriteTimeout bounds each transport write on accepted connections,
 	// so a stalled peer cannot pin a restore stream forever. Per-syscall,
@@ -124,7 +124,7 @@ type Config struct {
 	Dedup2StageHook func(stage string)
 
 	// Logger receives the server's structured log events (connection
-	// lifecycle at debug, session resume and dedup-2 summaries at info,
+	// and session lifecycle at debug, dedup-2 summaries at info,
 	// reaped sessions and dropped close errors at warn, read-only
 	// latching at error). Nil uses slog.Default(), which the daemon
 	// binaries configure from -log-level/-log-json.
@@ -205,52 +205,47 @@ type session struct {
 	runID   uint64
 	caps    proto.Caps // negotiated capabilities; immutable after startBackup
 
-	mu       sync.Mutex
-	filter   *prefilter.Filter // guarded by mu
-	overflow []fp.FP           // guarded by mu; new fingerprints the saturated filter couldn't hold
-	logged   []fp.FP           // guarded by mu; fingerprints whose chunk data landed in the chunk log
-	logical  int64             // guarded by mu
-	xfer     int64             // guarded by mu
-	newFPs   int64             // guarded by mu
-	skipped  int64             // guarded by mu; logical bytes elided by inline dedup verdicts
+	mu      sync.Mutex
+	filter  *prefilter.Filter // guarded by mu
+	logical int64             // guarded by mu
+	xfer    int64             // guarded by mu
+	newFPs  int64             // guarded by mu
+	skipped int64             // guarded by mu; logical bytes elided by inline dedup verdicts
 }
 
 // Server is one backup server.
 //
 // Locking is deliberately fine-grained: mu guards only connection
 // lifecycle and the session table; each session carries its own lock;
-// pendMu guards the dedup-2 hand-off state (pending undetermined
-// fingerprints, unregistered entries); the shared Restorer is internally
-// synchronised with its lock scoped to the LPC cache state, so
-// concurrent restore streams overlap at chunk granularity instead of
-// queueing behind a server-wide restore lock; the chunk log has its own
-// internal lock. No server-wide lock is ever held across a data-path
-// batch or a restore loop.
+// dedup2Mu serialises dedup-2 passes and guards the entries awaiting SIU;
+// the shared Restorer is internally synchronised with its lock scoped to
+// the LPC cache state, so concurrent restore streams overlap at chunk
+// granularity instead of queueing behind a server-wide restore lock; the
+// chunk log has its own internal lock and is dedup-2's work queue (its
+// unconsumed records are the chunks a pass has yet to store). No
+// server-wide lock is ever held across a data-path batch or a restore
+// loop.
 type Server struct {
 	cfg Config
 
-	mu        sync.Mutex
-	sessions  map[uint64]*session      // guarded by mu
-	nextSess  uint64                   // guarded by mu
-	sessEpoch uint64                   // guarded by mu; bumped on every session start/end (quiet detection)
-	conns     map[*proto.Conn]struct{} // guarded by mu; accepted, still-open connections
-	handlers  sync.WaitGroup           // in-flight handle goroutines
-	ln        net.Listener             // guarded by mu
-	addr      string                   // guarded by mu
-	serverID  int                      // guarded by mu
-	closed    bool                     // guarded by mu
+	mu       sync.Mutex
+	sessions map[uint64]*session      // guarded by mu
+	nextSess uint64                   // guarded by mu
+	conns    map[*proto.Conn]struct{} // guarded by mu; accepted, still-open connections
+	handlers sync.WaitGroup           // in-flight handle goroutines
+	ln       net.Listener             // guarded by mu
+	addr     string                   // guarded by mu
+	serverID int                      // guarded by mu
+	closed   bool                     // guarded by mu
 
-	pendMu  sync.Mutex
-	pending []fp.FP    // guarded by pendMu; undetermined fingerprints awaiting dedup-2
-	unreg   []fp.Entry // guarded by pendMu
-
-	// loggedMu guards loggedFP: every fingerprint whose chunk bytes have
-	// landed in the chunk log since its last truncation, across all
-	// sessions. Dedup-1 consults it so concurrent sessions racing the
-	// same content (the per-session preliminary filters cannot see each
-	// other) neither transfer nor re-log a chunk the log already holds,
-	// which directly shrinks the bytes every group-commit fsync must push
-	// out. loggedMu is innermost: it is never held while acquiring
+	// loggedMu guards loggedFP: the fingerprint of every unconsumed
+	// chunk-log record, across all sessions. Dedup-1 consults it so
+	// concurrent sessions racing the same content (the per-session
+	// preliminary filters cannot see each other) neither transfer nor
+	// re-log a chunk the log already holds, which directly shrinks the
+	// bytes every group-commit fsync must push out; and so a client
+	// retrying an interrupted backup re-ships only the chunks that never
+	// landed. loggedMu is innermost: it is never held while acquiring
 	// another lock.
 	loggedMu sync.Mutex
 	loggedFP map[fp.FP]struct{} // guarded by loggedMu
@@ -261,6 +256,7 @@ type Server struct {
 	// a lock-free snapshot of the chunk log (tpds.ChunkStore.RunSILAndStore),
 	// so dedup-1 appends keep flowing behind it.
 	dedup2Mu sync.Mutex
+	unreg    []fp.Entry // guarded by dedup2Mu; stored chunks whose SIU was deferred or failed
 
 	log      *chunklog.Log
 	chunk    *tpds.ChunkStore
@@ -291,13 +287,12 @@ func New(cfg Config) (*Server, error) {
 	}
 
 	ix, repo := eng.Index(), eng.Repo()
-	// Chunks logged before a crash re-enter dedup-2 as undetermined
-	// fingerprints (the WAL replay seed).
-	pending := eng.PendingFPs()
 	cs := tpds.NewChunkStore(ix, repo, false, true)
 	cs.ContainerSize = cfg.ContainerSize
-	// Seed the logged-fingerprint set from the WAL replay: chunks already
-	// in the log need no second copy from any session.
+	// Chunks logged before a restart are pending in the recovered WAL:
+	// the next dedup-2 pass stores them, and no session needs to send a
+	// second copy.
+	pending, _ := eng.ChunkLog().Pending()
 	loggedFP := make(map[fp.FP]struct{}, len(pending))
 	for _, f := range pending {
 		loggedFP[f] = struct{}{}
@@ -306,7 +301,7 @@ func New(cfg Config) (*Server, error) {
 	if lg == nil {
 		lg = slog.Default()
 	}
-	mPendingFPs.Set(int64(len(pending)))
+	mLogPending.Set(int64(len(pending)))
 	return &Server{
 		cfg:      cfg,
 		sessions: make(map[uint64]*session),
@@ -314,7 +309,6 @@ func New(cfg Config) (*Server, error) {
 		log:      eng.ChunkLog(),
 		chunk:    cs,
 		restorer: tpds.NewRestorer(ix, repo, 16),
-		pending:  pending,
 		loggedFP: loggedFP,
 		storage:  eng,
 		slog:     lg,
@@ -564,7 +558,7 @@ func (s *Server) handle(conn *proto.Conn) {
 	st := &connState{}
 	// The reaper: however this handler exits — peer hung up, link cut,
 	// idle deadline expired, server closing — sessions that never reached
-	// BackupEnd are reclaimed so their fingerprints survive to dedup-2.
+	// BackupEnd are reclaimed.
 	defer s.reclaimSessions(st)
 
 	frames := make(chan any, frameQueueDepth)
@@ -727,47 +721,24 @@ func (s *Server) handle(conn *proto.Conn) {
 	}
 }
 
-// reclaimSessions moves a vanished client's collected fingerprints to
-// the pending set and removes its sessions. Ordering matters for the
-// quiet-truncation invariant in runDedup2: the fingerprints are made
-// pending while the session is still in the table, so any concurrent
-// pass either sees the session (not quiet — no truncation) or starts
-// after the removal (and drains the fingerprints); the epoch bump
-// invalidates passes that straddle the removal. The chunks already in
-// the log therefore always survive to a pass that stores them.
+// reclaimSessions removes a vanished client's sessions. Their chunks need
+// no hand-off: every chunk that reached the server is a chunk-log record,
+// which the next dedup-2 pass stores, and loggedFP tells a retrying client
+// not to send it again.
 func (s *Server) reclaimSessions(st *connState) {
 	for _, id := range st.sess {
 		s.mu.Lock()
 		sess, ok := s.sessions[id]
+		delete(s.sessions, id)
 		s.mu.Unlock()
 		if !ok {
 			continue // reached BackupEnd normally
 		}
-		// Reclaim only fingerprints whose chunk data reached the log —
-		// NOT the filter's full new-mark set: marks whose chunks were
-		// still in flight when the client died have no bytes behind them,
-		// and making them pending would prime the retry's filter to skip
-		// chunks the server never received.
-		sess.mu.Lock()
-		und := sess.logged
-		sess.logged = nil
-		sess.mu.Unlock()
-		s.pendMu.Lock()
-		s.pending = append(s.pending, und...)
-		mPendingFPs.Set(int64(len(s.pending)))
-		s.pendMu.Unlock()
-		s.mu.Lock()
-		delete(s.sessions, id)
-		s.sessEpoch++
-		s.mu.Unlock()
 		mSessionsReaped.Inc()
 		mSessionsActive.Add(-1)
-		// The reaper used to be silent: a vanished client's session
-		// disappearing (idle deadline, cut link) is exactly the event an
-		// operator needs context for.
-		s.slog.Warn("session reclaimed",
-			"session", id, "job", sess.jobName, "run", sess.runID,
-			"reclaimed_fps", len(und))
+		// A vanished client's session disappearing (idle deadline, cut
+		// link) is exactly the event an operator needs context for.
+		s.slog.Warn("session reclaimed", "session", id, "job", sess.jobName, "run", sess.runID)
 	}
 }
 
@@ -845,23 +816,6 @@ func (s *Server) startBackup(m proto.BackupStart, st *connState) (any, error) {
 	for _, f := range filterFPs {
 		filter.Prime(f)
 	}
-	// Resume priming: fingerprints already awaiting dedup-2 (from an
-	// earlier interrupted session — reclaimed on connection death — or an
-	// incomplete pass) have their chunk data in the log or in committed
-	// containers, so a retrying client that re-offers them gets "don't
-	// transfer" verdicts instead of re-shipping the bytes. This is what
-	// makes reconnect-and-re-run an efficient resume: the fingerprint
-	// exchange is idempotent, only the not-yet-landed chunks move again.
-	s.pendMu.Lock()
-	primed := make([]fp.FP, 0, len(s.pending)+len(s.unreg))
-	primed = append(primed, s.pending...)
-	for _, e := range s.unreg {
-		primed = append(primed, e.FP)
-	}
-	s.pendMu.Unlock()
-	for _, f := range primed {
-		filter.Prime(f)
-	}
 
 	// Capability negotiation: the session gets the intersection of the
 	// client's offer and what this server is willing to use. A client
@@ -875,7 +829,6 @@ func (s *Server) startBackup(m proto.BackupStart, st *connState) (any, error) {
 
 	s.mu.Lock()
 	s.nextSess++
-	s.sessEpoch++
 	sess := &session{
 		id:      s.nextSess,
 		jobName: m.JobName,
@@ -888,15 +841,7 @@ func (s *Server) startBackup(m proto.BackupStart, st *connState) (any, error) {
 	s.mu.Unlock()
 	mSessionsOpened.Inc()
 	mSessionsActive.Add(1)
-	if len(primed) > 0 {
-		// The session starts primed with undetermined fingerprints from an
-		// earlier interrupted run: effectively a resume — the client will
-		// get "don't transfer" for everything already logged.
-		s.slog.Info("session resumed with primed fingerprints",
-			"session", sess.id, "job", m.JobName, "client", m.Client, "primed_fps", len(primed))
-	} else {
-		s.slog.Debug("session opened", "session", sess.id, "job", m.JobName, "client", m.Client)
-	}
+	s.slog.Debug("session opened", "session", sess.id, "job", m.JobName, "client", m.Client)
 	return proto.BackupStartOK{SessionID: sess.id, Version: proto.ProtocolVersion, Caps: caps}, nil
 }
 
@@ -966,9 +911,9 @@ func (s *Server) fpBatch(m proto.FPBatch) (any, error) {
 			// their index entries, and crash recovery rebuilds the index
 			// from container metadata), so a skip verdict never references
 			// bytes a crash could lose. The fingerprint is primed — not
-			// new-marked — into the filter: it must never reach dedup-2's
-			// pending set (its chunk was never re-logged) but must keep
-			// filtering this stream's repeats. Index misses fall through to
+			// new-marked — into the filter, so it keeps filtering this
+			// stream's repeats without counting as new; its chunk is never
+			// re-logged, so dedup-2 never sees it. Index misses fall through to
 			// the plain filter test, and any false negative is caught by
 			// dedup-2 — the decisions the store converges on are identical
 			// with the fast path on or off.
@@ -988,14 +933,10 @@ func (s *Server) fpBatch(m proto.FPBatch) (any, error) {
 			// Contains missed and the index missed: Test below takes its
 			// miss-insert path, exactly as if Contains was never called.
 		}
-		tr, admitted := sess.filter.Test(f)
-		if tr {
+		if tr, _ := sess.filter.Test(f); tr {
 			verdicts[i] = proto.VerdictSend
 			misses++
 			sess.newFPs++
-			if !admitted {
-				sess.overflow = append(sess.overflow, f)
-			}
 		} else {
 			verdicts[i] = proto.VerdictSkipDuplicate
 			hits++
@@ -1037,8 +978,7 @@ func (s *Server) chunkBatch(m proto.ChunkBatch) (any, error) {
 	// The batch's Data slices alias the connection's receive buffer,
 	// whose ownership passed to this message (proto's zero-copy decode),
 	// so the log can retain them without another copy.
-	var batchBytes, staged int64
-	appended := m.FPs[:0]
+	var batchBytes, staged, logged int64
 	for i, f := range m.FPs {
 		batchBytes += int64(len(m.Data[i]))
 		// A chunk whose fingerprint is already in the chunk log (this
@@ -1061,22 +1001,13 @@ func (s *Server) chunkBatch(m proto.ChunkBatch) (any, error) {
 		}
 		s.markLogged(f)
 		staged += int64(len(m.Data[i]))
-		appended = append(appended, f)
+		logged++
 	}
 	mChunkBatches.Inc()
 	mBytesIn.Add(batchBytes)
+	mLogPending.Add(logged)
 	sess.mu.Lock()
 	sess.xfer += batchBytes
-	// Record which fingerprints have their bytes safely in the log: if
-	// this client vanishes, exactly these — and no others — are reclaimed
-	// into the pending set. A fingerprint the filter marked "needed" whose
-	// chunk never arrived must NOT become pending, or the vanished
-	// client's retry would be told "don't transfer" for data the server
-	// does not have. Skipped duplicates are excluded: they reclaim
-	// through the session that appended them. (Recorded at append time,
-	// not ack time: reclaim reads the live log, which holds the bytes
-	// regardless of fsync.)
-	sess.logged = append(sess.logged, appended...)
 	sess.mu.Unlock()
 	// Durability-ack ordering: park the verdict on the batch's
 	// group-commit window and let the writer goroutine release it once
@@ -1118,33 +1049,11 @@ func (s *Server) fileMeta(m proto.FileMeta) (any, error) {
 	return proto.Ack{OK: true}, nil
 }
 
-// collectUndetermined drains a session's new-fingerprint state: the
-// filter's new marks plus the saturated-filter overflow, deduplicated.
-// Called on BackupEnd and when a vanished client's session is reclaimed.
-func collectUndetermined(sess *session) []fp.FP {
-	sess.mu.Lock()
-	defer sess.mu.Unlock()
-	und := sess.filter.CollectNew(false)
-	seen := make(map[fp.FP]bool, len(und))
-	for _, f := range und {
-		seen[f] = true
-	}
-	for _, f := range sess.overflow {
-		if !seen[f] {
-			seen[f] = true
-			und = append(und, f)
-		}
-	}
-	sess.overflow = nil
-	return und
-}
-
 func (s *Server) endBackup(m proto.BackupEnd) (any, error) {
 	sess, err := s.getSession(m.SessionID)
 	if err != nil {
 		return nil, err
 	}
-	und := collectUndetermined(sess)
 	sess.mu.Lock()
 	done := proto.BackupDone{
 		LogicalBytes:       sess.logical,
@@ -1181,14 +1090,8 @@ func (s *Server) endBackup(m proto.BackupEnd) (any, error) {
 		}
 	}
 
-	s.pendMu.Lock()
-	s.pending = append(s.pending, und...)
-	mPendingFPs.Set(int64(len(s.pending)))
-	s.pendMu.Unlock()
-
 	s.mu.Lock()
 	delete(s.sessions, sess.id)
-	s.sessEpoch++
 	s.mu.Unlock()
 	mSessionsActive.Add(-1)
 	s.slog.Debug("session completed",
@@ -1214,73 +1117,44 @@ func (s *Server) runDedup2(m proto.Dedup2Request) (any, error) {
 
 	if roErr := s.storage.ReadOnlyErr(); roErr != nil {
 		// A pass on a faulted store would append containers it cannot
-		// trust; refuse and leave the pending set untouched for a retry
+		// trust; refuse it. The chunk log keeps every record for a pass
 		// after the operator restarts with the fault cleared.
 		return proto.Dedup2Done{Err: readOnlyRefusal(roErr).Error()}, nil
 	}
 
-	// Quiet detection for the log truncation below: records belonging to
-	// a session that has not reached BackupEnd are in the log but their
-	// fingerprints are not yet pending, so this pass skips their chunks —
-	// truncating would destroy them. The log is only truncated when no
-	// session existed at any point during the pass (epoch unchanged).
-	s.mu.Lock()
-	quiet := len(s.sessions) == 0
-	epoch := s.sessEpoch
-	s.mu.Unlock()
-
-	s.pendMu.Lock()
-	pending := s.pending
-	s.pending = nil
-	mPendingFPs.Set(0)
-	s.pendMu.Unlock()
-
+	// The pass's work is every record logged since the last consumed pass,
+	// by ended and live sessions alike. Records appended from here on lie
+	// past the mark and wait for the next pass. A pass that fails before
+	// the Consume below consumes nothing, so its records stay for the
+	// retry.
+	fps, mark := s.log.Pending()
 	silStart := time.Now()
-	res, unreg, err := s.chunk.RunSILAndStore(pending, s.log, s.cfg.CacheBits)
+	res, unreg, err := s.chunk.RunSILAndStore(fps, s.log, s.cfg.CacheBits)
 	mDedup2SILSec.Since(silStart)
 	if err != nil {
-		// The log was not truncated, so the chunks are intact — but only
-		// reachable by a retry if their fingerprints stay pending.
-		// Dropping them would let the next pass discard the records as
-		// not-undetermined and a later quiet pass truncate them away
-		// while file recipes still reference the fingerprints.
-		s.pendMu.Lock()
-		s.pending = append(pending, s.pending...)
-		mPendingFPs.Set(int64(len(s.pending)))
-		s.pendMu.Unlock()
 		s.failOnDiskFault(err)
 		mDedup2Errors.Inc()
-		s.slog.Warn("dedup-2 SIL/store failed, pending fingerprints re-queued",
-			"pending_fps", len(pending), "err", err)
+		s.slog.Warn("dedup-2 SIL/store failed, chunk log kept for a retry",
+			"pending_fps", len(fps), "err", err)
 		return proto.Dedup2Done{Err: err.Error()}, nil
 	}
 	if s.cfg.Dedup2StageHook != nil {
 		s.cfg.Dedup2StageHook("sil-stored")
 	}
-	s.pendMu.Lock()
 	s.unreg = append(s.unreg, unreg...)
-	runSIU := m.RunSIU
-	var toUpdate []fp.Entry
-	if runSIU {
-		toUpdate = s.unreg
-		s.unreg = nil
-	}
-	s.pendMu.Unlock()
-	if runSIU {
+	if m.RunSIU {
 		siuStart := time.Now()
-		if _, err := s.chunk.RunSIU(toUpdate); err != nil {
+		if _, err := s.chunk.RunSIU(s.unreg); err != nil {
 			// Keep the entries for the next SIU attempt; a partial SIU is
 			// safe to retry (the window path tolerates re-inserting an
 			// already-written entry).
-			s.pendMu.Lock()
-			s.unreg = append(toUpdate, s.unreg...)
-			s.pendMu.Unlock()
 			s.failOnDiskFault(err)
 			mDedup2Errors.Inc()
-			s.slog.Warn("dedup-2 SIU failed, unregistered entries re-queued",
-				"entries", len(toUpdate), "err", err)
+			s.slog.Warn("dedup-2 SIU failed, unregistered entries kept",
+				"entries", len(s.unreg), "err", err)
 			return proto.Dedup2Done{Err: err.Error()}, nil
 		}
+		s.unreg = nil
 		mDedup2SIUSec.Since(siuStart)
 		if s.cfg.Dedup2StageHook != nil {
 			s.cfg.Dedup2StageHook("siu-done")
@@ -1295,46 +1169,35 @@ func (s *Server) runDedup2(m proto.Dedup2Request) (any, error) {
 		s.slog.Warn("dedup-2 checkpoint failed", "err", err)
 		return proto.Dedup2Done{Err: err.Error()}, nil
 	}
-	// Truncate the drained chunk log only when (a) the pass was quiet —
-	// no backup session was in flight, so every logged chunk was either
-	// stored or proven duplicate — and (b) the stored chunks are
-	// reachable through a durable index (after SIU + checkpoint; when SIU
-	// was deferred the WAL stays, because the unregistered entries exist
-	// only in memory). s.mu is held across the truncation: with the
-	// session table empty and locked, no session can start (startBackup
-	// needs s.mu) and no chunk can reach the log (chunkBatch needs a live
-	// session), so the quiet invariant holds atomically with the Reset. A
-	// skipped truncation costs nothing but log space: the records replay
-	// as duplicates on the next pass.
-	s.mu.Lock()
-	quiet = quiet && len(s.sessions) == 0 && s.sessEpoch == epoch
-	var resetErr error
-	if quiet && runSIU {
-		resetErr = s.log.Reset()
-		if resetErr == nil {
-			// The truncated log holds nothing: the logged-fingerprint
-			// set must empty with it or dedup-1 would skip transfers
-			// for chunks no longer in the log. Safe here because the
-			// quiet invariant (no sessions, s.mu held) means no session
-			// holds an un-acted-on verdict built on the old set.
-			s.loggedMu.Lock()
-			s.loggedFP = make(map[fp.FP]struct{})
-			s.loggedMu.Unlock()
+	// Consume the pass's records only once every chunk they hold is
+	// reachable through a durable index. While SIU is deferred the
+	// unregistered entries exist only in memory, so the records stay: a
+	// crash replays them. A consumed record needs no replay, so when
+	// nothing was appended past the mark the WAL is truncated, live
+	// sessions or not.
+	consumed := len(s.unreg) == 0
+	if consumed {
+		if err := s.log.Consume(mark); err != nil {
+			mDedup2Errors.Inc()
+			s.slog.Warn("dedup-2 log truncation failed", "err", err)
+			return proto.Dedup2Done{Err: err.Error()}, nil
 		}
+		// The consumed chunks are in the index now, where the inline path
+		// and dedup-2 find them; loggedFP keeps only unconsumed records.
+		s.loggedMu.Lock()
+		for _, f := range fps {
+			delete(s.loggedFP, f)
+		}
+		s.loggedMu.Unlock()
 	}
-	s.mu.Unlock()
-	if resetErr != nil {
-		mDedup2Errors.Inc()
-		s.slog.Warn("dedup-2 log truncation failed", "err", resetErr)
-		return proto.Dedup2Done{Err: resetErr.Error()}, nil
-	}
+	mLogPending.Set(s.log.Count())
 	mDedup2Passes.Inc()
 	s.slog.Info("dedup-2 pass complete",
-		"undetermined_fps", len(pending),
+		"undetermined_fps", len(fps),
 		"new_chunks", res.Store.NewChunks,
 		"dup_chunks", res.IndexDups+res.Store.DupChunks+res.CheckingDups,
 		"containers", res.Store.Containers,
-		"siu_ran", runSIU, "log_truncated", quiet && runSIU)
+		"siu_ran", m.RunSIU, "log_consumed", consumed)
 	return proto.Dedup2Done{
 		NewChunks:  res.Store.NewChunks,
 		DupChunks:  res.IndexDups + res.Store.DupChunks + res.CheckingDups,
@@ -1344,7 +1207,7 @@ func (s *Server) runDedup2(m proto.Dedup2Request) (any, error) {
 
 // failOnDiskFault flips the store read-only when a dedup-2 stage failed
 // because the disk is full: further appends would only dig the hole
-// deeper, while the re-queued pending work keeps every logged chunk
+// deeper, while the unconsumed chunk log keeps every logged chunk
 // reachable for a pass after the operator intervenes.
 func (s *Server) failOnDiskFault(err error) {
 	if errors.Is(err, syscall.ENOSPC) {

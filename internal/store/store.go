@@ -10,9 +10,9 @@
 //  1. the container log's last segment is scanned and any torn tail
 //     (crash mid-append) truncated; sealed segments are walked by frame
 //     headers to rebuild the container location table;
-//  2. the chunk-log WAL replays its longest checksum-valid prefix and the
-//     recovered fingerprints re-seed the server's undetermined
-//     fingerprint file, so an interrupted dedup-2 simply re-runs;
+//  2. the chunk-log WAL replays its longest checksum-valid prefix; every
+//     recovered record is pending dedup-2 work, so an interrupted pass
+//     simply re-runs;
 //  3. the disk index is reopened as-is only when the clean marker written
 //     by the last Checkpoint is present; otherwise (crash while the index
 //     was being written, or the file deleted) it is rebuilt from container
@@ -82,8 +82,7 @@ type Engine struct {
 	ist  *trackedStore
 	wal  *chunklog.Log
 
-	pending []fp.FP // WAL fingerprints recovered on open
-	rebuilt bool    // index was rebuilt from container metadata
+	rebuilt bool // index was rebuilt from container metadata
 	lock    *os.File
 
 	// walGC schedules the WAL's fsyncs; the container log owns its own
@@ -168,7 +167,7 @@ func Open(dir string, o Options) (*Engine, error) {
 	if e.repo, err = OpenSegRepo(filepath.Join(dir, "containers"), man.SegmentBytes); err != nil {
 		return nil, errors.Join(err, lock.Close())
 	}
-	if e.wal, e.pending, err = chunklog.OpenWAL(filepath.Join(dir, walName)); err != nil {
+	if e.wal, err = chunklog.OpenWAL(filepath.Join(dir, walName)); err != nil {
 		return nil, errors.Join(err, e.repo.Close(), lock.Close())
 	}
 	// The WAL never fsyncs on its own: this committer's window flushes
@@ -403,12 +402,9 @@ func (e *Engine) SegRepo() *SegRepo { return e.repo }
 // Index returns the disk index over the index file.
 func (e *Engine) Index() *diskindex.Index { return e.ix }
 
-// ChunkLog returns the durable chunk-log WAL.
+// ChunkLog returns the durable chunk-log WAL. Its records recovered on
+// open are pending (chunklog.Log.Pending): dedup-2's work after a crash.
 func (e *Engine) ChunkLog() *chunklog.Log { return e.wal }
-
-// PendingFPs returns the fingerprints recovered from the WAL on open: the
-// crash-recovery seed for the server's undetermined fingerprint file.
-func (e *Engine) PendingFPs() []fp.FP { return e.pending }
 
 // IndexRebuilt reports whether Open had to rebuild the index from
 // container metadata.

@@ -430,9 +430,9 @@ func TestEngineWALPendingRecovered(t *testing.T) {
 
 	e2 := openTestEngine(t, dir)
 	defer e2.Close()
-	fps := e2.PendingFPs()
+	fps, _ := e2.ChunkLog().Pending()
 	if len(fps) != 1 || fps[0] != f {
-		t.Fatalf("PendingFPs = %v, want [%v]", fps, f)
+		t.Fatalf("ChunkLog().Pending() = %v, want [%v]", fps, f)
 	}
 	// The chunk payload survives for dedup-2's chunk-storing pass.
 	n := 0
@@ -559,9 +559,9 @@ func TestEngineGroupCommitRoundTrip(t *testing.T) {
 	if !bytes.Equal(got.Data, c.Data) {
 		t.Fatal("container did not survive group-committed reopen")
 	}
-	fps := e2.PendingFPs()
+	fps, _ := e2.ChunkLog().Pending()
 	if len(fps) != 1 || fps[0] != f {
-		t.Fatalf("PendingFPs = %v, want [%v]", fps, f)
+		t.Fatalf("ChunkLog().Pending() = %v, want [%v]", fps, f)
 	}
 }
 
