@@ -80,11 +80,11 @@ func TestChaosBackupRetriesThroughCut(t *testing.T) {
 		t.Fatalf("proxy accepted %d connections, want ≥2 (a retry)", n)
 	}
 	// The retry is a resume, not a re-run: chunks that landed before the
-	// cut are records in the chunk log, and the server's logged set
+	// cut are records in the chunk log, and the log's logged set
 	// answers their re-offer with "don't transfer", so the successful
 	// attempt moved less than the logical data. (A chunk is in the
-	// logged set from its append on, whether or not the server has
-	// noticed the cut yet.)
+	// logged set from its append until a dedup-2 pass stores it, whether
+	// or not the server has noticed the cut yet.)
 	if stats.TransferredBytes >= stats.LogicalBytes {
 		t.Fatalf("retried backup transferred %d of %d logical bytes — resume priming did not kick in",
 			stats.TransferredBytes, stats.LogicalBytes)
@@ -220,7 +220,7 @@ func TestChaosWriteFaultFlipsReadOnly(t *testing.T) {
 	if _, err := c.Backup("healthy-job", srcOK); err != nil {
 		t.Fatalf("backup before fault: %v", err)
 	}
-	if err := d.TriggerDedup2(true); err != nil {
+	if err := d.TriggerDedup2(); err != nil {
 		t.Fatalf("dedup-2: %v", err)
 	}
 
@@ -260,7 +260,7 @@ func TestChaosWriteFaultFlipsReadOnly(t *testing.T) {
 	if _, err := c2.Backup("doomed-job", srcFail); err != nil {
 		t.Fatalf("backup after recovery: %v", err)
 	}
-	if err := d.TriggerDedup2(true); err != nil {
+	if err := d.TriggerDedup2(); err != nil {
 		t.Fatalf("dedup-2 after recovery: %v", err)
 	}
 	checkRestore(t, saddr, "healthy-job", srcOK)

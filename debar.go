@@ -21,7 +21,7 @@
 // DEBAR's defining design choice is out-of-line (post-process) dedup:
 // during a backup window the server answers fingerprint batches from
 // cheap in-memory state only — the per-session preliminary filter and
-// the server-wide logged-fingerprint map — and defers every disk-index
+// the chunk log's set of logged fingerprints — and defers every disk-index
 // lookup to de-duplication Phase II (SIL/SIU), which runs after the
 // window against the chunk-log WAL. That keeps ingest latency flat but
 // ships cross-generation duplicates over the wire before Phase II
@@ -53,9 +53,10 @@
 //	Failure                      Detection                Behaviour
 //	-------                      ---------                ---------
 //	Cut link mid-backup          read/write error         Client retries with backoff; the dead session's chunks
-//	                                                      stay in the chunk log, and the server answers their
-//	                                                      re-offer with "don't transfer", so only chunks that
-//	                                                      never arrived are re-transferred.
+//	                                                      are chunk-log records (stored by the next dedup-2
+//	                                                      pass), and the log's logged set answers their re-offer
+//	                                                      with "don't transfer", so only chunks that never
+//	                                                      arrived are re-transferred.
 //	Cut link mid-restore         read/write error         Client retries and resumes the interrupted file
 //	                                                      mid-stream (RestoreFile.StartChunk); the partial temp
 //	                                                      file is kept across attempts and verified chunk by
@@ -69,9 +70,11 @@
 //	on the server                                         typed in-band refusal (proto.IsReadOnly); restores and
 //	                                                      verifies keep serving. Cleared by fixing the medium
 //	                                                      and restarting (normal crash recovery applies).
-//	Crash between dedup-2        chunk-log WAL replay     Records a pass had not consumed replay on recovery
-//	stages                       on reopen                as pending work; the next pass converges (re-stored
-//	                                                      duplicates waste space but never corrupt restores).
+//	Crash or failure between     chunk-log WAL replay     A pass is one transaction over the chunk log: it
+//	dedup-2 stages               on reopen                consumes its records only after SIU and checkpoint,
+//	                                                      so a failed or killed pass leaves them pending for
+//	                                                      the next one, which converges (re-stored duplicates
+//	                                                      waste space but never corrupt restores).
 //	Backup aborted before        run never marked          The director serves only completed runs (EndRun) as
 //	completion                   complete                  restore sources or filtering fingerprints, so a
 //	                                                      half-landed file index is never trusted.
@@ -247,7 +250,7 @@ func (s *System) AssignClient(name string) (*Client, error) {
 }
 
 // RunDedup2 triggers de-duplication Phase II on every backup server.
-func (s *System) RunDedup2() error { return s.Director.TriggerDedup2(true) }
+func (s *System) RunDedup2() error { return s.Director.TriggerDedup2() }
 
 // Close shuts the deployment down and removes the temporary data
 // directory StartLocal created, if any.

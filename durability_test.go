@@ -149,7 +149,7 @@ func TestDurabilityEndToEnd(t *testing.T) {
 	}
 	// Dedup-2 moves the logged chunks into containers and registers the
 	// fingerprints; the server checkpoints its engine afterwards.
-	if err := d.TriggerDedup2(true); err != nil {
+	if err := d.TriggerDedup2(); err != nil {
 		t.Fatalf("dedup-2: %v", err)
 	}
 	checkRestore(t, saddr, job, src)
@@ -205,7 +205,7 @@ func TestDurabilityCrashBeforeDedup2(t *testing.T) {
 
 	d, ms, srv, saddr = bootDurable(t, dirData, srvData, nil)
 	defer shutdownDurable(t, d, ms, srv)
-	if err := d.TriggerDedup2(true); err != nil {
+	if err := d.TriggerDedup2(); err != nil {
 		t.Fatalf("dedup-2 after restart: %v", err)
 	}
 	checkRestore(t, saddr, job, src)
@@ -272,7 +272,7 @@ func TestDurabilityStreamingRestoreAfterKill(t *testing.T) {
 		t.Fatalf("backup 1: %v", err)
 	}
 	// Job 1 reaches containers + a checkpointed index before the kill.
-	if err := d.TriggerDedup2(true); err != nil {
+	if err := d.TriggerDedup2(); err != nil {
 		t.Fatalf("dedup-2: %v", err)
 	}
 	// Job 2's chunks are only in the chunk-log WAL at the kill point.
@@ -291,7 +291,7 @@ func TestDurabilityStreamingRestoreAfterKill(t *testing.T) {
 	d, ms, srv, saddr = bootDurable(t, killDir, killSrv, nil)
 	defer shutdownDurable(t, d, ms, srv)
 	// The WAL-recovered fingerprints re-enter dedup-2.
-	if err := d.TriggerDedup2(true); err != nil {
+	if err := d.TriggerDedup2(); err != nil {
 		t.Fatalf("dedup-2 after kill: %v", err)
 	}
 	// Many small batches under a tight window: the post-recovery restore
@@ -341,7 +341,7 @@ func TestDurabilityCrashBetweenSILAndSIU(t *testing.T) {
 	if _, err := c.Backup(job, src); err != nil {
 		t.Fatalf("backup: %v", err)
 	}
-	if err := d.TriggerDedup2(true); err != nil {
+	if err := d.TriggerDedup2(); err != nil {
 		t.Fatalf("dedup-2: %v", err)
 	}
 	if !snapped {
@@ -354,7 +354,7 @@ func TestDurabilityCrashBetweenSILAndSIU(t *testing.T) {
 	// and the retried pass finishes the interrupted work.
 	d, ms, srv, saddr = bootDurableWith(t, killDir, killSrv, nil, nil)
 	defer shutdownDurable(t, d, ms, srv)
-	if err := d.TriggerDedup2(true); err != nil {
+	if err := d.TriggerDedup2(); err != nil {
 		t.Fatalf("retried dedup-2 after mid-pass kill: %v", err)
 	}
 	checkRestoreWith(t, saddr, job, src, 32, 2)
@@ -376,7 +376,7 @@ func dedup2Pass(t *testing.T, saddr string) proto.Dedup2Done {
 		t.Fatal(err)
 	}
 	defer conn.Close()
-	if err := conn.Send(proto.Dedup2Request{RunSIU: true}); err != nil {
+	if err := conn.Send(proto.Dedup2Request{}); err != nil {
 		t.Fatal(err)
 	}
 	msg, err := conn.Recv()
@@ -442,7 +442,7 @@ func TestDurabilityKillAfterLiveConsume(t *testing.T) {
 	}
 
 	// The pass consumes A's records and, caught up, truncates the WAL.
-	if err := d.TriggerDedup2(true); err != nil {
+	if err := d.TriggerDedup2(); err != nil {
 		t.Fatalf("dedup-2: %v", err)
 	}
 	if st, err := os.Stat(filepath.Join(srvData, "chunklog.wal")); err != nil {
@@ -528,7 +528,7 @@ func TestDurabilityCrashMidGroupCommit(t *testing.T) {
 
 	d, ms, srv, saddr = bootDurable(t, killDir, killSrv, nil)
 	defer shutdownDurable(t, d, ms, srv)
-	if err := d.TriggerDedup2(true); err != nil {
+	if err := d.TriggerDedup2(); err != nil {
 		t.Fatalf("dedup-2 after mid-group-commit kill: %v", err)
 	}
 	for j := 0; j < jobs; j++ {

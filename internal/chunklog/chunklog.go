@@ -36,29 +36,35 @@ const recordHeader = fp.Size + 4
 // its walk under that mutex and then walks without holding it, so the
 // File Store (dedup-1 writer) keeps appending while the Chunk Store
 // (dedup-2 reader) drains the log; records appended meanwhile lie past the
-// bound and wait for the next pass. Consume and Reset must not run while a
-// walk is in progress.
+// bound and wait for the next pass. Reset must not run while a walk or a
+// Drain is in progress.
 //
 // The log is its own work queue: the records appended since the last
-// Consume are exactly the chunks dedup-2 has yet to store. Pending
-// snapshots their fingerprints together with a Mark bounding them, and
-// Consume(mark) drops them once a pass has made them durable elsewhere.
+// Drain are exactly the chunks dedup-2 has yet to store, and the log
+// keeps their fingerprints as a set (Logged) so dedup-1 never transfers
+// or logs a chunk twice. Drain runs one dedup-2 pass as a transaction
+// over them.
 //
 // A Log is either memory-backed (NewMem) or a durable WAL (OpenWAL).
 type Log struct {
 	mu       sync.Mutex
 	metaOnly bool
-	recs     []Record // guarded by mu; memory log: the unconsumed records
-	bytes    int64    // guarded by mu; payload bytes appended since the last truncation
+	recs     []Record        // guarded by mu; memory log: the unconsumed records
+	fps      []fp.FP         // guarded by mu; fingerprints of the unconsumed records, in append order
+	logged   map[fp.FP]int32 // guarded by mu; unconsumed records per fingerprint (no zero counts)
+	bytes    int64           // guarded by mu; payload bytes appended since the last truncation
 	disk     *disksim.Disk
 	file     *os.File // non-nil for WAL logs; set once at open
 
 	// WAL mode (OpenWAL): checksummed record framing, owner-scheduled
 	// fsync, torn-tail recovery. See wal.go.
-	fps   []fp.FP // guarded by mu; fingerprints of the unconsumed records, in append order
-	start int64   // guarded by mu; offset of the first unconsumed record
-	end   int64   // guarded by mu; append offset
-	dirty int     // guarded by mu; bytes appended since the last completed fsync
+	start int64 // guarded by mu; offset of the first unconsumed record
+	end   int64 // guarded by mu; append offset
+	dirty int   // guarded by mu; bytes appended since the last completed fsync
+
+	// drainMu serialises Drain: one transaction at a time owns the
+	// unconsumed records.
+	drainMu sync.Mutex
 
 	// syncMu serialises Sync callers so the fsync itself runs outside mu
 	// — appends proceed while the disk flushes — without two syncers
@@ -94,7 +100,7 @@ func (l *Log) SetSyncFailFunc(fn func() error) {
 // NewMem returns a memory-backed log. metaOnly drops payloads while
 // keeping sizes. disk may be nil.
 func NewMem(metaOnly bool, disk *disksim.Disk) *Log {
-	return &Log{metaOnly: metaOnly, disk: disk}
+	return &Log{metaOnly: metaOnly, disk: disk, logged: make(map[fp.FP]int32)}
 }
 
 // Append adds one <F, D(F)> group. size declares the payload length; data
@@ -102,32 +108,44 @@ func NewMem(metaOnly bool, disk *disksim.Disk) *Log {
 // takes a private copy of data; use AppendOwned when the caller hands
 // over ownership and the copy can be skipped.
 func (l *Log) Append(f fp.FP, size uint32, data []byte) error {
-	return l.append(f, size, data, false)
+	_, err := l.append(f, size, data, false, false)
+	return err
 }
 
 // AppendOwned is Append for callers transferring ownership of data: the
 // log retains the slice directly (memory-backed logs) instead of copying
-// it. The caller must not modify data afterwards. The server's dedup-1
-// path uses this to land network receive buffers in the log with zero
-// copies.
+// it. The caller must not modify data afterwards.
 func (l *Log) AppendOwned(f fp.FP, size uint32, data []byte) error {
-	return l.append(f, size, data, true)
+	_, err := l.append(f, size, data, true, false)
+	return err
 }
 
-func (l *Log) append(f fp.FP, size uint32, data []byte, owned bool) error {
+// AppendNew is AppendOwned for a chunk the log does not hold yet: when an
+// unconsumed record already has f's fingerprint it appends nothing and
+// reports false. Check and append are one step under the log's lock, so
+// concurrent sessions racing the same content log it once. The server's
+// dedup-1 path uses this to land network receive buffers in the log.
+func (l *Log) AppendNew(f fp.FP, size uint32, data []byte) (bool, error) {
+	return l.append(f, size, data, true, true)
+}
+
+func (l *Log) append(f fp.FP, size uint32, data []byte, owned, once bool) (bool, error) {
 	if !l.metaOnly && len(data) != int(size) {
-		return fmt.Errorf("chunklog: declared size %d != payload %d", size, len(data))
+		return false, fmt.Errorf("chunklog: declared size %d != payload %d", size, len(data))
 	}
 	l.mu.Lock()
 	defer l.mu.Unlock()
+	if once && l.logged[f] > 0 {
+		return false, nil
+	}
 	if l.failFn != nil {
 		if err := l.failFn(); err != nil {
-			return fmt.Errorf("chunklog: append: %w", err)
+			return false, fmt.Errorf("chunklog: append: %w", err)
 		}
 	}
 	if l.file != nil {
 		if err := l.appendWAL(f, size, data); err != nil {
-			return err
+			return false, err
 		}
 	} else {
 		r := Record{FP: f, Size: size}
@@ -140,18 +158,32 @@ func (l *Log) append(f fp.FP, size uint32, data []byte, owned bool) error {
 		}
 		l.recs = append(l.recs, r)
 	}
+	l.fps = append(l.fps, f)
+	l.logged[f]++
 	l.bytes += int64(size)
 	if l.disk != nil {
 		l.disk.SeqWrite(recordHeader + int64(size))
 	}
-	return nil
+	return true, nil
+}
+
+// Logged reports, for each fingerprint, whether an unconsumed record
+// holds its chunk. One lock acquisition answers the whole batch.
+func (l *Log) Logged(fps []fp.FP) []bool {
+	held := make([]bool, len(fps))
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	for i, f := range fps {
+		held[i] = l.logged[f] > 0
+	}
+	return held
 }
 
 // Count returns the number of unconsumed records.
 func (l *Log) Count() int64 {
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	return int64(l.Len())
+	return int64(len(l.fps))
 }
 
 // Bytes returns the payload bytes appended since the log was last
@@ -162,52 +194,65 @@ func (l *Log) Bytes() int64 {
 	return l.bytes
 }
 
-// Mark is a position in the log returned by Pending: it bounds the
-// records whose fingerprints that call returned. A mark is only valid
-// until the log is next truncated (Consume reaching the end, or Reset).
-type Mark struct {
-	off int64 // WAL: append offset when the mark was taken
-	n   int   // unconsumed records the mark covers
-}
-
-// Pending returns the fingerprints of every record appended since the
-// last Consume, in append order, and the Mark bounding them. Fingerprint
-// and mark are taken together under the log's lock, so each appended
-// record is in exactly one Pending snapshot before it is consumed. The
-// returned slice must not be modified.
-func (l *Log) Pending() ([]fp.FP, Mark) {
+// Pending returns the fingerprints of the unconsumed records, in append
+// order. The returned slice must not be modified.
+func (l *Log) Pending() []fp.FP {
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	if l.file != nil {
-		// Appends only ever write past len(l.fps), so the capped slice is
-		// an immutable snapshot without a copy.
-		n := len(l.fps)
-		return l.fps[:n:n], Mark{off: l.end, n: n}
-	}
-	fps := make([]fp.FP, len(l.recs))
-	for i, r := range l.recs {
-		fps[i] = r.FP
-	}
-	return fps, Mark{n: len(l.recs)}
+	// Appends only ever write past len(l.fps), so the capped slice is an
+	// immutable snapshot without a copy.
+	return l.fps[:len(l.fps):len(l.fps)]
 }
 
-// Consume drops the records up to m: later Pending calls and walks start
-// after them. When nothing was appended past m the log is empty and is
-// truncated, durably for a WAL; otherwise the file is kept and only the
-// in-memory start cursor moves, so a reopened WAL replays the consumed
-// records too (their chunks are stored, and dedup-2 discards them as
-// duplicates).
-func (l *Log) Consume(m Mark) error {
+// Txn is one Drain's share of the log: the records that were unconsumed
+// when the drain began. Records appended during the drain lie past it.
+type Txn struct {
+	FPs []fp.FP // the records' fingerprints, in append order
+
+	l          *Log
+	start, end int64    // WAL: the records' byte range
+	recs       []Record // memory log: the records
+}
+
+// Iterate walks the transaction's records in append order, like
+// Log.Iterate but bounded at the transaction's end, so a pass reads
+// exactly the records it consumes.
+func (t *Txn) Iterate(fn func(Record) error) error {
+	return t.l.walk(t.start, t.end, t.recs, fn)
+}
+
+// Drain runs fn as one transaction over the unconsumed records: fn gets
+// them as a Txn and may take as long as it needs, while appends continue
+// past the transaction. When fn returns nil, the transaction's records
+// are consumed: later Pending calls, walks and drains start after them,
+// and their fingerprints leave the Logged set. If nothing was appended
+// past them the log is then empty and is truncated, durably for a WAL;
+// otherwise only the in-memory start cursor moves, so a reopened WAL
+// replays the consumed records too (their chunks are stored, and dedup-2
+// discards them as duplicates). When fn fails, nothing is consumed and
+// the records wait for the next drain. Drains are serialised; fn must
+// not call Drain.
+func (l *Log) Drain(fn func(*Txn) error) error {
+	l.drainMu.Lock()
+	defer l.drainMu.Unlock()
+	l.mu.Lock()
+	n := len(l.fps)
+	t := &Txn{FPs: l.fps[:n:n], l: l, start: l.start, end: l.end, recs: l.recs[:len(l.recs):len(l.recs)]}
+	l.mu.Unlock()
+	if err := fn(t); err != nil {
+		return err
+	}
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	if m.n == l.Len() {
+	if n == len(l.fps) {
 		return l.truncate()
 	}
-	if l.file != nil {
-		l.fps, l.start = l.fps[m.n:], m.off
-	} else {
-		l.recs = l.recs[m.n:]
+	for _, f := range t.FPs {
+		if l.logged[f]--; l.logged[f] == 0 {
+			delete(l.logged, f)
+		}
 	}
+	l.fps, l.recs, l.start = l.fps[n:], l.recs[len(t.recs):], t.end
 	return nil
 }
 
@@ -221,15 +266,25 @@ func (l *Log) Consume(m Mark) error {
 // only during fn (see Record).
 func (l *Log) Iterate(fn func(Record) error) error {
 	l.mu.Lock()
-	if l.disk != nil {
-		l.disk.SeqRead(l.bytes + int64(l.Len())*recordHeader)
-	}
 	// Appends only ever append, so the slice header is an immutable prefix
 	// even while the log grows underneath.
 	start, end, recs := l.start, l.end, l.recs
 	l.mu.Unlock()
+	return l.walk(start, end, recs, fn)
+}
+
+// walk visits the WAL records in [start, end), or the memory records
+// recs, charging the memory log's simulated disk one sequential read.
+func (l *Log) walk(start, end int64, recs []Record, fn func(Record) error) error {
 	if l.file != nil {
 		return walkWAL(l.file, start, end, fn)
+	}
+	if l.disk != nil {
+		var n int64
+		for _, r := range recs {
+			n += recordHeader + int64(r.Size)
+		}
+		l.disk.SeqRead(n)
 	}
 	for _, r := range recs {
 		if err := fn(r); err != nil {
@@ -237,16 +292,6 @@ func (l *Log) Iterate(fn func(Record) error) error {
 		}
 	}
 	return nil
-}
-
-// Len returns the unconsumed record count without locking.
-//
-// debarvet:holds mu -- the caller holds l.mu.
-func (l *Log) Len() int {
-	if l.file != nil {
-		return len(l.fps)
-	}
-	return len(l.recs)
 }
 
 // Reset discards all records. In WAL mode the truncation is made durable
@@ -260,7 +305,7 @@ func (l *Log) Reset() error {
 // truncate empties the log and, for a WAL, durably truncates the file. A
 // failed truncation leaves the log as it was; the state follows the file.
 //
-// debarvet:holds mu -- Reset and Consume enter with l.mu held.
+// debarvet:holds mu -- Reset and Drain enter with l.mu held.
 func (l *Log) truncate() error {
 	if l.file != nil {
 		if err := l.file.Truncate(0); err != nil {
@@ -268,6 +313,7 @@ func (l *Log) truncate() error {
 		}
 	}
 	l.recs, l.fps = nil, nil
+	l.logged = make(map[fp.FP]int32)
 	l.bytes = 0
 	l.start, l.end = 0, 0
 	l.dirty = 0

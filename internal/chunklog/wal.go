@@ -44,8 +44,8 @@ var (
 // the storage engine that owner is the "wal" group committer, and the
 // backup server holds each ChunkBatch verdict until the covering sync
 // lands, so an acknowledged chunk is always recoverable — see
-// internal/store/README.md ("Consistency model"). A truncation (Consume
-// reaching the end, or Reset) and Close always sync. The recovered prefix
+// internal/store/README.md ("Consistency model"). A truncation (a Drain
+// that caught up, or Reset) and Close always sync. The recovered prefix
 // is always a consistent replay point.
 
 // walHeader is the serialised record header: checksum + fingerprint + size.
@@ -78,16 +78,16 @@ func (e *corruptRecord) Error() string {
 }
 
 // OpenWAL opens (creating if needed) a durable chunk-log WAL at path,
-// recovering any existing records. Every recovered record is pending: the
-// start cursor is not persisted, so records a pass consumed without
-// truncating the file replay too, and dedup-2 discards them as
+// recovering any existing records. Every recovered record is pending and
+// Logged: the start cursor is not persisted, so records a drain consumed
+// without truncating the file replay too, and dedup-2 discards them as
 // duplicates.
 func OpenWAL(path string) (*Log, error) {
 	f, err := os.OpenFile(path, os.O_RDWR|os.O_CREATE, 0o644)
 	if err != nil {
 		return nil, fmt.Errorf("chunklog: open wal: %w", err)
 	}
-	l := &Log{file: f}
+	l := &Log{file: f, logged: make(map[fp.FP]int32)}
 	if err := l.recoverWAL(); err != nil {
 		return nil, errors.Join(err, f.Close())
 	}
@@ -106,6 +106,7 @@ func (l *Log) recoverWAL() error {
 	fileSize := st.Size()
 	err = walkWAL(l.file, 0, fileSize, func(r Record) error {
 		l.fps = append(l.fps, r.FP)
+		l.logged[r.FP]++
 		l.bytes += int64(r.Size)
 		return nil
 	})
@@ -147,7 +148,6 @@ func (l *Log) appendWAL(f fp.FP, size uint32, data []byte) error {
 	}
 	l.end += int64(len(rec))
 	l.dirty += len(rec)
-	l.fps = append(l.fps, f)
 	mWALAppendBytes.Add(int64(len(rec)))
 	return nil
 }
@@ -161,7 +161,7 @@ func (l *Log) appendWAL(f fp.FP, size uint32, data []byte) error {
 // anything is read or allocated for it. Each Record's Data aliases the
 // window and is valid only until fn returns. Recovery walks the whole
 // file, Log.Iterate the unconsumed records below the append offset it
-// snapshots.
+// snapshots, and a Txn its own records.
 func walkWAL(file *os.File, start, end int64, fn func(Record) error) error {
 	buf := make([]byte, min(end-start, walWindow))
 	base, filled := start, start // buf[:filled-base] holds file bytes [base, filled)

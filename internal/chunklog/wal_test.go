@@ -34,8 +34,7 @@ func reopenWAL(t *testing.T, path string) (*Log, []fp.FP) {
 		t.Fatal(err)
 	}
 	t.Cleanup(func() { l.Close() })
-	fps, _ := l.Pending()
-	return l, fps
+	return l, l.Pending()
 }
 
 func TestWALRoundTrip(t *testing.T) {
@@ -566,71 +565,89 @@ func appendWALRecords(t *testing.T, l *Log, lo, hi int) []fp.FP {
 	return fps
 }
 
-// TestWALPendingConsume pins the log as dedup-2's work queue: Pending
-// excludes consumed records, Iterate starts at the consume cursor, a
-// Consume with appends past its mark keeps the file, and a Consume that
-// catches up truncates it to 0 bytes, after which a reopen replays
-// nothing.
+// drainTxn runs one Drain whose callback calls during(tx) and returns
+// the transaction's fingerprints and what its walk visited.
+func drainTxn(t *testing.T, l *Log, during func(*Txn)) (fps, walked []fp.FP) {
+	t.Helper()
+	if err := l.Drain(func(tx *Txn) error {
+		fps = tx.FPs
+		if during != nil {
+			during(tx)
+		}
+		return tx.Iterate(func(r Record) error {
+			walked = append(walked, r.FP)
+			return nil
+		})
+	}); err != nil {
+		t.Fatal(err)
+	}
+	return fps, walked
+}
+
+// TestWALPendingConsume pins the log as dedup-2's work queue: a drain
+// gets exactly the unconsumed records and its walk stops at them even
+// when appends land mid-drain; a drain with appends past it keeps the
+// file and moves the cursor, so Pending and Iterate start after it; and
+// a drain that catches up truncates the file to 0 bytes, after which a
+// reopen replays nothing.
 func TestWALPendingConsume(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "chunklog.wal")
 	l, _ := reopenWAL(t, path)
 	first := appendWALRecords(t, l, 0, 5)
-	got, mark := l.Pending()
-	if !slices.Equal(got, first) {
-		t.Fatalf("Pending = %d fps, want the 5 appended", len(got))
-	}
-	rest := appendWALRecords(t, l, 5, 8)
-	size := walSize(t, path)
-	if err := l.Consume(mark); err != nil {
-		t.Fatal(err)
+	var rest []fp.FP
+	var size int64
+	got, walked := drainTxn(t, l, func(*Txn) {
+		rest = appendWALRecords(t, l, 5, 8)
+		size = walSize(t, path)
+	})
+	if !slices.Equal(got, first) || !slices.Equal(walked, first) {
+		t.Fatalf("drain got %d fps and walked %d records, want the 5 appended before it", len(got), len(walked))
 	}
 	if got := walSize(t, path); got != size {
-		t.Fatalf("Consume with records past its mark resized the file: %d -> %d bytes", size, got)
+		t.Fatalf("drain with records past it resized the file: %d -> %d bytes", size, got)
 	}
 
-	got, mark = l.Pending()
-	if !slices.Equal(got, rest) {
-		t.Fatalf("Pending after Consume = %d fps, want the 3 appended past the mark", len(got))
+	if got := l.Pending(); !slices.Equal(got, rest) {
+		t.Fatalf("Pending after the drain = %d fps, want the 3 appended during it", len(got))
 	}
 	if n := l.Count(); n != 3 {
-		t.Fatalf("Count after Consume = %d, want 3", n)
+		t.Fatalf("Count after the drain = %d, want 3", n)
 	}
 	if walked := walkFPs(t, l); !slices.Equal(walked, rest) {
-		t.Fatalf("Iterate after Consume walked %d records, want the 3 past the cursor", len(walked))
+		t.Fatalf("Iterate after the drain walked %d records, want the 3 past the cursor", len(walked))
 	}
 
-	if err := l.Consume(mark); err != nil {
-		t.Fatal(err)
+	if got, _ := drainTxn(t, l, nil); !slices.Equal(got, rest) {
+		t.Fatalf("second drain got %d fps, want the 3 left", len(got))
 	}
 	if got := walSize(t, path); got != 0 {
-		t.Fatalf("caught-up Consume left %d bytes, want 0", got)
+		t.Fatalf("caught-up drain left %d bytes, want 0", got)
 	}
-	if got, _ := l.Pending(); len(got) != 0 {
-		t.Fatalf("Pending after a caught-up Consume = %d fps, want 0", len(got))
+	if got := l.Pending(); len(got) != 0 {
+		t.Fatalf("Pending after a caught-up drain = %d fps, want 0", len(got))
 	}
 	if walked := walkFPs(t, l); len(walked) != 0 {
-		t.Fatalf("Iterate after a caught-up Consume walked %d records, want 0", len(walked))
+		t.Fatalf("Iterate after a caught-up drain walked %d records, want 0", len(walked))
 	}
 	if err := l.Close(); err != nil {
 		t.Fatal(err)
 	}
 	if _, fps := reopenWAL(t, path); len(fps) != 0 {
-		t.Fatalf("reopen after a caught-up Consume replayed %d records, want 0", len(fps))
+		t.Fatalf("reopen after a caught-up drain replayed %d records, want 0", len(fps))
 	}
 }
 
 // TestWALPendingReplayAfterPartialConsume: the consume cursor is not
-// persisted, so a reopen after a Consume that kept the file replays every
+// persisted, so a reopen after a drain that kept the file replays every
 // record, the consumed ones included (dedup-2's SIL discards those as
-// duplicates).
+// duplicates), and every replayed fingerprint is Logged again.
 func TestWALPendingReplayAfterPartialConsume(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "chunklog.wal")
 	l, _ := reopenWAL(t, path)
 	all := appendWALRecords(t, l, 0, 4)
-	_, mark := l.Pending()
-	all = append(all, appendWALRecords(t, l, 4, 6)...)
-	if err := l.Consume(mark); err != nil {
-		t.Fatal(err)
+	drainTxn(t, l, func(*Txn) { all = append(all, appendWALRecords(t, l, 4, 6)...) })
+	if held := l.Logged(all); slices.Contains(held[:4], true) || slices.Contains(held[4:], false) {
+		t.Fatalf("Logged after the drain = %v, want only the 2 unconsumed", held)
 	}
 	if err := l.Close(); err != nil {
 		t.Fatal(err)
@@ -642,13 +659,81 @@ func TestWALPendingReplayAfterPartialConsume(t *testing.T) {
 	if walked := walkFPs(t, l2); !slices.Equal(walked, all) {
 		t.Fatalf("reopened walk saw %d records, want all %d", len(walked), len(all))
 	}
+	if held := l2.Logged(all); slices.Contains(held, false) {
+		t.Fatalf("Logged after reopen = %v, want every replayed record", held)
+	}
 }
 
-// TestWALPendingRace runs four appenders against a consumer that loops
-// Pending, Iterate and Consume, under the race detector: every appended
-// fingerprint lands in exactly one Pending snapshot before it is
-// consumed, and the walk after each snapshot sees a record for every
-// fingerprint in it.
+// TestDrainFailureConsumesNothing: a drain whose callback fails leaves
+// every record pending, walkable and Logged, and the file untouched.
+func TestDrainFailureConsumesNothing(t *testing.T) {
+	for name, l := range openLogs(t) {
+		t.Run(name, func(t *testing.T) {
+			appendN(t, l, 0, 6)
+			want := l.Pending()
+			failed := errors.New("pass failed")
+			if err := l.Drain(func(*Txn) error { return failed }); err != failed {
+				t.Fatalf("Drain = %v, want the callback's error", err)
+			}
+			if got := l.Pending(); !slices.Equal(got, want) {
+				t.Fatalf("Pending after a failed drain = %d fps, want %d", len(got), len(want))
+			}
+			if held := l.Logged(want); slices.Contains(held, false) {
+				t.Fatalf("Logged after a failed drain = %v", held)
+			}
+			if got, _ := drainTxn(t, l, nil); !slices.Equal(got, want) {
+				t.Fatalf("retry drain got %d fps, want %d", len(got), len(want))
+			}
+		})
+	}
+}
+
+// TestAppendNewLogsOnce: AppendNew appends a fingerprint only while no
+// unconsumed record holds it, a plain Append may repeat one, and a
+// fingerprint leaves the Logged set only when its last unconsumed record
+// is drained.
+func TestAppendNewLogsOnce(t *testing.T) {
+	for name, l := range openLogs(t) {
+		t.Run(name, func(t *testing.T) {
+			a, b := fp.FromUint64(1), fp.FromUint64(2)
+			data := []byte("payload")
+			for i, want := range []bool{true, false} {
+				got, err := l.AppendNew(a, uint32(len(data)), data)
+				if err != nil || got != want {
+					t.Fatalf("AppendNew #%d = %v, %v; want %v", i+1, got, err, want)
+				}
+			}
+			if n := l.Count(); n != 1 {
+				t.Fatalf("Count = %d after a repeated AppendNew, want 1", n)
+			}
+			if held := l.Logged([]fp.FP{a, b}); !held[0] || held[1] {
+				t.Fatalf("Logged(a, b) = %v, want [true false]", held)
+			}
+			// A repeat of a lands past the drain; a must stay Logged.
+			drainTxn(t, l, func(*Txn) {
+				if err := l.Append(a, uint32(len(data)), data); err != nil {
+					t.Fatal(err)
+				}
+			})
+			if held := l.Logged([]fp.FP{a}); !held[0] {
+				t.Fatal("a left the Logged set while a record of it is unconsumed")
+			}
+			drainTxn(t, l, nil)
+			if held := l.Logged([]fp.FP{a}); held[0] {
+				t.Fatal("a still Logged after its last record was drained")
+			}
+			if got, err := l.AppendNew(a, uint32(len(data)), data); err != nil || !got {
+				t.Fatalf("AppendNew after the drain = %v, %v; want true", got, err)
+			}
+		})
+	}
+}
+
+// TestWALPendingRace runs four appenders against a loop of drains, each
+// also calling Pending and Iterate, under the race detector: every
+// appended fingerprint lands in exactly one drain, the drain's walk sees
+// a record for every fingerprint in it, and once drained a fingerprint is
+// no longer Logged.
 func TestWALPendingRace(t *testing.T) {
 	for name, l := range openLogs(t) {
 		t.Run(name, func(t *testing.T) {
@@ -662,7 +747,7 @@ func TestWALPendingRace(t *testing.T) {
 					for i := range each {
 						n := a*each + i
 						data := []byte{byte(n), byte(n >> 8), 0x5A}
-						if err := l.Append(fp.FromUint64(uint64(n)), uint32(len(data)), data); err != nil {
+						if _, err := l.AppendNew(fp.FromUint64(uint64(n)), uint32(len(data)), data); err != nil {
 							appendErrs[a] = err
 							return
 						}
@@ -677,28 +762,33 @@ func TestWALPendingRace(t *testing.T) {
 				finished := false
 				select {
 				case <-done:
-					finished = true // this pass drains every append
+					finished = true // this drain takes every append
 				default:
 				}
-				fps, mark := l.Pending()
-				walked := make(map[fp.FP]bool)
-				if err := l.Iterate(func(r Record) error {
-					walked[r.FP] = true
-					return nil
-				}); err != nil {
-					t.Fatal(err)
+				fps, walked := drainTxn(t, l, func(*Txn) {
+					l.Pending()
+					if err := l.Iterate(func(Record) error { return nil }); err != nil {
+						t.Error(err)
+					}
+				})
+				inWalk := make(map[fp.FP]bool, len(walked))
+				for _, f := range walked {
+					inWalk[f] = true
+				}
+				if len(walked) != len(fps) {
+					t.Fatalf("drain of %d fps walked %d records", len(fps), len(walked))
 				}
 				for _, f := range fps {
 					if seen[f] {
-						t.Fatalf("fingerprint %s in two Pending snapshots", f.Short())
+						t.Fatalf("fingerprint %s in two drains", f.Short())
 					}
 					seen[f] = true
-					if !walked[f] {
-						t.Fatalf("walk after Pending missed fingerprint %s", f.Short())
+					if !inWalk[f] {
+						t.Fatalf("drain's walk missed fingerprint %s", f.Short())
 					}
 				}
-				if err := l.Consume(mark); err != nil {
-					t.Fatal(err)
+				if held := l.Logged(fps); slices.Contains(held, true) {
+					t.Fatal("a drained fingerprint is still Logged")
 				}
 				if finished {
 					break
@@ -710,7 +800,7 @@ func TestWALPendingRace(t *testing.T) {
 				}
 			}
 			if len(seen) != appenders*each {
-				t.Fatalf("Pending snapshots held %d fingerprints, want %d", len(seen), appenders*each)
+				t.Fatalf("drains held %d fingerprints, want %d", len(seen), appenders*each)
 			}
 			if n := l.Count(); n != 0 {
 				t.Fatalf("Count after draining = %d, want 0", n)

@@ -89,7 +89,7 @@ func TestPipelineEdgeCases(t *testing.T) {
 		t.Fatalf("backed up %d files, want %d", stats.Files, len(files))
 	}
 
-	if err := d.TriggerDedup2(true); err != nil {
+	if err := d.TriggerDedup2(); err != nil {
 		t.Fatal(err)
 	}
 	dst := t.TempDir()
@@ -140,7 +140,7 @@ func TestPipelineKnobExtremes(t *testing.T) {
 			if stats.LogicalBytes != int64(len(want)) {
 				t.Fatalf("logical bytes %d, want %d", stats.LogicalBytes, len(want))
 			}
-			if err := d.TriggerDedup2(true); err != nil {
+			if err := d.TriggerDedup2(); err != nil {
 				t.Fatal(err)
 			}
 			dst := t.TempDir()

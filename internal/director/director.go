@@ -395,12 +395,14 @@ func (d *Director) FilterFPs(jobName string) []fp.FP {
 
 // TriggerDedup2 asks every registered backup server to run dedup-2 (§3.1:
 // "the director initiates a dedup-2 job in which all the backup servers
-// cooperate to store new chunks"). Connection-level failures retry with
-// backoff — re-triggering dedup-2 is idempotent (a pass that completed
-// consumed its chunk-log records, so a repeat sees only chunks logged
-// since) — while a server-reported failure (Dedup2Done with an error, e.g.
-// a read-only store) is returned as-is.
-func (d *Director) TriggerDedup2(runSIU bool) error {
+// cooperate to store new chunks"). Every pass runs SIL, chunk storing and
+// SIU as one transaction over the server's chunk log. Connection-level
+// failures retry with backoff — re-triggering dedup-2 is idempotent (a
+// pass that completed consumed its chunk-log records, so a repeat sees
+// only chunks logged since; a pass that failed consumed nothing) — while a
+// server-reported failure (Dedup2Done with an error, e.g. a read-only
+// store) is returned as-is.
+func (d *Director) TriggerDedup2() error {
 	attempts := d.Retries + 1
 	if d.Retries == 0 {
 		attempts = defaultRetries + 1
@@ -415,7 +417,7 @@ func (d *Director) TriggerDedup2(runSIU bool) error {
 				mControlRetries.Inc()
 			}
 			first = false
-			return d.triggerOne(addr, runSIU)
+			return d.triggerOne(addr)
 		})
 		if err != nil {
 			mDedup2Failures.Inc()
@@ -427,7 +429,7 @@ func (d *Director) TriggerDedup2(runSIU bool) error {
 }
 
 // triggerOne runs one dedup-2 trigger round-trip against one server.
-func (d *Director) triggerOne(addr string, runSIU bool) error {
+func (d *Director) triggerOne(addr string) error {
 	conn, err := proto.DialTimeout(addr, d.ControlTimeout)
 	if err != nil {
 		return fmt.Errorf("director: dedup-2 trigger: %w", err)
@@ -439,7 +441,7 @@ func (d *Director) triggerOne(addr string, runSIU bool) error {
 		resolveTimeout(d.Dedup2Timeout, defaultDedup2Timeout),
 		resolveTimeout(d.ControlTimeout, defaultControlTimeout),
 	)
-	if err := conn.Send(proto.Dedup2Request{RunSIU: runSIU}); err != nil {
+	if err := conn.Send(proto.Dedup2Request{RunSIU: true}); err != nil {
 		return err
 	}
 	msg, err := conn.Recv()

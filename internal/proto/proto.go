@@ -964,6 +964,9 @@ type FileList struct {
 }
 
 // Dedup2Request asks a backup server to run dedup-2 now (director-issued).
+// A pass always includes SIU. RunSIU stays on the wire because a gob
+// frame needs an exported field and an older server defers SIU when it is
+// false; senders set it to true and servers ignore it.
 type Dedup2Request struct {
 	RunSIU bool
 }

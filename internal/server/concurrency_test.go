@@ -63,7 +63,7 @@ func TestConcurrentSessions(t *testing.T) {
 		}
 	}
 
-	if err := d.TriggerDedup2(true); err != nil {
+	if err := d.TriggerDedup2(); err != nil {
 		t.Fatal(err)
 	}
 
@@ -115,7 +115,7 @@ func TestConcurrentRestores(t *testing.T) {
 			t.Fatalf("backup %d: %v", i, err)
 		}
 	}
-	if err := d.TriggerDedup2(true); err != nil {
+	if err := d.TriggerDedup2(); err != nil {
 		t.Fatal(err)
 	}
 
@@ -168,7 +168,7 @@ func TestConcurrentBackupAndRestore(t *testing.T) {
 	if _, err := c1.Backup("overlap-a", src1); err != nil {
 		t.Fatal(err)
 	}
-	if err := d.TriggerDedup2(true); err != nil {
+	if err := d.TriggerDedup2(); err != nil {
 		t.Fatal(err)
 	}
 

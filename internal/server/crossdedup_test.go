@@ -13,8 +13,8 @@ import (
 
 // TestCrossSessionLogDedup is the cross-session log-dedup regression
 // test. Two concurrent sessions offer the same chunk: the per-session
-// preliminary filters cannot see each other, so before the server-wide
-// logged-fingerprint map both sessions were told "transfer it" and the
+// preliminary filters cannot see each other, so before the chunk log's
+// logged-fingerprint set both sessions were told "transfer it" and the
 // chunk hit the log twice. Session A ships the chunk; session B, racing
 // it, must get need=false — and B's recipe, which then references a
 // chunk only A ever transferred, must still restore byte-identical
@@ -130,7 +130,7 @@ func TestCrossSessionLogDedup(t *testing.T) {
 
 	// Dedup-2 moves the single logged copy into a container and
 	// truncates the log; B's recipe must restore through it.
-	if err := dir.TriggerDedup2(true); err != nil {
+	if err := dir.TriggerDedup2(); err != nil {
 		t.Fatal(err)
 	}
 	dst := t.TempDir()

@@ -6,6 +6,7 @@ import (
 	"os"
 	"path/filepath"
 	"sync"
+	"syscall"
 	"testing"
 
 	"debar/internal/client"
@@ -32,7 +33,7 @@ func TestShardedDedup2ServerRoundTrip(t *testing.T) {
 		if _, err := c.Backup("gen-1", src); err != nil {
 			t.Fatal(err)
 		}
-		if err := d.TriggerDedup2(true); err != nil {
+		if err := d.TriggerDedup2(); err != nil {
 			t.Fatal(err)
 		}
 
@@ -46,7 +47,7 @@ func TestShardedDedup2ServerRoundTrip(t *testing.T) {
 		if _, err := c.Backup("gen-2", src); err != nil {
 			t.Fatal(err)
 		}
-		if err := d.TriggerDedup2(true); err != nil {
+		if err := d.TriggerDedup2(); err != nil {
 			t.Fatal(err)
 		}
 
@@ -90,7 +91,7 @@ func TestShardedDedup2DuringBackup(t *testing.T) {
 	}
 	// Fire dedup-2 passes while the backups stream.
 	for i := 0; i < 3; i++ {
-		if err := d.TriggerDedup2(true); err != nil {
+		if err := d.TriggerDedup2(); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -100,7 +101,7 @@ func TestShardedDedup2DuringBackup(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if err := d.TriggerDedup2(true); err != nil {
+	if err := d.TriggerDedup2(); err != nil {
 		t.Fatal(err)
 	}
 
@@ -120,6 +121,120 @@ func TestShardedDedup2DuringBackup(t *testing.T) {
 	}
 }
 
+// liveSession is one backup session driven frame by frame over its own
+// connection, so a test can hold it open across dedup-2 passes.
+type liveSession struct {
+	t      *testing.T
+	conn   *proto.Conn
+	id     uint64
+	entry  proto.FileEntry // the session's one file: chunk i is chunks[i]
+	chunks [][]byte
+}
+
+// openLiveSession starts a session of job on srvAddr whose one file,
+// live.bin, is n distinct chunks.
+func openLiveSession(t *testing.T, srvAddr, job string, n int) *liveSession {
+	t.Helper()
+	conn, err := proto.Dial(srvAddr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { conn.Close() })
+	ls := &liveSession{t: t, conn: conn}
+	for i := range n {
+		c := bytes.Repeat([]byte(fmt.Sprintf("%s chunk %02d ", job, i)), 64)
+		ls.chunks = append(ls.chunks, c)
+		ls.entry.Chunks = append(ls.entry.Chunks, fp.New(c))
+		ls.entry.Sizes = append(ls.entry.Sizes, uint32(len(c)))
+		ls.entry.Size += int64(len(c))
+	}
+	ls.entry.Path, ls.entry.Mode = "live.bin", 0o644
+	start, ok := ls.call(proto.BackupStart{JobName: job, Client: "live", Version: proto.ProtocolVersion}).(proto.BackupStartOK)
+	if !ok {
+		t.Fatal("BackupStart refused")
+	}
+	ls.id = start.SessionID
+	return ls
+}
+
+func (ls *liveSession) call(req any) any {
+	ls.t.Helper()
+	if err := ls.conn.Send(req); err != nil {
+		ls.t.Fatal(err)
+	}
+	msg, err := ls.conn.Recv()
+	if err != nil {
+		ls.t.Fatal(err)
+	}
+	return msg
+}
+
+// offer sends chunks [lo, hi) as one FPBatch and returns which of them
+// the server asked for.
+func (ls *liveSession) offer(seq uint64, lo, hi int) []bool {
+	ls.t.Helper()
+	v, ok := ls.call(proto.FPBatch{SessionID: ls.id, Seq: seq, FPs: ls.entry.Chunks[lo:hi], Sizes: ls.entry.Sizes[lo:hi]}).(proto.FPVerdicts)
+	if !ok || len(v.Verdicts) != hi-lo {
+		ls.t.Fatalf("FPBatch %d: want %d verdicts", seq, hi-lo)
+	}
+	need := make([]bool, hi-lo)
+	for i := range need {
+		need[i] = v.NeedsTransfer(i)
+	}
+	return need
+}
+
+// ship offers chunks [lo, hi), which must all be new, and sends them;
+// the batch must be acked.
+func (ls *liveSession) ship(seq uint64, lo, hi int) {
+	ls.t.Helper()
+	for i, need := range ls.offer(seq, lo, hi) {
+		if !need {
+			ls.t.Fatalf("FPBatch %d: chunk %d not requested", seq, lo+i)
+		}
+	}
+	data := make([][]byte, 0, hi-lo)
+	for _, c := range ls.chunks[lo:hi] {
+		data = append(data, append([]byte(nil), c...))
+	}
+	if ack, ok := ls.call(proto.ChunkBatch{SessionID: ls.id, FPs: ls.entry.Chunks[lo:hi], Data: data}).(proto.Ack); !ok || !ack.OK {
+		ls.t.Fatalf("ChunkBatch %d not acked", seq)
+	}
+}
+
+// end records the file and ends the session, then restores the job and
+// byte-compares the file.
+func (ls *liveSession) end(srvAddr, job string) {
+	ls.t.Helper()
+	if ack, ok := ls.call(proto.FileMeta{SessionID: ls.id, Entry: ls.entry}).(proto.Ack); !ok || !ack.OK {
+		ls.t.Fatal("FileMeta refused")
+	}
+	if _, ok := ls.call(proto.BackupEnd{SessionID: ls.id}).(proto.BackupDone); !ok {
+		ls.t.Fatal("BackupEnd refused")
+	}
+	dst := ls.t.TempDir()
+	if _, err := client.New(srvAddr, "restore-live").Restore(job, dst); err != nil {
+		ls.t.Fatal(err)
+	}
+	got, err := os.ReadFile(filepath.Join(dst, ls.entry.Path))
+	if err != nil {
+		ls.t.Fatal(err)
+	}
+	if want := bytes.Join(ls.chunks, nil); !bytes.Equal(got, want) {
+		ls.t.Fatalf("restored %s differs (%d vs %d bytes)", ls.entry.Path, len(got), len(want))
+	}
+}
+
+// walSize returns the size of the engine's chunk-log WAL file.
+func walSize(t *testing.T, eng *store.Engine) int64 {
+	t.Helper()
+	st, err := os.Stat(filepath.Join(eng.Dir(), "chunklog.wal"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	return st.Size()
+}
+
 // TestDedup2ConsumesLiveSession: the chunk log is dedup-2's work queue,
 // so a pass stores the acked chunks of a session that is still open and
 // truncates the WAL under it. Session A stays open with n acked chunks:
@@ -132,93 +247,90 @@ func TestDedup2ConsumesLiveSession(t *testing.T) {
 		t.Fatal(err)
 	}
 	_, _, srvAddr := startServer(t, func(c *server.Config) { c.Storage = eng })
-	walPath := filepath.Join(eng.Dir(), "chunklog.wal")
 
 	const n, m = 6, 4
-	var entry proto.FileEntry
-	var file []byte
-	chunks := make([][]byte, n+m)
-	for i := range chunks {
-		chunks[i] = bytes.Repeat([]byte(fmt.Sprintf("live-session chunk %02d ", i)), 64)
-		entry.Chunks = append(entry.Chunks, fp.New(chunks[i]))
-		entry.Sizes = append(entry.Sizes, uint32(len(chunks[i])))
-		file = append(file, chunks[i]...)
-	}
-	entry.Path, entry.Mode, entry.Size = "live.bin", 0o644, int64(len(file))
-
-	conn, err := proto.Dial(srvAddr)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer conn.Close()
-	call := func(req any) any {
-		t.Helper()
-		if err := conn.Send(req); err != nil {
-			t.Fatal(err)
-		}
-		msg, err := conn.Recv()
-		if err != nil {
-			t.Fatal(err)
-		}
-		return msg
-	}
-	start, ok := call(proto.BackupStart{JobName: "live-job", Client: "a", Version: proto.ProtocolVersion}).(proto.BackupStartOK)
-	if !ok {
-		t.Fatal("BackupStart refused")
-	}
-	sess := start.SessionID
-	// ship offers chunks [lo, hi) and sends them; every one must be new
-	// and acked.
-	ship := func(seq uint64, lo, hi int) {
-		t.Helper()
-		v, ok := call(proto.FPBatch{SessionID: sess, Seq: seq, FPs: entry.Chunks[lo:hi], Sizes: entry.Sizes[lo:hi]}).(proto.FPVerdicts)
-		if !ok || len(v.Verdicts) != hi-lo {
-			t.Fatalf("FPBatch %d: want %d verdicts", seq, hi-lo)
-		}
-		for i := range v.Verdicts {
-			if !v.NeedsTransfer(i) {
-				t.Fatalf("FPBatch %d: chunk %d not requested", seq, lo+i)
-			}
-		}
-		data := make([][]byte, 0, hi-lo)
-		for _, c := range chunks[lo:hi] {
-			data = append(data, append([]byte(nil), c...))
-		}
-		if ack, ok := call(proto.ChunkBatch{SessionID: sess, FPs: entry.Chunks[lo:hi], Data: data}).(proto.Ack); !ok || !ack.OK {
-			t.Fatalf("ChunkBatch %d not acked", seq)
-		}
-	}
-
-	ship(0, 0, n)
+	a := openLiveSession(t, srvAddr, "live-job", n+m)
+	a.ship(0, 0, n)
 	if done := runDedup2Direct(t, srvAddr); done.NewChunks != n {
 		t.Fatalf("pass 1 with the session open stored %d chunks, want %d", done.NewChunks, n)
 	}
-	if st, err := os.Stat(walPath); err != nil {
-		t.Fatal(err)
-	} else if st.Size() != 0 {
-		t.Fatalf("WAL holds %d bytes after a caught-up pass, want 0", st.Size())
+	if size := walSize(t, eng); size != 0 {
+		t.Fatalf("WAL holds %d bytes after a caught-up pass, want 0", size)
 	}
 
-	ship(1, n, n+m)
+	a.ship(1, n, n+m)
 	if done := runDedup2Direct(t, srvAddr); done.NewChunks != m || done.DupChunks != 0 {
 		t.Fatalf("pass 2 = %d new / %d dup chunks, want %d / 0", done.NewChunks, done.DupChunks, m)
 	}
+	a.end(srvAddr, "live-job")
+}
 
-	if ack, ok := call(proto.FileMeta{SessionID: sess, Entry: entry}).(proto.Ack); !ok || !ack.OK {
-		t.Fatal("FileMeta refused")
-	}
-	if _, ok := call(proto.BackupEnd{SessionID: sess}).(proto.BackupDone); !ok {
-		t.Fatal("BackupEnd refused")
-	}
-	dst := t.TempDir()
-	if _, err := client.New(srvAddr, "restore-live").Restore("live-job", dst); err != nil {
-		t.Fatal(err)
-	}
-	got, err := os.ReadFile(filepath.Join(dst, entry.Path))
+// TestDedup2FailedPassConsumesNothing: a pass is one transaction over the
+// chunk log. When its container append fails, the pass reports the error
+// and consumes nothing: the WAL keeps every record, and the log's logged
+// set still answers the chunks' re-offer with "don't transfer". The retry
+// stores every chunk, truncates the WAL, and the file restores.
+func TestDedup2FailedPassConsumesNothing(t *testing.T) {
+	eng, err := store.Open(t.TempDir(), store.Options{IndexBits: 12})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !bytes.Equal(got, file) {
-		t.Fatalf("restored %s differs (%d vs %d bytes)", entry.Path, len(got), len(file))
+	_, _, srvAddr := startServer(t, func(c *server.Config) { c.Storage = eng })
+
+	const n = 8
+	a := openLiveSession(t, srvAddr, "failed-pass-job", n)
+	a.ship(0, 0, n)
+	size := walSize(t, eng)
+
+	eng.SegRepo().SetFailFunc(func() error { return syscall.EIO })
+	if done := sendDedup2(t, srvAddr, proto.Dedup2Request{RunSIU: true}); done.Err == "" {
+		t.Fatalf("pass with a failing container append succeeded: %+v", done)
 	}
+	eng.SegRepo().SetFailFunc(nil)
+	if got := walSize(t, eng); got != size {
+		t.Fatalf("failed pass changed the WAL: %d -> %d bytes", size, got)
+	}
+	if c := eng.ChunkLog().Count(); c != n {
+		t.Fatalf("failed pass left %d pending records, want %d", c, n)
+	}
+	for i, need := range a.offer(1, 0, n) {
+		if need {
+			t.Fatalf("chunk %d requested again after a failed pass", i)
+		}
+	}
+
+	if done := runDedup2Direct(t, srvAddr); done.NewChunks != n {
+		t.Fatalf("retried pass stored %d chunks, want %d", done.NewChunks, n)
+	}
+	if got := walSize(t, eng); got != 0 {
+		t.Fatalf("WAL holds %d bytes after the retried pass, want 0", got)
+	}
+	a.end(srvAddr, "failed-pass-job")
+}
+
+// TestDedup2AlwaysRunsSIU: a request that leaves RunSIU false (an older
+// director's deferred SIU) still gets a whole pass: every stored chunk is
+// in the disk index and the WAL is truncated when the reply arrives.
+func TestDedup2AlwaysRunsSIU(t *testing.T) {
+	eng, err := store.Open(t.TempDir(), store.Options{IndexBits: 12})
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, _, srvAddr := startServer(t, func(c *server.Config) { c.Storage = eng })
+
+	const n = 5
+	a := openLiveSession(t, srvAddr, "siu-job", n)
+	a.ship(0, 0, n)
+	if done := sendDedup2(t, srvAddr, proto.Dedup2Request{}); done.Err != "" || done.NewChunks != n {
+		t.Fatalf("pass = %+v, want %d new chunks", done, n)
+	}
+	for i, f := range a.entry.Chunks {
+		if _, err := eng.Index().Lookup(f); err != nil {
+			t.Fatalf("chunk %d not in the index after the pass: %v", i, err)
+		}
+	}
+	if size := walSize(t, eng); size != 0 {
+		t.Fatalf("WAL holds %d bytes after the pass, want 0", size)
+	}
+	a.end(srvAddr, "siu-job")
 }

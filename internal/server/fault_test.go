@@ -161,7 +161,7 @@ func TestIdleSessionReaped(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer c2.Close()
-	if err := c2.Send(proto.Dedup2Request{RunSIU: true}); err != nil {
+	if err := c2.Send(proto.Dedup2Request{}); err != nil {
 		t.Fatal(err)
 	}
 	msg, err = c2.Recv()

@@ -16,12 +16,23 @@ import (
 // these tests assert on).
 func runDedup2Direct(t *testing.T, srvAddr string) proto.Dedup2Done {
 	t.Helper()
+	done := sendDedup2(t, srvAddr, proto.Dedup2Request{RunSIU: true})
+	if done.Err != "" {
+		t.Fatalf("dedup-2 failed: %s", done.Err)
+	}
+	return done
+}
+
+// sendDedup2 sends one Dedup2Request to the server and returns its
+// reply, failed passes included.
+func sendDedup2(t *testing.T, srvAddr string, req proto.Dedup2Request) proto.Dedup2Done {
+	t.Helper()
 	conn, err := proto.Dial(srvAddr)
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer conn.Close()
-	if err := conn.Send(proto.Dedup2Request{RunSIU: true}); err != nil {
+	if err := conn.Send(req); err != nil {
 		t.Fatal(err)
 	}
 	msg, err := conn.Recv()
@@ -31,9 +42,6 @@ func runDedup2Direct(t *testing.T, srvAddr string) proto.Dedup2Done {
 	done, is := msg.(proto.Dedup2Done)
 	if !is {
 		t.Fatalf("Dedup2Request reply = %T %+v", msg, msg)
-	}
-	if done.Err != "" {
-		t.Fatalf("dedup-2 failed: %s", done.Err)
 	}
 	return done
 }
@@ -147,7 +155,7 @@ func TestMixedVersionInterop(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if err := d.TriggerDedup2(true); err != nil {
+		if err := d.TriggerDedup2(); err != nil {
 			t.Fatal(err)
 		}
 		second, err := c.Backup("interop-a", src)
@@ -176,7 +184,7 @@ func TestMixedVersionInterop(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if err := d.TriggerDedup2(true); err != nil {
+		if err := d.TriggerDedup2(); err != nil {
 			t.Fatal(err)
 		}
 		second, err := c.Backup("interop-b", src)
@@ -240,7 +248,7 @@ func TestInlineDedupCutsWireBytes(t *testing.T) {
 	if _, err := c.Backup("wire-gen1", src); err != nil {
 		t.Fatal(err)
 	}
-	if err := d.TriggerDedup2(true); err != nil {
+	if err := d.TriggerDedup2(); err != nil {
 		t.Fatal(err)
 	}
 	gen1 := snapshotDelta(base)
@@ -278,7 +286,7 @@ func TestInlineDedupCutsWireBytes(t *testing.T) {
 			gen2("server_backup_logical_bytes_total"), gen1("server_backup_logical_bytes_total"))
 	}
 
-	if err := d.TriggerDedup2(true); err != nil {
+	if err := d.TriggerDedup2(); err != nil {
 		t.Fatal(err)
 	}
 	restoreAndCompare(t, srvAddr, "wire-gen2", files)

@@ -122,7 +122,7 @@ func TestBackupDedup2RestoreRoundTrip(t *testing.T) {
 	}
 
 	// Director-initiated dedup-2 (SIL + chunk storing + SIU).
-	if err := d.TriggerDedup2(true); err != nil {
+	if err := d.TriggerDedup2(); err != nil {
 		t.Fatal(err)
 	}
 
@@ -155,7 +155,7 @@ func TestSecondRunJobChainDedup(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := d.TriggerDedup2(true); err != nil {
+	if err := d.TriggerDedup2(); err != nil {
 		t.Fatal(err)
 	}
 
@@ -183,7 +183,7 @@ func TestModifiedFileIncrementalBackup(t *testing.T) {
 	if _, err := c.Backup("job-mod", src); err != nil {
 		t.Fatal(err)
 	}
-	if err := d.TriggerDedup2(true); err != nil {
+	if err := d.TriggerDedup2(); err != nil {
 		t.Fatal(err)
 	}
 
@@ -200,7 +200,7 @@ func TestModifiedFileIncrementalBackup(t *testing.T) {
 	if stats.TransferredBytes > int64(64<<10) {
 		t.Fatalf("incremental run transferred %d bytes for a tiny append", stats.TransferredBytes)
 	}
-	if err := d.TriggerDedup2(true); err != nil {
+	if err := d.TriggerDedup2(); err != nil {
 		t.Fatal(err)
 	}
 
@@ -235,7 +235,7 @@ func TestVerifyDetectsModifications(t *testing.T) {
 	if _, err := c.Backup("job-verify", src); err != nil {
 		t.Fatal(err)
 	}
-	if err := d.TriggerDedup2(true); err != nil {
+	if err := d.TriggerDedup2(); err != nil {
 		t.Fatal(err)
 	}
 
@@ -293,7 +293,7 @@ func TestVerifyIgnoresChunkingChange(t *testing.T) {
 	if _, err := testClient(srvAddr).Backup("job-rechunk", src); err != nil {
 		t.Fatal(err)
 	}
-	if err := d.TriggerDedup2(true); err != nil {
+	if err := d.TriggerDedup2(); err != nil {
 		t.Fatal(err)
 	}
 

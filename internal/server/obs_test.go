@@ -33,7 +33,7 @@ func TestObservabilityCountersMove(t *testing.T) {
 	if _, err := c.Backup("job-obs", src); err != nil {
 		t.Fatal(err)
 	}
-	if err := d.TriggerDedup2(true); err != nil {
+	if err := d.TriggerDedup2(); err != nil {
 		t.Fatal(err)
 	}
 	gen1 := snapshotDelta(base)

@@ -42,7 +42,7 @@ func TestRestoreWindowBoundsInFlightBatches(t *testing.T) {
 	if _, err := c.Backup("win-job", src); err != nil {
 		t.Fatal(err)
 	}
-	if err := d.TriggerDedup2(true); err != nil {
+	if err := d.TriggerDedup2(); err != nil {
 		t.Fatal(err)
 	}
 
@@ -170,7 +170,7 @@ func TestRestoreInterruptedMidStream(t *testing.T) {
 	if _, err := c.Backup("cut-job", src); err != nil {
 		t.Fatal(err)
 	}
-	if err := d.TriggerDedup2(true); err != nil {
+	if err := d.TriggerDedup2(); err != nil {
 		t.Fatal(err)
 	}
 
@@ -232,7 +232,7 @@ func TestRestoreClientGoneServerReclaimed(t *testing.T) {
 	if _, err := c.Backup("gone-job", src); err != nil {
 		t.Fatal(err)
 	}
-	if err := dir.TriggerDedup2(true); err != nil {
+	if err := dir.TriggerDedup2(); err != nil {
 		t.Fatal(err)
 	}
 

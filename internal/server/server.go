@@ -217,14 +217,15 @@ type session struct {
 //
 // Locking is deliberately fine-grained: mu guards only connection
 // lifecycle and the session table; each session carries its own lock;
-// dedup2Mu serialises dedup-2 passes and guards the entries awaiting SIU;
 // the shared Restorer is internally synchronised with its lock scoped to
 // the LPC cache state, so concurrent restore streams overlap at chunk
-// granularity instead of queueing behind a server-wide restore lock; the
-// chunk log has its own internal lock and is dedup-2's work queue (its
-// unconsumed records are the chunks a pass has yet to store). No
-// server-wide lock is ever held across a data-path batch or a restore
-// loop.
+// granularity instead of queueing behind a server-wide restore lock. The
+// server keeps no dedup-2 state of its own: the chunk log is dedup-2's
+// work queue (its unconsumed records are the chunks a pass has yet to
+// store, and their fingerprints are the logged set dedup-1 consults),
+// and a pass is one chunklog.Log.Drain transaction over it, serialised
+// by the log. No server-wide lock is ever held across a data-path batch
+// or a restore loop.
 type Server struct {
 	cfg Config
 
@@ -238,29 +239,9 @@ type Server struct {
 	serverID int                      // guarded by mu
 	closed   bool                     // guarded by mu
 
-	// loggedMu guards loggedFP: the fingerprint of every unconsumed
-	// chunk-log record, across all sessions. Dedup-1 consults it so
-	// concurrent sessions racing the same content (the per-session
-	// preliminary filters cannot see each other) neither transfer nor
-	// re-log a chunk the log already holds, which directly shrinks the
-	// bytes every group-commit fsync must push out; and so a client
-	// retrying an interrupted backup re-ships only the chunks that never
-	// landed. loggedMu is innermost: it is never held while acquiring
-	// another lock.
-	loggedMu sync.Mutex
-	loggedFP map[fp.FP]struct{} // guarded by loggedMu
-
-	// dedup2Mu serialises dedup-2 passes: SIU is a whole-index
-	// read-modify-write and overlapping passes would double-drain the
-	// chunk log. One pass is a single stream: SIL, then chunk storing over
-	// a lock-free snapshot of the chunk log (tpds.ChunkStore.RunSILAndStore),
-	// so dedup-1 appends keep flowing behind it.
-	dedup2Mu sync.Mutex
-	unreg    []fp.Entry // guarded by dedup2Mu; stored chunks whose SIU was deferred or failed
-
 	log      *chunklog.Log
-	chunk    *tpds.ChunkStore
-	restorer *tpds.Restorer // internally synchronised
+	chunk    *tpds.ChunkStore // synchronous SIU, no checking file: stateless between passes
+	restorer *tpds.Restorer   // internally synchronised
 	storage  *store.Engine
 	slog     *slog.Logger
 }
@@ -287,21 +268,16 @@ func New(cfg Config) (*Server, error) {
 	}
 
 	ix, repo := eng.Index(), eng.Repo()
-	cs := tpds.NewChunkStore(ix, repo, false, true)
+	cs := tpds.NewChunkStore(ix, repo, false, false)
 	cs.ContainerSize = cfg.ContainerSize
-	// Chunks logged before a restart are pending in the recovered WAL:
-	// the next dedup-2 pass stores them, and no session needs to send a
-	// second copy.
-	pending, _ := eng.ChunkLog().Pending()
-	loggedFP := make(map[fp.FP]struct{}, len(pending))
-	for _, f := range pending {
-		loggedFP[f] = struct{}{}
-	}
 	lg := cfg.Logger
 	if lg == nil {
 		lg = slog.Default()
 	}
-	mLogPending.Set(int64(len(pending)))
+	// Chunks logged before a restart are pending and Logged in the
+	// recovered WAL: the next dedup-2 pass stores them, and no session
+	// needs to send a second copy.
+	mLogPending.Set(eng.ChunkLog().Count())
 	return &Server{
 		cfg:      cfg,
 		sessions: make(map[uint64]*session),
@@ -309,7 +285,6 @@ func New(cfg Config) (*Server, error) {
 		log:      eng.ChunkLog(),
 		chunk:    cs,
 		restorer: tpds.NewRestorer(ix, repo, 16),
-		loggedFP: loggedFP,
 		storage:  eng,
 		slog:     lg,
 	}, nil
@@ -723,8 +698,8 @@ func (s *Server) handle(conn *proto.Conn) {
 
 // reclaimSessions removes a vanished client's sessions. Their chunks need
 // no hand-off: every chunk that reached the server is a chunk-log record,
-// which the next dedup-2 pass stores, and loggedFP tells a retrying client
-// not to send it again.
+// which the next dedup-2 pass stores, and the log's Logged set tells a
+// retrying client not to send it again.
 func (s *Server) reclaimSessions(st *connState) {
 	for _, id := range st.sess {
 		s.mu.Lock()
@@ -759,7 +734,7 @@ func (s *Server) dispatch(msg any, st *connState) (any, error) {
 	case proto.RestoreMeta:
 		return s.restoreMeta(m, &st.jfc)
 	case proto.Dedup2Request:
-		return s.runDedup2(m)
+		return s.runDedup2(), nil
 	default:
 		return nil, fmt.Errorf("server: unexpected message %T", msg)
 	}
@@ -855,24 +830,6 @@ func (s *Server) getSession(id uint64) (*session, error) {
 	return sess, nil
 }
 
-// chunkLogged reports whether f's chunk bytes are already in the chunk
-// log. True is only ever returned after a successful append, so a
-// "don't transfer" verdict built on it never references bytes the log
-// does not hold.
-func (s *Server) chunkLogged(f fp.FP) bool {
-	s.loggedMu.Lock()
-	_, ok := s.loggedFP[f]
-	s.loggedMu.Unlock()
-	return ok
-}
-
-// markLogged records that f's chunk bytes landed in the chunk log.
-func (s *Server) markLogged(f fp.FP) {
-	s.loggedMu.Lock()
-	s.loggedFP[f] = struct{}{}
-	s.loggedMu.Unlock()
-}
-
 func (s *Server) fpBatch(m proto.FPBatch) (any, error) {
 	sess, err := s.getSession(m.SessionID)
 	if err != nil {
@@ -882,6 +839,14 @@ func (s *Server) fpBatch(m proto.FPBatch) (any, error) {
 		return nil, errors.New("server: FPBatch lengths differ")
 	}
 	inline := sess.caps.Has(proto.CapInlineDedup)
+	// Cross-session dedup at the log layer: a chunk some concurrent
+	// session already landed in the chunk log needs no second copy, even
+	// though this session's own preliminary filter has never seen it; and
+	// a client retrying an interrupted backup re-ships only the chunks
+	// that never landed. The log answers only after a successful append,
+	// so a skip verdict built on it never references bytes the log does
+	// not hold.
+	logged := s.log.Logged(m.FPs)
 	verdicts := make([]proto.Verdict, len(m.FPs))
 	var hits, misses, logDups int64 // batch-local; one atomic add each below
 	var inlineHits, inlineBytes, logical int64
@@ -891,13 +856,10 @@ func (s *Server) fpBatch(m proto.FPBatch) (any, error) {
 		sess.logical += sz
 		logical += sz
 		sess.xfer += fp.Size + 1
-		// Cross-session dedup at the log layer: a chunk some concurrent
-		// session already landed in the chunk log needs no second copy,
-		// even though this session's own preliminary filter has never
-		// seen it. Checked before the filter's test-and-set so the
-		// session's new-fingerprint accounting stays honest; the chunk
-		// reaches dedup-2 through the session that logged it.
-		if s.chunkLogged(f) {
+		// Checked before the filter's test-and-set so the session's
+		// new-fingerprint accounting stays honest; the chunk reaches
+		// dedup-2 through the session that logged it.
+		if logged[i] {
 			logDups++
 			hits++
 			verdicts[i] = proto.VerdictSkipDuplicate
@@ -983,14 +945,12 @@ func (s *Server) chunkBatch(m proto.ChunkBatch) (any, error) {
 		batchBytes += int64(len(m.Data[i]))
 		// A chunk whose fingerprint is already in the chunk log (this
 		// session's verdict raced a concurrent session's append) adds
-		// no information: skip the append. Its durability rides on the
+		// no information: AppendNew skips it. Its durability rides on the
 		// covering sync below — windows are FIFO and each fsync is
 		// cumulative, so this batch's ticket also covers the earlier
 		// append of the skipped chunk.
-		if s.chunkLogged(f) {
-			continue
-		}
-		if err := s.log.AppendOwned(f, uint32(len(m.Data[i])), m.Data[i]); err != nil {
+		appended, err := s.log.AppendNew(f, uint32(len(m.Data[i])), m.Data[i])
+		if err != nil {
 			// A failed append (ENOSPC, media error) flips the store
 			// read-only: the WAL tail is no longer trustworthy for
 			// further writes, but everything already acked is intact and
@@ -999,7 +959,9 @@ func (s *Server) chunkBatch(m proto.ChunkBatch) (any, error) {
 			s.latchFault(err)
 			return nil, readOnlyRefusal(err)
 		}
-		s.markLogged(f)
+		if !appended {
+			continue
+		}
 		staged += int64(len(m.Data[i]))
 		logged++
 	}
@@ -1108,101 +1070,72 @@ func (s *Server) SessionCount() int {
 	return len(s.sessions)
 }
 
-func (s *Server) runDedup2(m proto.Dedup2Request) (any, error) {
-	// One pass at a time: SIL/SIU are whole-index scans over a
-	// single-writer structure, and overlapping passes would double-drain
-	// the chunk log.
-	s.dedup2Mu.Lock()
-	defer s.dedup2Mu.Unlock()
-
-	if roErr := s.storage.ReadOnlyErr(); roErr != nil {
-		// A pass on a faulted store would append containers it cannot
-		// trust; refuse it. The chunk log keeps every record for a pass
-		// after the operator restarts with the fault cleared.
-		return proto.Dedup2Done{Err: readOnlyRefusal(roErr).Error()}, nil
-	}
-
-	// The pass's work is every record logged since the last consumed pass,
-	// by ended and live sessions alike. Records appended from here on lie
-	// past the mark and wait for the next pass. A pass that fails before
-	// the Consume below consumes nothing, so its records stay for the
-	// retry.
-	fps, mark := s.log.Pending()
-	silStart := time.Now()
-	res, unreg, err := s.chunk.RunSILAndStore(fps, s.log, s.cfg.CacheBits)
-	mDedup2SILSec.Since(silStart)
+// runDedup2 runs one dedup-2 pass as a single transaction over the chunk
+// log (chunklog.Log.Drain): SIL over the transaction's fingerprints,
+// chunk storing over exactly its records, SIU, and a Checkpoint that
+// makes the index and containers durable. Only then are the records
+// consumed, live sessions or not. Any failure consumes nothing: the
+// records stay for the retry, and the server keeps nothing from the
+// failed pass (containers it appended stay unreferenced; the retry's SIL
+// finds whatever its SIU wrote and stores the rest again).
+func (s *Server) runDedup2() proto.Dedup2Done {
+	var res tpds.Dedup2Result
+	var pending int
+	err := s.log.Drain(func(tx *chunklog.Txn) error {
+		if roErr := s.storage.ReadOnlyErr(); roErr != nil {
+			// A pass on a faulted store would append containers it cannot
+			// trust; refuse it. The chunk log keeps every record for a
+			// pass after the operator restarts with the fault cleared.
+			return readOnlyRefusal(roErr)
+		}
+		pending = len(tx.FPs)
+		silStart := time.Now()
+		r, unreg, err := s.chunk.RunSILAndStore(tx.FPs, tx, s.cfg.CacheBits)
+		mDedup2SILSec.Since(silStart)
+		if err != nil {
+			return err
+		}
+		s.stageHook("sil-stored")
+		siuStart := time.Now()
+		if _, err := s.chunk.RunSIU(unreg); err != nil {
+			return err
+		}
+		mDedup2SIUSec.Since(siuStart)
+		s.stageHook("siu-done")
+		res = r
+		// Make the pass durable — fsync the index and write the clean
+		// marker, so a restart trusts the index file instead of
+		// rebuilding it from container metadata — before Drain consumes
+		// the records (and, caught up, truncates the WAL).
+		return s.storage.Checkpoint()
+	})
+	mLogPending.Set(s.log.Count())
 	if err != nil {
 		s.failOnDiskFault(err)
 		mDedup2Errors.Inc()
-		s.slog.Warn("dedup-2 SIL/store failed, chunk log kept for a retry",
-			"pending_fps", len(fps), "err", err)
-		return proto.Dedup2Done{Err: err.Error()}, nil
+		s.slog.Warn("dedup-2 pass failed, chunk log kept for a retry",
+			"pending_fps", pending, "err", err)
+		return proto.Dedup2Done{Err: err.Error()}
 	}
-	if s.cfg.Dedup2StageHook != nil {
-		s.cfg.Dedup2StageHook("sil-stored")
-	}
-	s.unreg = append(s.unreg, unreg...)
-	if m.RunSIU {
-		siuStart := time.Now()
-		if _, err := s.chunk.RunSIU(s.unreg); err != nil {
-			// Keep the entries for the next SIU attempt; a partial SIU is
-			// safe to retry (the window path tolerates re-inserting an
-			// already-written entry).
-			s.failOnDiskFault(err)
-			mDedup2Errors.Inc()
-			s.slog.Warn("dedup-2 SIU failed, unregistered entries kept",
-				"entries", len(s.unreg), "err", err)
-			return proto.Dedup2Done{Err: err.Error()}, nil
-		}
-		s.unreg = nil
-		mDedup2SIUSec.Since(siuStart)
-		if s.cfg.Dedup2StageHook != nil {
-			s.cfg.Dedup2StageHook("siu-done")
-		}
-	}
-	// Make the pass durable: fsync the index and write the clean marker,
-	// so a restart trusts the index file instead of rebuilding it from
-	// container metadata.
-	if err := s.storage.Checkpoint(); err != nil {
-		s.failOnDiskFault(err)
-		mDedup2Errors.Inc()
-		s.slog.Warn("dedup-2 checkpoint failed", "err", err)
-		return proto.Dedup2Done{Err: err.Error()}, nil
-	}
-	// Consume the pass's records only once every chunk they hold is
-	// reachable through a durable index. While SIU is deferred the
-	// unregistered entries exist only in memory, so the records stay: a
-	// crash replays them. A consumed record needs no replay, so when
-	// nothing was appended past the mark the WAL is truncated, live
-	// sessions or not.
-	consumed := len(s.unreg) == 0
-	if consumed {
-		if err := s.log.Consume(mark); err != nil {
-			mDedup2Errors.Inc()
-			s.slog.Warn("dedup-2 log truncation failed", "err", err)
-			return proto.Dedup2Done{Err: err.Error()}, nil
-		}
-		// The consumed chunks are in the index now, where the inline path
-		// and dedup-2 find them; loggedFP keeps only unconsumed records.
-		s.loggedMu.Lock()
-		for _, f := range fps {
-			delete(s.loggedFP, f)
-		}
-		s.loggedMu.Unlock()
-	}
-	mLogPending.Set(s.log.Count())
+	dups := res.IndexDups + res.Store.DupChunks
 	mDedup2Passes.Inc()
 	s.slog.Info("dedup-2 pass complete",
-		"undetermined_fps", len(fps),
+		"undetermined_fps", pending,
 		"new_chunks", res.Store.NewChunks,
-		"dup_chunks", res.IndexDups+res.Store.DupChunks+res.CheckingDups,
-		"containers", res.Store.Containers,
-		"siu_ran", m.RunSIU, "log_consumed", consumed)
+		"dup_chunks", dups,
+		"containers", res.Store.Containers)
 	return proto.Dedup2Done{
 		NewChunks:  res.Store.NewChunks,
-		DupChunks:  res.IndexDups + res.Store.DupChunks + res.CheckingDups,
+		DupChunks:  dups,
 		Containers: res.Store.Containers,
-	}, nil
+	}
+}
+
+// stageHook reports a dedup-2 stage boundary to Config.Dedup2StageHook.
+func (s *Server) stageHook(stage string) {
+	if s.cfg.Dedup2StageHook != nil {
+		s.cfg.Dedup2StageHook(stage)
+	}
 }
 
 // failOnDiskFault flips the store read-only when a dedup-2 stage failed

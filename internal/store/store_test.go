@@ -430,7 +430,7 @@ func TestEngineWALPendingRecovered(t *testing.T) {
 
 	e2 := openTestEngine(t, dir)
 	defer e2.Close()
-	fps, _ := e2.ChunkLog().Pending()
+	fps := e2.ChunkLog().Pending()
 	if len(fps) != 1 || fps[0] != f {
 		t.Fatalf("ChunkLog().Pending() = %v, want [%v]", fps, f)
 	}
@@ -559,7 +559,7 @@ func TestEngineGroupCommitRoundTrip(t *testing.T) {
 	if !bytes.Equal(got.Data, c.Data) {
 		t.Fatal("container did not survive group-committed reopen")
 	}
-	fps, _ := e2.ChunkLog().Pending()
+	fps := e2.ChunkLog().Pending()
 	if len(fps) != 1 || fps[0] != f {
 		t.Fatalf("ChunkLog().Pending() = %v, want [%v]", fps, f)
 	}

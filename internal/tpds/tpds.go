@@ -130,12 +130,18 @@ type StoreResult struct {
 	Containers int64 // containers sealed
 }
 
+// Records is the chunk-log view chunk storing walks: a whole
+// *chunklog.Log, or the records of one drain (*chunklog.Txn).
+type Records interface {
+	Iterate(fn func(chunklog.Record) error) error
+}
+
 // StoreChunks reads the chunk log sequentially and writes every chunk whose
 // fingerprint survives in the cache (and has not already been stored this
 // pass) into containers, in stream order (SISL). Sealed containers go to
 // the repository; the cache nodes of the chunks in a sealed container get
 // its container ID (§5.3).
-func StoreChunks(log *chunklog.Log, cache *indexcache.Cache, repo container.Repository,
+func StoreChunks(log Records, cache *indexcache.Cache, repo container.Repository,
 	containerSize int, metaOnly bool) (StoreResult, error) {
 	res, _, err := storeChunks(log, cache, repo, containerSize, metaOnly)
 	return res, err
@@ -149,7 +155,7 @@ func StoreChunks(log *chunklog.Log, cache *indexcache.Cache, repo container.Repo
 // fingerprints get the new container ID in the cache, so chunks of sealed
 // containers are caught by the non-nil-CID check and the packed map only
 // ever holds the open container's fingerprints.
-func storeChunks(log *chunklog.Log, cache *indexcache.Cache, repo container.Repository,
+func storeChunks(log Records, cache *indexcache.Cache, repo container.Repository,
 	containerSize int, metaOnly bool) (StoreResult, time.Duration, error) {
 	var res StoreResult
 	var appendTime time.Duration
@@ -321,7 +327,7 @@ func (cs *ChunkStore) clockNow() time.Duration {
 // histograms. A failed pass hands out no entries and leaves the checking
 // file untouched; containers it appended before the failure stay in the
 // repository unreferenced, and a retry stores their chunks again.
-func (cs *ChunkStore) RunSILAndStore(undetermined []fp.FP, log *chunklog.Log, cacheBits uint) (Dedup2Result, []fp.Entry, error) {
+func (cs *ChunkStore) RunSILAndStore(undetermined []fp.FP, log Records, cacheBits uint) (Dedup2Result, []fp.Entry, error) {
 	var res Dedup2Result
 	res.Undetermined = int64(len(undetermined))
 
@@ -385,7 +391,7 @@ func (cs *ChunkStore) RunSIU(unreg []fp.Entry) (time.Duration, error) {
 }
 
 // RunDedup2 is the synchronous convenience: SIL, chunk storing, SIU.
-func (cs *ChunkStore) RunDedup2(undetermined []fp.FP, log *chunklog.Log, cacheBits uint) (Dedup2Result, error) {
+func (cs *ChunkStore) RunDedup2(undetermined []fp.FP, log Records, cacheBits uint) (Dedup2Result, error) {
 	res, unreg, err := cs.RunSILAndStore(undetermined, log, cacheBits)
 	if err != nil {
 		return res, err
