@@ -78,6 +78,11 @@
 //	Backup aborted before        run never marked          The director serves only completed runs (EndRun) as
 //	completion                   complete                  restore sources or filtering fingerprints, so a
 //	                                                      half-landed file index is never trusted.
+//	Director crash after         metastore journal        EndRun fsyncs the run's completion, and with it the
+//	BackupDone                   replay on restart        run's file indexes, before the server sends BackupDone,
+//	                                                      so every acknowledged run is restorable after restart.
+//	                                                      A failed fsync leaves the run incomplete and the server
+//	                                                      refuses BackupEnd instead.
 //	Director unreachable         control-call timeout     Server and director control calls retry transiently;
 //	                                                      persistent failure fails the operation loudly.
 //

@@ -13,17 +13,34 @@ import (
 	"debar/internal/chunker"
 	"debar/internal/client"
 	"debar/internal/director"
+	"debar/internal/metastore"
 	"debar/internal/server"
 )
 
-func startSystem(t *testing.T) (*director.Director, string) {
+// startDirector boots a director over a fresh journal in a test temp
+// directory on loopback TCP; both close when the test ends.
+func startDirector(t *testing.T) (*director.Director, string) {
 	t.Helper()
-	d := director.New()
-	dirAddr, err := d.Serve("127.0.0.1:0")
+	ms, err := metastore.Open(filepath.Join(t.TempDir(), "meta.journal"), 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { ms.Close() })
+	d, err := director.NewDurable(ms)
+	if err != nil {
+		t.Fatal(err)
+	}
+	addr, err := d.Serve("127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
 	}
 	t.Cleanup(func() { d.Close() })
+	return d, addr
+}
+
+func startSystem(t *testing.T) (*director.Director, string) {
+	t.Helper()
+	d, dirAddr := startDirector(t)
 	srv, err := server.New(server.Config{
 		DirectorAddr:  dirAddr,
 		ContainerSize: 64 << 10,
@@ -162,12 +179,7 @@ func TestPipelineKnobExtremes(t *testing.T) {
 // down while batches are in flight) surfaces as an error instead of
 // wedging the pipeline, and that a dial failure errors too.
 func TestBackupErrorPropagates(t *testing.T) {
-	d := director.New()
-	dirAddr, err := d.Serve("127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(func() { d.Close() })
+	_, dirAddr := startDirector(t)
 	srv, err := server.New(server.Config{
 		DirectorAddr:  dirAddr,
 		ContainerSize: 64 << 10,

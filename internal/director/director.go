@@ -118,17 +118,7 @@ type Director struct {
 	handlers sync.WaitGroup
 	closed   bool
 	slog     *slog.Logger
-	meta     *metastore.Store // nil: memory-only director
-}
-
-// New returns an empty director logging through slog.Default.
-func New() *Director {
-	return &Director{
-		jobs:  make(map[string]*Job),
-		runs:  make(map[string][]*Run),
-		conns: make(map[*proto.Conn]struct{}),
-		slog:  slog.Default(),
-	}
+	meta     *metastore.Store // the journal; owned by NewDurable's caller
 }
 
 // metaEvent is one journaled director mutation. Events are gob-encoded
@@ -156,64 +146,59 @@ const (
 // replayed on construction and every mutation is journaled. The caller
 // retains ownership of ms and closes it after the director shuts down.
 func NewDurable(ms *metastore.Store) (*Director, error) {
-	d := New()
-	for _, job := range ms.Jobs() {
-		recs, err := ms.Records(job)
-		if err != nil {
-			return nil, fmt.Errorf("director: replaying %q: %w", job, err)
-		}
-		for _, rec := range recs {
-			var ev metaEvent
-			if err := gob.NewDecoder(bytes.NewReader(rec)).Decode(&ev); err != nil {
-				return nil, fmt.Errorf("director: replaying %q: %w", job, err)
-			}
-			switch ev.Op {
-			case evNewRun:
-				if _, ok := d.jobs[job]; !ok {
-					d.jobs[job] = &Job{Name: job, Client: ev.Client}
-				}
-				d.runs[job] = append(d.runs[job], &Run{
-					ID: ev.RunID, Job: job, Client: ev.Client, Started: ev.Started,
-				})
-				if ev.RunID > d.nextRun {
-					d.nextRun = ev.RunID
-				}
-			case evFileIndex:
-				runs := d.runs[job]
-				for i := len(runs) - 1; i >= 0; i-- {
-					if runs[i].ID == ev.RunID {
-						runs[i].Files = append(runs[i].Files, ev.Entry)
-						break
-					}
-				}
-			case evEndRun:
-				runs := d.runs[job]
-				for i := len(runs) - 1; i >= 0; i-- {
-					if runs[i].ID == ev.RunID {
-						runs[i].Complete = true
-						break
-					}
-				}
-			case evDefineJob:
-				d.jobs[job] = &Job{Name: job, Client: ev.Client, Dataset: ev.Dataset, Schedule: ev.Schedule}
-			default:
-				return nil, fmt.Errorf("director: replaying %q: unknown event op %d", job, ev.Op)
-			}
-		}
+	d := &Director{
+		jobs:  make(map[string]*Job),
+		runs:  make(map[string][]*Run),
+		conns: make(map[*proto.Conn]struct{}),
+		slog:  slog.Default(),
+		meta:  ms,
 	}
-	d.meta = ms
+	if err := ms.Replay(d.apply); err != nil {
+		return nil, fmt.Errorf("director: replaying journal: %w", err)
+	}
 	return d, nil
 }
 
-// persist journals one mutation; memory-only directors skip it. It runs
-// under d.mu by design: replay order per job must match mutation order,
-// and d.mu is what serialises mutations. The cost — control-plane RPCs
-// occasionally waiting out a batched journal fsync — is accepted; the
-// data path never goes through the director.
-func (d *Director) persist(job string, ev metaEvent) error {
-	if d.meta == nil {
-		return nil
+// apply replays one journaled event of a job onto the director's state;
+// NewDurable calls it before the director is shared.
+func (d *Director) apply(job string, rec []byte) error {
+	var ev metaEvent
+	if err := gob.NewDecoder(bytes.NewReader(rec)).Decode(&ev); err != nil {
+		return fmt.Errorf("%q: %w", job, err)
 	}
+	switch ev.Op {
+	case evNewRun:
+		if _, ok := d.jobs[job]; !ok {
+			d.jobs[job] = &Job{Name: job, Client: ev.Client}
+		}
+		d.runs[job] = append(d.runs[job], &Run{
+			ID: ev.RunID, Job: job, Client: ev.Client, Started: ev.Started,
+		})
+		if ev.RunID > d.nextRun {
+			d.nextRun = ev.RunID
+		}
+	case evFileIndex:
+		if run := d.findRun(job, ev.RunID); run != nil {
+			run.Files = append(run.Files, ev.Entry)
+		}
+	case evEndRun:
+		if run := d.findRun(job, ev.RunID); run != nil {
+			run.Complete = true
+		}
+	case evDefineJob:
+		d.jobs[job] = &Job{Name: job, Client: ev.Client, Dataset: ev.Dataset, Schedule: ev.Schedule}
+	default:
+		return fmt.Errorf("%q: unknown event op %d", job, ev.Op)
+	}
+	return nil
+}
+
+// persist journals one mutation. It runs under d.mu by design: replay
+// order per job must match mutation order, and d.mu is what serialises
+// mutations. The cost — control-plane RPCs occasionally waiting out a
+// journal fsync — is accepted; the data path never goes through the
+// director.
+func (d *Director) persist(job string, ev metaEvent) error {
 	var buf bytes.Buffer
 	if err := gob.NewEncoder(&buf).Encode(ev); err != nil {
 		return fmt.Errorf("director: encoding event: %w", err)
@@ -319,40 +304,56 @@ func (d *Director) NewRun(jobName, client string) uint64 {
 	return run.ID
 }
 
+// findRun returns a job's run by ID, or nil. Callers hold d.mu (or are
+// replaying before the director is shared).
+func (d *Director) findRun(jobName string, runID uint64) *Run {
+	runs := d.runs[jobName]
+	for i := len(runs) - 1; i >= 0; i-- {
+		if runs[i].ID == runID {
+			return runs[i]
+		}
+	}
+	return nil
+}
+
 // PutFileIndex stores a file's metadata and index under a run.
 func (d *Director) PutFileIndex(jobName string, runID uint64, e proto.FileEntry) error {
 	d.mu.Lock()
 	defer d.mu.Unlock()
-	runs := d.runs[jobName]
-	for i := len(runs) - 1; i >= 0; i-- {
-		if runs[i].ID == runID {
-			if err := d.persist(jobName, metaEvent{Op: evFileIndex, RunID: runID, Entry: e}); err != nil {
-				return err
-			}
-			runs[i].Files = append(runs[i].Files, e)
-			return nil
-		}
+	run := d.findRun(jobName, runID)
+	if run == nil {
+		return fmt.Errorf("director: unknown run %d of job %q", runID, jobName)
 	}
-	return fmt.Errorf("director: unknown run %d of job %q", runID, jobName)
+	if err := d.persist(jobName, metaEvent{Op: evFileIndex, RunID: runID, Entry: e}); err != nil {
+		return err
+	}
+	run.Files = append(run.Files, e)
+	return nil
 }
 
 // EndRun marks a run complete: the backup server saw its BackupEnd, so
-// every needed chunk of the run's dataset was received.
+// every needed chunk of the run's dataset was received. The server sends
+// BackupDone on this reply, so the completion is fsynced first (the sync
+// also covers the run's earlier file indexes); if the sync fails the run
+// stays incomplete and the server refuses the BackupEnd. An unsynced
+// completion that reaches the disk anyway is harmless on replay: the
+// server made the run's chunks durable before calling.
 func (d *Director) EndRun(jobName string, runID uint64) error {
 	d.mu.Lock()
 	defer d.mu.Unlock()
-	runs := d.runs[jobName]
-	for i := len(runs) - 1; i >= 0; i-- {
-		if runs[i].ID == runID {
-			if err := d.persist(jobName, metaEvent{Op: evEndRun, RunID: runID}); err != nil {
-				return err
-			}
-			runs[i].Complete = true
-			mRunsCompleted.Inc()
-			return nil
-		}
+	run := d.findRun(jobName, runID)
+	if run == nil {
+		return fmt.Errorf("director: unknown run %d of job %q", runID, jobName)
 	}
-	return fmt.Errorf("director: unknown run %d of job %q", runID, jobName)
+	if err := d.persist(jobName, metaEvent{Op: evEndRun, RunID: runID}); err != nil {
+		return err
+	}
+	if err := d.meta.Sync(); err != nil {
+		return err
+	}
+	run.Complete = true
+	mRunsCompleted.Inc()
+	return nil
 }
 
 // LatestFiles returns the most recent complete run's file entries. Runs
@@ -534,10 +535,8 @@ func (d *Director) Close() error {
 		c.Close()
 	}
 	d.handlers.Wait()
-	if d.meta != nil {
-		if serr := d.meta.Sync(); err == nil {
-			err = serr
-		}
+	if serr := d.meta.Sync(); err == nil {
+		err = serr
 	}
 	return err
 }

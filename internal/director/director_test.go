@@ -1,14 +1,33 @@
 package director
 
 import (
+	"errors"
+	"path/filepath"
 	"testing"
 
 	"debar/internal/fp"
+	"debar/internal/metastore"
 	"debar/internal/proto"
 )
 
+// newTestDirector boots a director over a fresh journal in a test temp
+// directory; the journal closes when the test ends.
+func newTestDirector(t *testing.T) *Director {
+	t.Helper()
+	ms, err := metastore.Open(filepath.Join(t.TempDir(), "meta.journal"), 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { ms.Close() })
+	d, err := NewDurable(ms)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return d
+}
+
 func TestDefineJob(t *testing.T) {
-	d := New()
+	d := newTestDirector(t)
 	if err := d.DefineJob(Job{}); err == nil {
 		t.Fatal("nameless job accepted")
 	}
@@ -25,7 +44,7 @@ func TestDefineJob(t *testing.T) {
 }
 
 func TestAssignServerBalances(t *testing.T) {
-	d := New()
+	d := newTestDirector(t)
 	if _, err := d.AssignServer(); err == nil {
 		t.Fatal("assignment without servers succeeded")
 	}
@@ -45,7 +64,7 @@ func TestAssignServerBalances(t *testing.T) {
 }
 
 func TestRunsAndFileIndices(t *testing.T) {
-	d := New()
+	d := newTestDirector(t)
 	run1 := d.NewRun("job", "client")
 	entry := proto.FileEntry{Path: "f1", Chunks: []fp.FP{fp.FromUint64(1), fp.FromUint64(2)}}
 	if err := d.PutFileIndex("job", run1, entry); err != nil {
@@ -74,7 +93,7 @@ func TestRunsAndFileIndices(t *testing.T) {
 }
 
 func TestFilterFPsComeFromPreviousRun(t *testing.T) {
-	d := New()
+	d := newTestDirector(t)
 	if fps := d.FilterFPs("job"); fps != nil {
 		t.Fatal("filter fps for unknown job")
 	}
@@ -96,7 +115,7 @@ func TestFilterFPsComeFromPreviousRun(t *testing.T) {
 }
 
 func TestJobChainAccumulatesRuns(t *testing.T) {
-	d := New()
+	d := newTestDirector(t)
 	r1 := d.NewRun("chain", "c")
 	_ = d.PutFileIndex("chain", r1, proto.FileEntry{Path: "v1", Chunks: []fp.FP{fp.FromUint64(1)}})
 	_ = d.EndRun("chain", r1)
@@ -118,7 +137,7 @@ func TestJobChainAccumulatesRuns(t *testing.T) {
 }
 
 func TestServeHandlesMetadataProtocol(t *testing.T) {
-	d := New()
+	d := newTestDirector(t)
 	addr, err := d.Serve("127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
@@ -180,5 +199,67 @@ func TestServeHandlesMetadataProtocol(t *testing.T) {
 	msg, _ = conn.Recv()
 	if ack, is := msg.(proto.Ack); !is || ack.OK {
 		t.Fatalf("unexpected-message reply = %+v", msg)
+	}
+}
+
+// TestEndRunDurableBeforeComplete pins that a run becomes a restore
+// source only once its completion is fsynced: with the journal's sync
+// failing, EndRun errors and the run serves neither restores nor
+// filtering fingerprints; once the sync works again a retried EndRun
+// succeeds and the run survives a reopen.
+func TestEndRunDurableBeforeComplete(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "meta.journal")
+	ms, err := metastore.Open(path, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	d, err := NewDurable(ms)
+	if err != nil {
+		t.Fatal(err)
+	}
+	run := d.NewRun("job", "c")
+	entry := proto.FileEntry{Path: "f", Chunks: []fp.FP{fp.FromUint64(1)}, Sizes: []uint32{8}}
+	if err := d.PutFileIndex("job", run, entry); err != nil {
+		t.Fatal(err)
+	}
+
+	injected := errors.New("injected media failure")
+	ms.SetSyncFailFunc(func() error { return injected })
+	if err := d.EndRun("job", run); !errors.Is(err, injected) {
+		t.Fatalf("EndRun with a failing journal sync = %v, want %v", err, injected)
+	}
+	if _, _, err := d.LatestFiles("job"); err == nil {
+		t.Fatal("run whose completion was never synced served as restore source")
+	}
+	if fps := d.FilterFPs("job"); fps != nil {
+		t.Fatalf("run whose completion was never synced gave %d filter fps", len(fps))
+	}
+
+	ms.SetSyncFailFunc(nil)
+	if err := d.EndRun("job", run); err != nil {
+		t.Fatal(err)
+	}
+	if err := d.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if err := ms.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	ms2, err := metastore.Open(path, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer ms2.Close()
+	d2, err := NewDurable(ms2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	id, files, err := d2.LatestFiles("job")
+	if err != nil || id != run || len(files) != 1 || files[0].Path != "f" {
+		t.Fatalf("after reopen LatestFiles = run %d, %d files, err %v", id, len(files), err)
+	}
+	if fps := d2.FilterFPs("job"); len(fps) != 1 {
+		t.Fatalf("after reopen FilterFPs = %d, want 1", len(fps))
 	}
 }

@@ -1,10 +1,25 @@
+// Package metastore implements the director's metadata storage subsystem
+// (paper §6.3): "a metadata storage subsystem for the DEBAR director that
+// enables over 250 backup jobs to read or write their metadata
+// concurrently with an aggregate metadata throughput of over 100MB/s".
+//
+// The store is an append-only journal and nothing else: it keeps no
+// record in memory. Every Append writes one CRC32-C framed record tagged
+// with its job's name through to the file (fsynced in batches and on
+// Sync/Close); Open recovers the journal's longest valid prefix,
+// truncating a torn tail, and Replay walks it again in append order so
+// the director can rebuild its job catalog and file indexes after a
+// crash. The §6.3 claim test (TestConcurrent250Jobs) measures this
+// journal. See internal/store/README.md for the record framing.
 package metastore
 
 import (
+	"bufio"
 	"encoding/binary"
 	"errors"
 	"fmt"
 	"hash/crc32"
+	"io"
 	"os"
 	"sync"
 )
@@ -18,9 +33,9 @@ import (
 // The checksum covers everything after it. Replay accepts the longest
 // prefix of complete, checksum-valid records and truncates the rest: a
 // torn tail loses only the records that were never acknowledged durable.
+// op is always 1 (append); any other op ends the valid prefix.
 const (
 	opAppend byte = 1
-	opDrop   byte = 2
 
 	journalHeader = 4 + 1 + 2 + 4
 
@@ -35,16 +50,21 @@ const (
 
 var journalCastagnoli = crc32.MakeTable(crc32.Castagnoli)
 
-type journal struct {
-	mu    sync.Mutex
-	f     *os.File // set once at open
-	end   int64    // guarded by mu
-	dirty int      // guarded by mu
+// Store is an append-only metadata journal. All methods are safe for
+// concurrent use.
+type Store struct {
+	mu         sync.Mutex
+	f          *os.File     // set once at Open
+	end        int64        // guarded by mu; append offset
+	dirty      int          // guarded by mu; bytes appended since the last fsync
+	syncFailFn func() error // guarded by mu; fault injection: non-nil error fails the fsync
 }
 
-// Open opens (creating if needed) a journaled store at path, replaying
-// existing records into a store of the given shard count.
-func Open(path string, shards int) (*Store, error) {
+// Open opens (creating if needed) the journal at path, locks it against a
+// second opener and truncates anything after its longest valid prefix.
+// The second argument is ignored: it sized an in-memory copy of the
+// records that the store no longer keeps.
+func Open(path string, _ int) (*Store, error) {
 	f, err := os.OpenFile(path, os.O_RDWR|os.O_CREATE, 0o644)
 	if err != nil {
 		return nil, fmt.Errorf("metastore: open journal: %w", err)
@@ -52,78 +72,103 @@ func Open(path string, shards int) (*Store, error) {
 	if err := lockJournal(f); err != nil {
 		return nil, errors.Join(err, f.Close())
 	}
-	s := New(shards)
-	j := &journal{f: f}
-	if err := j.replay(s); err != nil {
+	end, err := recoverJournal(f)
+	if err != nil {
 		return nil, errors.Join(err, f.Close())
 	}
-	s.journal = j
-	return s, nil
+	return &Store{f: f, end: end}, nil
 }
 
-// replay applies the journal's longest valid prefix to s and truncates
+// recoverJournal returns the end of f's longest valid prefix, truncating
 // anything after it.
-//
-//debarvet:ignore guardedby -- replay runs inside Open before the store is shared; no other goroutine exists yet
-func (j *journal) replay(s *Store) error {
-	st, err := j.f.Stat()
+func recoverJournal(f *os.File) (int64, error) {
+	st, err := f.Stat()
 	if err != nil {
-		return fmt.Errorf("metastore: journal stat: %w", err)
+		return 0, fmt.Errorf("metastore: journal stat: %w", err)
 	}
-	fileSize := st.Size()
-	var hdr [journalHeader]byte
+	end, err := scan(f, st.Size(), nil)
+	if err != nil {
+		return 0, err
+	}
+	if end < st.Size() {
+		if err := f.Truncate(end); err != nil {
+			return 0, fmt.Errorf("metastore: truncating torn journal tail: %w", err)
+		}
+		if err := f.Sync(); err != nil {
+			return 0, fmt.Errorf("metastore: %w", err)
+		}
+	}
+	return end, nil
+}
+
+// scan walks the frames of f[0:limit) in order and returns the offset just
+// past the last complete, checksum-valid one. A non-nil fn receives each
+// valid frame's job and record; rec is only valid during the call, and an
+// error from fn stops the walk. No allocation exceeds the bytes left
+// before limit, so a corrupt length field cannot balloon memory.
+func scan(f *os.File, limit int64, fn func(job string, rec []byte) error) (int64, error) {
+	r := bufio.NewReaderSize(io.NewSectionReader(f, 0, limit), 64<<10)
+	var body []byte // op..rec of the current frame, reused across frames
 	off := int64(0)
-	for {
-		if off+journalHeader > fileSize {
-			break
+	for off+journalHeader <= limit {
+		var hdr [journalHeader]byte
+		if _, err := io.ReadFull(r, hdr[:]); err != nil {
+			return off, fmt.Errorf("metastore: journal scan: %w", err)
 		}
-		if _, err := j.f.ReadAt(hdr[:], off); err != nil {
-			return fmt.Errorf("metastore: journal scan: %w", err)
-		}
-		op := hdr[4]
 		jobLen := int64(binary.BigEndian.Uint16(hdr[5:]))
 		recLen := int64(binary.BigEndian.Uint32(hdr[7:]))
-		if (op != opAppend && op != opDrop) || jobLen == 0 ||
-			recLen > maxJournalRecord || off+journalHeader+jobLen+recLen > fileSize {
+		next := off + journalHeader + jobLen + recLen
+		if hdr[4] != opAppend || jobLen == 0 || recLen > maxJournalRecord || next > limit {
 			break // torn or corrupt tail
 		}
-		body := make([]byte, journalHeader-4+jobLen+recLen)
+		n := int(next - off - 4)
+		if cap(body) < n {
+			body = make([]byte, n)
+		}
+		body = body[:n]
 		copy(body, hdr[4:])
-		if _, err := j.f.ReadAt(body[journalHeader-4:], off+journalHeader); err != nil {
-			return fmt.Errorf("metastore: journal scan: %w", err)
+		if _, err := io.ReadFull(r, body[journalHeader-4:]); err != nil {
+			return off, fmt.Errorf("metastore: journal scan: %w", err)
 		}
 		if binary.BigEndian.Uint32(hdr[:4]) != crc32.Checksum(body, journalCastagnoli) {
 			break
 		}
-		job := string(body[journalHeader-4 : journalHeader-4+jobLen])
-		switch op {
-		case opAppend:
-			if err := s.applyAppend(job, body[journalHeader-4+jobLen:]); err != nil {
-				return err
+		if fn != nil {
+			job := body[journalHeader-4 : journalHeader-4+jobLen]
+			if err := fn(string(job), body[journalHeader-4+jobLen:]); err != nil {
+				return off, err
 			}
-		case opDrop:
-			sh := s.shardOf(job)
-			sh.mu.Lock()
-			delete(sh.jobs, job)
-			sh.mu.Unlock()
 		}
-		off += journalHeader + jobLen + recLen
+		off = next
 	}
-	if off < fileSize {
-		if err := j.f.Truncate(off); err != nil {
-			return fmt.Errorf("metastore: truncating torn journal tail: %w", err)
-		}
-		if err := j.f.Sync(); err != nil {
-			return fmt.Errorf("metastore: %w", err)
-		}
+	return off, nil
+}
+
+// Replay calls fn for every record appended before the call — the prefix
+// Open recovered, then this store's appends — in journal order. rec is
+// only valid during the call. An error from fn stops the replay and is
+// returned.
+func (s *Store) Replay(fn func(job string, rec []byte) error) error {
+	s.mu.Lock()
+	end := s.end
+	s.mu.Unlock()
+	// Frames below end are immutable, so the walk needs no lock.
+	stop, err := scan(s.f, end, fn)
+	if err != nil {
+		return err
 	}
-	j.end = off
+	if stop != end {
+		return fmt.Errorf("metastore: journal frame at offset %d no longer valid", stop)
+	}
 	return nil
 }
 
-// writeLocked appends one frame; the caller holds j.mu (the Store extends
-// the critical section over its in-memory apply to keep orders aligned).
-func (j *journal) writeLocked(op byte, job string, rec []byte) error {
+// Append writes one metadata record to a job's stream. The record is
+// on stable storage after the next Sync (or batched fsync).
+func (s *Store) Append(job string, rec []byte) error {
+	if job == "" {
+		return fmt.Errorf("metastore: empty job name")
+	}
 	if len(job) > 1<<16-1 {
 		return fmt.Errorf("metastore: job name %d bytes exceeds journal limit", len(job))
 	}
@@ -131,46 +176,68 @@ func (j *journal) writeLocked(op byte, job string, rec []byte) error {
 		return fmt.Errorf("metastore: record %d bytes exceeds journal limit", len(rec))
 	}
 	frame := make([]byte, journalHeader+len(job)+len(rec))
-	frame[4] = op
+	frame[4] = opAppend
 	binary.BigEndian.PutUint16(frame[5:], uint16(len(job)))
 	binary.BigEndian.PutUint32(frame[7:], uint32(len(rec)))
 	copy(frame[journalHeader:], job)
 	copy(frame[journalHeader+len(job):], rec)
 	binary.BigEndian.PutUint32(frame[:4], crc32.Checksum(frame[4:], journalCastagnoli))
 
-	if _, err := j.f.WriteAt(frame, j.end); err != nil {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if _, err := s.f.WriteAt(frame, s.end); err != nil {
 		return fmt.Errorf("metastore: journal append: %w", err)
 	}
-	j.end += int64(len(frame))
-	j.dirty += len(frame)
-	if j.dirty >= journalSyncBytes {
-		return j.syncLocked()
+	s.end += int64(len(frame))
+	s.dirty += len(frame)
+	if s.dirty >= journalSyncBytes {
+		return s.syncLocked()
 	}
 	return nil
 }
 
-func (j *journal) sync() error {
-	j.mu.Lock()
-	defer j.mu.Unlock()
-	return j.syncLocked()
+// SetSyncFailFunc installs a fault-injection hook consulted before every
+// fsync: a non-nil return fails that sync with the error, as a media
+// failure would, and leaves the unsynced bytes dirty for the next one.
+// nil clears it. Test-only.
+func (s *Store) SetSyncFailFunc(fn func() error) {
+	s.mu.Lock()
+	s.syncFailFn = fn
+	s.mu.Unlock()
 }
 
-func (j *journal) syncLocked() error {
-	if j.dirty == 0 {
+// Sync makes every record appended before the call durable.
+func (s *Store) Sync() error {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	return s.syncLocked()
+}
+
+// syncLocked fsyncs the journal if anything is unsynced.
+//
+//debarvet:holds mu
+func (s *Store) syncLocked() error {
+	if s.dirty == 0 {
 		return nil
 	}
-	if err := j.f.Sync(); err != nil {
+	if s.syncFailFn != nil {
+		if err := s.syncFailFn(); err != nil {
+			return fmt.Errorf("metastore: journal sync: %w", err)
+		}
+	}
+	if err := s.f.Sync(); err != nil {
 		return fmt.Errorf("metastore: journal sync: %w", err)
 	}
-	j.dirty = 0
+	s.dirty = 0
 	return nil
 }
 
-func (j *journal) close() error {
-	j.mu.Lock()
-	defer j.mu.Unlock()
-	if err := j.syncLocked(); err != nil {
-		return errors.Join(err, j.f.Close())
+// Close syncs and closes the journal.
+func (s *Store) Close() error {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if err := s.syncLocked(); err != nil {
+		return errors.Join(err, s.f.Close())
 	}
-	return j.f.Close()
+	return s.f.Close()
 }

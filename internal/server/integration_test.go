@@ -10,17 +10,26 @@ import (
 	"debar/internal/chunker"
 	"debar/internal/client"
 	"debar/internal/director"
+	"debar/internal/metastore"
 	"debar/internal/server"
 	"debar/internal/store"
 )
 
-// startServer boots a director and one backup server on loopback TCP and
-// closes both when the test ends. mod, when non-nil, adjusts the server
+// startServer boots a director (over a journal in a test temp dir) and
+// one backup server on loopback TCP and closes both when the test ends. mod, when non-nil, adjusts the server
 // config; unless it sets Storage, the server opens its engine in a fresh
 // test temp dir.
 func startServer(t *testing.T, mod func(*server.Config)) (*director.Director, *server.Server, string) {
 	t.Helper()
-	d := director.New()
+	ms, err := metastore.Open(filepath.Join(t.TempDir(), "meta.journal"), 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { ms.Close() })
+	d, err := director.NewDurable(ms)
+	if err != nil {
+		t.Fatal(err)
+	}
 	dirAddr, err := d.Serve("127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
