@@ -132,6 +132,12 @@ func New(r io.Reader, cfg Config) (*Chunker, error) {
 	return &Chunker{cfg: cfg, r: r, buf: make([]byte, max(512*1024, cfg.Max))}, nil
 }
 
+// Reset makes c chunk r from its start, keeping the read buffer, so one
+// Chunker can serve a sequence of files.
+func (c *Chunker) Reset(r io.Reader) {
+	c.r, c.n, c.pos, c.off, c.eof = r, 0, 0, 0, false
+}
+
 // fill shifts unconsumed bytes down and reads until the buffer is full
 // or the stream ends.
 func (c *Chunker) fill() error {

@@ -6,6 +6,7 @@ import (
 	"encoding/binary"
 	"encoding/hex"
 	"errors"
+	"fmt"
 	"io"
 	"math/rand"
 	"testing"
@@ -231,11 +232,18 @@ func collect(t testing.TB, r io.Reader, cfg Config, recycle bool) [][]byte {
 	if err != nil {
 		t.Fatal(err)
 	}
+	return drain(t, c, recycle)
+}
+
+// drain reads c to EOF, checking offsets, and returns copies of the chunks.
+func drain(t testing.TB, c *Chunker, recycle bool) [][]byte {
+	t.Helper()
 	var out [][]byte
 	var buf []byte
 	var off int64
 	for {
 		var ch Chunk
+		var err error
 		if recycle {
 			ch, err = c.AppendNext(buf[:0])
 		} else {
@@ -518,5 +526,38 @@ func TestAppendNextGrowsDst(t *testing.T) {
 	}
 	if !bytes.Equal(whole, data) {
 		t.Fatal("AppendNext chunks do not reassemble input")
+	}
+}
+
+// TestResetMatchesNew: one chunker Reset onto each file of a set, as the
+// client's reader does, yields exactly the chunks a fresh New per file
+// yields, including after a file it abandoned mid-stream, and Reset
+// allocates nothing.
+func TestResetMatchesNew(t *testing.T) {
+	cfg := Config{}
+	sizes := []int{0, 1, 3 << 10, 100 << 10, 700 << 10, 200 << 10, 64 << 10, 5}
+	const abandoned = 5
+	c, err := New(nil, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, n := range sizes {
+		data := randBytes(int64(20+i), n)
+		if i == abandoned {
+			// Abandon the file after one chunk: the next Reset must not
+			// carry its buffered bytes over.
+			c.Reset(bytes.NewReader(data))
+			if _, err := c.Next(); err != nil {
+				t.Fatal(err)
+			}
+			continue
+		}
+		want := collect(t, bytes.NewReader(data), cfg, false)
+		c.Reset(bytes.NewReader(data))
+		equalChunks(t, fmt.Sprintf("file %d (%d B) after Reset", i, n), drain(t, c, true), want)
+	}
+	r := bytes.NewReader(nil)
+	if n := testing.AllocsPerRun(100, func() { c.Reset(r) }); n != 0 {
+		t.Fatalf("Reset allocated %v times, want 0", n)
 	}
 }

@@ -58,9 +58,10 @@ type Log struct {
 
 	// WAL mode (OpenWAL): checksummed record framing, owner-scheduled
 	// fsync, torn-tail recovery. See wal.go.
-	start int64 // guarded by mu; offset of the first unconsumed record
-	end   int64 // guarded by mu; append offset
-	dirty int   // guarded by mu; bytes appended since the last completed fsync
+	start int64  // guarded by mu; offset of the first unconsumed record
+	end   int64  // guarded by mu; append offset
+	dirty int    // guarded by mu; bytes appended since the last completed fsync
+	frame []byte // guarded by mu; appendWAL's record buffer, grown to the largest record
 
 	// drainMu serialises Drain: one transaction at a time owns the
 	// unconsumed records.

@@ -138,7 +138,11 @@ func (l *Log) recoverWAL() error {
 // debarvet:holds mu -- Append enters WAL mode with l.mu held.
 func (l *Log) appendWAL(f fp.FP, size uint32, data []byte) error {
 	defer mWALAppendSeconds.Since(time.Now())
-	rec := make([]byte, walHeader+len(data))
+	n := walHeader + len(data)
+	if cap(l.frame) < n {
+		l.frame = make([]byte, n)
+	}
+	rec := l.frame[:n]
 	copy(rec[4:], f[:])
 	binary.BigEndian.PutUint32(rec[4+fp.Size:], size)
 	copy(rec[walHeader:], data)

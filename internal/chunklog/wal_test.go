@@ -413,6 +413,30 @@ func TestWALWalkAllocsConstant(t *testing.T) {
 	}
 }
 
+// TestWALAppendNewAllocs: once the log's frame buffer has grown to a
+// chunk's size, appending a new chunk builds its record in that buffer
+// instead of allocating one per record.
+func TestWALAppendNewAllocs(t *testing.T) {
+	l, err := OpenWAL(filepath.Join(t.TempDir(), "chunklog.wal"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer l.Close()
+	data := make([]byte, 10<<10)
+	var i uint64
+	appendOne := func() {
+		i++
+		binary.BigEndian.PutUint64(data, i)
+		if ok, err := l.AppendNew(fp.New(data), uint32(len(data)), data); err != nil || !ok {
+			t.Fatalf("AppendNew #%d = %v, %v", i, ok, err)
+		}
+	}
+	appendOne() // warm: grow the frame buffer
+	if allocs := testing.AllocsPerRun(1000, appendOne); allocs >= 0.1 {
+		t.Fatalf("AppendNew of a 10 KiB chunk made %.2f allocations, want < 0.1", allocs)
+	}
+}
+
 // TestWALWalkRejectsOversizedRecord: a size field damaged after recovery
 // stops the walk with a corruption error naming the record's offset,
 // before a buffer of the declared size is allocated.

@@ -121,7 +121,12 @@ func (c *Client) runPipeline(conn *proto.Conn, sess uint64, root string, paths [
 
 	// Reader: walk the file list, anchor into pooled buffers, emit
 	// ordered items. Chunks detour through the hash workers; file
-	// boundary markers go straight to the dispatcher.
+	// boundary markers go straight to the dispatcher. One chunker, and
+	// so one read buffer, serves every file.
+	ch, err := chunker.New(nil, c.Options.Chunking)
+	if err != nil {
+		return 0, err
+	}
 	var pipeWG sync.WaitGroup
 	pipeWG.Add(1)
 	go func() {
@@ -148,12 +153,7 @@ func (c *Client) runPipeline(conn *proto.Conn, sess uint64, root string, paths [
 				fail(err)
 				return
 			}
-			ch, err := chunker.New(f, c.Options.Chunking)
-			if err != nil {
-				f.Close()
-				fail(err)
-				return
-			}
+			ch.Reset(f)
 			rel, err := filepath.Rel(root, path)
 			if err != nil {
 				rel = path

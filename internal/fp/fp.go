@@ -4,11 +4,22 @@
 // paper §3.2) and maps each fingerprint to the 40-bit ID of the container
 // holding the chunk. A disk-index entry is therefore exactly 25 bytes:
 // 20 bytes of fingerprint followed by 5 bytes of container ID (paper §4.2).
+//
+// Every hash in the system goes through New (and FromUint64, which calls
+// it): the client's hash workers, the server's anti-forgery re-hash of
+// each received chunk, restore and verify. On amd64 CPUs with the SHA
+// extensions (SHA, SSSE3, SSE4.1; detected once at init) New runs an
+// assembly kernel, sha1_amd64.s, at about twice the standard library's
+// speed; elsewhere it calls the standard library's SHA-1. Both compute
+// the same hash, so no fingerprint, on disk or on the wire, depends on
+// which path ran. The kernel exists only because the standard library
+// of this module's Go version (1.24) has no SHA-NI path for SHA-1: delete
+// it, and the two New variants with it, once the standard library at the
+// module's Go version matches it on the bench's fp.sha1_MBps probe.
 package fp
 
 import (
 	"bytes"
-	"crypto/sha1"
 	"encoding/binary"
 	"encoding/hex"
 	"errors"
@@ -17,7 +28,7 @@ import (
 )
 
 // Size is the length of a fingerprint in bytes (SHA-1, 160 bits).
-const Size = sha1.Size
+const Size = 20
 
 // EntrySize is the on-disk size of one index entry: a fingerprint plus a
 // 40-bit container ID (paper §4.2: "an entry is 25 bytes").
@@ -30,9 +41,6 @@ type FP [Size]byte
 // in practice and is used to mark empty index slots.
 var Zero FP
 
-// New computes the fingerprint of data.
-func New(data []byte) FP { return sha1.Sum(data) }
-
 // FromUint64 derives a fingerprint by hashing the 8-byte big-endian encoding
 // of v. This is the paper's synthetic-workload generator (§4.2, §6.2): "we
 // use a 64-bit variable ... as input to the SHA-1 algorithm to generate a
@@ -40,7 +48,7 @@ func New(data []byte) FP { return sha1.Sum(data) }
 func FromUint64(v uint64) FP {
 	var buf [8]byte
 	binary.BigEndian.PutUint64(buf[:], v)
-	return sha1.Sum(buf[:])
+	return New(buf[:])
 }
 
 // IsZero reports whether f is the all-zero (empty slot) fingerprint.

@@ -4,15 +4,83 @@ import (
 	"bytes"
 	"crypto/sha1"
 	"sort"
+	"strings"
 	"testing"
 	"testing/quick"
 )
 
+// TestNewMatchesSHA1 compares New with crypto/sha1 on every length up to
+// 1 KiB, around each padding edge (a tail of 55/56 bytes still fits the
+// length in one block; 56 needs a second), on multi-block inputs and at
+// unaligned start offsets.
 func TestNewMatchesSHA1(t *testing.T) {
-	data := []byte("hello debar")
-	want := sha1.Sum(data)
-	if got := New(data); got != FP(want) {
-		t.Fatalf("New = %v, want %v", got, FP(want))
+	t.Logf("SHA-1 path: %s", implName())
+	buf := make([]byte, 1<<20+16)
+	for i := range buf {
+		buf[i] = byte(i*7 + i>>11)
+	}
+	check := func(b []byte) {
+		t.Helper()
+		if got, want := New(b), FP(sha1.Sum(b)); got != want {
+			t.Fatalf("New(%d bytes at offset %d) = %v, want %v",
+				len(b), cap(buf)-cap(b), got, want)
+		}
+	}
+	for n := 0; n <= 1024; n++ {
+		check(buf[:n])
+	}
+	for _, edge := range []int{55, 56, 64, 119, 120, 128} {
+		for n := edge - 2; n <= edge+2; n++ {
+			check(buf[:n])
+		}
+	}
+	for _, n := range []int{64 << 10, 64<<10 + 1, 1 << 20} {
+		check(buf[:n])
+	}
+	for off := 1; off <= 15; off++ {
+		for _, n := range []int{0, 1, 55, 56, 64, 200, 10 << 10} {
+			check(buf[off : off+n])
+		}
+	}
+}
+
+// TestNewKnownAnswers pins the FIPS 180 test vectors, which a hash that is
+// wrong in the same way on client and server would still fail.
+func TestNewKnownAnswers(t *testing.T) {
+	cases := []struct {
+		in   string
+		want string
+	}{
+		{"", "da39a3ee5e6b4b0d3255bfef95601890afd80709"},
+		{"abc", "a9993e364706816aba3e25717850c26c9cd0d89d"},
+		{"abcdbcdecdefdefgefghfghighijhijkijkljklmklmnlmnomnopnopq", "84983e441c3bd26ebaae4aa1f95129e5e54670f1"},
+		{strings.Repeat("a", 1000000), "34aa973cd4c4daa4f61eeb2bdbad27316534016f"},
+	}
+	for _, c := range cases {
+		if got := New([]byte(c.in)).String(); got != c.want {
+			t.Errorf("New(%.10q... %d bytes) = %s, want %s", c.in, len(c.in), got, c.want)
+		}
+	}
+}
+
+func FuzzNew(f *testing.F) {
+	f.Add([]byte{})
+	f.Add([]byte("abc"))
+	f.Add(bytes.Repeat([]byte{0xff}, 119))
+	f.Fuzz(func(t *testing.T, b []byte) {
+		if got, want := New(b), FP(sha1.Sum(b)); got != want {
+			t.Fatalf("New(%x) = %v, want %v", b, got, want)
+		}
+	})
+}
+
+func TestNewAllocatesNothing(t *testing.T) {
+	data := make([]byte, 10<<10+37)
+	if n := testing.AllocsPerRun(100, func() { New(data) }); n != 0 {
+		t.Fatalf("New allocated %v times per call, want 0", n)
+	}
+	if n := testing.AllocsPerRun(100, func() { FromUint64(42) }); n != 0 {
+		t.Fatalf("FromUint64 allocated %v times per call, want 0", n)
 	}
 }
 
