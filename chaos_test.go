@@ -297,7 +297,7 @@ func TestChaosSlowLinkStillCompletes(t *testing.T) {
 	c.Options.Retries = -1 // any spurious timeout must fail loudly, not retry
 	// Small batches so a single frame (~80 KiB at the ~10 KiB average
 	// chunk size) always traverses the throttled link well inside the
-	// per-I/O timeout; bigger batches would starve the ack reader for
+	// per-I/O timeout; bigger batches would starve the reply reader for
 	// over a second per frame and trip the deadline spuriously.
 	c.Options.BatchSize = 8
 	if _, err := c.Backup("slow-job", src); err != nil {

@@ -3,8 +3,8 @@
 // in the required -data-dir: containers, disk index and chunk-log WAL
 // live there and survive restarts, with crash recovery on open.
 // Chunk-log and container appends are group committed: concurrent
-// sessions share each fsync, and a chunk batch is acknowledged only once
-// the fsync covering it has landed.
+// sessions share each fsync, and a backup is reported complete only once
+// an fsync covering every chunk it references has landed.
 //
 // Usage:
 //

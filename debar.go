@@ -67,9 +67,11 @@
 //	Server down at dial          DialTimeout              Retries with exponential backoff + jitter until the
 //	                                                      retry budget (Retries) is spent.
 //	Disk full / media error      failed durable write     Store latches read-only: new writes and dedup-2 get a
-//	on the server                                         typed in-band refusal (proto.IsReadOnly); restores and
-//	                                                      verifies keep serving. Cleared by fixing the medium
-//	                                                      and restarting (normal crash recovery applies).
+//	on the server                or WAL fsync             typed in-band refusal (proto.IsReadOnly), and so does
+//	                                                      BackupEnd of a run with a refused chunk batch or an
+//	                                                      unsynced chunk; restores and verifies keep serving.
+//	                                                      Cleared by fixing the medium and restarting (normal
+//	                                                      crash recovery applies).
 //	Crash or failure between     chunk-log WAL replay     A pass is one transaction over the chunk log: it
 //	dedup-2 stages               on reopen                consumes its records only after SIU and checkpoint,
 //	                                                      so a failed or killed pass leaves them pending for

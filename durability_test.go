@@ -390,12 +390,13 @@ func dedup2Pass(t *testing.T, saddr string) proto.Dedup2Done {
 	return done
 }
 
-// TestDurabilityKillAfterLiveConsume pins "an acked chunk is durable" on
-// the path that truncates the WAL while a backup session is live: session
-// A holds acked chunks, a dedup-2 pass consumes them and truncates the
-// WAL, and the deployment is killed (data dirs snapshotted) with A still
-// open. Booting from the snapshot, every acked fingerprint must resolve
-// through the disk index, and a further pass must store nothing.
+// TestDurabilityKillAfterLiveConsume pins "a consumed chunk is durable"
+// on the path that truncates the WAL while a backup session is live:
+// session A holds logged chunks, a dedup-2 pass consumes them and
+// truncates the WAL, and the deployment is killed (data dirs snapshotted)
+// with A still open. Booting from the snapshot, every consumed
+// fingerprint must resolve through the disk index, and a further pass
+// must store nothing.
 func TestDurabilityKillAfterLiveConsume(t *testing.T) {
 	dirData, srvData := t.TempDir(), t.TempDir()
 	d, ms, srv, saddr := bootDurable(t, dirData, srvData, nil)
@@ -437,8 +438,19 @@ func TestDurabilityKillAfterLiveConsume(t *testing.T) {
 	if v, ok := call(proto.FPBatch{SessionID: start.SessionID, FPs: fps, Sizes: sizes}).(proto.FPVerdicts); !ok || len(v.Verdicts) != len(fps) {
 		t.Fatal("FPBatch refused")
 	}
-	if ack, ok := call(proto.ChunkBatch{SessionID: start.SessionID, FPs: fps, Data: data}).(proto.Ack); !ok || !ack.OK {
-		t.Fatal("ChunkBatch not acked")
+	// An accepted ChunkBatch gets no reply: the re-offer, answered after
+	// it, must find every chunk logged.
+	if err := conn.Send(proto.ChunkBatch{SessionID: start.SessionID, FPs: fps, Data: data}); err != nil {
+		t.Fatal(err)
+	}
+	if v, ok := call(proto.FPBatch{SessionID: start.SessionID, Seq: 1, FPs: fps, Sizes: sizes}).(proto.FPVerdicts); !ok || len(v.Verdicts) != len(fps) {
+		t.Fatal("re-offer refused")
+	} else {
+		for i := range fps {
+			if v.NeedsTransfer(i) {
+				t.Fatalf("chunk %d not logged after its ChunkBatch", i)
+			}
+		}
 	}
 
 	// The pass consumes A's records and, caught up, truncates the WAL.
@@ -466,7 +478,7 @@ func TestDurabilityKillAfterLiveConsume(t *testing.T) {
 	defer shutdownDurable(t, d, ms, srv)
 	for i, f := range fps {
 		if _, err := eng.Index().Lookup(f); err != nil {
-			t.Fatalf("acked chunk %d lost after the kill: %v", i, err)
+			t.Fatalf("consumed chunk %d lost after the kill: %v", i, err)
 		}
 	}
 	if done := dedup2Pass(t, saddr); done.NewChunks != 0 {
@@ -476,14 +488,14 @@ func TestDurabilityKillAfterLiveConsume(t *testing.T) {
 
 // TestDurabilityCrashMidGroupCommit drives the group-commit durability
 // contract end to end: several clients back up concurrently, so their
-// chunk batches share the engine's coalesced fsync windows and every
-// ChunkBatch ack was held until its covering window synced. The
-// deployment is then "killed" — live data directories snapshotted
-// byte-for-byte with no dedup-2, no checkpoint and no WAL truncation —
-// at the worst point the coalesced write path allows: everything acked,
-// nothing yet moved out of the WAL. A deployment booting from the
-// snapshot must recover every acked chunk and restore each job
-// byte-identical.
+// chunk batches share the engine's coalesced fsync windows and no batch
+// waits for its own, but every BackupDone was held until an fsync
+// covered the whole run. The deployment is then "killed" — live data
+// directories snapshotted byte-for-byte with no dedup-2, no checkpoint
+// and no WAL truncation — at the worst point the coalesced write path
+// allows: every run complete, nothing yet moved out of the WAL. A
+// deployment booting from the snapshot must recover every chunk of the
+// completed runs and restore each job byte-identical.
 func TestDurabilityCrashMidGroupCommit(t *testing.T) {
 	dirData, srvData := t.TempDir(), t.TempDir()
 	const jobs = 3
@@ -518,7 +530,7 @@ func TestDurabilityCrashMidGroupCommit(t *testing.T) {
 		}
 	}
 
-	// The kill: snapshot the live state with every acked chunk still only
+	// The kill: snapshot the live state with every run's chunks still only
 	// in the chunk-log WAL, then tear down the originals (only to release
 	// this process's locks — the snapshot never sees the shutdown).
 	killDir, killSrv := t.TempDir(), t.TempDir()

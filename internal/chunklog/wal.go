@@ -42,9 +42,9 @@ var (
 // reached disk before the data did, fails the scan the same way a torn
 // record does). Append never fsyncs: the log's owner schedules Sync. In
 // the storage engine that owner is the "wal" group committer, and the
-// backup server holds each ChunkBatch verdict until the covering sync
-// lands, so an acknowledged chunk is always recoverable — see
-// internal/store/README.md ("Consistency model"). A truncation (a Drain
+// backup server answers BackupEnd only after a sync covering every chunk
+// the run references, so a completed run's chunks are always recoverable
+// — see internal/store/README.md ("Consistency model"). A truncation (a Drain
 // that caught up, or Reset) and Close always sync. The recovered prefix
 // is always a consistent replay point.
 

@@ -13,7 +13,8 @@
 // dispatcher keeps up to Window fingerprint batches (of BatchSize
 // fingerprints each) in flight on one connection, with decoupled send
 // and receive goroutines. Disk reads, hashing and network round-trips
-// overlap; verdicts are matched to their batches by sequence number.
+// overlap; replies come back in request order, and chunk batches get
+// none unless refused.
 // See pipeline.go for the stage layout. Every knob lives on the Options
 // struct (construct via DefaultOptions or mutate Client.Options before
 // the first operation; NewWithOptions validates eagerly):
@@ -145,12 +146,17 @@ func (c *Client) dial() (*proto.Conn, error) {
 	if err != nil {
 		return nil, err
 	}
-	to := c.Options.IOTimeout
-	if to == 0 {
-		to = defaultIOTimeout
-	}
+	to := c.ioTimeout()
 	conn.SetTimeouts(to, to)
 	return conn, nil
+}
+
+// ioTimeout resolves Options.IOTimeout (negative: no deadline).
+func (c *Client) ioTimeout() time.Duration {
+	if c.Options.IOTimeout == 0 {
+		return defaultIOTimeout
+	}
+	return c.Options.IOTimeout
 }
 
 // retryPolicy resolves the client's retry knobs.
@@ -252,22 +258,10 @@ func (c *Client) backupOnce(jobName, dir string) (BackupStats, error) {
 	}
 	sort.Strings(paths)
 
-	files, err := c.runPipeline(conn, sess, dir, paths)
+	files, done, err := c.runPipeline(conn, sess, dir, paths)
 	stats.Files = files
 	if err != nil {
 		return stats, err
-	}
-
-	if err := conn.Send(proto.BackupEnd{SessionID: sess}); err != nil {
-		return stats, err
-	}
-	msg, err := conn.Recv()
-	if err != nil {
-		return stats, err
-	}
-	done, ok := msg.(proto.BackupDone)
-	if !ok {
-		return stats, fmt.Errorf("client: unexpected BackupEnd reply %T", msg)
 	}
 	stats.LogicalBytes = done.LogicalBytes
 	stats.TransferredBytes = done.TransferredBytes
@@ -291,6 +285,13 @@ func (c *Client) start(conn *proto.Conn, jobName string) (uint64, error) {
 	}
 	switch m := msg.(type) {
 	case proto.BackupStartOK:
+		// An older server acknowledges every ChunkBatch, and this client
+		// would take that Ack for the reply to its next request; refuse
+		// the server before sending any data.
+		if m.Version < proto.ProtocolVersion {
+			return 0, fmt.Errorf("client: server protocol version %d unsupported, need %d",
+				m.Version, proto.ProtocolVersion)
+		}
 		// The negotiated caps (m.Caps & c.caps()) need no client-side
 		// branch: the pipeline obeys whatever verdicts arrive. The offer
 		// matters server-side — it licenses index-backed skip verdicts.

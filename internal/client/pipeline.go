@@ -7,6 +7,7 @@ import (
 	"os"
 	"path/filepath"
 	"sync"
+	"time"
 
 	"debar/internal/chunker"
 	"debar/internal/fp"
@@ -27,11 +28,11 @@ import (
 // SHA-1 fingerprints; the dispatcher restores stream order by sequence
 // number, accumulates FPBatches, and keeps up to Window of them in
 // flight over a single connection driven by decoupled send and receive
-// goroutines. Verdicts are matched to batches by the sequence number the
-// server echoes; chunk payloads for positive verdicts are shipped
-// without blocking the batches behind them. Per-file FileEntry ordering
-// is preserved: items are processed in reader order, so FileMeta
-// messages leave in file order with each file's complete chunk index.
+// goroutines. Replies arrive in request order, and chunk payloads for
+// positive verdicts are shipped without blocking the batches behind
+// them. Per-file FileEntry ordering is preserved: items are processed in
+// reader order, so FileMeta messages leave in file order with each
+// file's complete chunk index.
 
 // chunkBufPool recycles chunk payload buffers across files and runs.
 var chunkBufPool = sync.Pool{
@@ -65,19 +66,27 @@ const (
 	kindFileEnd
 )
 
-// request pairs an outgoing message with the handler for its reply.
-// The server processes one connection's messages in order, but its
-// replies are not strictly FIFO: seq-tagged FPVerdicts may overtake a
-// ChunkBatch ack parked on a group-commit fsync, which is what keeps
-// verdicts — and therefore chunk transfers — flowing while a durable
-// server's window syncs. The receive goroutine therefore matches
-// FPVerdicts to their request by sequence number and every other reply
-// type in send order among themselves.
+// request pairs an outgoing message with what follows its send. The
+// server answers one connection's requests in order, except that an
+// accepted ChunkBatch gets no reply (BackupDone is the durability
+// point). A request with onReply registers an expectation, and the
+// receive goroutine hands replies to expectations first in, first out.
+// A ChunkBatch has onSent instead, which the send goroutine runs once
+// the frame is written. A refusal Ack may arrive in place of any reply,
+// because it can answer an earlier ChunkBatch; it fails the attempt.
 type request struct {
-	msg        any
-	onReply    func(any) error
-	verdictSeq uint64 // when isVerdict: the FPBatch seq the reply echoes
-	isVerdict  bool   // reply is FPVerdicts, matched by verdictSeq
+	msg     any
+	onReply func(any) error
+	onSent  func()
+}
+
+// expectation is a registered reply handler plus the ChunkBatches sent
+// between the previous expectation's request and its own: the server
+// reads those before it can answer, so the wait for the reply gets one
+// I/O timeout per frame ahead and a slow-but-moving link is no stall.
+type expectation struct {
+	onReply func(any) error
+	ahead   int
 }
 
 // fpBatch is one accumulating (then in-flight) fingerprint batch.
@@ -95,8 +104,9 @@ func (b *fpBatch) recycle() {
 }
 
 // runPipeline backs up paths over conn with the windowed concurrent data
-// path. It returns the number of files completed and the first error.
-func (c *Client) runPipeline(conn *proto.Conn, sess uint64, root string, paths []string) (int, error) {
+// path and ends the session. It returns the number of files completed,
+// the server's BackupDone and the first error.
+func (c *Client) runPipeline(conn *proto.Conn, sess uint64, root string, paths []string) (int, proto.BackupDone, error) {
 	window := c.window()
 	workers := c.workers()
 
@@ -113,7 +123,7 @@ func (c *Client) runPipeline(conn *proto.Conn, sess uint64, root string, paths [
 	hashCh := make(chan *item, workers*2)
 	resultCh := make(chan *item, workers*2+16)
 	sendCh := make(chan request, window)
-	expectCh := make(chan request, window)
+	expectCh := make(chan expectation, window)
 	slots := make(chan struct{}, window)
 	for i := 0; i < window; i++ {
 		slots <- struct{}{}
@@ -125,7 +135,7 @@ func (c *Client) runPipeline(conn *proto.Conn, sess uint64, root string, paths [
 	// so one read buffer, serves every file.
 	ch, err := chunker.New(nil, c.Options.Chunking)
 	if err != nil {
-		return 0, err
+		return 0, proto.BackupDone{}, err
 	}
 	var pipeWG sync.WaitGroup
 	pipeWG.Add(1)
@@ -219,9 +229,11 @@ func (c *Client) runPipeline(conn *proto.Conn, sess uint64, root string, paths [
 	}()
 
 	// Send goroutine: the single writer on conn. After each send it
-	// registers the reply expectation, in wire order.
+	// registers the reply expectation, in wire order, or runs the
+	// request's onSent when no reply will come.
 	go func() {
 		defer close(expectCh)
+		ahead := 0
 		for {
 			var req request
 			var ok bool
@@ -237,75 +249,39 @@ func (c *Client) runPipeline(conn *proto.Conn, sess uint64, root string, paths [
 				fail(err)
 				return
 			}
+			if req.onSent != nil {
+				req.onSent()
+				ahead++
+				continue
+			}
 			select {
-			case expectCh <- req:
+			case expectCh <- expectation{req.onReply, ahead}:
+				ahead = 0
 			case <-cancel:
 				return
 			}
 		}
 	}()
 
-	// Recv goroutine: the single reader on conn. Verdicts are matched to
-	// their expectation by sequence number, every other reply to the
-	// oldest non-verdict expectation — the two orders the server
-	// guarantees (see the request comment).
+	// Recv goroutine: the single reader on conn. Each reply goes to the
+	// oldest registered expectation; a refusal Ack fails the attempt
+	// whichever expectation it arrives in place of (see request).
 	recvDone := make(chan struct{})
+	ioTimeout := c.ioTimeout()
 	go func() {
 		defer close(recvDone)
-		verdicts := map[uint64]func(any) error{}
-		var ackQ []func(any) error
-		// pull files the next registered expectation; false once the
-		// send goroutine has closed expectCh and all are filed.
-		pull := func() bool {
-			req, ok := <-expectCh
-			if !ok {
-				return false
-			}
-			if req.isVerdict {
-				verdicts[req.verdictSeq] = req.onReply
-			} else {
-				ackQ = append(ackQ, req.onReply)
-			}
-			return true
-		}
-		for {
-			if len(verdicts) == 0 && len(ackQ) == 0 {
-				if !pull() {
-					return // every expected reply has been handled
-				}
-			}
+		for e := range expectCh {
+			conn.SetTimeouts(ioTimeout*time.Duration(1+e.ahead), ioTimeout)
 			msg, err := conn.Recv()
 			if err != nil {
 				fail(err)
 				return
 			}
-			var h func(any) error
-			if v, ok := msg.(proto.FPVerdicts); ok {
-				for {
-					if hh, ok := verdicts[v.Seq]; ok {
-						delete(verdicts, v.Seq)
-						h = hh
-						break
-					}
-					// A reply can only precede its expectation by the
-					// gap between conn.Send returning and the register;
-					// the expectation is already on its way.
-					if !pull() {
-						fail(fmt.Errorf("client: verdicts for unknown batch %d", v.Seq))
-						return
-					}
-				}
-			} else {
-				for len(ackQ) == 0 {
-					if !pull() {
-						fail(fmt.Errorf("client: unexpected reply %T", msg))
-						return
-					}
-				}
-				h = ackQ[0]
-				ackQ = ackQ[1:]
+			if ack, ok := msg.(proto.Ack); ok && !ack.OK {
+				fail(fmt.Errorf("client: request refused: %w", proto.AckError(ack)))
+				return
 			}
-			if err := h(msg); err != nil {
+			if err := e.onReply(msg); err != nil {
 				fail(err)
 				return
 			}
@@ -344,18 +320,12 @@ func (c *Client) runPipeline(conn *proto.Conn, sess uint64, root string, paths [
 		files    int
 	)
 
-	ackHandler := func(what string) func(any) error {
-		return func(msg any) error {
-			ack, ok := msg.(proto.Ack)
-			if !ok {
-				return fmt.Errorf("client: %s refused: %+v", what, msg)
-			}
-			if !ack.OK {
-				return fmt.Errorf("client: %s refused: %w", what, proto.AckError(ack))
-			}
-			release()
-			return nil
+	fileMetaReply := func(msg any) error {
+		if _, ok := msg.(proto.Ack); !ok {
+			return fmt.Errorf("client: unexpected FileMeta reply %T", msg)
 		}
+		release()
+		return nil
 	}
 
 	// dispatchBatch sends the accumulated FPBatch; its verdict handler
@@ -373,9 +343,7 @@ func (c *Client) runPipeline(conn *proto.Conn, sess uint64, root string, paths [
 			return false
 		}
 		req := request{
-			msg:        proto.FPBatch{SessionID: sess, Seq: b.seq, FPs: b.fps, Sizes: b.sizes},
-			isVerdict:  true,
-			verdictSeq: b.seq,
+			msg: proto.FPBatch{SessionID: sess, Seq: b.seq, FPs: b.fps, Sizes: b.sizes},
 			onReply: func(msg any) error {
 				v, ok := msg.(proto.FPVerdicts)
 				if !ok {
@@ -414,22 +382,15 @@ func (c *Client) runPipeline(conn *proto.Conn, sess uint64, root string, paths [
 					return nil
 				}
 				// The window slot transfers from the FPBatch to its
-				// ChunkBatch; the Ack handler releases it.
+				// ChunkBatch, which gets no reply: once the frame is
+				// written its buffers recycle and the slot frees.
 				creq := request{
 					msg: proto.ChunkBatch{SessionID: sess, FPs: needFPs, Data: needData},
-					onReply: func(msg any) error {
-						ack, ok := msg.(proto.Ack)
-						if !ok {
-							return fmt.Errorf("client: chunk transfer refused: %+v", msg)
-						}
-						if !ack.OK {
-							return fmt.Errorf("client: chunk transfer refused: %w", proto.AckError(ack))
-						}
+					onSent: func() {
 						for _, bp := range needBufs {
 							putChunkBuf(bp)
 						}
 						release()
-						return nil
 					},
 				}
 				select {
@@ -471,7 +432,7 @@ func (c *Client) runPipeline(conn *proto.Conn, sess uint64, root string, paths [
 			}
 			if !enqueue(request{
 				msg:     proto.FileMeta{SessionID: sess, Entry: *cur},
-				onReply: ackHandler("FileMeta"),
+				onReply: fileMetaReply,
 			}) {
 				release()
 				return false
@@ -509,14 +470,29 @@ loop:
 	}
 
 	// Drain the window: once every slot is back, every reply has been
-	// processed and no handler can touch sendCh again.
+	// processed, every ChunkBatch is on the wire, and no handler can
+	// touch sendCh again.
 	for i := 0; i < window; i++ {
 		if !acquire() {
 			// Cancelled: goroutines unwind through their cancel selects
 			// and the caller's conn.Close; sendCh must stay open because
 			// a reply handler may still be selecting on it.
-			return files, firstErr
+			return files, proto.BackupDone{}, firstErr
 		}
+	}
+	// BackupEnd is the last request (sendCh is empty, so this never
+	// blocks): its reply, BackupDone, comes after the server has read
+	// every ChunkBatch and made the run durable.
+	var done proto.BackupDone
+	sendCh <- request{
+		msg: proto.BackupEnd{SessionID: sess},
+		onReply: func(msg any) error {
+			var ok bool
+			if done, ok = msg.(proto.BackupDone); !ok {
+				return fmt.Errorf("client: unexpected BackupEnd reply %T", msg)
+			}
+			return nil
+		},
 	}
 	close(sendCh) // quiescent: provably no writer left
 	select {
@@ -526,9 +502,9 @@ loop:
 
 	select {
 	case <-cancel:
-		return files, firstErr
+		return files, proto.BackupDone{}, firstErr
 	default:
-		return files, nil
+		return files, done, nil // recvDone closed: done is final
 	}
 }
 

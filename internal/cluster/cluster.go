@@ -340,7 +340,7 @@ func (c *Cluster) PSIU(unregistered [][]fp.Entry) (PSIUResult, error) {
 		wg.Add(1)
 		go func(k int, node *Node) {
 			defer wg.Done()
-			if _, err := node.Chunk.RunSIU(routed[k]); err != nil {
+			if err := node.Chunk.RunSIU(routed[k]); err != nil {
 				mu.Lock()
 				errs = append(errs, fmt.Errorf("cluster: SIU at server %d: %w", k, err))
 				mu.Unlock()

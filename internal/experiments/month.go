@@ -245,7 +245,7 @@ func RunMonth(cfg MonthConfig) (*MonthResult, error) {
 			// run it when the unregistered backlog fills the cache or at
 			// month end.
 			if int64(len(pendingUnreg)) >= cacheCap || month.Done() {
-				if _, err := cs.RunSIU(pendingUnreg); err != nil {
+				if err := cs.RunSIU(pendingUnreg); err != nil {
 					return nil, err
 				}
 				pendingUnreg = pendingUnreg[:0]

@@ -31,21 +31,28 @@
 //	  │ ── FPBatch{seq=0, fps, sizes} ───────────▶ │
 //	  │ ── FPBatch{seq=1, ...}        ───────────▶ │  (window of batches in flight)
 //	  │ ◀── FPVerdicts{seq=0, verdicts} ────────── │
-//	  │ ── ChunkBatch{fps, data} ────────────────▶ │  (only VerdictSend chunks)
-//	  │ ◀── Ack ────────────────────────────────── │  (after the covering fsync)
+//	  │ ── ChunkBatch{fps, data} ────────────────▶ │  (only VerdictSend chunks; no reply)
 //	  │ ── FileMeta{entry} ──────────────────────▶ │  (per completed file)
 //	  │ ◀── Ack ────────────────────────────────── │
 //	  │ ── BackupEnd ────────────────────────────▶ │
-//	  │ ◀── BackupDone{totals} ─────────────────── │
+//	  │ ◀── BackupDone{totals} ─────────────────── │  (after an fsync covering the run)
 //
 // Each FPBatch is answered by one FPVerdicts carrying a per-chunk
 // verdict: VerdictSend (transfer the chunk payload) or
 // VerdictSkipDuplicate (the server already holds the chunk — in its
 // chunk log, its preliminary filter, or, when CapInlineDedup was
 // negotiated, its disk index/LPC — so the client records the fingerprint
-// in the file entry and ships nothing). Verdict replies are matched to
-// their batches by the echoed Seq and may overtake other reply types
-// (see the client pipeline); everything else answers in request order.
+// in the file entry and ships nothing).
+//
+// Replies come back in request order, with one exception: an accepted
+// ChunkBatch gets no reply at all. The server logs its chunks and stages
+// them with the chunk log's group commit without waiting for the fsync;
+// BackupDone is the durability point, sent only after an fsync that
+// covers every chunk the run references. A refused ChunkBatch (read-only
+// store, fingerprint mismatch, unknown session) is answered with a typed
+// Ack{OK: false}, which therefore may arrive in place of the reply to
+// any later request; a client treats it as fatal to the backup attempt.
+// FPVerdicts echo their FPBatch's Seq, which the client checks.
 //
 // # Protocol versioning and capabilities
 //
@@ -53,9 +60,10 @@
 // BackupStartOK echoes the server's version and the negotiated
 // intersection of the two cap sets. The rules:
 //
-//   - ProtocolVersion is the minimum a server accepts. A BackupStart with
-//     a lower Version (a peer predating the field sends 0) is refused
-//     with a CodeUnsupportedVersion Ack before any session exists.
+//   - ProtocolVersion is the minimum either end accepts. A BackupStart
+//     with a lower Version (a peer predating the field sends 0) is
+//     refused with a CodeUnsupportedVersion Ack before any session
+//     exists, and a client refuses a BackupStartOK with a lower Version.
 //   - Control messages are gob-encoded: decoders ignore fields they do
 //     not know and zero-fill fields the peer did not send, so adding
 //     fields to control messages is always compatible.
@@ -73,7 +81,10 @@
 // only toward peers that advertised it) or a raised ProtocolVersion. An
 // old form is not kept forever: it is retired by raising the minimum
 // version, after which its tag stays reserved and decodes as unknown
-// (tag 2, the version-1 bitmap verdict frame, went this way). The same
+// (tag 2, the version-1 bitmap verdict frame, went this way). A change
+// to which frames are answered is a version bump too: version 3 made an
+// accepted ChunkBatch one-way, so neither end talks to a version-2 peer,
+// which would send or expect a ChunkBatch Ack. The same
 // applies to enum ranges inside a frame: a decoder rejects verdict
 // values it does not know, so new Verdict values require a capability
 // bit or a version bump. Control-plane (tag-0 gob) messages evolve by
@@ -175,10 +186,11 @@ const (
 // ProtocolVersion is the protocol revision this build speaks, and the
 // minimum it accepts. Version 1 predates the Version/Caps fields (gob
 // decodes it as 0) and used the retired bitmap verdict frame; version 2
-// introduced capability negotiation and the packed verdict frame.
-// Optional behaviours are gated by capability bit; the version only
-// retires frame forms.
-const ProtocolVersion = 2
+// introduced capability negotiation and the packed verdict frame;
+// version 3 stopped acknowledging accepted ChunkBatch frames. Optional
+// behaviours are gated by capability bit; the version only retires
+// frame forms and reply obligations.
+const ProtocolVersion = 3
 
 // Caps is a capability bitset exchanged in BackupStart/BackupStartOK.
 // Each bit names an optional protocol behaviour; a behaviour may be used

@@ -287,15 +287,21 @@ func TestChunkBatchAtomicOnMismatch(t *testing.T) {
 		t.Fatal("corrupt batch accepted")
 	}
 
-	// Retry with the correct payloads.
+	// Retry with the correct payloads. An accepted batch gets no reply,
+	// so the file's FileMeta follows it: replies come in request order,
+	// and a refusal of the batch would arrive in place of its Ack.
 	if err := conn.Send(proto.ChunkBatch{SessionID: sess, FPs: fps, Data: chunks}); err != nil {
+		t.Fatal(err)
+	}
+	entry := proto.FileEntry{Path: "abc.bin", Mode: 0o644, Size: int64(len("alphabetagamma")), Chunks: fps, Sizes: sizes}
+	if err := conn.Send(proto.FileMeta{SessionID: sess, Entry: entry}); err != nil {
 		t.Fatal(err)
 	}
 	if msg, err = conn.Recv(); err != nil {
 		t.Fatal(err)
 	}
 	if ack := msg.(proto.Ack); !ack.OK {
-		t.Fatalf("correct batch refused: %s", ack.Err)
+		t.Fatalf("correct batch or its FileMeta refused: %s", ack.Err)
 	}
 
 	if err := conn.Send(proto.BackupEnd{SessionID: sess}); err != nil {
@@ -311,5 +317,71 @@ func TestChunkBatchAtomicOnMismatch(t *testing.T) {
 	if done.TransferredBytes != wantXfer {
 		t.Fatalf("TransferredBytes = %d, want %d (failed batch must not count)",
 			done.TransferredBytes, wantXfer)
+	}
+}
+
+// TestBackupEndRefusedAfterRefusedBatch: a client learns that a
+// ChunkBatch was refused only in place of a later reply, so its
+// BackupEnd may already be on the wire. While the refused chunks are
+// owed — no later batch delivered them — the server must refuse
+// BackupEnd, and the run must never complete.
+func TestBackupEndRefusedAfterRefusedBatch(t *testing.T) {
+	_, _, addr := startServer(t, nil)
+
+	conn, err := proto.Dial(addr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer conn.Close()
+	if err := conn.Send(proto.BackupStart{JobName: "owed", Client: "c", Version: proto.ProtocolVersion}); err != nil {
+		t.Fatal(err)
+	}
+	msg, err := conn.Recv()
+	if err != nil {
+		t.Fatal(err)
+	}
+	sess := msg.(proto.BackupStartOK).SessionID
+
+	chunk := []byte("a chunk corrupted in transit and never re-sent")
+	f := fp.New(chunk)
+	entry := proto.FileEntry{Path: "owed.bin", Mode: 0o644, Size: int64(len(chunk)), Chunks: []fp.FP{f}, Sizes: []uint32{uint32(len(chunk))}}
+	// The whole tail of the backup goes out before any reply is read,
+	// as a pipelined client sends it.
+	for _, req := range []any{
+		proto.FPBatch{SessionID: sess, FPs: entry.Chunks, Sizes: entry.Sizes},
+		proto.ChunkBatch{SessionID: sess, FPs: entry.Chunks, Data: [][]byte{[]byte("CORRUPT")}},
+		proto.FileMeta{SessionID: sess, Entry: entry},
+		proto.BackupEnd{SessionID: sess},
+	} {
+		if err := conn.Send(req); err != nil {
+			t.Fatal(err)
+		}
+	}
+	want := []string{"FPVerdicts", "refusal", "Ack", "refusal"}
+	for i, w := range want {
+		msg, err := conn.Recv()
+		if err != nil {
+			t.Fatal(err)
+		}
+		var got string
+		switch m := msg.(type) {
+		case proto.FPVerdicts:
+			got = "FPVerdicts"
+		case proto.Ack:
+			got = "Ack"
+			if !m.OK {
+				got = "refusal"
+			}
+		default:
+			got = fmt.Sprintf("%T", msg)
+		}
+		if got != w {
+			t.Fatalf("reply %d = %s %+v, want %s", i, got, msg, w)
+		}
+	}
+
+	// The run never completed, so the job has nothing to restore.
+	if _, err := client.New(addr, "r").Restore("owed", t.TempDir()); err == nil {
+		t.Fatal("restore of a run whose BackupEnd was refused succeeded")
 	}
 }

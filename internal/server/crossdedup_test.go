@@ -69,10 +69,17 @@ func TestCrossSessionLogDedup(t *testing.T) {
 	}); err != nil {
 		t.Fatal(err)
 	}
+	// An accepted ChunkBatch gets no reply; A's next FPBatch is answered
+	// after it, and A's own re-offer is now a logged duplicate.
+	if err := connA.Send(proto.FPBatch{
+		SessionID: sessA, Seq: 1, FPs: []fp.FP{f}, Sizes: []uint32{uint32(len(chunk))},
+	}); err != nil {
+		t.Fatal(err)
+	}
 	if msg, err := connA.Recv(); err != nil {
 		t.Fatal(err)
-	} else if ack, is := msg.(proto.Ack); !is || !ack.OK {
-		t.Fatalf("session A ChunkBatch reply = %T %+v", msg, msg)
+	} else if v, is := msg.(proto.FPVerdicts); !is || len(v.Verdicts) != 1 || v.NeedsTransfer(0) {
+		t.Fatalf("session A re-offer after ChunkBatch = %T %+v, want verdicts=[skip]", msg, msg)
 	}
 
 	// Session B offers the same chunk while A's session is still open.

@@ -184,8 +184,9 @@ func (ls *liveSession) offer(seq uint64, lo, hi int) []bool {
 	return need
 }
 
-// ship offers chunks [lo, hi), which must all be new, and sends them;
-// the batch must be acked.
+// ship offers chunks [lo, hi), which must all be new, and sends them.
+// An accepted ChunkBatch gets no reply, so ship re-offers the chunks:
+// replies come in request order, and every chunk must now be logged.
 func (ls *liveSession) ship(seq uint64, lo, hi int) {
 	ls.t.Helper()
 	for i, need := range ls.offer(seq, lo, hi) {
@@ -197,8 +198,13 @@ func (ls *liveSession) ship(seq uint64, lo, hi int) {
 	for _, c := range ls.chunks[lo:hi] {
 		data = append(data, append([]byte(nil), c...))
 	}
-	if ack, ok := ls.call(proto.ChunkBatch{SessionID: ls.id, FPs: ls.entry.Chunks[lo:hi], Data: data}).(proto.Ack); !ok || !ack.OK {
-		ls.t.Fatalf("ChunkBatch %d not acked", seq)
+	if err := ls.conn.Send(proto.ChunkBatch{SessionID: ls.id, FPs: ls.entry.Chunks[lo:hi], Data: data}); err != nil {
+		ls.t.Fatal(err)
+	}
+	for i, need := range ls.offer(seq, lo, hi) {
+		if need {
+			ls.t.Fatalf("ChunkBatch %d: chunk %d not logged", seq, lo+i)
+		}
 	}
 }
 
@@ -236,8 +242,8 @@ func walSize(t *testing.T, eng *store.Engine) int64 {
 }
 
 // TestDedup2ConsumesLiveSession: the chunk log is dedup-2's work queue,
-// so a pass stores the acked chunks of a session that is still open and
-// truncates the WAL under it. Session A stays open with n acked chunks:
+// so a pass stores the logged chunks of a session that is still open and
+// truncates the WAL under it. Session A stays open with n logged chunks:
 // pass 1 stores all n and leaves a 0-byte WAL. A then logs m more: pass 2
 // stores exactly those m and re-walks none of the first n. After A ends,
 // its file restores byte-identical.

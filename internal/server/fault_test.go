@@ -11,12 +11,12 @@ import (
 	"debar/internal/store"
 )
 
-// TestChunkBatchAckHeldForWALSync is the durability-ack ordering
-// regression test: the ChunkBatch verdict must be held until the
-// session's group-commit window has fsynced. With the sync layer
-// failing, a positive ack would promise durability the disk never
-// delivered — the client must see a read-only refusal instead, and the
-// store must latch read-only for subsequent sessions.
+// TestChunkBatchAckHeldForWALSync is the durability-point regression
+// test. An accepted ChunkBatch gets no reply, so nothing waits on its
+// group-commit window; with the WAL's sync failing, that window's
+// failure must latch the store read-only on its own, and BackupEnd —
+// the durability point — must be refused instead of promising a run
+// the disk never made durable. The batch must never be answered OK.
 func TestChunkBatchAckHeldForWALSync(t *testing.T) {
 	eng, err := store.Open(t.TempDir(), store.Options{IndexBits: 12})
 	if err != nil {
@@ -44,7 +44,7 @@ func TestChunkBatchAckHeldForWALSync(t *testing.T) {
 		t.Fatalf("BackupStart reply = %T %+v", msg, msg)
 	}
 
-	chunk := []byte("chunk whose ack must wait for the covering fsync")
+	chunk := []byte("chunk whose run must not complete without the covering fsync")
 	f := fp.New(chunk)
 	if err := conn.Send(proto.FPBatch{
 		SessionID: ok.SessionID, Seq: 0, FPs: []fp.FP{f}, Sizes: []uint32{uint32(len(chunk))},
@@ -62,16 +62,30 @@ func TestChunkBatchAckHeldForWALSync(t *testing.T) {
 	}); err != nil {
 		t.Fatal(err)
 	}
+	// Nobody waits on the batch's window, yet its failed sync latches
+	// the store.
+	deadline := time.Now().Add(10 * time.Second)
+	for eng.ReadOnlyErr() == nil {
+		if time.Now().After(deadline) {
+			t.Fatal("failed WAL window sync never latched the store read-only")
+		}
+		time.Sleep(time.Millisecond)
+	}
+
+	// Replies come in request order, so the first frame after the batch
+	// answers BackupEnd: a read-only refusal, not an OK for the batch.
+	if err := conn.Send(proto.BackupEnd{SessionID: ok.SessionID}); err != nil {
+		t.Fatal(err)
+	}
 	if msg, err = conn.Recv(); err != nil {
 		t.Fatal(err)
 	} else if ack, is := msg.(proto.Ack); !is || ack.OK {
-		t.Fatalf("ChunkBatch over a failing sync layer = %T %+v, want refused Ack", msg, msg)
+		t.Fatalf("BackupEnd over a failing sync layer = %T %+v, want refused Ack", msg, msg)
 	} else if ack.Code != proto.CodeReadOnly {
-		t.Fatalf("refusal code = %v, want %v", ack.Code, proto.CodeReadOnly)
+		t.Fatalf("BackupEnd refusal code = %v, want %v", ack.Code, proto.CodeReadOnly)
 	}
 
-	// The failed durability sync latches the store read-only: a fresh
-	// session must be refused up front.
+	// The latch refuses a fresh session up front.
 	c2, err := proto.Dial(srvAddr)
 	if err != nil {
 		t.Fatal(err)
@@ -134,10 +148,17 @@ func TestIdleSessionReaped(t *testing.T) {
 	}); err != nil {
 		t.Fatal(err)
 	}
+	// An accepted ChunkBatch gets no reply: the re-offer's verdict,
+	// answered after it, proves the chunk was logged.
+	if err := conn.Send(proto.FPBatch{
+		SessionID: sess, Seq: 1, FPs: []fp.FP{f}, Sizes: []uint32{uint32(len(chunk))},
+	}); err != nil {
+		t.Fatal(err)
+	}
 	if msg, err = conn.Recv(); err != nil {
 		t.Fatal(err)
-	} else if ack, is := msg.(proto.Ack); !is || !ack.OK {
-		t.Fatalf("ChunkBatch reply = %T %+v", msg, msg)
+	} else if v, is := msg.(proto.FPVerdicts); !is || len(v.Verdicts) != 1 || v.NeedsTransfer(0) {
+		t.Fatalf("re-offer after ChunkBatch = %T %+v, want verdicts=[skip]", msg, msg)
 	}
 
 	if n := srv.SessionCount(); n != 1 {

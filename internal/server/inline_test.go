@@ -202,33 +202,36 @@ func TestMixedVersionInterop(t *testing.T) {
 	})
 }
 
-// TestPreVersionPeerRefused speaks the version-1 wire protocol directly:
-// a BackupStart with zero Version and Caps is byte-for-byte what a peer
-// predating the Version field sends (gob omits zero-valued fields). Such
-// a peer would expect the retired bitmap verdict frame, so the server
-// must refuse it with the typed unsupported-version code before it opens
-// a session.
+// TestPreVersionPeerRefused speaks older wire protocols directly. A
+// BackupStart with zero Version and Caps is byte-for-byte what a peer
+// predating the Version field sends (gob omits zero-valued fields); such
+// a peer would expect the retired bitmap verdict frame. A version-2 peer
+// would wait for ChunkBatch acks that are no longer sent. The server must
+// refuse both with the typed unsupported-version code before it opens a
+// session.
 func TestPreVersionPeerRefused(t *testing.T) {
 	_, srv, srvAddr := startServer(t, nil)
 
-	conn, err := proto.Dial(srvAddr)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer conn.Close()
-	if err := conn.Send(proto.BackupStart{JobName: "v1-wire", Client: "old"}); err != nil {
-		t.Fatal(err)
-	}
-	msg, err := conn.Recv()
-	if err != nil {
-		t.Fatal(err)
-	}
-	ack, is := msg.(proto.Ack)
-	if !is || ack.OK || ack.Code != proto.CodeUnsupportedVersion {
-		t.Fatalf("version-0 BackupStart reply = %T %+v, want unsupported-version refusal", msg, msg)
-	}
-	if n := srv.SessionCount(); n != 0 {
-		t.Fatalf("SessionCount = %d after a refused BackupStart, want 0", n)
+	for _, version := range []int{0, proto.ProtocolVersion - 1} {
+		conn, err := proto.Dial(srvAddr)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer conn.Close()
+		if err := conn.Send(proto.BackupStart{JobName: "old-wire", Client: "old", Version: version}); err != nil {
+			t.Fatal(err)
+		}
+		msg, err := conn.Recv()
+		if err != nil {
+			t.Fatal(err)
+		}
+		ack, is := msg.(proto.Ack)
+		if !is || ack.OK || ack.Code != proto.CodeUnsupportedVersion {
+			t.Fatalf("version-%d BackupStart reply = %T %+v, want unsupported-version refusal", version, msg, msg)
+		}
+		if n := srv.SessionCount(); n != 0 {
+			t.Fatalf("SessionCount = %d after a refused version-%d BackupStart, want 0", n, version)
+		}
 	}
 }
 

@@ -5,9 +5,11 @@
 //
 // A server has one storage design: a store.Engine owns the chunk-log WAL
 // the File Store appends to, and the container log and disk index the
-// Chunk Store drains it into. A chunk batch is acknowledged only after
-// the group-commit fsync covering it has landed. A short-lived server
-// (tests, examples) is simply an engine on a temporary directory.
+// Chunk Store drains it into. An accepted chunk batch gets no reply: its
+// bytes join the WAL's group-commit window and nothing waits on it. The
+// durability point is BackupDone, which goes out only after an fsync
+// covering every chunk the run references. A short-lived server (tests,
+// examples) is simply an engine on a temporary directory.
 package server
 
 import (
@@ -63,18 +65,7 @@ type Config struct {
 	IndexBits     uint // disk index bucket bits for a new DataDir (0 = store default)
 	IndexBlocks   int  // bucket blocks for a new DataDir (0 = store default)
 	ContainerSize int  // default 8 MB
-	FilterEntries int  // preliminary filter capacity (0 = unlimited)
-	CacheBits     uint // index cache bucket bits for SIL/SIU
 	DirectorAddr  string
-
-	// RestoreBatchChunks and RestoreWindow are the restore-stream flow
-	// control defaults granted to clients that do not size their own
-	// (proto.RestoreFile fields left zero): chunks per RestoreChunkBatch
-	// and unacknowledged batches in flight. Client requests are clamped
-	// to hard caps regardless (maxRestoreBatchChunks, maxRestoreWindow),
-	// and every batch is additionally cut at maxRestoreBatchBytes.
-	RestoreBatchChunks int // default 256
-	RestoreWindow      int // default 4
 
 	// Storage and DataDir name the server's store engine; exactly one
 	// must be set. Storage is an engine the caller already opened (fault
@@ -135,15 +126,6 @@ func (c Config) withDefaults() Config {
 	if c.ContainerSize == 0 {
 		c.ContainerSize = container.DefaultSize
 	}
-	if c.CacheBits == 0 {
-		c.CacheBits = 12
-	}
-	if c.RestoreBatchChunks == 0 {
-		c.RestoreBatchChunks = 256
-	}
-	if c.RestoreWindow == 0 {
-		c.RestoreWindow = 4
-	}
 	c.IdleTimeout = resolveTimeout(c.IdleTimeout, 5*time.Minute)
 	c.WriteTimeout = resolveTimeout(c.WriteTimeout, 2*time.Minute)
 	c.ControlTimeout = resolveTimeout(c.ControlTimeout, 10*time.Second)
@@ -167,32 +149,35 @@ func resolveTimeout(v, def time.Duration) time.Duration {
 	return v
 }
 
-// Hard caps on client-requested restore flow control, and the byte budget
-// at which a batch is cut regardless of its chunk count. 4 MB keeps every
-// frame far below proto.MaxFrame even at the maximum chunk size while
-// amortising the per-frame overhead.
+// filterBits sizes each session's preliminary filter (2^14 buckets, no
+// capacity limit) and cacheBits the index cache of a dedup-2 pass.
 const (
+	filterBits = 14
+	cacheBits  = 12
+)
+
+// Restore-stream flow control. Clients that do not size their own stream
+// (proto.RestoreFile fields left zero) get restoreBatchChunks chunks per
+// RestoreChunkBatch and restoreWindow unacknowledged batches in flight;
+// larger requests are clamped to the hard caps. Every batch is also cut
+// at maxRestoreBatchBytes: 4 MB keeps every frame far below
+// proto.MaxFrame even at the maximum chunk size while amortising the
+// per-frame overhead.
+const (
+	restoreBatchChunks    = 256
+	restoreWindow         = 4
 	maxRestoreBatchChunks = 4096
 	maxRestoreWindow      = 64
 	maxRestoreBatchBytes  = 4 << 20
 )
 
 // clampRestore resolves a client-requested flow-control value against the
-// server default and hard cap. The floor of 1 also guards against a
-// negative default from a misconfigured Config (withDefaults only
-// replaces zero): a window below 1 would wrap to a huge uint64 and
-// disable flow control entirely.
+// server default and hard cap.
 func clampRestore(req, def, max int) int {
 	if req <= 0 {
-		req = def
+		return def
 	}
-	if req > max {
-		req = max
-	}
-	if req < 1 {
-		req = 1
-	}
-	return req
+	return min(req, max)
 }
 
 // session is one client backup session (one job run). Its mutex makes the
@@ -211,6 +196,9 @@ type session struct {
 	xfer    int64             // guarded by mu
 	newFPs  int64             // guarded by mu
 	skipped int64             // guarded by mu; logical bytes elided by inline dedup verdicts
+	// owed maps each chunk of a refused ChunkBatch that no later batch
+	// delivered to its refusal; BackupEnd is refused while any is owed.
+	owed map[fp.FP]error // guarded by mu
 }
 
 // Server is one backup server.
@@ -462,72 +450,16 @@ func ackFromErr(err error) proto.Ack {
 	return ack
 }
 
-// deferredReply is a dispatch result whose value is not ready at
-// dispatch time: a ChunkBatch ack parked on its group-commit window's
-// fsync. The writer goroutine parks it and resolves parked acks in
-// arrival order as their syncs land; done (closed when resolve will not
-// block) is what the writer selects on to wake for a completed sync.
-type deferredReply struct {
-	done    <-chan struct{}
-	resolve func() any
-}
+// frameQueueDepth bounds decode-ahead per connection. Each staged
+// ChunkBatch frame owns its receive buffer, so this bounds per-connection
+// memory; one frame of lookahead is what overlaps decode with the
+// filter/WAL work.
+const frameQueueDepth = 2
 
-// pendingReply is one entry in a connection's reply stream: an
-// immediate message, a deferred ack, or (both nil) a pure flush barrier
-// whose sent marker tells the handler every earlier reply is on the
-// wire. The stream is FIFO with one exception: seq-tagged FPVerdicts
-// may overtake parked deferred acks (the client matches verdicts by
-// sequence number), so one window's fsync never stalls the verdicts —
-// and therefore the chunk flow — of the batches behind it.
-type pendingReply struct {
-	msg     any
-	resolve func() any
-	done    <-chan struct{} // paired with resolve
-	sent    chan struct{}   // non-nil: closed once this entry was processed
-}
-
-// maxParkedAcks bounds deferred acks parked per connection: a client
-// shipping batches without awaiting acks (well-behaved pipelines keep a
-// handful in flight) blocks the writer on the oldest sync instead of
-// parking unbounded state.
-const maxParkedAcks = 64
-
-// resolvedChan backs head() for parked entries without a done channel.
-var resolvedChan = func() chan struct{} {
-	c := make(chan struct{})
-	close(c)
-	return c
-}()
-
-// head returns the oldest parked ack's sync-completion channel (an
-// already-closed one when it has none, so a select fires immediately).
-func head(parked []pendingReply) <-chan struct{} {
-	if parked[0].done != nil {
-		return parked[0].done
-	}
-	return resolvedChan
-}
-
-// Per-connection pipeline depths. frameQueueDepth bounds decode-ahead —
-// each staged ChunkBatch frame owns its receive buffer, so this bounds
-// per-connection memory, and one frame of lookahead is what overlaps
-// decode with the filter/WAL work. replyQueueDepth bounds verdicts
-// parked on unsynced group-commit windows; client pipelines run a
-// handful of batches in flight, so 16 never backpressures them.
-const (
-	frameQueueDepth = 2
-	replyQueueDepth = 16
-)
-
-// handle runs one connection as a three-stage pipeline: a reader
-// goroutine decodes frame N+1 off the wire while this goroutine
-// dispatches frame N (the handler used to be strictly serial — decode,
-// dispatch, reply, repeat — which left the connection idle during every
-// filter pass and fsync wait), and a writer goroutine sends replies,
-// parking deferred durability verdicts until their group-commit window
-// syncs while seq-tagged FPVerdicts overtake them — so one fsync stalls
-// neither the dispatch of the next batch nor the verdicts that let the
-// client keep shipping chunks into the next window.
+// handle runs one connection as two stages: a reader goroutine decodes
+// frame N+1 off the wire while this goroutine dispatches frame N and
+// sends its reply. An accepted ChunkBatch has no reply, so every reply
+// goes out inline and in request order.
 func (s *Server) handle(conn *proto.Conn) {
 	defer s.untrack(conn)
 	st := &connState{}
@@ -560,125 +492,12 @@ func (s *Server) handle(conn *proto.Conn) {
 		}
 	}()
 
-	replies := make(chan pendingReply, replyQueueDepth)
-	writerDone := make(chan struct{})
-	go func() {
-		defer close(writerDone)
-		dead := false
-		send := func(msg any) {
-			if !dead && msg != nil {
-				if err := conn.Send(msg); err != nil {
-					// Keep draining so queued resolves and flush markers
-					// still run; closing the conn unwinds the reader.
-					dead = true
-					conn.Close()
-				}
-			}
-		}
-		// parked holds deferred acks whose group-commit windows are
-		// still syncing, in arrival order. Resolve even when the conn is
-		// dead: the durability verdict's side effects (read-only
-		// latching on a failed sync) must not be skipped.
-		var parked []pendingReply
-		resolveOldest := func() {
-			pr := parked[0]
-			parked = parked[1:]
-			send(pr.resolve())
-			if pr.sent != nil {
-				close(pr.sent)
-			}
-		}
-		drainReady := func() {
-			for len(parked) > 0 {
-				if pr := parked[0]; pr.done != nil {
-					select {
-					case <-pr.done:
-					default:
-						return
-					}
-				}
-				resolveOldest()
-			}
-		}
-		handleOne := func(pr pendingReply) {
-			switch {
-			case pr.resolve != nil:
-				parked = append(parked, pr)
-				for len(parked) > maxParkedAcks {
-					resolveOldest()
-				}
-			case pr.msg == nil:
-				// Flush barrier: every earlier reply must be on the
-				// wire before the marker closes.
-				for len(parked) > 0 {
-					resolveOldest()
-				}
-				if pr.sent != nil {
-					close(pr.sent)
-				}
-			default:
-				if _, isVerdict := pr.msg.(proto.FPVerdicts); isVerdict {
-					// Verdicts overtake parked acks (the client matches
-					// them by Seq): the next batch's chunks keep flowing
-					// while this window's fsync runs — the overlap that
-					// keeps the disk streaming instead of alternating
-					// fill-then-sync.
-					drainReady()
-				} else {
-					// Every other reply type respects reply order.
-					for len(parked) > 0 {
-						resolveOldest()
-					}
-				}
-				send(pr.msg)
-				if pr.sent != nil {
-					close(pr.sent)
-				}
-			}
-		}
-		for {
-			if len(parked) == 0 {
-				pr, ok := <-replies
-				if !ok {
-					return
-				}
-				handleOne(pr)
-				continue
-			}
-			// With acks parked, wake either for new replies or for the
-			// oldest parked window's sync landing — a quiescent
-			// connection must still get its ack the moment the fsync
-			// completes.
-			select {
-			case pr, ok := <-replies:
-				if !ok {
-					for len(parked) > 0 {
-						resolveOldest()
-					}
-					return
-				}
-				handleOne(pr)
-			case <-head(parked):
-				drainReady()
-			}
-		}
-	}()
-	defer func() {
-		close(replies)
-		<-writerDone
-	}()
-
 	for msg := range frames {
 		// RestoreFile opens a multi-frame exchange (batches out, acks in)
-		// rather than one reply, so it bypasses the reply queue: first a
-		// flush barrier — RestoreBegin must not overtake a queued verdict
-		// — then the stream owns the connection's send side while its
-		// acks keep arriving through frames. streamRestore only errors
-		// when the connection itself is dead.
+		// rather than one reply: the stream owns the connection's send
+		// side while its acks keep arriving through frames. streamRestore
+		// only errors when the connection itself is dead.
 		if rf, ok := msg.(proto.RestoreFile); ok {
-			flushed := make(chan struct{})
-			replies <- pendingReply{sent: flushed}
-			<-flushed
 			if err := s.streamRestore(conn, frames, &st.jfc, rf); err != nil {
 				return
 			}
@@ -688,10 +507,11 @@ func (s *Server) handle(conn *proto.Conn) {
 		if err != nil {
 			reply = ackFromErr(err)
 		}
-		if def, ok := reply.(deferredReply); ok {
-			replies <- pendingReply{resolve: def.resolve, done: def.done}
-		} else {
-			replies <- pendingReply{msg: reply}
+		if reply == nil {
+			continue // an accepted ChunkBatch
+		}
+		if err := conn.Send(reply); err != nil {
+			return
 		}
 	}
 }
@@ -724,7 +544,7 @@ func (s *Server) dispatch(msg any, st *connState) (any, error) {
 	case proto.FPBatch:
 		return s.fpBatch(m)
 	case proto.ChunkBatch:
-		return s.chunkBatch(m)
+		return nil, s.chunkBatch(m)
 	case proto.FileMeta:
 		return s.fileMeta(m)
 	case proto.BackupEnd:
@@ -787,7 +607,7 @@ func (s *Server) startBackup(m proto.BackupStart, st *connState) (any, error) {
 		}
 	}
 
-	filter := prefilter.New(14, s.cfg.FilterEntries)
+	filter := prefilter.New(filterBits, 0)
 	for _, f := range filterFPs {
 		filter.Prime(f)
 	}
@@ -917,13 +737,35 @@ func (s *Server) fpBatch(m proto.FPBatch) (any, error) {
 	return proto.FPVerdicts{Seq: m.Seq, Verdicts: verdicts}, nil
 }
 
-func (s *Server) chunkBatch(m proto.ChunkBatch) (any, error) {
+// chunkBatch logs an accepted batch and sends nothing back; a refused
+// batch (unknown session, fingerprint mismatch, read-only store) is
+// answered with a typed refusal.
+func (s *Server) chunkBatch(m proto.ChunkBatch) (err error) {
 	sess, err := s.getSession(m.SessionID)
 	if err != nil {
-		return nil, err
+		return err
 	}
+	// A refused batch's chunks are owed until a later batch delivers
+	// them. The client learns of a refusal only in place of a later
+	// reply, possibly after it has sent BackupEnd, which must then be
+	// refused too.
+	defer func() {
+		if err == nil {
+			return
+		}
+		sess.mu.Lock()
+		if sess.owed == nil {
+			sess.owed = make(map[fp.FP]error)
+		}
+		for _, f := range m.FPs {
+			if _, ok := sess.owed[f]; !ok {
+				sess.owed[f] = err
+			}
+		}
+		sess.mu.Unlock()
+	}()
 	if len(m.FPs) != len(m.Data) {
-		return nil, errors.New("server: ChunkBatch lengths differ")
+		return errors.New("server: ChunkBatch lengths differ")
 	}
 	// Validate the whole batch before appending anything, so a mid-batch
 	// fingerprint mismatch rejects the batch atomically instead of
@@ -931,11 +773,11 @@ func (s *Server) chunkBatch(m proto.ChunkBatch) (any, error) {
 	// inconsistent.
 	for i, f := range m.FPs {
 		if got := fp.New(m.Data[i]); got != f {
-			return nil, fmt.Errorf("server: chunk %d fingerprint mismatch (corruption in transit)", i)
+			return fmt.Errorf("server: chunk %d fingerprint mismatch (corruption in transit)", i)
 		}
 	}
 	if roErr := s.storage.ReadOnlyErr(); roErr != nil {
-		return nil, readOnlyRefusal(roErr)
+		return readOnlyRefusal(roErr)
 	}
 	// The batch's Data slices alias the connection's receive buffer,
 	// whose ownership passed to this message (proto's zero-copy decode),
@@ -945,19 +787,17 @@ func (s *Server) chunkBatch(m proto.ChunkBatch) (any, error) {
 		batchBytes += int64(len(m.Data[i]))
 		// A chunk whose fingerprint is already in the chunk log (this
 		// session's verdict raced a concurrent session's append) adds
-		// no information: AppendNew skips it. Its durability rides on the
-		// covering sync below — windows are FIFO and each fsync is
-		// cumulative, so this batch's ticket also covers the earlier
-		// append of the skipped chunk.
+		// no information: AppendNew skips it, and BackupEnd's barrier
+		// covers the earlier append.
 		appended, err := s.log.AppendNew(f, uint32(len(m.Data[i])), m.Data[i])
 		if err != nil {
 			// A failed append (ENOSPC, media error) flips the store
 			// read-only: the WAL tail is no longer trustworthy for
-			// further writes, but everything already acked is intact and
+			// further writes, but every completed run is intact and
 			// restores keep serving. The client gets the typed refusal
 			// instead of a retry loop.
 			s.latchFault(err)
-			return nil, readOnlyRefusal(err)
+			return readOnlyRefusal(err)
 		}
 		if !appended {
 			continue
@@ -970,26 +810,16 @@ func (s *Server) chunkBatch(m proto.ChunkBatch) (any, error) {
 	mLogPending.Add(logged)
 	sess.mu.Lock()
 	sess.xfer += batchBytes
+	for _, f := range m.FPs {
+		delete(sess.owed, f)
+	}
 	sess.mu.Unlock()
-	// Durability-ack ordering: park the verdict on the batch's
-	// group-commit window and let the writer goroutine release it once
-	// the covering fsync has landed, so an acknowledged chunk is always
-	// recoverable after a crash. The deferral costs no pipeline stalls:
-	// the next frame dispatches while this verdict waits.
-	t := s.storage.WALTicket(staged)
-	return deferredReply{
-		done: t.Done(),
-		resolve: func() any {
-			if err := t.Wait(); err != nil {
-				// The covering fsync failed: the batch is not durable and
-				// must not be acknowledged. Latch read-only and refuse,
-				// exactly as a failed append would.
-				s.latchFault(err)
-				return ackFromErr(readOnlyRefusal(err))
-			}
-			return proto.Ack{OK: true}
-		},
-	}, nil
+	// Stage the bytes with the WAL's group commit, which fsyncs them on
+	// its usual schedule. Nothing waits on this window: BackupEnd's
+	// barrier does, and a failed window sync latches the store read-only
+	// by itself.
+	s.storage.WALTicket(staged)
+	return nil
 }
 
 func (s *Server) fileMeta(m proto.FileMeta) (any, error) {
@@ -1017,6 +847,11 @@ func (s *Server) endBackup(m proto.BackupEnd) (any, error) {
 		return nil, err
 	}
 	sess.mu.Lock()
+	var refused error
+	for _, err := range sess.owed {
+		refused = err
+		break
+	}
 	done := proto.BackupDone{
 		LogicalBytes:       sess.logical,
 		TransferredBytes:   sess.xfer,
@@ -1024,15 +859,17 @@ func (s *Server) endBackup(m proto.BackupEnd) (any, error) {
 		InlineSkippedBytes: sess.skipped,
 	}
 	sess.mu.Unlock()
+	if refused != nil {
+		return nil, refused
+	}
 
-	// Durability barrier before the run is marked complete: this run's
-	// recipes may reference chunks appended — and not yet synced — by a
-	// concurrent session (the log-layer dedup above), which this
-	// session's own batch tickets never covered. A zero-byte ticket waits
-	// for the next cumulative fsync, after which everything the run
-	// references is on disk.
+	// Durability barrier before the run is marked complete, and the only
+	// wait on the WAL's group commit: this run's recipes reference chunks
+	// its own batches staged and chunks a concurrent session appended
+	// (the log-layer dedup above). A zero-byte ticket waits for the next
+	// cumulative fsync, after which everything the run references is on
+	// disk. A failed sync has already latched the store read-only.
 	if err := s.storage.WALTicket(0).Wait(); err != nil {
-		s.latchFault(err)
 		return nil, readOnlyRefusal(err)
 	}
 
@@ -1090,14 +927,14 @@ func (s *Server) runDedup2() proto.Dedup2Done {
 		}
 		pending = len(tx.FPs)
 		silStart := time.Now()
-		r, unreg, err := s.chunk.RunSILAndStore(tx.FPs, tx, s.cfg.CacheBits)
+		r, unreg, err := s.chunk.RunSILAndStore(tx.FPs, tx, cacheBits)
 		mDedup2SILSec.Since(silStart)
 		if err != nil {
 			return err
 		}
 		s.stageHook("sil-stored")
 		siuStart := time.Now()
-		if _, err := s.chunk.RunSIU(unreg); err != nil {
+		if err := s.chunk.RunSIU(unreg); err != nil {
 			return err
 		}
 		mDedup2SIUSec.Since(siuStart)
@@ -1210,9 +1047,8 @@ func (s *Server) restoreMeta(m proto.RestoreMeta, jfc *jobFilesCache) (any, erro
 // granularity — the restorer is internally synchronised, so concurrent
 // restores and backups interleave — and shipped in bounded batches with
 // at most the granted window unacknowledged. The handler owns the
-// connection's send side for the duration (its reply queue was flushed
-// before the call); inbound acks arrive through frames, fed by the
-// connection's reader goroutine. The returned error is connection-fatal
+// connection's send side for the duration; inbound acks arrive through
+// frames, fed by the connection's reader goroutine. The returned error is connection-fatal
 // (the peer is gone); failures before the stream opens are answered with
 // an Ack and failures mid-stream are reported in-band via
 // RestoreDone.Err, leaving the connection usable for the next request.
@@ -1228,8 +1064,8 @@ func (s *Server) streamRestore(conn *proto.Conn, frames <-chan any, jfc *jobFile
 		return conn.Send(proto.Ack{OK: false, Err: fmt.Sprintf(
 			"server: resume offset %d beyond %d chunks of %s", m.StartChunk, len(e.Chunks), e.Path)})
 	}
-	batch := clampRestore(m.BatchChunks, s.cfg.RestoreBatchChunks, maxRestoreBatchChunks)
-	window := clampRestore(m.Window, s.cfg.RestoreWindow, maxRestoreWindow)
+	batch := clampRestore(m.BatchChunks, restoreBatchChunks, maxRestoreBatchChunks)
+	window := clampRestore(m.Window, restoreWindow, maxRestoreWindow)
 	if err := conn.Send(proto.RestoreBegin{Entry: e, BatchChunks: batch, Window: window, StartChunk: m.StartChunk}); err != nil {
 		return err
 	}

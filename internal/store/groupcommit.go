@@ -59,44 +59,14 @@ func (w *commitWindow) fill() { w.fullOnce.Do(func() { close(w.full) }) }
 type Ticket struct{ w *commitWindow }
 
 // Wait blocks until the ticket's window has been synced and returns the
-// sync verdict. Every Wait on the same window returns the same error.
+// sync verdict. Every Wait on the same window returns the same error, and
+// once a sync has failed every later window returns that first error.
 func (t Ticket) Wait() error {
 	if t.w == nil {
 		return nil
 	}
 	<-t.w.done
 	return t.w.err
-}
-
-// Pending reports whether the ticket is still waiting on a sync (false
-// for the zero Ticket).
-func (t Ticket) Pending() bool {
-	if t.w == nil {
-		return false
-	}
-	select {
-	case <-t.w.done:
-		return false
-	default:
-		return true
-	}
-}
-
-// resolvedDone serves Done for the zero Ticket.
-var resolvedDone = func() chan struct{} {
-	c := make(chan struct{})
-	close(c)
-	return c
-}()
-
-// Done returns a channel closed once the ticket's window has synced
-// (already closed for the zero Ticket), for callers that select on the
-// sync alongside other events instead of blocking in Wait.
-func (t Ticket) Done() <-chan struct{} {
-	if t.w == nil {
-		return resolvedDone
-	}
-	return t.w.done
 }
 
 // Committer coalesces syncs of one durable file across concurrent
@@ -112,6 +82,7 @@ type Committer struct {
 	flushing    bool          // guarded by mu
 	closed      bool          // guarded by mu
 	syncs       int64         // guarded by mu; completed sync calls (stats, tests)
+	failed      error         // guarded by mu; first failed sync, returned by every later window
 	lastArrival time.Time     // guarded by mu; previous Enqueue (inter-arrival metering)
 
 	// Arrival-rate and coalescing metrics, nil on unnamed committers
@@ -248,15 +219,25 @@ func (c *Committer) flushLoop() {
 			}
 		}
 
-		start := time.Now()
-		w.err = c.syncFn()
-		if c.mWindows != nil {
-			c.mWindows.Inc()
-			c.mSyncSeconds.Since(start)
-		}
+		// A failed sync is sticky: after it the kernel may have dropped
+		// the dirty pages, so a later sync that succeeds proves nothing
+		// about the bytes staged before the failure.
 		c.mu.Lock()
-		c.syncs++
+		err := c.failed
 		c.mu.Unlock()
+		if err == nil {
+			start := time.Now()
+			err = c.syncFn()
+			if c.mWindows != nil {
+				c.mWindows.Inc()
+				c.mSyncSeconds.Since(start)
+			}
+			c.mu.Lock()
+			c.syncs++
+			c.failed = err
+			c.mu.Unlock()
+		}
+		w.err = err
 		close(w.done)
 	}
 }

@@ -41,18 +41,10 @@ func TestCommitterCoalesces(t *testing.T) {
 }
 
 // TestCommitterErrorPropagation: a failed sync must surface to every
-// waiter of that window, and a later window must succeed once the
-// fault clears (the committer keeps scheduling after an error).
+// waiter of that window.
 func TestCommitterErrorPropagation(t *testing.T) {
 	injected := errors.New("injected sync failure")
-	var failing atomic.Bool
-	failing.Store(true)
-	c := NewCommitter(func() error {
-		if failing.Load() {
-			return injected
-		}
-		return nil
-	}, -1, -1)
+	c := NewCommitter(func() error { return injected }, -1, -1)
 	defer c.Close()
 
 	const n = 4
@@ -72,10 +64,38 @@ func TestCommitterErrorPropagation(t *testing.T) {
 			t.Fatalf("Commit during failure = %v, want injected error", err)
 		}
 	}
+}
 
-	failing.Store(false)
-	if err := c.Commit(1); err != nil {
-		t.Fatalf("Commit after fault cleared: %v", err)
+// TestCommitterFailureIsSticky: once a sync has failed, every later
+// window returns the first error without syncing, even when the sync
+// function would now succeed. After a failed fsync the kernel may have
+// dropped the dirty pages, so a later successful fsync proves nothing
+// about the bytes staged before the failure — and a window nobody waited
+// on must not let a later barrier vouch for them.
+func TestCommitterFailureIsSticky(t *testing.T) {
+	first := errors.New("injected sync failure")
+	var calls atomic.Int64
+	c := NewCommitter(func() error {
+		if calls.Add(1) == 1 {
+			return first
+		}
+		return nil
+	}, -1, -1)
+	defer c.Close()
+
+	// The failing window has no waiter, like a WAL window holding a
+	// chunk batch.
+	tk := c.Enqueue(1)
+	if err := tk.Wait(); !errors.Is(err, first) {
+		t.Fatalf("failed window = %v, want the injected error", err)
+	}
+	for i := 0; i < 3; i++ {
+		if err := c.Commit(0); !errors.Is(err, first) {
+			t.Fatalf("Commit(0) after the failure = %v, want the first error", err)
+		}
+	}
+	if got := calls.Load(); got != 1 {
+		t.Fatalf("sync ran %d times, want 1 (no sync after the failure)", got)
 	}
 }
 
@@ -111,11 +131,7 @@ func TestCommitterClose(t *testing.T) {
 		t.Fatal("no sync completed before Close returned")
 	}
 
-	tk := c.Enqueue(1)
-	if tk.Pending() {
-		t.Fatal("ticket from a closed committer is pending")
-	}
-	if err := tk.Wait(); err != nil {
+	if err := waitWithin(t, c.Enqueue(1)); err != nil {
 		t.Fatalf("ticket from a closed committer = %v, want nil", err)
 	}
 }
@@ -123,11 +139,22 @@ func TestCommitterClose(t *testing.T) {
 // TestTicketZeroValue: the zero Ticket is resolved — a closed committer
 // hands these out and must never block a session.
 func TestTicketZeroValue(t *testing.T) {
-	var tk Ticket
-	if tk.Pending() {
-		t.Fatal("zero Ticket is pending")
-	}
-	if err := tk.Wait(); err != nil {
+	if err := waitWithin(t, Ticket{}); err != nil {
 		t.Fatalf("zero Ticket Wait = %v, want nil", err)
+	}
+}
+
+// waitWithin returns tk.Wait's verdict, failing the test if the ticket
+// does not resolve promptly.
+func waitWithin(t *testing.T, tk Ticket) error {
+	t.Helper()
+	done := make(chan error, 1)
+	go func() { done <- tk.Wait() }()
+	select {
+	case err := <-done:
+		return err
+	case <-time.After(10 * time.Second):
+		t.Fatal("ticket still pending")
+		return nil
 	}
 }

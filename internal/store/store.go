@@ -172,8 +172,14 @@ func Open(dir string, o Options) (*Engine, error) {
 	}
 	// The WAL never fsyncs on its own: this committer's window flushes
 	// are its sync schedule, and Checkpoint is the barrier both the WAL
-	// and the container log are flushed through.
-	e.walGC = NewNamedCommitter("wal", e.wal.Sync, DefaultCommitHold, DefaultCommitMaxBytes)
+	// and the container log are flushed through. Most windows have no
+	// waiter (the server waits only at BackupEnd), so a failed window
+	// sync latches the engine read-only itself.
+	e.walGC = NewNamedCommitter("wal", func() error {
+		err := e.wal.Sync()
+		e.Fail(err)
+		return err
+	}, DefaultCommitHold, DefaultCommitMaxBytes)
 	if err := e.openIndex(); err != nil {
 		return nil, errors.Join(err, e.wal.Close(), e.repo.Close(), lock.Close())
 	}
@@ -412,9 +418,9 @@ func (e *Engine) IndexRebuilt() bool { return e.rebuilt }
 
 // WALTicket stages n freshly appended WAL bytes with the group-commit
 // scheduler and returns a Ticket resolving when the covering fsync has
-// landed. The backup server appends a chunk batch, takes a ticket, and
-// holds the batch's verdict until Wait returns — so an acknowledged
-// chunk is always recoverable.
+// landed. The backup server stages every chunk batch without waiting and
+// waits on a zero-byte ticket before it answers BackupEnd, so a run
+// reported complete references only chunks that are on disk.
 func (e *Engine) WALTicket(n int64) Ticket { return e.walGC.Enqueue(n) }
 
 // Checkpoint makes the engine's state durable and consistent: batched WAL

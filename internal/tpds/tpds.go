@@ -274,9 +274,6 @@ type Dedup2Result struct {
 	CheckingDups int64 // removed against the checking file
 	Store        StoreResult
 	Unregistered int64 // entries handed to SIU
-	SILTime      time.Duration
-	StoreTime    time.Duration
-	SIUTime      time.Duration
 }
 
 // ChunkStore is a backup server's dedup-2 engine (§3.3): it owns the
@@ -312,14 +309,6 @@ func NewChunkStore(ix *diskindex.Index, repo container.Repository, metaOnly, asy
 	return cs
 }
 
-// clockNow samples the index disk clock (zero when unmodelled).
-func (cs *ChunkStore) clockNow() time.Duration {
-	if d := cs.Index.Disk(); d != nil {
-		return d.Clock.Now()
-	}
-	return 0
-}
-
 // RunSILAndStore executes SIL over the undetermined fingerprints and then
 // chunk storing over the log, returning the unregistered entries that a
 // (possibly asynchronous) SIU must still write to the disk index. The pass
@@ -338,20 +327,19 @@ func (cs *ChunkStore) RunSILAndStore(undetermined []fp.FP, log Records, cacheBit
 		}
 	}
 
-	t0, silStart := cs.clockNow(), time.Now()
+	silStart := time.Now()
 	dups, err := SIL(cs.Index, cache, cs.ScanBuckets)
 	mPassSILSec.Since(silStart)
 	if err != nil {
 		return res, nil, fmt.Errorf("tpds: SIL: %w", err)
 	}
 	res.IndexDups = dups
-	res.SILTime = cs.clockNow() - t0
 
 	if cs.Checking != nil {
 		res.CheckingDups = cs.Checking.FilterSILResult(cache)
 	}
 
-	t1, storeStart := cs.clockNow(), time.Now()
+	storeStart := time.Now()
 	store, appendTime, err := storeChunks(log, cache, cs.Repo, cs.ContainerSize, cs.MetaOnly)
 	mPassPackSec.ObserveDuration(time.Since(storeStart) - appendTime)
 	mPassAppendSec.ObserveDuration(appendTime)
@@ -359,7 +347,6 @@ func (cs *ChunkStore) RunSILAndStore(undetermined []fp.FP, log Records, cacheBit
 		return res, nil, fmt.Errorf("tpds: chunk storing: %w", err)
 	}
 	res.Store = store
-	res.StoreTime = cs.clockNow() - t1
 
 	// Unregistered fingerprint file: every cache entry that received a
 	// container (entries that never appeared in the log stay nil and are
@@ -378,16 +365,15 @@ func (cs *ChunkStore) RunSILAndStore(undetermined []fp.FP, log Records, cacheBit
 }
 
 // RunSIU writes unregistered entries to the disk index and clears them
-// from the checking file. It returns the SIU clock time.
-func (cs *ChunkStore) RunSIU(unreg []fp.Entry) (time.Duration, error) {
-	t0 := cs.clockNow()
+// from the checking file.
+func (cs *ChunkStore) RunSIU(unreg []fp.Entry) error {
 	if err := SIU(cs.Index, unreg, cs.ScanBuckets); err != nil {
-		return 0, fmt.Errorf("tpds: SIU: %w", err)
+		return fmt.Errorf("tpds: SIU: %w", err)
 	}
 	if cs.Checking != nil {
 		cs.Checking.RemoveUpdated(unreg)
 	}
-	return cs.clockNow() - t0, nil
+	return nil
 }
 
 // RunDedup2 is the synchronous convenience: SIL, chunk storing, SIU.
@@ -396,10 +382,5 @@ func (cs *ChunkStore) RunDedup2(undetermined []fp.FP, log Records, cacheBits uin
 	if err != nil {
 		return res, err
 	}
-	siu, err := cs.RunSIU(unreg)
-	if err != nil {
-		return res, err
-	}
-	res.SIUTime = siu
-	return res, nil
+	return res, cs.RunSIU(unreg)
 }

@@ -351,7 +351,7 @@ func TestChunkStoreAsyncNoDuplicateStorage(t *testing.T) {
 	}
 	// One SIU services both (§5.4: "asynchronous PSIU with one PSIU
 	// servicing more than one PSIL").
-	if _, err := cs.RunSIU(append(unreg1, unreg2...)); err != nil {
+	if err := cs.RunSIU(append(unreg1, unreg2...)); err != nil {
 		t.Fatal(err)
 	}
 	if cs.Checking.Len() != 0 {
@@ -417,7 +417,7 @@ func (fx *dedup2Fixture) run(t *testing.T) (resA, resB, resC Dedup2Result) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := fx.cs.RunSIU(append(unregA, unregB...)); err != nil {
+	if err := fx.cs.RunSIU(append(unregA, unregB...)); err != nil {
 		t.Fatal(err)
 	}
 	// Second generation: all 550 previous chunks again (index duplicates
@@ -427,7 +427,7 @@ func (fx *dedup2Fixture) run(t *testing.T) (resA, resB, resC Dedup2Result) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := fx.cs.RunSIU(unregC); err != nil {
+	if err := fx.cs.RunSIU(unregC); err != nil {
 		t.Fatal(err)
 	}
 	return resA, resB, resC
@@ -589,7 +589,7 @@ func TestShardedDedup2CommitFailureRetries(t *testing.T) {
 	if res.Store.NewChunks != 300 || int64(len(unreg)) != 300 {
 		t.Fatalf("retry stored %d chunks, %d unreg, want 300/300", res.Store.NewChunks, len(unreg))
 	}
-	if _, err := fx.cs.RunSIU(append(unregEarlier, unreg...)); err != nil {
+	if err := fx.cs.RunSIU(append(unregEarlier, unreg...)); err != nil {
 		t.Fatal(err)
 	}
 	stranded := make(map[fp.ContainerID]bool)
