@@ -1,6 +1,7 @@
 package client_test
 
 import (
+	"fmt"
 	"net"
 	"os"
 	"path/filepath"
@@ -101,39 +102,42 @@ func TestBackupRefusalInPlaceOfVerdicts(t *testing.T) {
 	}
 }
 
-// TestBackupRefusesOldServer: a version-2 server acknowledges every
-// ChunkBatch, which this client would mistake for the reply to its next
-// request, so the client refuses it right after BackupStartOK and sends
-// nothing more.
+// TestBackupRefusesOldServer: a server below ProtocolVersion is refused
+// right after its BackupStartOK, and the client sends nothing more. A
+// version-2 server acknowledges every ChunkBatch, which this client would
+// mistake for the reply to its next request; a version-3 server decodes
+// only gob control frames.
 func TestBackupRefusesOldServer(t *testing.T) {
-	next := make(chan any, 1) // the frame after BackupStart, or the read error
-	addr, _ := fakeServer(t, func(conn *proto.Conn) {
-		if _, err := conn.Recv(); err != nil {
-			return
-		}
-		if err := conn.Send(proto.BackupStartOK{SessionID: 1, Version: 2}); err != nil {
-			return
-		}
-		msg, err := conn.Recv()
-		if err != nil {
-			next <- err
-			return
-		}
-		next <- msg
-	})
+	for _, version := range []int{2, 3} {
+		next := make(chan any, 1) // the frame after BackupStart, or the read error
+		addr, _ := fakeServer(t, func(conn *proto.Conn) {
+			if _, err := conn.Recv(); err != nil {
+				return
+			}
+			if err := conn.Send(proto.BackupStartOK{SessionID: 1, Version: version}); err != nil {
+				return
+			}
+			msg, err := conn.Recv()
+			if err != nil {
+				next <- err
+				return
+			}
+			next <- msg
+		})
 
-	c := client.New(addr, "new-client")
-	c.Options.Retries = -1
-	_, err := c.Backup("old-server-job", oneFileDir(t))
-	if err == nil || !strings.Contains(err.Error(), "protocol version 2") {
-		t.Fatalf("Backup against a version-2 server = %v, want a protocol version error", err)
-	}
-	select {
-	case got := <-next:
-		if _, isErr := got.(error); !isErr {
-			t.Fatalf("client sent %T to a refused server", got)
+		c := client.New(addr, "new-client")
+		c.Options.Retries = -1
+		_, err := c.Backup("old-server-job", oneFileDir(t))
+		if want := fmt.Sprintf("protocol version %d", version); err == nil || !strings.Contains(err.Error(), want) {
+			t.Fatalf("Backup against a version-%d server = %v, want a protocol version error", version, err)
 		}
-	case <-time.After(10 * time.Second):
-		t.Fatal("client kept the refused server's connection open")
+		select {
+		case got := <-next:
+			if _, isErr := got.(error); !isErr {
+				t.Fatalf("client sent %T to a refused version-%d server", got, version)
+			}
+		case <-time.After(10 * time.Second):
+			t.Fatalf("client kept the refused version-%d server's connection open", version)
+		}
 	}
 }

@@ -104,8 +104,9 @@ type Director struct {
 	// calls such as the dedup-2 trigger (default 2).
 	Retries int
 	// IdleTimeout reaps accepted connections whose peer goes silent
-	// (default 5m). Backup servers dial per control call, so an idle
-	// reap never strands a healthy peer.
+	// (default 5m). A backup server keeps one connection per client
+	// connection it serves; when an idle one is reaped, the server's
+	// next call fails on it and its retry redials.
 	IdleTimeout time.Duration
 
 	mu       sync.Mutex
@@ -442,7 +443,7 @@ func (d *Director) triggerOne(addr string) error {
 		resolveTimeout(d.Dedup2Timeout, defaultDedup2Timeout),
 		resolveTimeout(d.ControlTimeout, defaultControlTimeout),
 	)
-	if err := conn.Send(proto.Dedup2Request{RunSIU: true}); err != nil {
+	if err := conn.Send(proto.Dedup2Request{}); err != nil {
 		return err
 	}
 	msg, err := conn.Recv()
@@ -547,6 +548,12 @@ func (d *Director) handle(conn *proto.Conn) {
 	defer conn.Close()
 	for {
 		msg, err := conn.Recv()
+		if errors.Is(err, proto.ErrLegacyFrame) {
+			// A backup server at protocol version 3 or older: refuse it
+			// in a frame it decodes, then hang up.
+			conn.Send(proto.LegacyRefusal())
+			return
+		}
 		if err != nil {
 			return
 		}

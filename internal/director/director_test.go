@@ -2,6 +2,7 @@ package director
 
 import (
 	"errors"
+	"net"
 	"path/filepath"
 	"testing"
 
@@ -199,6 +200,43 @@ func TestServeHandlesMetadataProtocol(t *testing.T) {
 	msg, _ = conn.Recv()
 	if ack, is := msg.(proto.Ack); !is || ack.OK {
 		t.Fatalf("unexpected-message reply = %+v", msg)
+	}
+}
+
+// TestLegacyGobPeerRefused: a backup server at protocol version 3 or
+// older opens with a tag-0 gob frame. The director answers it with a
+// typed unsupported-version Ack the old server can decode, then hangs up.
+func TestLegacyGobPeerRefused(t *testing.T) {
+	d := newTestDirector(t)
+	addr, err := d.Serve("127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer d.Close()
+
+	raw, err := net.Dial("tcp", addr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	conn := proto.NewConn(raw)
+	defer conn.Close()
+	// The payload is never decoded, so any bytes stand in for the gob
+	// stream of a version-3 RegisterServer.
+	if _, err := raw.Write([]byte{0, 0, 0, 0, 4, 0x2a, 0xff, 0x81, 0x03}); err != nil {
+		t.Fatal(err)
+	}
+	msg, err := conn.Recv()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if ack, is := msg.(proto.Ack); !is || ack.OK || ack.Code != proto.CodeUnsupportedVersion {
+		t.Fatalf("reply to a tag-0 frame = %T %+v, want an unsupported-version refusal", msg, msg)
+	}
+	if _, err := conn.Recv(); err == nil {
+		t.Fatal("director kept the legacy peer's connection open")
+	}
+	if n := len(d.Servers()); n != 0 {
+		t.Fatalf("legacy peer registered: %d servers", n)
 	}
 }
 

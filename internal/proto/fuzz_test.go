@@ -6,33 +6,24 @@ import (
 	"testing"
 )
 
-// FuzzRecv feeds arbitrary bytes to the frame decoder: every binary codec
-// and the gob fallback must fail cleanly (or succeed) on any input, never
-// panic or over-read. Seeds cover each tag with both empty and structured
-// payloads.
+// FuzzRecv feeds arbitrary bytes to the frame decoder: every codec must
+// fail cleanly (or succeed) on any input, never panic or over-read. Seeds
+// cover well-formed frames of every tag, plus each raw tag with a
+// garbage payload.
 func FuzzRecv(f *testing.F) {
-	// One well-formed frame per message kind, as produced by Send.
-	seeds := []any{
-		FPBatch{SessionID: 1, Seq: 2, FPs: nil, Sizes: nil},
-		FPVerdicts{Seq: 3, Verdicts: []Verdict{VerdictSend, VerdictSkipDuplicate, VerdictSend}},
-		ChunkBatch{SessionID: 4, Data: [][]byte{[]byte("abc")}},
-		Ack{OK: true, Err: "x"},
-		RestoreBegin{Entry: FileEntry{Path: "a/b", Size: 3, Sizes: []uint32{3}}, BatchChunks: 8, Window: 2},
-		RestoreChunkBatch{Seq: 5, Data: [][]byte{[]byte("abc"), []byte("")}},
-		RestoreAck{Seq: 6},
-		RestoreDone{Chunks: 1, Bytes: 3},
-	}
-	for _, m := range seeds {
+	// Every value of allMessages — the zero value and a populated one of
+	// each message type — as produced by Send.
+	for _, m := range allMessages() {
 		var wire bytes.Buffer
-		conn := NewConn(nopCloser{&wire})
-		if err := conn.Send(m); err != nil {
+		if err := NewConn(nopCloser{&wire}).Send(m); err != nil {
 			f.Fatal(err)
 		}
 		f.Add(wire.Bytes())
 	}
-	// Raw tag bytes with garbage payloads (one past the last known tag to
-	// cover the unknown-tag error path).
-	for tag := byte(0); tag <= tagFPVerdicts2+1; tag++ {
+	// Raw tag bytes with garbage payloads, through one past the last known
+	// tag to cover the unknown-tag error path. Tag 0 is the retired gob
+	// frame and tag 2 the retired bitmap verdict frame.
+	for tag := byte(0); tag <= tagEndRun+1; tag++ {
 		f.Add([]byte{tag, 0, 0, 0, 4, 1, 2, 3, 4})
 	}
 	// A well-formed frame of the retired version-1 bitmap verdict form:

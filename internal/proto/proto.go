@@ -9,16 +9,18 @@
 //	| tag | length (u32 BE)| payload (length bytes)|
 //	+-----+----------------+----------------------+
 //
-// The one-byte tag selects the payload codec. The hot data-path messages
-// (FPBatch, FPVerdicts, ChunkBatch, Ack, RestoreBegin, RestoreChunkBatch,
-// RestoreAck) use compact hand-rolled binary layouts (tags 1–8) with
-// pooled encode/decode buffers; chunk payloads are sliced out of the
-// receive buffer without copying. Every other (control-plane) message is
-// carried as a self-contained gob stream under tag 0, so adding new
-// control messages never requires a new binary codec: unknown structs
-// simply fall back to gob. Old and new peers interoperate as long as both
-// frame their messages — a tag-0 frame is decodable by any peer with the
-// types registered below.
+// The one-byte tag names the message type; each type has its own
+// hand-rolled binary layout (codec.go), big-endian throughout, with
+// pooled encode/decode buffers. Strings and lists carry a 4-byte length
+// or count, except a FileEntry's path, which carries a 2-byte length;
+// fingerprints travel as raw 20-byte arrays. An encoder never wraps a
+// length: Send returns an error for a string or list that does not fit
+// its field. Chunk payloads (ChunkBatch, RestoreChunkBatch) are sliced
+// out of the receive buffer without copying.
+//
+// Every decoder bounds each count by the bytes left before it allocates,
+// rejects trailing bytes, and treats an unknown tag as fatal to the
+// connection.
 //
 // # Backup path
 //
@@ -61,12 +63,15 @@
 // intersection of the two cap sets. The rules:
 //
 //   - ProtocolVersion is the minimum either end accepts. A BackupStart
-//     with a lower Version (a peer predating the field sends 0) is
-//     refused with a CodeUnsupportedVersion Ack before any session
-//     exists, and a client refuses a BackupStartOK with a lower Version.
-//   - Control messages are gob-encoded: decoders ignore fields they do
-//     not know and zero-fill fields the peer did not send, so adding
-//     fields to control messages is always compatible.
+//     with a lower Version is refused with a CodeUnsupportedVersion Ack
+//     before any session exists, and a client refuses a BackupStartOK
+//     with a lower Version.
+//   - Peers at version 3 or older sent every control message as a gob
+//     stream under tag 0. Recv skips such a frame without decoding it and
+//     returns ErrLegacyFrame; the server and the director answer it with
+//     LegacyRefusal, a CodeUnsupportedVersion Ack (the Ack frame is
+//     unchanged since version 1, so the old peer decodes it), and hang
+//     up.
 //   - A capability-gated behaviour may be used only after BOTH ends
 //     advertised it (the negotiated intersection from BackupStartOK).
 //   - CapInlineDedup gates the server's inline duplicate detection
@@ -75,21 +80,20 @@
 //
 // # Frame evolution policy
 //
-// Binary frames (tags >= 1) are NOT field-extensible: decoders reject
-// trailing bytes, and an unknown tag is a connection-fatal decode error.
-// A new frame form takes a new tag plus either a capability bit (emitted
-// only toward peers that advertised it) or a raised ProtocolVersion. An
-// old form is not kept forever: it is retired by raising the minimum
-// version, after which its tag stays reserved and decodes as unknown
-// (tag 2, the version-1 bitmap verdict frame, went this way). A change
-// to which frames are answered is a version bump too: version 3 made an
-// accepted ChunkBatch one-way, so neither end talks to a version-2 peer,
-// which would send or expect a ChunkBatch Ack. The same
-// applies to enum ranges inside a frame: a decoder rejects verdict
-// values it does not know, so new Verdict values require a capability
-// bit or a version bump. Control-plane (tag-0 gob) messages evolve by
-// field addition as above, never by changing the meaning of an existing
-// field's zero value.
+// No frame is field-extensible: decoders reject trailing bytes, and an
+// unknown tag is a connection-fatal decode error. A new field, like a new
+// frame form, therefore takes a new tag plus either a capability bit
+// (emitted only toward peers that advertised it) or a raised
+// ProtocolVersion. An old form is not kept forever: it is retired by
+// raising the minimum version, after which its tag stays reserved and
+// decodes as unknown (tag 2, the version-1 bitmap verdict frame, went
+// this way; tag 0, the gob control frame, went in version 4 and is only
+// recognised to refuse its sender). A change to which frames are answered
+// is a version bump too: version 3 made an accepted ChunkBatch one-way,
+// so neither end talks to a version-2 peer, which would send or expect a
+// ChunkBatch Ack. The same applies to enum ranges inside a frame: a
+// decoder rejects verdict values it does not know, so new Verdict values
+// require a capability bit or a version bump.
 //
 // # Restore streaming
 //
@@ -153,9 +157,7 @@ package proto
 
 import (
 	"bufio"
-	"bytes"
 	"encoding/binary"
-	"encoding/gob"
 	"errors"
 	"fmt"
 	"io"
@@ -167,30 +169,28 @@ import (
 	"debar/internal/fp"
 )
 
-// Frame tags. Tag 0 is the gob fallback for control-plane messages; tags
-// 1–8 are the binary codecs for the hot data-path messages. Tag 2 (the
-// retired version-1 bitmap verdict frame) stays reserved so no other tag
-// value moves (see the frame evolution policy in the package comment).
-const (
-	tagGob byte = iota
-	tagFPBatch
-	_ // reserved: retired version-1 FPVerdicts bitmap
-	tagChunkBatch
-	tagAck
-	tagRestoreBegin
-	tagRestoreChunkBatch
-	tagRestoreAck
-	tagFPVerdicts2
-)
-
 // ProtocolVersion is the protocol revision this build speaks, and the
-// minimum it accepts. Version 1 predates the Version/Caps fields (gob
-// decodes it as 0) and used the retired bitmap verdict frame; version 2
-// introduced capability negotiation and the packed verdict frame;
-// version 3 stopped acknowledging accepted ChunkBatch frames. Optional
-// behaviours are gated by capability bit; the version only retires
-// frame forms and reply obligations.
-const ProtocolVersion = 3
+// minimum it accepts. Version 1 predates the Version/Caps fields and used
+// the retired bitmap verdict frame; version 2 introduced capability
+// negotiation and the packed verdict frame; version 3 stopped
+// acknowledging accepted ChunkBatch frames; version 4 replaced the gob
+// control frame with one binary frame per message type. Optional
+// behaviours are gated by capability bit; the version only retires frame
+// forms and reply obligations.
+const ProtocolVersion = 4
+
+// ErrLegacyFrame is returned by Recv for a tag-0 frame: the gob-encoded
+// control message of a peer at protocol version 3 or older. Recv skips
+// the payload without decoding it; the peer cannot speak this protocol,
+// so the connection is done once it has been answered with
+// LegacyRefusal.
+var ErrLegacyFrame = errors.New("proto: recv: gob frame from a peer at protocol version 3 or older")
+
+// LegacyRefusal is the reply to a frame that failed with ErrLegacyFrame.
+func LegacyRefusal() Ack {
+	return Ack{Code: CodeUnsupportedVersion, Err: fmt.Sprintf(
+		"protocol version 3 or older unsupported, need %d", ProtocolVersion)}
+}
 
 // Caps is a capability bitset exchanged in BackupStart/BackupStartOK.
 // Each bit names an optional protocol behaviour; a behaviour may be used
@@ -345,50 +345,31 @@ func DialTimeout(addr string, timeout time.Duration) (*Conn, error) {
 // with another Send on the same Conn from a second goroutine; a mutex
 // serialises writers regardless).
 func (c *Conn) Send(msg any) error {
+	m, ok := msg.(encoder)
+	if !ok {
+		return fmt.Errorf("proto: send: %T is not a protocol message", msg)
+	}
 	bp := getBuf(0)
 	defer putBuf(bp)
-	buf := (*bp)[:0]
-
-	var tag byte
-	switch m := msg.(type) {
-	case FPBatch:
-		tag, buf = tagFPBatch, m.encode(buf)
-	case FPVerdicts:
-		tag, buf = tagFPVerdicts2, m.encode(buf)
-	case ChunkBatch:
-		tag, buf = tagChunkBatch, m.encode(buf)
-	case Ack:
-		tag, buf = tagAck, m.encode(buf)
-	case RestoreBegin:
-		tag, buf = tagRestoreBegin, m.encode(buf)
-	case RestoreChunkBatch:
-		tag, buf = tagRestoreChunkBatch, m.encode(buf)
-	case RestoreAck:
-		tag, buf = tagRestoreAck, m.encode(buf)
-	default:
-		var gb bytes.Buffer
-		if err := gob.NewEncoder(&gb).Encode(&msg); err != nil {
-			return fmt.Errorf("proto: send: %w", err)
-		}
-		tag, buf = tagGob, gb.Bytes()
+	e := enc{buf: (*bp)[:0]}
+	tag := m.encode(&e)
+	*bp = e.buf // retain the grown buffer for the pool
+	if e.err != nil {
+		return fmt.Errorf("proto: send %T: %w", msg, e.err)
 	}
-	if tag != tagGob {
-		*bp = buf // retain the grown buffer for the pool
-	}
-
-	if len(buf) > MaxFrame {
-		return fmt.Errorf("proto: send: frame of %d bytes exceeds limit", len(buf))
+	if len(e.buf) > MaxFrame {
+		return fmt.Errorf("proto: send: frame of %d bytes exceeds limit", len(e.buf))
 	}
 	var hdr [5]byte
 	hdr[0] = tag
-	binary.BigEndian.PutUint32(hdr[1:], uint32(len(buf)))
+	binary.BigEndian.PutUint32(hdr[1:], uint32(len(e.buf)))
 
 	c.wmu.Lock()
 	defer c.wmu.Unlock()
 	if _, err := c.bw.Write(hdr[:]); err != nil {
 		return fmt.Errorf("proto: send: %w", err)
 	}
-	if _, err := c.bw.Write(buf); err != nil {
+	if _, err := c.bw.Write(e.buf); err != nil {
 		return fmt.Errorf("proto: send: %w", err)
 	}
 	if err := c.bw.Flush(); err != nil {
@@ -411,342 +392,42 @@ func (c *Conn) Recv() (any, error) {
 	if n > MaxFrame {
 		return nil, fmt.Errorf("proto: recv: frame of %d bytes exceeds limit", n)
 	}
+	if tag == tagLegacyGob {
+		// Consumed, so that closing after the refusal does not reset the
+		// connection before the old peer reads it.
+		if _, err := c.br.Discard(n); err != nil {
+			return nil, fmt.Errorf("proto: recv: %w", err)
+		}
+		return nil, ErrLegacyFrame
+	}
+	if int(tag) >= len(decoders) || decoders[tag] == nil {
+		return nil, fmt.Errorf("proto: recv: unknown frame tag %#x", tag)
+	}
 
-	switch tag {
-	case tagChunkBatch, tagRestoreChunkBatch:
+	var payload []byte
+	if tag == tagChunkBatch || tag == tagRestoreChunkBatch {
 		// Zero-copy path: the payload buffer's ownership passes to the
 		// decoded message, whose Data slices alias it — so it is NOT
-		// pooled.
-		payload := make([]byte, n)
-		if _, err := io.ReadFull(c.br, payload); err != nil {
-			return nil, fmt.Errorf("proto: recv: %w", err)
-		}
-		if tag == tagChunkBatch {
-			var m ChunkBatch
-			if err := m.decode(payload); err != nil {
-				return nil, err
-			}
-			return m, nil
-		}
-		var m RestoreChunkBatch
-		if err := m.decode(payload); err != nil {
-			return nil, err
-		}
-		return m, nil
-	default:
+		// pooled. Every other decoder copies what it keeps.
+		payload = make([]byte, n)
+	} else {
 		bp := getBuf(n)
 		defer putBuf(bp)
-		payload := (*bp)[:n]
-		if _, err := io.ReadFull(c.br, payload); err != nil {
-			return nil, fmt.Errorf("proto: recv: %w", err)
-		}
-		switch tag {
-		case tagFPBatch:
-			var m FPBatch
-			err := m.decode(payload)
-			return m, err
-		case tagFPVerdicts2:
-			var m FPVerdicts
-			err := m.decode(payload)
-			return m, err
-		case tagAck:
-			var m Ack
-			err := m.decode(payload)
-			return m, err
-		case tagRestoreBegin:
-			var m RestoreBegin
-			err := m.decode(payload)
-			return m, err
-		case tagRestoreAck:
-			var m RestoreAck
-			err := m.decode(payload)
-			return m, err
-		case tagGob:
-			var msg any
-			if err := gob.NewDecoder(bytes.NewReader(payload)).Decode(&msg); err != nil {
-				return nil, fmt.Errorf("proto: recv: %w", err)
-			}
-			return msg, nil
-		default:
-			return nil, fmt.Errorf("proto: recv: unknown frame tag %#x", tag)
-		}
+		payload = (*bp)[:n]
 	}
+	if _, err := io.ReadFull(c.br, payload); err != nil {
+		return nil, fmt.Errorf("proto: recv: %w", err)
+	}
+	d := dec{p: payload}
+	msg := decoders[tag](&d)
+	if err := d.finish(); err != nil {
+		return nil, fmt.Errorf("proto: recv: %T payload: %w", msg, err)
+	}
+	return msg, nil
 }
 
 // Close closes the transport.
 func (c *Conn) Close() error { return c.trw.Close() }
-
-// errShort reports a truncated binary payload.
-func errShort(what string) error {
-	return fmt.Errorf("proto: recv: truncated %s payload", what)
-}
-
-// ---- binary codecs (hot data-path messages) ----
-
-func (m FPBatch) encode(buf []byte) []byte {
-	buf = binary.BigEndian.AppendUint64(buf, m.SessionID)
-	buf = binary.BigEndian.AppendUint64(buf, m.Seq)
-	buf = binary.BigEndian.AppendUint32(buf, uint32(len(m.FPs)))
-	for i := range m.FPs {
-		buf = append(buf, m.FPs[i][:]...)
-	}
-	for _, s := range m.Sizes {
-		buf = binary.BigEndian.AppendUint32(buf, s)
-	}
-	return buf
-}
-
-func (m *FPBatch) decode(p []byte) error {
-	if len(p) < 20 {
-		return errShort("FPBatch")
-	}
-	m.SessionID = binary.BigEndian.Uint64(p)
-	m.Seq = binary.BigEndian.Uint64(p[8:])
-	n := int(binary.BigEndian.Uint32(p[16:]))
-	p = p[20:]
-	if len(p) != n*(fp.Size+4) {
-		return errShort("FPBatch")
-	}
-	m.FPs = make([]fp.FP, n)
-	for i := range m.FPs {
-		copy(m.FPs[i][:], p[i*fp.Size:])
-	}
-	p = p[n*fp.Size:]
-	m.Sizes = make([]uint32, n)
-	for i := range m.Sizes {
-		m.Sizes[i] = binary.BigEndian.Uint32(p[i*4:])
-	}
-	return nil
-}
-
-// encode emits the tag-8 verdict frame: verdicts packed two bits each,
-// four per byte, little-endian within the byte.
-func (m FPVerdicts) encode(buf []byte) []byte {
-	buf = binary.BigEndian.AppendUint64(buf, m.Seq)
-	buf = binary.BigEndian.AppendUint32(buf, uint32(len(m.Verdicts)))
-	var acc byte
-	for i, v := range m.Verdicts {
-		acc |= byte(v) << (2 * (i & 3))
-		if i&3 == 3 {
-			buf = append(buf, acc)
-			acc = 0
-		}
-	}
-	if len(m.Verdicts)&3 != 0 {
-		buf = append(buf, acc)
-	}
-	return buf
-}
-
-func (m *FPVerdicts) decode(p []byte) error {
-	if len(p) < 12 {
-		return errShort("FPVerdicts")
-	}
-	m.Seq = binary.BigEndian.Uint64(p)
-	n := int(binary.BigEndian.Uint32(p[8:]))
-	p = p[12:]
-	if len(p) != (n+3)/4 {
-		return errShort("FPVerdicts")
-	}
-	m.Verdicts = make([]Verdict, n)
-	for i := range m.Verdicts {
-		v := Verdict(p[i>>2] >> (2 * (i & 3)) & 3)
-		if v >= verdictMax {
-			// Per the frame evolution policy, a verdict value this build
-			// does not know can only mean a peer used a capability or
-			// version we never advertised — a protocol violation, not a
-			// soft skip.
-			return fmt.Errorf("proto: recv: unknown verdict %d in FPVerdicts", v)
-		}
-		m.Verdicts[i] = v
-	}
-	return nil
-}
-
-func (m ChunkBatch) encode(buf []byte) []byte {
-	buf = binary.BigEndian.AppendUint64(buf, m.SessionID)
-	buf = binary.BigEndian.AppendUint32(buf, uint32(len(m.FPs)))
-	for i := range m.FPs {
-		buf = append(buf, m.FPs[i][:]...)
-		buf = binary.BigEndian.AppendUint32(buf, uint32(len(m.Data[i])))
-	}
-	for _, d := range m.Data {
-		buf = append(buf, d...)
-	}
-	return buf
-}
-
-func (m *ChunkBatch) decode(p []byte) error {
-	if len(p) < 12 {
-		return errShort("ChunkBatch")
-	}
-	m.SessionID = binary.BigEndian.Uint64(p)
-	n := int(binary.BigEndian.Uint32(p[8:]))
-	p = p[12:]
-	if len(p) < n*(fp.Size+4) {
-		return errShort("ChunkBatch")
-	}
-	m.FPs = make([]fp.FP, n)
-	sizes := make([]int, n)
-	for i := 0; i < n; i++ {
-		off := i * (fp.Size + 4)
-		copy(m.FPs[i][:], p[off:])
-		sizes[i] = int(binary.BigEndian.Uint32(p[off+fp.Size:]))
-	}
-	p = p[n*(fp.Size+4):]
-	m.Data = make([][]byte, n)
-	for i, sz := range sizes {
-		if len(p) < sz {
-			return errShort("ChunkBatch")
-		}
-		m.Data[i] = p[:sz:sz] // aliases the receive buffer: zero copy
-		p = p[sz:]
-	}
-	if len(p) != 0 {
-		return errShort("ChunkBatch")
-	}
-	return nil
-}
-
-func (m Ack) encode(buf []byte) []byte {
-	var ok byte
-	if m.OK {
-		ok = 1
-	}
-	buf = append(buf, ok, byte(m.Code))
-	return append(buf, m.Err...)
-}
-
-func (m *Ack) decode(p []byte) error {
-	if len(p) < 2 {
-		return errShort("Ack")
-	}
-	m.OK = p[0] != 0
-	m.Code = ErrCode(p[1])
-	m.Err = string(p[2:])
-	return nil
-}
-
-func appendFileEntry(buf []byte, e FileEntry) []byte {
-	buf = binary.BigEndian.AppendUint16(buf, uint16(len(e.Path)))
-	buf = append(buf, e.Path...)
-	buf = binary.BigEndian.AppendUint32(buf, e.Mode)
-	buf = binary.BigEndian.AppendUint64(buf, uint64(e.Size))
-	buf = binary.BigEndian.AppendUint32(buf, uint32(len(e.Chunks)))
-	for i := range e.Chunks {
-		buf = append(buf, e.Chunks[i][:]...)
-	}
-	for _, s := range e.Sizes {
-		buf = binary.BigEndian.AppendUint32(buf, s)
-	}
-	return buf
-}
-
-func decodeFileEntry(p []byte) (FileEntry, []byte, error) {
-	var e FileEntry
-	if len(p) < 2 {
-		return e, nil, errShort("FileEntry")
-	}
-	pl := int(binary.BigEndian.Uint16(p))
-	p = p[2:]
-	if len(p) < pl+16 {
-		return e, nil, errShort("FileEntry")
-	}
-	e.Path = string(p[:pl])
-	p = p[pl:]
-	e.Mode = binary.BigEndian.Uint32(p)
-	e.Size = int64(binary.BigEndian.Uint64(p[4:]))
-	n := int(binary.BigEndian.Uint32(p[12:]))
-	p = p[16:]
-	if len(p) < n*(fp.Size+4) {
-		return e, nil, errShort("FileEntry")
-	}
-	e.Chunks = make([]fp.FP, n)
-	for i := range e.Chunks {
-		copy(e.Chunks[i][:], p[i*fp.Size:])
-	}
-	p = p[n*fp.Size:]
-	e.Sizes = make([]uint32, n)
-	for i := range e.Sizes {
-		e.Sizes[i] = binary.BigEndian.Uint32(p[i*4:])
-	}
-	return e, p[n*4:], nil
-}
-
-func (m RestoreBegin) encode(buf []byte) []byte {
-	buf = appendFileEntry(buf, m.Entry)
-	buf = binary.BigEndian.AppendUint32(buf, uint32(m.BatchChunks))
-	buf = binary.BigEndian.AppendUint32(buf, uint32(m.Window))
-	return binary.BigEndian.AppendUint64(buf, m.StartChunk)
-}
-
-func (m *RestoreBegin) decode(p []byte) error {
-	e, rest, err := decodeFileEntry(p)
-	if err != nil {
-		return err
-	}
-	if len(rest) != 16 {
-		return errShort("RestoreBegin")
-	}
-	m.Entry = e
-	m.BatchChunks = int(binary.BigEndian.Uint32(rest))
-	m.Window = int(binary.BigEndian.Uint32(rest[4:]))
-	m.StartChunk = binary.BigEndian.Uint64(rest[8:])
-	return nil
-}
-
-func (m RestoreChunkBatch) encode(buf []byte) []byte {
-	buf = binary.BigEndian.AppendUint64(buf, m.Seq)
-	buf = binary.BigEndian.AppendUint32(buf, uint32(len(m.Data)))
-	for _, d := range m.Data {
-		buf = binary.BigEndian.AppendUint32(buf, uint32(len(d)))
-	}
-	for _, d := range m.Data {
-		buf = append(buf, d...)
-	}
-	return buf
-}
-
-func (m *RestoreChunkBatch) decode(p []byte) error {
-	if len(p) < 12 {
-		return errShort("RestoreChunkBatch")
-	}
-	m.Seq = binary.BigEndian.Uint64(p)
-	n := int(binary.BigEndian.Uint32(p[8:]))
-	p = p[12:]
-	if len(p) < n*4 {
-		return errShort("RestoreChunkBatch")
-	}
-	sizes := make([]int, n)
-	for i := range sizes {
-		sizes[i] = int(binary.BigEndian.Uint32(p[i*4:]))
-	}
-	p = p[n*4:]
-	m.Data = make([][]byte, n)
-	for i, sz := range sizes {
-		if len(p) < sz {
-			return errShort("RestoreChunkBatch")
-		}
-		m.Data[i] = p[:sz:sz] // aliases the receive buffer: zero copy
-		p = p[sz:]
-	}
-	if len(p) != 0 {
-		return errShort("RestoreChunkBatch")
-	}
-	return nil
-}
-
-func (m RestoreAck) encode(buf []byte) []byte {
-	return binary.BigEndian.AppendUint64(buf, m.Seq)
-}
-
-func (m *RestoreAck) decode(p []byte) error {
-	if len(p) != 8 {
-		return errShort("RestoreAck")
-	}
-	m.Seq = binary.BigEndian.Uint64(p)
-	return nil
-}
 
 // ---- message types ----
 
@@ -764,8 +445,8 @@ type FileEntry struct {
 // ---- client ↔ backup server ----
 
 // BackupStart opens a backup session for one job run. Version and Caps
-// (absent — hence zero — from version-1 peers) open capability
-// negotiation: Caps is the full set the client is willing to use.
+// open capability negotiation: Caps is the full set the client is
+// willing to use.
 type BackupStart struct {
 	JobName string
 	Client  string
@@ -976,12 +657,8 @@ type FileList struct {
 }
 
 // Dedup2Request asks a backup server to run dedup-2 now (director-issued).
-// A pass always includes SIU. RunSIU stays on the wire because a gob
-// frame needs an exported field and an older server defers SIU when it is
-// false; senders set it to true and servers ignore it.
-type Dedup2Request struct {
-	RunSIU bool
-}
+// A pass always includes SIU.
+type Dedup2Request struct{}
 
 // Dedup2Done reports the outcome.
 type Dedup2Done struct {
@@ -1051,19 +728,4 @@ type NewRunOK struct {
 type EndRun struct {
 	JobName string
 	RunID   uint64
-}
-
-func init() {
-	for _, m := range []any{
-		BackupStart{}, BackupStartOK{}, FPBatch{}, FPVerdicts{},
-		ChunkBatch{}, Ack{}, FileMeta{}, BackupEnd{}, BackupDone{},
-		RestoreFile{}, RestoreMeta{}, RestoreBegin{}, RestoreChunkBatch{},
-		RestoreAck{}, RestoreDone{}, ListFiles{}, FileList{},
-		Dedup2Request{}, Dedup2Done{},
-		RegisterServer{}, RegisterOK{}, PutFileIndex{}, GetJobFiles{},
-		JobFiles{}, GetFilterFPs{}, FilterFPs{}, NewRun{}, NewRunOK{},
-		EndRun{},
-	} {
-		gob.Register(m)
-	}
 }

@@ -2,6 +2,8 @@ package proto
 
 import (
 	"bytes"
+	"encoding/binary"
+	"errors"
 	"io"
 	"net"
 	"reflect"
@@ -27,11 +29,10 @@ func pipePair() (*Conn, *Conn) {
 	return NewConn(pipeConn{ar, aw}), NewConn(pipeConn{br, bw})
 }
 
-func TestRoundTripAllMessages(t *testing.T) {
-	a, b := pipePair()
-	defer a.Close()
-	defer b.Close()
-
+// allMessages returns one zero value and one populated value of every
+// message type: every field set, negative integers where the type allows
+// them, and a FileEntry whose Sizes list is shorter than its Chunks.
+func allMessages() []any {
 	entry := FileEntry{
 		Path:   "dir/file.bin",
 		Mode:   0o644,
@@ -39,41 +40,49 @@ func TestRoundTripAllMessages(t *testing.T) {
 		Chunks: []fp.FP{fp.FromUint64(1), fp.FromUint64(2)},
 		Sizes:  []uint32{8000, 4345},
 	}
-	msgs := []any{
-		BackupStart{JobName: "j", Client: "c"},
-		BackupStart{JobName: "j", Client: "c", Version: ProtocolVersion, Caps: CapInlineDedup},
-		BackupStartOK{SessionID: 7},
-		BackupStartOK{SessionID: 7, Version: ProtocolVersion, Caps: CapInlineDedup},
-		FPBatch{SessionID: 7, FPs: []fp.FP{fp.FromUint64(9)}, Sizes: []uint32{100}},
-		FPVerdicts{Verdicts: []Verdict{VerdictSend, VerdictSkipDuplicate}},
-		ChunkBatch{SessionID: 7, FPs: []fp.FP{fp.FromUint64(9)}, Data: [][]byte{[]byte("xyz")}},
-		Ack{OK: true},
-		Ack{OK: false, Err: "boom"},
-		FileMeta{SessionID: 7, Entry: entry},
-		BackupEnd{SessionID: 7},
-		BackupDone{LogicalBytes: 1, TransferredBytes: 2, NewFingerprints: 3, InlineSkippedBytes: 4},
-		RestoreFile{JobName: "j", Path: "p", BatchChunks: 128, Window: 2},
-		RestoreMeta{JobName: "j", Path: "p"},
-		RestoreBegin{Entry: entry, BatchChunks: 256, Window: 4},
-		RestoreChunkBatch{Seq: 3, Data: [][]byte{[]byte("xyz"), []byte("q")}},
-		RestoreAck{Seq: 3},
-		RestoreDone{Chunks: 2, Bytes: 4},
-		RestoreDone{Err: "boom"},
-		ListFiles{JobName: "j"},
-		FileList{Paths: []string{"a", "b"}},
-		Dedup2Request{RunSIU: true},
-		Dedup2Done{NewChunks: 5, DupChunks: 6, Containers: 7},
-		RegisterServer{Addr: ":1"},
-		RegisterOK{ServerID: 3},
-		PutFileIndex{JobName: "j", RunID: 2, Entry: entry},
-		GetJobFiles{JobName: "j"},
-		JobFiles{RunID: 2, Entries: []FileEntry{entry}},
-		GetFilterFPs{JobName: "j"},
-		FilterFPs{FPs: []fp.FP{fp.FromUint64(1)}},
-		NewRun{JobName: "j", Client: "c"},
-		NewRunOK{RunID: 9},
+	ragged := FileEntry{Path: "x", Chunks: []fp.FP{fp.FromUint64(5)}}
+	return []any{
+		BackupStart{}, BackupStart{JobName: "j", Client: "c", Version: ProtocolVersion, Caps: CapInlineDedup},
+		BackupStartOK{}, BackupStartOK{SessionID: 7, Version: -3, Caps: ^Caps(0)},
+		FPBatch{}, FPBatch{SessionID: 7, Seq: 8, FPs: []fp.FP{fp.FromUint64(9)}, Sizes: []uint32{100}},
+		FPVerdicts{}, FPVerdicts{Seq: 4, Verdicts: []Verdict{VerdictSend, VerdictSkipDuplicate, VerdictSend}},
+		ChunkBatch{}, ChunkBatch{SessionID: 7, FPs: []fp.FP{fp.FromUint64(9)}, Data: [][]byte{[]byte("xyz")}},
+		Ack{}, Ack{OK: true}, Ack{Code: CodeReadOnly, Err: "boom"},
+		FileMeta{}, FileMeta{SessionID: 7, Entry: entry},
+		BackupEnd{}, BackupEnd{SessionID: 7},
+		BackupDone{}, BackupDone{LogicalBytes: 1, TransferredBytes: 2, NewFingerprints: 3, InlineSkippedBytes: -4},
+		RestoreFile{}, RestoreFile{JobName: "j", Path: "p", BatchChunks: 128, Window: -2, StartChunk: 5},
+		RestoreMeta{}, RestoreMeta{JobName: "j", Path: "p"},
+		RestoreBegin{}, RestoreBegin{Entry: entry, BatchChunks: 256, Window: 4, StartChunk: 1},
+		RestoreChunkBatch{}, RestoreChunkBatch{Seq: 3, Data: [][]byte{[]byte("xyz"), []byte("q")}},
+		RestoreAck{}, RestoreAck{Seq: 3},
+		RestoreDone{}, RestoreDone{Chunks: 2, Bytes: 4, Err: "boom"},
+		ListFiles{}, ListFiles{JobName: "j"},
+		FileList{}, FileList{Paths: []string{"a", "", "b"}},
+		Dedup2Request{},
+		Dedup2Done{}, Dedup2Done{NewChunks: 5, DupChunks: 6, Containers: 7, Err: "boom"},
+		RegisterServer{}, RegisterServer{Addr: ":1"},
+		RegisterOK{}, RegisterOK{ServerID: 3},
+		PutFileIndex{}, PutFileIndex{JobName: "j", RunID: 2, Entry: ragged},
+		GetJobFiles{}, GetJobFiles{JobName: "j"},
+		JobFiles{}, JobFiles{RunID: 2, Entries: []FileEntry{entry, {}, ragged}},
+		GetFilterFPs{}, GetFilterFPs{JobName: "j"},
+		FilterFPs{}, FilterFPs{FPs: []fp.FP{fp.FromUint64(1), fp.FromUint64(2)}},
+		NewRun{}, NewRun{JobName: "j", Client: "c"},
+		NewRunOK{}, NewRunOK{RunID: 9},
+		EndRun{}, EndRun{JobName: "j", RunID: 2},
 	}
+}
 
+// TestRoundTripAllMessages sends every message type through an echo peer,
+// as a zero value and populated, and requires it back unchanged. It also
+// checks that the list covers every frame tag.
+func TestRoundTripAllMessages(t *testing.T) {
+	a, b := pipePair()
+	defer a.Close()
+	defer b.Close()
+
+	msgs := allMessages()
 	done := make(chan error, 1)
 	go func() {
 		for range msgs {
@@ -90,31 +99,92 @@ func TestRoundTripAllMessages(t *testing.T) {
 		done <- nil
 	}()
 
-	for _, m := range msgs {
-		if err := a.Send(m); err != nil {
-			t.Fatal(err)
+	for _, want := range msgs {
+		if err := a.Send(want); err != nil {
+			t.Fatalf("send %T: %v", want, err)
 		}
-		echo, err := a.Recv()
+		got, err := a.Recv()
 		if err != nil {
-			t.Fatal(err)
+			t.Fatalf("recv %T: %v", want, err)
 		}
-		switch want := m.(type) {
-		case ChunkBatch:
-			got := echo.(ChunkBatch)
-			if got.SessionID != want.SessionID || !bytes.Equal(got.Data[0], want.Data[0]) {
-				t.Fatalf("ChunkBatch round trip: %+v", got)
-			}
-		case FileMeta:
-			got := echo.(FileMeta)
-			if got.Entry.Path != want.Entry.Path || len(got.Entry.Chunks) != 2 {
-				t.Fatalf("FileMeta round trip: %+v", got)
-			}
-		default:
-			// Comparable structs compare directly.
+		if !reflect.DeepEqual(got, want) {
+			t.Fatalf("round trip of %T:\n got %+v\nwant %+v", want, got, want)
 		}
 	}
 	if err := <-done; err != nil {
 		t.Fatal(err)
+	}
+
+	covered := map[byte]bool{}
+	for _, m := range msgs {
+		covered[m.(encoder).encode(&enc{})] = true
+	}
+	for tag, d := range decoders {
+		if d != nil && !covered[byte(tag)] {
+			t.Errorf("tag %d has a decoder but no message in allMessages", tag)
+		}
+	}
+}
+
+// TestSendRefusesWrappedLength pins that an encoder never wraps a length
+// field. A FileEntry path of 64 KiB or more does not fit its 2-byte
+// length; written with the length wrapped, the frame would decode as a
+// different entry. Send must refuse such a frame and write nothing.
+func TestSendRefusesWrappedLength(t *testing.T) {
+	long := FileEntry{Path: strings.Repeat("p", 70000), Chunks: []fp.FP{fp.FromUint64(1)}, Sizes: []uint32{1}}
+	for _, m := range []any{
+		FileMeta{SessionID: 1, Entry: long},
+		RestoreBegin{Entry: long, BatchChunks: 1, Window: 1},
+		PutFileIndex{JobName: "j", RunID: 1, Entry: long},
+		JobFiles{RunID: 1, Entries: []FileEntry{long}},
+	} {
+		var wire bytes.Buffer
+		err := NewConn(nopCloser{&wire}).Send(m)
+		if err == nil || !strings.Contains(err.Error(), "does not fit") {
+			t.Errorf("Send(%T with a 70000-byte path) = %v, want a length-field error", m, err)
+		}
+		if wire.Len() != 0 {
+			t.Errorf("Send(%T) wrote %d bytes for a refused frame", m, wire.Len())
+		}
+	}
+	// The largest path that fits still round-trips.
+	edge := FileMeta{SessionID: 1, Entry: FileEntry{Path: strings.Repeat("p", 65535)}}
+	var wire bytes.Buffer
+	c := NewConn(nopCloser{&wire})
+	if err := c.Send(edge); err != nil {
+		t.Fatal(err)
+	}
+	got, err := c.Recv()
+	if err != nil || !reflect.DeepEqual(got, edge) {
+		t.Fatalf("65535-byte path: err %v, equal %v", err, reflect.DeepEqual(got, edge))
+	}
+}
+
+// TestLegacyGobFrame: a tag-0 frame, the gob control frame of a peer at
+// protocol version 3 or older, is skipped undecoded and reported as
+// ErrLegacyFrame; the frame after it still decodes.
+func TestLegacyGobFrame(t *testing.T) {
+	var wire bytes.Buffer
+	wire.Write([]byte{0, 0, 0, 0, 6, 0x2a, 0xff, 0x81, 0x03, 0x01, 0x01}) // gob-looking garbage
+	c := NewConn(nopCloser{&wire})
+	if err := c.Send(RestoreAck{Seq: 5}); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := c.Recv(); !errors.Is(err, ErrLegacyFrame) {
+		t.Fatalf("tag-0 frame: err = %v, want ErrLegacyFrame", err)
+	}
+	if m, err := c.Recv(); err != nil || m != (RestoreAck{Seq: 5}) {
+		t.Fatalf("frame after the legacy frame = %+v, %v", m, err)
+	}
+	if ack := LegacyRefusal(); ack.OK || ack.Code != CodeUnsupportedVersion || !strings.Contains(ack.Err, "need 4") {
+		t.Fatalf("LegacyRefusal() = %+v", ack)
+	}
+}
+
+// TestSendRejectsNonMessage: only protocol message types have a frame.
+func TestSendRejectsNonMessage(t *testing.T) {
+	if err := NewConn(nopCloser{&bytes.Buffer{}}).Send(struct{ X int }{1}); err == nil {
+		t.Fatal("Send of a non-protocol value succeeded")
 	}
 }
 
@@ -241,32 +311,37 @@ func normEntry(e FileEntry) FileEntry {
 }
 
 // TestTruncatedFrames feeds every prefix of valid frames to a decoder and
-// expects a clean error, never a panic.
+// expects a clean error, never a panic: first the raw prefix (the stream
+// ends mid-frame), then the payload prefix behind a header that claims
+// exactly its length (the codec itself must notice the missing bytes).
 func TestTruncatedFrames(t *testing.T) {
-	msgs := []any{
-		FPBatch{SessionID: 1, Seq: 2, FPs: []fp.FP{fp.FromUint64(1)}, Sizes: []uint32{10}},
-		FPVerdicts{Seq: 2, Verdicts: []Verdict{VerdictSend, VerdictSkipDuplicate, VerdictSend}},
-		ChunkBatch{SessionID: 1, FPs: []fp.FP{fp.FromUint64(1)}, Data: [][]byte{[]byte("abc")}},
-		Ack{OK: true, Err: "x"},
-		RestoreBegin{Entry: FileEntry{Path: "p", Chunks: []fp.FP{fp.FromUint64(2)}, Sizes: []uint32{3}}, BatchChunks: 1, Window: 1},
-		RestoreChunkBatch{Seq: 1, Data: [][]byte{[]byte("abc"), []byte("d")}},
-		RestoreAck{Seq: 9},
+	recv := func(frame []byte) error {
+		c := NewConn(nopCloser{struct {
+			io.Reader
+			io.Writer
+		}{bytes.NewReader(frame), io.Discard}})
+		_, err := c.Recv()
+		return err
 	}
-	for _, m := range msgs {
+	for _, m := range allMessages() {
 		var wire bytes.Buffer
-		src := NewConn(nopCloser{&wire})
-		if err := src.Send(m); err != nil {
+		if err := NewConn(nopCloser{&wire}).Send(m); err != nil {
 			t.Fatal(err)
 		}
 		full := wire.Bytes()
 		for cut := 0; cut < len(full); cut++ {
-			r := bytes.NewReader(full[:cut])
-			c := NewConn(nopCloser{struct {
-				io.Reader
-				io.Writer
-			}{r, io.Discard}})
-			if _, err := c.Recv(); err == nil {
+			if recv(full[:cut]) == nil {
 				t.Fatalf("%T truncated at %d of %d bytes decoded without error", m, cut, len(full))
+			}
+		}
+		if _, isAck := m.(Ack); isAck {
+			continue // Ack's message is the rest of the frame: any prefix is an Ack
+		}
+		for cut := 5; cut < len(full); cut++ {
+			frame := append([]byte(nil), full[:cut]...)
+			binary.BigEndian.PutUint32(frame[1:], uint32(cut-5))
+			if recv(frame) == nil {
+				t.Fatalf("%T payload cut to %d of %d bytes decoded without error", m, cut-5, len(full)-5)
 			}
 		}
 	}

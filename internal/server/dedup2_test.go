@@ -289,7 +289,7 @@ func TestDedup2FailedPassConsumesNothing(t *testing.T) {
 	size := walSize(t, eng)
 
 	eng.SegRepo().SetFailFunc(func() error { return syscall.EIO })
-	if done := sendDedup2(t, srvAddr, proto.Dedup2Request{RunSIU: true}); done.Err == "" {
+	if done := sendDedup2(t, srvAddr); done.Err == "" {
 		t.Fatalf("pass with a failing container append succeeded: %+v", done)
 	}
 	eng.SegRepo().SetFailFunc(nil)
@@ -314,9 +314,9 @@ func TestDedup2FailedPassConsumesNothing(t *testing.T) {
 	a.end(srvAddr, "failed-pass-job")
 }
 
-// TestDedup2AlwaysRunsSIU: a request that leaves RunSIU false (an older
-// director's deferred SIU) still gets a whole pass: every stored chunk is
-// in the disk index and the WAL is truncated when the reply arrives.
+// TestDedup2AlwaysRunsSIU: a Dedup2Request always gets a whole pass,
+// SIU included: every stored chunk is in the disk index and the WAL is
+// truncated when the reply arrives.
 func TestDedup2AlwaysRunsSIU(t *testing.T) {
 	eng, err := store.Open(t.TempDir(), store.Options{IndexBits: 12})
 	if err != nil {
@@ -327,7 +327,7 @@ func TestDedup2AlwaysRunsSIU(t *testing.T) {
 	const n = 5
 	a := openLiveSession(t, srvAddr, "siu-job", n)
 	a.ship(0, 0, n)
-	if done := sendDedup2(t, srvAddr, proto.Dedup2Request{}); done.Err != "" || done.NewChunks != n {
+	if done := sendDedup2(t, srvAddr); done.Err != "" || done.NewChunks != n {
 		t.Fatalf("pass = %+v, want %d new chunks", done, n)
 	}
 	for i, f := range a.entry.Chunks {

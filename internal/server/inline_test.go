@@ -16,7 +16,7 @@ import (
 // these tests assert on).
 func runDedup2Direct(t *testing.T, srvAddr string) proto.Dedup2Done {
 	t.Helper()
-	done := sendDedup2(t, srvAddr, proto.Dedup2Request{RunSIU: true})
+	done := sendDedup2(t, srvAddr)
 	if done.Err != "" {
 		t.Fatalf("dedup-2 failed: %s", done.Err)
 	}
@@ -25,14 +25,14 @@ func runDedup2Direct(t *testing.T, srvAddr string) proto.Dedup2Done {
 
 // sendDedup2 sends one Dedup2Request to the server and returns its
 // reply, failed passes included.
-func sendDedup2(t *testing.T, srvAddr string, req proto.Dedup2Request) proto.Dedup2Done {
+func sendDedup2(t *testing.T, srvAddr string) proto.Dedup2Done {
 	t.Helper()
 	conn, err := proto.Dial(srvAddr)
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer conn.Close()
-	if err := conn.Send(req); err != nil {
+	if err := conn.Send(proto.Dedup2Request{}); err != nil {
 		t.Fatal(err)
 	}
 	msg, err := conn.Recv()
@@ -202,13 +202,11 @@ func TestMixedVersionInterop(t *testing.T) {
 	})
 }
 
-// TestPreVersionPeerRefused speaks older wire protocols directly. A
-// BackupStart with zero Version and Caps is byte-for-byte what a peer
-// predating the Version field sends (gob omits zero-valued fields); such
-// a peer would expect the retired bitmap verdict frame. A version-2 peer
-// would wait for ChunkBatch acks that are no longer sent. The server must
-// refuse both with the typed unsupported-version code before it opens a
-// session.
+// TestPreVersionPeerRefused: a BackupStart whose Version is below
+// ProtocolVersion — zero, as a peer predating the field reports, or the
+// previous version — is refused with the typed unsupported-version code
+// before the server opens a session. (A real version-3 peer opens with a
+// gob frame instead; TestLegacyGobPeerRefused covers it.)
 func TestPreVersionPeerRefused(t *testing.T) {
 	_, srv, srvAddr := startServer(t, nil)
 

@@ -292,7 +292,11 @@ func (s *Server) Serve(addr string) (string, error) {
 	s.mu.Unlock()
 
 	if s.cfg.DirectorAddr != "" {
-		msg, err := s.directorCall(proto.RegisterServer{Addr: lnAddr})
+		// A one-shot connection: registration is the only director call
+		// outside a connection handler.
+		reg := &connState{}
+		msg, err := s.directorCall(reg, proto.RegisterServer{Addr: lnAddr})
+		reg.closeDirector()
 		if err != nil {
 			ln.Close()
 			return "", fmt.Errorf("server: registering with director: %w", err)
@@ -381,9 +385,9 @@ func (s *Server) Close() error {
 	return err
 }
 
-// director opens a fresh control connection to the director, with the
+// dialDirector opens a control connection to the director, with the
 // control dial and I/O deadlines armed.
-func (s *Server) director() (*proto.Conn, error) {
+func (s *Server) dialDirector() (*proto.Conn, error) {
 	if s.cfg.DirectorAddr == "" {
 		return nil, errors.New("server: no director configured")
 	}
@@ -395,24 +399,33 @@ func (s *Server) director() (*proto.Conn, error) {
 	return conn, nil
 }
 
-// directorCall sends one request and decodes one reply, retrying
-// transient failures (director restarting, dropped connection) with
-// backoff. Every control call is safe to repeat: NewRun at worst
-// allocates an extra run that stays empty, PutFileIndex tolerates a
-// duplicate entry (the restore path resolves by path, last write wins),
-// and the reads are pure.
-func (s *Server) directorCall(req any) (any, error) {
+// directorCall sends one request over the handler's director connection
+// and decodes one reply, dialling on first use. Any failure closes the
+// connection and drops it, so a reply that arrives late (after a
+// timeout) can never be taken for the next call's reply; transient
+// failures (director restarting, dropped or idle-reaped connection) are
+// retried with backoff over a fresh dial. Every control call is safe to
+// repeat: NewRun at worst allocates an extra run that stays empty,
+// PutFileIndex tolerates a duplicate entry (the restore path resolves by
+// path, last write wins), a repeated EndRun marks the same run complete
+// again, and the reads are pure.
+func (s *Server) directorCall(st *connState, req any) (any, error) {
 	var reply any
 	err := retry.Policy{Attempts: s.cfg.ControlRetries + 1, Base: 50 * time.Millisecond}.Do(func() error {
-		conn, err := s.director()
+		if st.director == nil {
+			conn, err := s.dialDirector()
+			if err != nil {
+				return err
+			}
+			st.director = conn
+		}
+		err := st.director.Send(req)
+		if err == nil {
+			reply, err = st.director.Recv()
+		}
 		if err != nil {
-			return err
+			st.closeDirector()
 		}
-		defer conn.Close()
-		if err := conn.Send(req); err != nil {
-			return err
-		}
-		reply, err = conn.Recv()
 		return err
 	})
 	return reply, err
@@ -430,13 +443,24 @@ type jobFilesCache struct {
 	entries map[string]proto.FileEntry
 }
 
-// connState is the per-connection handler state: the job-files cache
-// plus the backup sessions opened on this connection, so the handler's
-// exit path can reclaim sessions whose client vanished. Owned by a
-// single handler goroutine — no locking.
+// connState is the per-connection handler state: the job-files cache,
+// the backup sessions opened on this connection (so the handler's exit
+// path can reclaim sessions whose client vanished), and the handler's
+// one director connection, which every director call the handler makes
+// reuses instead of dialling per file. Owned by a single handler
+// goroutine — no locking.
 type connState struct {
-	jfc  jobFilesCache
-	sess []uint64
+	jfc      jobFilesCache
+	sess     []uint64
+	director *proto.Conn // nil until first use and after any failure
+}
+
+// closeDirector closes and drops the director connection, if any.
+func (st *connState) closeDirector() {
+	if st.director != nil {
+		st.director.Close()
+		st.director = nil
+	}
 }
 
 // ackFromErr converts a dispatch error into the wire Ack, preserving a
@@ -467,13 +491,16 @@ func (s *Server) handle(conn *proto.Conn) {
 	// idle deadline expired, server closing — sessions that never reached
 	// BackupEnd are reclaimed.
 	defer s.reclaimSessions(st)
+	defer st.closeDirector()
 
 	frames := make(chan any, frameQueueDepth)
+	var recvErr error // the reader's last error; read only after frames closes
 	go func() {
 		defer close(frames)
 		for {
 			msg, err := conn.Recv()
 			if err != nil {
+				recvErr = err
 				return
 			}
 			frames <- msg
@@ -498,7 +525,7 @@ func (s *Server) handle(conn *proto.Conn) {
 		// side while its acks keep arriving through frames. streamRestore
 		// only errors when the connection itself is dead.
 		if rf, ok := msg.(proto.RestoreFile); ok {
-			if err := s.streamRestore(conn, frames, &st.jfc, rf); err != nil {
+			if err := s.streamRestore(conn, frames, st, rf); err != nil {
 				return
 			}
 			continue
@@ -513,6 +540,11 @@ func (s *Server) handle(conn *proto.Conn) {
 		if err := conn.Send(reply); err != nil {
 			return
 		}
+	}
+	// A peer at protocol version 3 or older opens with a gob frame; it
+	// gets a typed refusal it can decode instead of a dropped connection.
+	if errors.Is(recvErr, proto.ErrLegacyFrame) {
+		conn.Send(proto.LegacyRefusal())
 	}
 }
 
@@ -546,13 +578,13 @@ func (s *Server) dispatch(msg any, st *connState) (any, error) {
 	case proto.ChunkBatch:
 		return nil, s.chunkBatch(m)
 	case proto.FileMeta:
-		return s.fileMeta(m)
+		return s.fileMeta(m, st)
 	case proto.BackupEnd:
-		return s.endBackup(m)
+		return s.endBackup(m, st)
 	case proto.ListFiles:
-		return s.listFiles(m)
+		return s.listFiles(m, st)
 	case proto.RestoreMeta:
-		return s.restoreMeta(m, &st.jfc)
+		return s.restoreMeta(m, st)
 	case proto.Dedup2Request:
 		return s.runDedup2(), nil
 	default:
@@ -591,7 +623,7 @@ func (s *Server) startBackup(m proto.BackupStart, st *connState) (any, error) {
 	var runID uint64
 	var filterFPs []fp.FP
 	if s.cfg.DirectorAddr != "" {
-		reply, err := s.directorCall(proto.NewRun{JobName: m.JobName, Client: m.Client})
+		reply, err := s.directorCall(st, proto.NewRun{JobName: m.JobName, Client: m.Client})
 		if err != nil {
 			return nil, err
 		}
@@ -600,7 +632,7 @@ func (s *Server) startBackup(m proto.BackupStart, st *connState) (any, error) {
 			return nil, fmt.Errorf("server: unexpected NewRun reply %T", reply)
 		}
 		runID = ok.RunID
-		if fpsReply, err := s.directorCall(proto.GetFilterFPs{JobName: m.JobName}); err == nil {
+		if fpsReply, err := s.directorCall(st, proto.GetFilterFPs{JobName: m.JobName}); err == nil {
 			if ff, is := fpsReply.(proto.FilterFPs); is {
 				filterFPs = ff.FPs
 			}
@@ -822,13 +854,13 @@ func (s *Server) chunkBatch(m proto.ChunkBatch) (err error) {
 	return nil
 }
 
-func (s *Server) fileMeta(m proto.FileMeta) (any, error) {
+func (s *Server) fileMeta(m proto.FileMeta, st *connState) (any, error) {
 	sess, err := s.getSession(m.SessionID)
 	if err != nil {
 		return nil, err
 	}
 	if s.cfg.DirectorAddr != "" {
-		reply, err := s.directorCall(proto.PutFileIndex{
+		reply, err := s.directorCall(st, proto.PutFileIndex{
 			JobName: sess.jobName, RunID: sess.runID, Entry: m.Entry,
 		})
 		if err != nil {
@@ -841,7 +873,7 @@ func (s *Server) fileMeta(m proto.FileMeta) (any, error) {
 	return proto.Ack{OK: true}, nil
 }
 
-func (s *Server) endBackup(m proto.BackupEnd) (any, error) {
+func (s *Server) endBackup(m proto.BackupEnd, st *connState) (any, error) {
 	sess, err := s.getSession(m.SessionID)
 	if err != nil {
 		return nil, err
@@ -878,7 +910,7 @@ func (s *Server) endBackup(m proto.BackupEnd) (any, error) {
 	// filtering fingerprints, so an aborted backup (whose FileMeta entries
 	// may reference chunks that never arrived) is never trusted.
 	if s.cfg.DirectorAddr != "" {
-		reply, err := s.directorCall(proto.EndRun{
+		reply, err := s.directorCall(st, proto.EndRun{
 			JobName: sess.jobName, RunID: sess.runID,
 		})
 		if err != nil {
@@ -985,8 +1017,8 @@ func (s *Server) failOnDiskFault(err error) {
 	}
 }
 
-func (s *Server) listFiles(m proto.ListFiles) (any, error) {
-	reply, err := s.directorCall(proto.GetJobFiles{JobName: m.JobName})
+func (s *Server) listFiles(m proto.ListFiles, st *connState) (any, error) {
+	reply, err := s.directorCall(st, proto.GetJobFiles{JobName: m.JobName})
 	if err != nil {
 		return nil, err
 	}
@@ -1006,9 +1038,10 @@ func (s *Server) listFiles(m proto.ListFiles) (any, error) {
 
 // lookupEntry resolves one file's entry from the director's metadata for
 // the job's latest run, through the connection's job-files cache.
-func (s *Server) lookupEntry(jfc *jobFilesCache, jobName, path string) (proto.FileEntry, error) {
+func (s *Server) lookupEntry(st *connState, jobName, path string) (proto.FileEntry, error) {
+	jfc := &st.jfc
 	if jfc.job != jobName || jfc.entries == nil {
-		reply, err := s.directorCall(proto.GetJobFiles{JobName: jobName})
+		reply, err := s.directorCall(st, proto.GetJobFiles{JobName: jobName})
 		if err != nil {
 			return proto.FileEntry{}, err
 		}
@@ -1033,8 +1066,8 @@ func (s *Server) lookupEntry(jfc *jobFilesCache, jobName, path string) (proto.Fi
 
 // restoreMeta answers a metadata-only restore request: the entry (chunk
 // fingerprints included) with no data stream, which is all verify needs.
-func (s *Server) restoreMeta(m proto.RestoreMeta, jfc *jobFilesCache) (any, error) {
-	e, err := s.lookupEntry(jfc, m.JobName, m.Path)
+func (s *Server) restoreMeta(m proto.RestoreMeta, st *connState) (any, error) {
+	e, err := s.lookupEntry(st, m.JobName, m.Path)
 	if err != nil {
 		return nil, err
 	}
@@ -1052,8 +1085,8 @@ func (s *Server) restoreMeta(m proto.RestoreMeta, jfc *jobFilesCache) (any, erro
 // (the peer is gone); failures before the stream opens are answered with
 // an Ack and failures mid-stream are reported in-band via
 // RestoreDone.Err, leaving the connection usable for the next request.
-func (s *Server) streamRestore(conn *proto.Conn, frames <-chan any, jfc *jobFilesCache, m proto.RestoreFile) error {
-	e, err := s.lookupEntry(jfc, m.JobName, m.Path)
+func (s *Server) streamRestore(conn *proto.Conn, frames <-chan any, st *connState, m proto.RestoreFile) error {
+	e, err := s.lookupEntry(st, m.JobName, m.Path)
 	if err != nil {
 		return conn.Send(proto.Ack{OK: false, Err: err.Error()})
 	}
