@@ -188,8 +188,9 @@ func TestSendRejectsNonMessage(t *testing.T) {
 	}
 }
 
-// TestBinaryCodecRoundTrip exercises the hand-rolled binary codecs
-// (tags 1–5) edge cases the generic echo test doesn't reach.
+// TestBinaryCodecRoundTrip exercises data-path codec edge cases the
+// generic echo test doesn't reach: 300-entry batches, empty batches and
+// empty chunks.
 func TestBinaryCodecRoundTrip(t *testing.T) {
 	a, b := pipePair()
 	defer a.Close()
