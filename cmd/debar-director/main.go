@@ -1,7 +1,8 @@
 // Command debar-director runs the DEBAR director: job scheduling,
-// metadata management and dedup-2 coordination (paper §3.1). The job
-// catalog and file indexes persist through a journaled metastore in the
-// required -data-dir (crash-recovered on open).
+// metadata management and dedup-2 coordination (paper §3.1). Each job's
+// runs and file indexes persist in a versioned journal in the required
+// -data-dir (crash-recovered on open); a journal in another format is
+// refused, not rewritten.
 //
 // Usage:
 //

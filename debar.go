@@ -85,6 +85,10 @@
 //	                                                      so every acknowledged run is restorable after restart.
 //	                                                      A failed fsync leaves the run incomplete and the server
 //	                                                      refuses BackupEnd instead.
+//	Director journal append      metastore append error   The director opens no run whose opening it could not
+//	fails at NewRun                                       journal and refuses the NewRun; the server refuses the
+//	                                                      BackupStart, so no backup is acknowledged against a
+//	                                                      run a restart would forget.
 //	Director unreachable         control-call timeout     Server and director control calls retry transiently;
 //	                                                      persistent failure fails the operation loudly.
 //
@@ -163,11 +167,12 @@ import (
 )
 
 // Client is a DEBAR backup client (see internal/client). Backup runs a
-// pipelined, windowed data path; the BatchSize, Window and Workers fields
-// tune fingerprints per batch, batches in flight, and the SHA-1 worker
-// pool. Restore streams chunk batches with receiver-driven flow control,
-// tuned by RestoreBatchSize and RestoreWindow. Zero values select the
-// defaults documented in internal/client.
+// pipelined, windowed data path; the Client.Options fields BatchSize,
+// Window and Workers tune fingerprints per batch, batches in flight, and
+// the SHA-1 worker pool. Restore streams chunk batches with
+// receiver-driven flow control, tuned by Options.RestoreBatchSize and
+// Options.RestoreWindow. Zero values select the defaults documented in
+// internal/client.
 type Client = client.Client
 
 // NewClient returns a backup client bound to a backup server address.

@@ -1,19 +1,23 @@
 // Package director implements DEBAR's dedicated control centre (paper
-// §3.1): job objects with client/dataset/schedule attributes, a job
-// scheduler that assigns backup jobs to backup servers for load
-// balancing, and a metadata manager holding job metadata and file indices.
-// The director also monitors the backup servers and initiates dedup-2
-// jobs.
+// §3.1): a job scheduler that assigns backup jobs to backup servers for
+// load balancing, and a metadata manager holding each job's chain of
+// runs and their file indices. A job is just the name its runs are
+// filed under. The director also monitors the backup servers and
+// initiates dedup-2 jobs.
+//
+// The metadata lives in a journal (internal/metastore) of the control
+// frames the director applied: a NewRunOK when a run opens, the
+// PutFileIndex of each file and the EndRun that completes the run, each
+// under its job's name and behind a version stamp. One function, apply,
+// changes the metadata, both for a live call and for a replayed record.
 package director
 
 import (
-	"bytes"
-	"encoding/gob"
+	"encoding/binary"
 	"errors"
 	"fmt"
 	"log/slog"
 	"net"
-	"sort"
 	"sync"
 	"time"
 
@@ -57,28 +61,15 @@ func resolveTimeout(v, def time.Duration) time.Duration {
 	return v
 }
 
-// Job is a backup job object (§3.1): "a client attribute that specifies a
-// backup client for the job, a dataset attribute that specifies the list
-// of files and directories needing backup ... and a schedule attribute".
-type Job struct {
-	Name     string
-	Client   string
-	Dataset  []string
-	Schedule string // e.g. "daily at 1.05am" (informational; Scheduler drives)
-}
-
-// Run is one execution of a job. Complete is set when the backup server
+// run is one execution of a job. complete is set when the backup server
 // reports the run's BackupEnd: every chunk the server asked for arrived.
 // Incomplete runs (client vanished mid-backup) are never served as a
 // restore source or as filtering fingerprints — their file indexes can
 // reference chunks that never reached the server.
-type Run struct {
-	ID       uint64
-	Job      string
-	Client   string
-	Started  time.Time
-	Complete bool
-	Files    []proto.FileEntry
+type run struct {
+	id       uint64
+	complete bool
+	files    []proto.FileEntry
 }
 
 // serverInfo tracks a registered backup server.
@@ -110,8 +101,7 @@ type Director struct {
 	IdleTimeout time.Duration
 
 	mu       sync.Mutex
-	jobs     map[string]*Job
-	runs     map[string][]*Run // job → chronological runs (the job chain)
+	runs     map[string][]*run // job → chronological runs (the job chain)
 	nextRun  uint64
 	servers  []*serverInfo
 	ln       net.Listener
@@ -122,89 +112,126 @@ type Director struct {
 	meta     *metastore.Store // the journal; owned by NewDurable's caller
 }
 
-// metaEvent is one journaled director mutation. Events are gob-encoded
-// and appended to the metastore under the job's name, so per-job replay
-// order matches mutation order.
-type metaEvent struct {
-	Op       byte // 1 = run opened, 2 = file indexed, 3 = job defined, 4 = run completed
-	Client   string
-	RunID    uint64
-	Started  time.Time
-	Entry    proto.FileEntry
-	Dataset  []string
-	Schedule string
+// journalVersion is the journal format this build writes and reads.
+// Version 1 journaled gob-encoded events and had no stamp; version 2
+// journals each mutation as its binary control frame (proto.Marshal).
+const journalVersion = 2
+
+// stampJob names the journal's first record, the version stamp, whose
+// payload is the format version as a big-endian uint32.
+const stampJob = "debar.director.journal"
+
+// VersionError reports a journal in a format this build does not read.
+type VersionError struct{ Found, Want int }
+
+func (e *VersionError) Error() string {
+	return fmt.Sprintf("journal format version %d, this build reads version %d", e.Found, e.Want)
 }
 
-const (
-	evNewRun byte = 1 + iota
-	evFileIndex
-	evDefineJob
-	evEndRun
-)
-
-// NewDurable returns a director whose job catalog, runs and file indexes
-// persist through the (journal-backed) metastore: existing metadata is
-// replayed on construction and every mutation is journaled. The caller
-// retains ownership of ms and closes it after the director shuts down.
-func NewDurable(ms *metastore.Store) (*Director, error) {
-	d := &Director{
-		jobs:  make(map[string]*Job),
-		runs:  make(map[string][]*Run),
-		conns: make(map[*proto.Conn]struct{}),
-		slog:  slog.Default(),
-		meta:  ms,
+// checkStamp accepts the journal's first record if it is the current
+// version stamp. A journal from before the stamp starts with a gob
+// event, so any other first record means version 1.
+func checkStamp(job string, rec []byte) error {
+	found := 1
+	if job == stampJob && len(rec) == 4 {
+		found = int(binary.BigEndian.Uint32(rec))
 	}
-	if err := ms.Replay(d.apply); err != nil {
-		return nil, fmt.Errorf("director: replaying journal: %w", err)
-	}
-	return d, nil
-}
-
-// apply replays one journaled event of a job onto the director's state;
-// NewDurable calls it before the director is shared.
-func (d *Director) apply(job string, rec []byte) error {
-	var ev metaEvent
-	if err := gob.NewDecoder(bytes.NewReader(rec)).Decode(&ev); err != nil {
-		return fmt.Errorf("%q: %w", job, err)
-	}
-	switch ev.Op {
-	case evNewRun:
-		if _, ok := d.jobs[job]; !ok {
-			d.jobs[job] = &Job{Name: job, Client: ev.Client}
-		}
-		d.runs[job] = append(d.runs[job], &Run{
-			ID: ev.RunID, Job: job, Client: ev.Client, Started: ev.Started,
-		})
-		if ev.RunID > d.nextRun {
-			d.nextRun = ev.RunID
-		}
-	case evFileIndex:
-		if run := d.findRun(job, ev.RunID); run != nil {
-			run.Files = append(run.Files, ev.Entry)
-		}
-	case evEndRun:
-		if run := d.findRun(job, ev.RunID); run != nil {
-			run.Complete = true
-		}
-	case evDefineJob:
-		d.jobs[job] = &Job{Name: job, Client: ev.Client, Dataset: ev.Dataset, Schedule: ev.Schedule}
-	default:
-		return fmt.Errorf("%q: unknown event op %d", job, ev.Op)
+	if found != journalVersion {
+		return &VersionError{Found: found, Want: journalVersion}
 	}
 	return nil
 }
 
-// persist journals one mutation. It runs under d.mu by design: replay
-// order per job must match mutation order, and d.mu is what serialises
-// mutations. The cost — control-plane RPCs occasionally waiting out a
-// journal fsync — is accepted; the data path never goes through the
-// director.
-func (d *Director) persist(job string, ev metaEvent) error {
-	var buf bytes.Buffer
-	if err := gob.NewEncoder(&buf).Encode(ev); err != nil {
-		return fmt.Errorf("director: encoding event: %w", err)
+// NewDurable returns a director whose runs and file indexes persist in
+// the metastore's journal: the journal is replayed on construction, and
+// an empty one gets the version stamp. The caller retains ownership of
+// ms and closes it after the director shuts down. A journal in another
+// format is refused with a *VersionError and left as it is.
+func NewDurable(ms *metastore.Store) (*Director, error) {
+	d := &Director{
+		runs:  make(map[string][]*run),
+		conns: make(map[*proto.Conn]struct{}),
+		slog:  slog.Default(),
+		meta:  ms,
 	}
-	return d.meta.Append(job, buf.Bytes())
+	empty := true
+	err := ms.Replay(func(job string, rec []byte) error {
+		if empty {
+			empty = false
+			return checkStamp(job, rec)
+		}
+		msg, err := proto.Unmarshal(rec)
+		if err != nil {
+			return fmt.Errorf("job %q: %w", job, err)
+		}
+		return d.apply(job, msg)
+	})
+	if err != nil {
+		return nil, fmt.Errorf("director: replaying journal: %w", err)
+	}
+	// The stamp needs no sync of its own: the sync that makes any later
+	// record durable covers it, and a crash before that sync loses the
+	// records after it too, leaving an empty journal to stamp again.
+	if empty {
+		if err := ms.Append(stampJob, binary.BigEndian.AppendUint32(nil, journalVersion)); err != nil {
+			return nil, fmt.Errorf("director: stamping journal: %w", err)
+		}
+	}
+	return d, nil
+}
+
+// apply makes one mutation of a job's metadata: a run opens (NewRunOK),
+// a file index joins a run (PutFileIndex) or a run completes (EndRun).
+// Live calls apply a frame after journaling it and NewDurable applies
+// every replayed one, so a record that does not fit the state — a run
+// out of order, an unknown run, another message type — fails replay.
+// Callers hold d.mu (or are replaying before the director is shared).
+func (d *Director) apply(job string, msg any) error {
+	switch m := msg.(type) {
+	case proto.NewRunOK:
+		if m.RunID <= d.nextRun {
+			return fmt.Errorf("director: run %d of job %q opened after run %d", m.RunID, job, d.nextRun)
+		}
+		d.nextRun = m.RunID
+		d.runs[job] = append(d.runs[job], &run{id: m.RunID})
+	case proto.PutFileIndex:
+		r, err := d.findRun(job, m.RunID)
+		if err != nil {
+			return err
+		}
+		r.files = append(r.files, m.Entry)
+	case proto.EndRun:
+		r, err := d.findRun(job, m.RunID)
+		if err != nil {
+			return err
+		}
+		r.complete = true
+	default:
+		return fmt.Errorf("director: %T of job %q is not a journal record", msg, job)
+	}
+	return nil
+}
+
+// commit journals msg under job, then applies it. A completion is
+// fsynced before it is applied (the sync also covers the run's earlier
+// records). It runs under d.mu by design: replay order per job must
+// match mutation order, and d.mu is what serialises mutations. The cost
+// — control-plane RPCs occasionally waiting out a journal fsync — is
+// accepted; the data path never goes through the director.
+func (d *Director) commit(job string, msg any) error {
+	rec, err := proto.Marshal(msg)
+	if err != nil {
+		return fmt.Errorf("director: %w", err)
+	}
+	if err := d.meta.Append(job, rec); err != nil {
+		return err
+	}
+	if _, end := msg.(proto.EndRun); end {
+		if err := d.meta.Sync(); err != nil {
+			return err
+		}
+	}
+	return d.apply(job, msg)
 }
 
 // SetLogger installs a structured logger; nil keeps the current one.
@@ -212,34 +239,6 @@ func (d *Director) SetLogger(l *slog.Logger) {
 	if l != nil {
 		d.slog = l
 	}
-}
-
-// DefineJob registers (or replaces) a job object.
-func (d *Director) DefineJob(j Job) error {
-	if j.Name == "" {
-		return errors.New("director: job needs a name")
-	}
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	if err := d.persist(j.Name, metaEvent{
-		Op: evDefineJob, Client: j.Client, Dataset: j.Dataset, Schedule: j.Schedule,
-	}); err != nil {
-		return err
-	}
-	d.jobs[j.Name] = &j
-	return nil
-}
-
-// Jobs lists defined jobs sorted by name.
-func (d *Director) Jobs() []Job {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	out := make([]Job, 0, len(d.jobs))
-	for _, j := range d.jobs {
-		out = append(out, *j)
-	}
-	sort.Slice(out, func(i, k int) bool { return out[i].Name < out[k].Name })
-	return out
 }
 
 // RegisterServer records a backup server and returns its ID.
@@ -282,77 +281,62 @@ func (d *Director) AssignServer() (string, error) {
 	return best.addr, nil
 }
 
-// NewRun opens a run for a job, creating the job on the fly if the client
-// backs up an undefined job name.
-func (d *Director) NewRun(jobName, client string) uint64 {
+// NewRun opens a run of a job and returns its ID. The run exists only
+// once it is journaled: if the append fails, NewRun opens nothing and
+// returns 0, which is no run's ID. The client name is not recorded.
+func (d *Director) NewRun(jobName, _ string) uint64 {
 	d.mu.Lock()
 	defer d.mu.Unlock()
-	if _, ok := d.jobs[jobName]; !ok {
-		d.jobs[jobName] = &Job{Name: jobName, Client: client}
+	id := d.nextRun + 1
+	if err := d.commit(jobName, proto.NewRunOK{RunID: id}); err != nil {
+		// The record may have reached the journal (an append can fail in
+		// its batched fsync), so the ID is never handed out again.
+		d.nextRun = id
+		d.slog.Warn("journaling run failed, no run opened", "job", jobName, "err", err)
+		return 0
 	}
-	d.nextRun++
-	run := &Run{ID: d.nextRun, Job: jobName, Client: client, Started: time.Now()}
-	if err := d.persist(jobName, metaEvent{
-		Op: evNewRun, Client: client, RunID: run.ID, Started: run.Started,
-	}); err != nil {
-		// The run proceeds in memory; a journal failure costs durability
-		// of this run only, and the next mutation will surface it again.
-		d.slog.Warn("journaling run failed, run proceeds in memory",
-			"run", run.ID, "job", jobName, "err", err)
-	}
-	d.runs[jobName] = append(d.runs[jobName], run)
 	mRunsStarted.Inc()
-	return run.ID
+	return id
 }
 
-// findRun returns a job's run by ID, or nil. Callers hold d.mu (or are
-// replaying before the director is shared).
-func (d *Director) findRun(jobName string, runID uint64) *Run {
+// findRun returns a job's run by ID. Callers hold d.mu (or are replaying
+// before the director is shared).
+func (d *Director) findRun(jobName string, runID uint64) (*run, error) {
 	runs := d.runs[jobName]
 	for i := len(runs) - 1; i >= 0; i-- {
-		if runs[i].ID == runID {
-			return runs[i]
+		if runs[i].id == runID {
+			return runs[i], nil
 		}
 	}
-	return nil
+	return nil, fmt.Errorf("director: unknown run %d of job %q", runID, jobName)
 }
 
 // PutFileIndex stores a file's metadata and index under a run.
 func (d *Director) PutFileIndex(jobName string, runID uint64, e proto.FileEntry) error {
 	d.mu.Lock()
 	defer d.mu.Unlock()
-	run := d.findRun(jobName, runID)
-	if run == nil {
-		return fmt.Errorf("director: unknown run %d of job %q", runID, jobName)
-	}
-	if err := d.persist(jobName, metaEvent{Op: evFileIndex, RunID: runID, Entry: e}); err != nil {
+	if _, err := d.findRun(jobName, runID); err != nil {
 		return err
 	}
-	run.Files = append(run.Files, e)
-	return nil
+	return d.commit(jobName, proto.PutFileIndex{JobName: jobName, RunID: runID, Entry: e})
 }
 
 // EndRun marks a run complete: the backup server saw its BackupEnd, so
 // every needed chunk of the run's dataset was received. The server sends
-// BackupDone on this reply, so the completion is fsynced first (the sync
-// also covers the run's earlier file indexes); if the sync fails the run
-// stays incomplete and the server refuses the BackupEnd. An unsynced
-// completion that reaches the disk anyway is harmless on replay: the
-// server made the run's chunks durable before calling.
+// BackupDone on this reply, so the completion is fsynced first; if the
+// sync fails the run stays incomplete and the server refuses the
+// BackupEnd. An unsynced completion that reaches the disk anyway is
+// harmless on replay: the server made the run's chunks durable before
+// calling.
 func (d *Director) EndRun(jobName string, runID uint64) error {
 	d.mu.Lock()
 	defer d.mu.Unlock()
-	run := d.findRun(jobName, runID)
-	if run == nil {
-		return fmt.Errorf("director: unknown run %d of job %q", runID, jobName)
-	}
-	if err := d.persist(jobName, metaEvent{Op: evEndRun, RunID: runID}); err != nil {
+	if _, err := d.findRun(jobName, runID); err != nil {
 		return err
 	}
-	if err := d.meta.Sync(); err != nil {
+	if err := d.commit(jobName, proto.EndRun{JobName: jobName, RunID: runID}); err != nil {
 		return err
 	}
-	run.Complete = true
 	mRunsCompleted.Inc()
 	return nil
 }
@@ -365,8 +349,8 @@ func (d *Director) LatestFiles(jobName string) (uint64, []proto.FileEntry, error
 	defer d.mu.Unlock()
 	runs := d.runs[jobName]
 	for i := len(runs) - 1; i >= 0; i-- {
-		if runs[i].Complete && len(runs[i].Files) > 0 {
-			return runs[i].ID, runs[i].Files, nil
+		if runs[i].complete && len(runs[i].files) > 0 {
+			return runs[i].id, runs[i].files, nil
 		}
 	}
 	return 0, nil, fmt.Errorf("director: job %q has no completed runs", jobName)
@@ -384,9 +368,9 @@ func (d *Director) FilterFPs(jobName string) []fp.FP {
 		// Only complete runs filter: an interrupted run's fingerprints may
 		// have no chunk behind them, and filtering on them would tell the
 		// next backup not to send data the server does not have.
-		if runs[i].Complete && len(runs[i].Files) > 0 {
+		if runs[i].complete && len(runs[i].files) > 0 {
 			var fps []fp.FP
-			for _, f := range runs[i].Files {
+			for _, f := range runs[i].files {
 				fps = append(fps, f.Chunks...)
 			}
 			return fps
@@ -562,7 +546,11 @@ func (d *Director) handle(conn *proto.Conn) {
 		case proto.RegisterServer:
 			reply = proto.RegisterOK{ServerID: d.RegisterServer(m.Addr)}
 		case proto.NewRun:
-			reply = proto.NewRunOK{RunID: d.NewRun(m.JobName, m.Client)}
+			if id := d.NewRun(m.JobName, m.Client); id != 0 {
+				reply = proto.NewRunOK{RunID: id}
+			} else {
+				reply = proto.Ack{OK: false, Err: fmt.Sprintf("director: could not open a run of job %q", m.JobName)}
+			}
 		case proto.EndRun:
 			if err := d.EndRun(m.JobName, m.RunID); err != nil {
 				reply = proto.Ack{OK: false, Err: err.Error()}

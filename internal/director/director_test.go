@@ -27,23 +27,6 @@ func newTestDirector(t *testing.T) *Director {
 	return d
 }
 
-func TestDefineJob(t *testing.T) {
-	d := newTestDirector(t)
-	if err := d.DefineJob(Job{}); err == nil {
-		t.Fatal("nameless job accepted")
-	}
-	if err := d.DefineJob(Job{Name: "b", Client: "c"}); err != nil {
-		t.Fatal(err)
-	}
-	if err := d.DefineJob(Job{Name: "a", Schedule: "daily at 1.05am"}); err != nil {
-		t.Fatal(err)
-	}
-	jobs := d.Jobs()
-	if len(jobs) != 2 || jobs[0].Name != "a" || jobs[1].Name != "b" {
-		t.Fatalf("jobs = %+v", jobs)
-	}
-}
-
 func TestAssignServerBalances(t *testing.T) {
 	d := newTestDirector(t)
 	if _, err := d.AssignServer(); err == nil {

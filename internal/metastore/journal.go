@@ -8,8 +8,7 @@
 // with its job's name through to the file (fsynced in batches and on
 // Sync/Close); Open recovers the journal's longest valid prefix,
 // truncating a torn tail, and Replay walks it again in append order so
-// the director can rebuild its job catalog and file indexes after a
-// crash. The §6.3 claim test (TestConcurrent250Jobs) measures this
+// the director can rebuild its runs and file indexes after a crash. The §6.3 claim test (TestConcurrent250Jobs) measures this
 // journal. See internal/store/README.md for the record framing.
 package metastore
 
@@ -53,11 +52,12 @@ var journalCastagnoli = crc32.MakeTable(crc32.Castagnoli)
 // Store is an append-only metadata journal. All methods are safe for
 // concurrent use.
 type Store struct {
-	mu         sync.Mutex
-	f          *os.File     // set once at Open
-	end        int64        // guarded by mu; append offset
-	dirty      int          // guarded by mu; bytes appended since the last fsync
-	syncFailFn func() error // guarded by mu; fault injection: non-nil error fails the fsync
+	mu           sync.Mutex
+	f            *os.File     // set once at Open
+	end          int64        // guarded by mu; append offset
+	dirty        int          // guarded by mu; bytes appended since the last fsync
+	syncFailFn   func() error // guarded by mu; fault injection: non-nil error fails the fsync
+	appendFailFn func() error // guarded by mu; fault injection: non-nil error fails the append
 }
 
 // Open opens (creating if needed) the journal at path, locks it against a
@@ -185,6 +185,11 @@ func (s *Store) Append(job string, rec []byte) error {
 
 	s.mu.Lock()
 	defer s.mu.Unlock()
+	if s.appendFailFn != nil {
+		if err := s.appendFailFn(); err != nil {
+			return fmt.Errorf("metastore: journal append: %w", err)
+		}
+	}
 	if _, err := s.f.WriteAt(frame, s.end); err != nil {
 		return fmt.Errorf("metastore: journal append: %w", err)
 	}
@@ -203,6 +208,16 @@ func (s *Store) Append(job string, rec []byte) error {
 func (s *Store) SetSyncFailFunc(fn func() error) {
 	s.mu.Lock()
 	s.syncFailFn = fn
+	s.mu.Unlock()
+}
+
+// SetAppendFailFunc installs a fault-injection hook consulted before
+// every append: a non-nil return fails that append with the error,
+// writing nothing, as a full or failing disk would. nil clears it.
+// Test-only.
+func (s *Store) SetAppendFailFunc(fn func() error) {
+	s.mu.Lock()
+	s.appendFailFn = fn
 	s.mu.Unlock()
 }
 

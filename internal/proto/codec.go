@@ -86,6 +86,61 @@ var decoders = [...]func(*dec) any{
 	tagEndRun:            decodeAs[EndRun],
 }
 
+// Marshal encodes msg as one record: its tag byte followed by its
+// payload, the frame Send writes without the length field. A record
+// is how the director journals a control frame.
+func Marshal(msg any) ([]byte, error) {
+	tag, rec, err := encodeMsg([]byte{0}, msg)
+	if err != nil {
+		return nil, fmt.Errorf("proto: marshal: %w", err)
+	}
+	rec[0] = tag
+	return rec, nil
+}
+
+// Unmarshal decodes a record made by Marshal. Like Recv, it rejects an
+// unknown tag and trailing bytes; the chunk payloads of a ChunkBatch or
+// RestoreChunkBatch alias rec, and every other message copies what it
+// keeps.
+func Unmarshal(rec []byte) (any, error) {
+	if len(rec) == 0 {
+		return nil, errors.New("proto: unmarshal: empty record")
+	}
+	msg, err := decodeMsg(rec[0], rec[1:])
+	if err != nil {
+		return nil, fmt.Errorf("proto: unmarshal: %w", err)
+	}
+	return msg, nil
+}
+
+// encodeMsg appends msg's payload to buf and returns the grown buffer
+// with the message's tag.
+func encodeMsg(buf []byte, msg any) (byte, []byte, error) {
+	m, ok := msg.(encoder)
+	if !ok {
+		return 0, buf, fmt.Errorf("%T is not a protocol message", msg)
+	}
+	e := enc{buf: buf}
+	tag := m.encode(&e)
+	if e.err != nil {
+		return 0, e.buf, fmt.Errorf("%T: %w", msg, e.err)
+	}
+	return tag, e.buf, nil
+}
+
+// decodeMsg decodes one payload of the given tag.
+func decodeMsg(tag byte, payload []byte) (any, error) {
+	if int(tag) >= len(decoders) || decoders[tag] == nil {
+		return nil, fmt.Errorf("unknown frame tag %#x", tag)
+	}
+	d := dec{p: payload}
+	msg := decoders[tag](&d)
+	if err := d.finish(); err != nil {
+		return nil, fmt.Errorf("%T payload: %w", msg, err)
+	}
+	return msg, nil
+}
+
 func decodeAs[T any, P interface {
 	*T
 	decode(*dec)

@@ -22,6 +22,10 @@
 // rejects trailing bytes, and treats an unknown tag as fatal to the
 // connection.
 //
+// Marshal and Unmarshal write and read a record: a frame without its
+// length field, the tag byte followed by the payload. The director
+// journals the control frames it applies as records.
+//
 // # Backup path
 //
 // The dedup-1 exchange for one backup session is fingerprint-first: no
@@ -345,31 +349,25 @@ func DialTimeout(addr string, timeout time.Duration) (*Conn, error) {
 // with another Send on the same Conn from a second goroutine; a mutex
 // serialises writers regardless).
 func (c *Conn) Send(msg any) error {
-	m, ok := msg.(encoder)
-	if !ok {
-		return fmt.Errorf("proto: send: %T is not a protocol message", msg)
-	}
 	bp := getBuf(0)
 	defer putBuf(bp)
-	e := enc{buf: (*bp)[:0]}
-	tag := m.encode(&e)
-	*bp = e.buf // retain the grown buffer for the pool
-	if e.err != nil {
-		return fmt.Errorf("proto: send %T: %w", msg, e.err)
+	// The payload is encoded behind room for the frame header, so the
+	// whole frame goes out in one write.
+	tag, frame, err := encodeMsg(append((*bp)[:0], 0, 0, 0, 0, 0), msg)
+	*bp = frame // retain the grown buffer for the pool
+	if err != nil {
+		return fmt.Errorf("proto: send: %w", err)
 	}
-	if len(e.buf) > MaxFrame {
-		return fmt.Errorf("proto: send: frame of %d bytes exceeds limit", len(e.buf))
+	n := len(frame) - 5
+	if n > MaxFrame {
+		return fmt.Errorf("proto: send: frame of %d bytes exceeds limit", n)
 	}
-	var hdr [5]byte
-	hdr[0] = tag
-	binary.BigEndian.PutUint32(hdr[1:], uint32(len(e.buf)))
+	frame[0] = tag
+	binary.BigEndian.PutUint32(frame[1:], uint32(n))
 
 	c.wmu.Lock()
 	defer c.wmu.Unlock()
-	if _, err := c.bw.Write(hdr[:]); err != nil {
-		return fmt.Errorf("proto: send: %w", err)
-	}
-	if _, err := c.bw.Write(e.buf); err != nil {
+	if _, err := c.bw.Write(frame); err != nil {
 		return fmt.Errorf("proto: send: %w", err)
 	}
 	if err := c.bw.Flush(); err != nil {
@@ -400,6 +398,8 @@ func (c *Conn) Recv() (any, error) {
 		}
 		return nil, ErrLegacyFrame
 	}
+	// Checked before the payload is read, so a garbage header costs no
+	// payload buffer.
 	if int(tag) >= len(decoders) || decoders[tag] == nil {
 		return nil, fmt.Errorf("proto: recv: unknown frame tag %#x", tag)
 	}
@@ -418,10 +418,9 @@ func (c *Conn) Recv() (any, error) {
 	if _, err := io.ReadFull(c.br, payload); err != nil {
 		return nil, fmt.Errorf("proto: recv: %w", err)
 	}
-	d := dec{p: payload}
-	msg := decoders[tag](&d)
-	if err := d.finish(); err != nil {
-		return nil, fmt.Errorf("proto: recv: %T payload: %w", msg, err)
+	msg, err := decodeMsg(tag, payload)
+	if err != nil {
+		return nil, fmt.Errorf("proto: recv: %w", err)
 	}
 	return msg, nil
 }

@@ -126,6 +126,40 @@ func TestRoundTripAllMessages(t *testing.T) {
 	}
 }
 
+// TestMarshalIsFrameWithoutLength pins that a record is exactly the
+// frame Send writes minus its length field, and that Unmarshal returns
+// every message unchanged. It also pins Unmarshal's refusals: an empty
+// record, an unknown or retired tag, trailing bytes.
+func TestMarshalIsFrameWithoutLength(t *testing.T) {
+	for _, m := range allMessages() {
+		rec, err := Marshal(m)
+		if err != nil {
+			t.Fatalf("Marshal(%T): %v", m, err)
+		}
+		var wire bytes.Buffer
+		if err := NewConn(nopCloser{&wire}).Send(m); err != nil {
+			t.Fatal(err)
+		}
+		frame := wire.Bytes()
+		if want := append([]byte{frame[0]}, frame[5:]...); !bytes.Equal(rec, want) {
+			t.Fatalf("Marshal(%T) = %x, want the frame without its length %x", m, rec, want)
+		}
+		got, err := Unmarshal(rec)
+		if err != nil || !reflect.DeepEqual(got, m) {
+			t.Fatalf("Unmarshal(Marshal(%T)) = %+v, %v", m, got, err)
+		}
+	}
+	if _, err := Marshal(struct{ X int }{1}); err == nil {
+		t.Fatal("Marshal of a non-protocol value succeeded")
+	}
+	rec, _ := Marshal(EndRun{JobName: "j", RunID: 1})
+	for _, bad := range [][]byte{nil, {tagLegacyGob}, {2}, {tagEndRun + 1}, append(rec, 0)} {
+		if m, err := Unmarshal(bad); err == nil {
+			t.Fatalf("Unmarshal(%x) = %+v, want an error", bad, m)
+		}
+	}
+}
+
 // TestSendRefusesWrappedLength pins that an encoder never wraps a length
 // field. A FileEntry path of 64 KiB or more does not fit its 2-byte
 // length; written with the length wrapped, the frame would decode as a

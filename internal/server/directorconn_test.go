@@ -1,9 +1,11 @@
 package server_test
 
 import (
+	"errors"
 	"net"
 	"path/filepath"
 	"sort"
+	"strings"
 	"testing"
 
 	"debar/internal/director"
@@ -171,6 +173,29 @@ func TestDirectorRestartRedials(t *testing.T) {
 	runDedup2Direct(t, srvAddr) // the restarted director has no server list
 	restoreAndCompare(t, srvAddr, "after-restart", afterFiles)
 	restoreAndCompare(t, srvAddr, "before-restart", beforeFiles)
+}
+
+// TestBackupRefusedWhenRunNotJournaled: a director that cannot journal a
+// new run opens none and refuses the NewRun. The server passes the
+// refusal on, so the backup fails up front with the director's typed
+// error, and the job has no run for a restore to find.
+func TestBackupRefusedWhenRunNotJournaled(t *testing.T) {
+	d, ms, dirAddr := startDirector(t, filepath.Join(t.TempDir(), "meta.journal"), "127.0.0.1:0")
+	t.Cleanup(func() { ms.Close() })
+	t.Cleanup(func() { d.Close() })
+	srvAddr := startServerAt(t, dirAddr)
+	ms.SetAppendFailFunc(func() error { return errors.New("injected disk full") })
+
+	src := t.TempDir()
+	writeTree(t, src, 43)
+	_, err := testClient(srvAddr).Backup("unjournaled", src)
+	var re *proto.RemoteError
+	if !errors.As(err, &re) || !strings.Contains(re.Msg, "could not open a run") {
+		t.Fatalf("backup whose run could not be journaled: err = %v, want the director's refusal", err)
+	}
+	if _, _, err := d.LatestFiles("unjournaled"); err == nil {
+		t.Fatal("refused backup left a restorable run")
+	}
 }
 
 // TestLegacyGobPeerRefused: a peer at protocol version 3 or older opens

@@ -627,6 +627,9 @@ func (s *Server) startBackup(m proto.BackupStart, st *connState) (any, error) {
 		if err != nil {
 			return nil, err
 		}
+		if ack, is := reply.(proto.Ack); is && !ack.OK {
+			return nil, fmt.Errorf("server: director opened no run: %w", proto.AckError(ack))
+		}
 		ok, is := reply.(proto.NewRunOK)
 		if !is {
 			return nil, fmt.Errorf("server: unexpected NewRun reply %T", reply)
