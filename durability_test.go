@@ -241,7 +241,7 @@ func copyTree(t *testing.T, src, dst string) {
 // daemons: the live data directories are snapshotted byte-for-byte while
 // the deployment is still running — exactly the on-disk (page-cache
 // included) state a killed process leaves, with no Close, no engine
-// checkpoint and no WAL truncation — and a fresh deployment boots from
+// checkpoint and no WAL retirement — and a fresh deployment boots from
 // the snapshot. Recovery must trust the checkpointed index for the
 // already-stored job, replay the WAL for the pending one, and the
 // chunk-streamed restore path (forced to many small windowed batches)
@@ -303,7 +303,7 @@ func TestDurabilityStreamingRestoreAfterKill(t *testing.T) {
 
 // TestDurabilityCrashBetweenSILAndSIU kills the deployment in the middle
 // of a dedup-2 pass: SIL and chunk storing have appended the containers
-// but the SIU index writes, the engine checkpoint and the WAL truncation
+// but the SIU index writes, the engine checkpoint and the WAL retirement
 // never happen. The on-disk state is snapshotted byte-for-byte from
 // inside the "sil-stored" stage hook — exactly what a SIGKILL at that
 // instant leaves. A fresh deployment booting from the snapshot must
@@ -331,7 +331,7 @@ func TestDurabilityCrashBetweenSILAndSIU(t *testing.T) {
 				return
 			}
 			// The "kill": capture the live on-disk state mid-pass, before
-			// SIU, checkpoint or WAL truncation run.
+			// SIU, checkpoint or WAL retirement run.
 			snapped = true
 			copyTree(t, dirData, killDir)
 			copyTree(t, srvData, killSrv)
@@ -350,7 +350,7 @@ func TestDurabilityCrashBetweenSILAndSIU(t *testing.T) {
 	shutdownDurable(t, d, ms, srv)
 
 	// Boot from the mid-pass snapshot. The chunk-log WAL still holds every
-	// chunk (truncation never ran), so recovery re-queues the fingerprints
+	// chunk (retirement never ran), so recovery re-queues the fingerprints
 	// and the retried pass finishes the interrupted work.
 	d, ms, srv, saddr = bootDurableWith(t, killDir, killSrv, nil, nil)
 	defer shutdownDurable(t, d, ms, srv)
@@ -391,10 +391,10 @@ func dedup2Pass(t *testing.T, saddr string) proto.Dedup2Done {
 }
 
 // TestDurabilityKillAfterLiveConsume pins "a consumed chunk is durable"
-// on the path that truncates the WAL while a backup session is live:
+// on the path that retires WAL segments while a backup session is live:
 // session A holds logged chunks, a dedup-2 pass consumes them and
-// truncates the WAL, and the deployment is killed (data dirs snapshotted)
-// with A still open. Booting from the snapshot, every consumed
+// retires their WAL segment, and the deployment is killed (data dirs
+// snapshotted) with A still open. Booting from the snapshot, every consumed
 // fingerprint must resolve through the disk index, and a further pass
 // must store nothing.
 func TestDurabilityKillAfterLiveConsume(t *testing.T) {
@@ -453,14 +453,14 @@ func TestDurabilityKillAfterLiveConsume(t *testing.T) {
 		}
 	}
 
-	// The pass consumes A's records and, caught up, truncates the WAL.
+	// The pass consumes A's records and, caught up, retires their WAL
+	// segment for reuse: the WAL holds no more bytes than before.
+	before := walBytes(t, srvData)
 	if err := d.TriggerDedup2(); err != nil {
 		t.Fatalf("dedup-2: %v", err)
 	}
-	if st, err := os.Stat(filepath.Join(srvData, "chunklog.wal")); err != nil {
-		t.Fatal(err)
-	} else if st.Size() != 0 {
-		t.Fatalf("WAL holds %d bytes after the pass, want 0", st.Size())
+	if after := walBytes(t, srvData); after > before {
+		t.Fatalf("WAL holds %d bytes after the pass, want at most the %d it retired", after, before)
 	}
 
 	// The kill, with A still open.
@@ -476,6 +476,9 @@ func TestDurabilityKillAfterLiveConsume(t *testing.T) {
 	}
 	d, ms, srv, saddr = bootDurable(t, killDir, killSrv, eng)
 	defer shutdownDurable(t, d, ms, srv)
+	if n := eng.ChunkLog().Count(); n != 0 {
+		t.Fatalf("reboot replayed %d consumed WAL records, want 0", n)
+	}
 	for i, f := range fps {
 		if _, err := eng.Index().Lookup(f); err != nil {
 			t.Fatalf("consumed chunk %d lost after the kill: %v", i, err)
@@ -486,13 +489,32 @@ func TestDurabilityKillAfterLiveConsume(t *testing.T) {
 	}
 }
 
+// walBytes returns the bytes on disk of the chunk-log WAL under a
+// server's data directory: its segments and the spares kept for reuse.
+func walBytes(t *testing.T, srvData string) int64 {
+	t.Helper()
+	segs, err := filepath.Glob(filepath.Join(srvData, "wal", "wal-*.log"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var n int64
+	for _, seg := range segs {
+		st, err := os.Stat(seg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		n += st.Size()
+	}
+	return n
+}
+
 // TestDurabilityCrashMidGroupCommit drives the group-commit durability
 // contract end to end: several clients back up concurrently, so their
 // chunk batches share the engine's coalesced fsync windows and no batch
 // waits for its own, but every BackupDone was held until an fsync
 // covered the whole run. The deployment is then "killed" — live data
 // directories snapshotted byte-for-byte with no dedup-2, no checkpoint
-// and no WAL truncation — at the worst point the coalesced write path
+// and no WAL retirement — at the worst point the coalesced write path
 // allows: every run complete, nothing yet moved out of the WAL. A
 // deployment booting from the snapshot must recover every chunk of the
 // completed runs and restore each job byte-identical.
@@ -582,5 +604,44 @@ func TestStartLocalDurableRestart(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer sys2.Close()
+	checkRestore(t, sys2.ServerAddrs[0], job, src)
+}
+
+// TestRestoreBeforeDedup2: a backup the deployment acknowledged restores
+// byte-identically before any dedup-2 pass has run — its chunks are read
+// from the chunk-log WAL — and again after a restart recovers that WAL,
+// and again once a pass has moved the chunks into containers.
+func TestRestoreBeforeDedup2(t *testing.T) {
+	data := t.TempDir()
+	src := t.TempDir()
+	rng := newDetRand(29)
+	buf := make([]byte, 600*1024)
+	for i := 0; i < len(buf); i += 8 {
+		binary.LittleEndian.PutUint64(buf[i:], rng.next())
+	}
+	if err := os.WriteFile(filepath.Join(src, "data.bin"), buf, 0o644); err != nil {
+		t.Fatal(err)
+	}
+
+	const job = "no-pass-job"
+	sys, err := StartLocal(1, ServerConfig{IndexBits: 10, DataDir: data})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := NewClient(sys.ServerAddrs[0], "e2e").Backup(job, src); err != nil {
+		t.Fatalf("backup: %v", err)
+	}
+	checkRestore(t, sys.ServerAddrs[0], job, src)
+	sys.Close()
+
+	sys2, err := StartLocal(1, ServerConfig{IndexBits: 10, DataDir: data})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer sys2.Close()
+	checkRestore(t, sys2.ServerAddrs[0], job, src)
+	if err := sys2.RunDedup2(); err != nil {
+		t.Fatalf("dedup-2: %v", err)
+	}
 	checkRestore(t, sys2.ServerAddrs[0], job, src)
 }

@@ -25,6 +25,17 @@ func walRecord(i int) (fp.FP, []byte) {
 	return fp.New(data), data
 }
 
+// lastSegment returns the path of the highest-numbered segment file of
+// the WAL in dir.
+func lastSegment(t *testing.T, dir string) string {
+	t.Helper()
+	segs, err := filepath.Glob(filepath.Join(dir, "wal-*.log"))
+	if err != nil || len(segs) == 0 {
+		t.Fatalf("no wal segment in %s (%v)", dir, err)
+	}
+	return segs[len(segs)-1]
+}
+
 // reopenWAL opens the WAL at path, closing it at test end, and returns it
 // with the fingerprints it recovered (every recovered record is pending).
 func reopenWAL(t *testing.T, path string) (*Log, []fp.FP) {
@@ -38,7 +49,7 @@ func reopenWAL(t *testing.T, path string) (*Log, []fp.FP) {
 }
 
 func TestWALRoundTrip(t *testing.T) {
-	path := filepath.Join(t.TempDir(), "chunklog.wal")
+	path := filepath.Join(t.TempDir(), "wal")
 	l, fps := reopenWAL(t, path)
 	if len(fps) != 0 {
 		t.Fatalf("fresh WAL recovered %d fps", len(fps))
@@ -111,7 +122,7 @@ func TestWALTornTailTruncated(t *testing.T) {
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			path := filepath.Join(t.TempDir(), "chunklog.wal")
+			path := filepath.Join(t.TempDir(), "wal")
 			l, err := OpenWAL(path)
 			if err != nil {
 				t.Fatal(err)
@@ -125,17 +136,18 @@ func TestWALTornTailTruncated(t *testing.T) {
 			if err := l.Close(); err != nil {
 				t.Fatal(err)
 			}
-			st, err := os.Stat(path)
+			seg := lastSegment(t, path)
+			st, err := os.Stat(seg)
 			if err != nil {
 				t.Fatal(err)
 			}
-			tc.damage(t, path, st.Size())
+			tc.damage(t, seg, st.Size())
 
 			l2, fps := reopenWAL(t, path)
 			if len(fps) != tc.keep {
 				t.Fatalf("recovered %d fps, want %d", len(fps), tc.keep)
 			}
-			var end int64
+			end := int64(segHeaderSize)
 			for i, got := range fps {
 				want, data := walRecord(i)
 				if got != want {
@@ -154,7 +166,7 @@ func TestWALTornTailTruncated(t *testing.T) {
 			if err := l2.Close(); err != nil {
 				t.Fatal(err)
 			}
-			if st, err := os.Stat(path); err != nil {
+			if st, err := os.Stat(seg); err != nil {
 				t.Fatal(err)
 			} else if want := end + walHeader + int64(len(data)); st.Size() != want {
 				t.Fatalf("file size %d after post-recovery append, want %d", st.Size(), want)
@@ -168,7 +180,7 @@ func TestWALTornTailTruncated(t *testing.T) {
 }
 
 func TestWALCorruptMiddleTruncates(t *testing.T) {
-	path := filepath.Join(t.TempDir(), "chunklog.wal")
+	path := filepath.Join(t.TempDir(), "wal")
 	l, err := OpenWAL(path)
 	if err != nil {
 		t.Fatal(err)
@@ -186,11 +198,11 @@ func TestWALCorruptMiddleTruncates(t *testing.T) {
 	}
 
 	// Flip a byte inside record 2's payload.
-	f, err := os.OpenFile(path, os.O_RDWR, 0o644)
+	f, err := os.OpenFile(lastSegment(t, path), os.O_RDWR, 0o644)
 	if err != nil {
 		t.Fatal(err)
 	}
-	off := sizes[0] + sizes[1] + walHeader + 3
+	off := segHeaderSize + sizes[0] + sizes[1] + walHeader + 3
 	if _, err := f.WriteAt([]byte{0xFF}, off); err != nil {
 		t.Fatal(err)
 	}
@@ -209,7 +221,7 @@ func TestWALCorruptMiddleTruncates(t *testing.T) {
 // path let a subsequent Sync (or Close) return success while appended
 // records had never reached the disk.
 func TestWALSyncFailureKeepsDirty(t *testing.T) {
-	path := filepath.Join(t.TempDir(), "chunklog.wal")
+	path := filepath.Join(t.TempDir(), "wal")
 	l, err := OpenWAL(path)
 	if err != nil {
 		t.Fatal(err)
@@ -267,7 +279,7 @@ func TestWALSyncFailureKeepsDirty(t *testing.T) {
 // owner schedules Sync (in the storage engine, the "wal" group committer),
 // and one Sync covers every earlier append.
 func TestWALAppendNeverSyncsInline(t *testing.T) {
-	path := filepath.Join(t.TempDir(), "chunklog.wal")
+	path := filepath.Join(t.TempDir(), "wal")
 	l, err := OpenWAL(path)
 	if err != nil {
 		t.Fatal(err)
@@ -323,7 +335,7 @@ func TestWALWalkWindowEdges(t *testing.T) {
 		64,
 		65,
 	}
-	path := filepath.Join(t.TempDir(), "chunklog.wal")
+	path := filepath.Join(t.TempDir(), "wal")
 	l, err := OpenWAL(path)
 	if err != nil {
 		t.Fatal(err)
@@ -386,7 +398,7 @@ func TestWALWalkWindowEdges(t *testing.T) {
 // TestWALWalkAllocsConstant: a walk allocates its read window once, not a
 // buffer per record.
 func TestWALWalkAllocsConstant(t *testing.T) {
-	l, err := OpenWAL(filepath.Join(t.TempDir(), "chunklog.wal"))
+	l, err := OpenWAL(filepath.Join(t.TempDir(), "wal"))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -417,7 +429,7 @@ func TestWALWalkAllocsConstant(t *testing.T) {
 // chunk's size, appending a new chunk builds its record in that buffer
 // instead of allocating one per record.
 func TestWALAppendNewAllocs(t *testing.T) {
-	l, err := OpenWAL(filepath.Join(t.TempDir(), "chunklog.wal"))
+	l, err := OpenWAL(filepath.Join(t.TempDir(), "wal"))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -441,7 +453,7 @@ func TestWALAppendNewAllocs(t *testing.T) {
 // stops the walk with a corruption error naming the record's offset,
 // before a buffer of the declared size is allocated.
 func TestWALWalkRejectsOversizedRecord(t *testing.T) {
-	path := filepath.Join(t.TempDir(), "chunklog.wal")
+	path := filepath.Join(t.TempDir(), "wal")
 	l, err := OpenWAL(path)
 	if err != nil {
 		t.Fatal(err)
@@ -454,8 +466,8 @@ func TestWALWalkRejectsOversizedRecord(t *testing.T) {
 		}
 	}
 	_, first := walRecord(0)
-	off := int64(walHeader + len(first)) // record 2
-	f, err := os.OpenFile(path, os.O_RDWR, 0o644)
+	off := int64(segHeaderSize + walHeader + len(first)) // record 2
+	f, err := os.OpenFile(lastSegment(t, path), os.O_RDWR, 0o644)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -482,7 +494,7 @@ func TestIterateDoesNotBlockAppend(t *testing.T) {
 			l := NewMem(false, nil)
 			if mode == "wal" {
 				var err error
-				if l, err = OpenWAL(filepath.Join(t.TempDir(), "chunklog.wal")); err != nil {
+				if l, err = OpenWAL(filepath.Join(t.TempDir(), "wal")); err != nil {
 					t.Fatal(err)
 				}
 				defer l.Close()
@@ -531,7 +543,7 @@ func TestIterateDoesNotBlockAppend(t *testing.T) {
 }
 
 func TestWALResetDurable(t *testing.T) {
-	path := filepath.Join(t.TempDir(), "chunklog.wal")
+	path := filepath.Join(t.TempDir(), "wal")
 	l, err := OpenWAL(path)
 	if err != nil {
 		t.Fatal(err)
@@ -551,14 +563,23 @@ func TestWALResetDurable(t *testing.T) {
 	}
 }
 
-// walSize returns the WAL file's size on disk.
-func walSize(t *testing.T, path string) int64 {
+// walSize returns the bytes on disk of the WAL in dir: its segments and
+// spares.
+func walSize(t *testing.T, dir string) int64 {
 	t.Helper()
-	st, err := os.Stat(path)
+	segs, err := filepath.Glob(filepath.Join(dir, "wal-*.log"))
 	if err != nil {
 		t.Fatal(err)
 	}
-	return st.Size()
+	var n int64
+	for _, seg := range segs {
+		st, err := os.Stat(seg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		n += st.Size()
+	}
+	return n
 }
 
 // walkFPs returns the fingerprints an Iterate walk visits.
@@ -610,12 +631,13 @@ func drainTxn(t *testing.T, l *Log, during func(*Txn)) (fps, walked []fp.FP) {
 
 // TestWALPendingConsume pins the log as dedup-2's work queue: a drain
 // gets exactly the unconsumed records and its walk stops at them even
-// when appends land mid-drain; a drain with appends past it keeps the
-// file and moves the cursor, so Pending and Iterate start after it; and
-// a drain that catches up truncates the file to 0 bytes, after which a
+// when appends land mid-drain; a drain with appends past it keeps their
+// segment and moves the cursor, so Pending and Iterate start after it;
+// and a drain that catches up retires the segment — the WAL holds no
+// more bytes than it did, all of them a recycled file — after which a
 // reopen replays nothing.
 func TestWALPendingConsume(t *testing.T) {
-	path := filepath.Join(t.TempDir(), "chunklog.wal")
+	path := filepath.Join(t.TempDir(), "wal")
 	l, _ := reopenWAL(t, path)
 	first := appendWALRecords(t, l, 0, 5)
 	var rest []fp.FP
@@ -641,11 +663,12 @@ func TestWALPendingConsume(t *testing.T) {
 		t.Fatalf("Iterate after the drain walked %d records, want the 3 past the cursor", len(walked))
 	}
 
+	size = walSize(t, path)
 	if got, _ := drainTxn(t, l, nil); !slices.Equal(got, rest) {
 		t.Fatalf("second drain got %d fps, want the 3 left", len(got))
 	}
-	if got := walSize(t, path); got != 0 {
-		t.Fatalf("caught-up drain left %d bytes, want 0", got)
+	if got := walSize(t, path); got > size {
+		t.Fatalf("caught-up drain left %d bytes, want at most the %d it retired", got, size)
 	}
 	if got := l.Pending(); len(got) != 0 {
 		t.Fatalf("Pending after a caught-up drain = %d fps, want 0", len(got))
@@ -662,11 +685,12 @@ func TestWALPendingConsume(t *testing.T) {
 }
 
 // TestWALPendingReplayAfterPartialConsume: the consume cursor is not
-// persisted, so a reopen after a drain that kept the file replays every
-// record, the consumed ones included (dedup-2's SIL discards those as
-// duplicates), and every replayed fingerprint is Logged again.
+// persisted, so a reopen after a drain that kept the records' segment
+// replays every record in it, the consumed ones included (dedup-2's SIL
+// discards those as duplicates), and every replayed fingerprint is Logged
+// again.
 func TestWALPendingReplayAfterPartialConsume(t *testing.T) {
-	path := filepath.Join(t.TempDir(), "chunklog.wal")
+	path := filepath.Join(t.TempDir(), "wal")
 	l, _ := reopenWAL(t, path)
 	all := appendWALRecords(t, l, 0, 4)
 	drainTxn(t, l, func(*Txn) { all = append(all, appendWALRecords(t, l, 4, 6)...) })

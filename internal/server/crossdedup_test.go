@@ -136,7 +136,7 @@ func TestCrossSessionLogDedup(t *testing.T) {
 	}
 
 	// Dedup-2 moves the single logged copy into a container and
-	// truncates the log; B's recipe must restore through it.
+	// retires its WAL segment; B's recipe must restore through it.
 	if err := dir.TriggerDedup2(); err != nil {
 		t.Fatal(err)
 	}

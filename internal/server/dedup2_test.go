@@ -11,6 +11,7 @@ import (
 
 	"debar/internal/client"
 	"debar/internal/fp"
+	"debar/internal/obs"
 	"debar/internal/proto"
 	"debar/internal/server"
 	"debar/internal/store"
@@ -135,14 +136,24 @@ type liveSession struct {
 // live.bin, is n distinct chunks.
 func openLiveSession(t *testing.T, srvAddr, job string, n int) *liveSession {
 	t.Helper()
+	var chunks [][]byte
+	for i := range n {
+		chunks = append(chunks, bytes.Repeat([]byte(fmt.Sprintf("%s chunk %02d ", job, i)), 64))
+	}
+	return openSessionWith(t, srvAddr, job, chunks)
+}
+
+// openSessionWith starts a session of job on srvAddr whose one file,
+// live.bin, is chunks.
+func openSessionWith(t *testing.T, srvAddr, job string, chunks [][]byte) *liveSession {
+	t.Helper()
 	conn, err := proto.Dial(srvAddr)
 	if err != nil {
 		t.Fatal(err)
 	}
 	t.Cleanup(func() { conn.Close() })
 	ls := &liveSession{t: t, conn: conn}
-	for i := range n {
-		c := bytes.Repeat([]byte(fmt.Sprintf("%s chunk %02d ", job, i)), 64)
+	for _, c := range chunks {
 		ls.chunks = append(ls.chunks, c)
 		ls.entry.Chunks = append(ls.entry.Chunks, fp.New(c))
 		ls.entry.Sizes = append(ls.entry.Sizes, uint32(len(c)))
@@ -231,22 +242,43 @@ func (ls *liveSession) end(srvAddr, job string) {
 	}
 }
 
-// walSize returns the size of the engine's chunk-log WAL file.
+// walSize returns the bytes on disk of the engine's chunk-log WAL: its
+// segments and the spares kept for reuse.
 func walSize(t *testing.T, eng *store.Engine) int64 {
 	t.Helper()
-	st, err := os.Stat(filepath.Join(eng.Dir(), "chunklog.wal"))
+	segs, err := filepath.Glob(filepath.Join(eng.Dir(), "wal", "wal-*.log"))
 	if err != nil {
 		t.Fatal(err)
 	}
-	return st.Size()
+	var n int64
+	for _, seg := range segs {
+		st, err := os.Stat(seg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		n += st.Size()
+	}
+	return n
+}
+
+// checkRetired fails unless the engine's chunk log holds no unconsumed
+// record and its WAL no more than the bytes the last pass retired.
+func checkRetired(t *testing.T, eng *store.Engine, retired int64) {
+	t.Helper()
+	if n := eng.ChunkLog().Count(); n != 0 {
+		t.Fatalf("chunk log holds %d unconsumed records after a caught-up pass, want 0", n)
+	}
+	if size := walSize(t, eng); size > retired {
+		t.Fatalf("WAL holds %d bytes after a caught-up pass, want at most the %d it retired", size, retired)
+	}
 }
 
 // TestDedup2ConsumesLiveSession: the chunk log is dedup-2's work queue,
 // so a pass stores the logged chunks of a session that is still open and
-// truncates the WAL under it. Session A stays open with n logged chunks:
-// pass 1 stores all n and leaves a 0-byte WAL. A then logs m more: pass 2
-// stores exactly those m and re-walks none of the first n. After A ends,
-// its file restores byte-identical.
+// retires the WAL segment under it. Session A stays open with n logged
+// chunks: pass 1 stores all n and leaves no unconsumed record. A then
+// logs m more: pass 2 stores exactly those m and re-walks none of the
+// first n. After A ends, its file restores byte-identical.
 func TestDedup2ConsumesLiveSession(t *testing.T) {
 	eng, err := store.Open(t.TempDir(), store.Options{IndexBits: 12})
 	if err != nil {
@@ -257,12 +289,11 @@ func TestDedup2ConsumesLiveSession(t *testing.T) {
 	const n, m = 6, 4
 	a := openLiveSession(t, srvAddr, "live-job", n+m)
 	a.ship(0, 0, n)
+	size := walSize(t, eng)
 	if done := runDedup2Direct(t, srvAddr); done.NewChunks != n {
 		t.Fatalf("pass 1 with the session open stored %d chunks, want %d", done.NewChunks, n)
 	}
-	if size := walSize(t, eng); size != 0 {
-		t.Fatalf("WAL holds %d bytes after a caught-up pass, want 0", size)
-	}
+	checkRetired(t, eng, size)
 
 	a.ship(1, n, n+m)
 	if done := runDedup2Direct(t, srvAddr); done.NewChunks != m || done.DupChunks != 0 {
@@ -275,7 +306,7 @@ func TestDedup2ConsumesLiveSession(t *testing.T) {
 // chunk log. When its container append fails, the pass reports the error
 // and consumes nothing: the WAL keeps every record, and the log's logged
 // set still answers the chunks' re-offer with "don't transfer". The retry
-// stores every chunk, truncates the WAL, and the file restores.
+// stores every chunk, retires the WAL segment, and the file restores.
 func TestDedup2FailedPassConsumesNothing(t *testing.T) {
 	eng, err := store.Open(t.TempDir(), store.Options{IndexBits: 12})
 	if err != nil {
@@ -308,15 +339,13 @@ func TestDedup2FailedPassConsumesNothing(t *testing.T) {
 	if done := runDedup2Direct(t, srvAddr); done.NewChunks != n {
 		t.Fatalf("retried pass stored %d chunks, want %d", done.NewChunks, n)
 	}
-	if got := walSize(t, eng); got != 0 {
-		t.Fatalf("WAL holds %d bytes after the retried pass, want 0", got)
-	}
+	checkRetired(t, eng, size)
 	a.end(srvAddr, "failed-pass-job")
 }
 
 // TestDedup2AlwaysRunsSIU: a Dedup2Request always gets a whole pass,
-// SIU included: every stored chunk is in the disk index and the WAL is
-// truncated when the reply arrives.
+// SIU included: every stored chunk is in the disk index and the WAL
+// segment retired when the reply arrives.
 func TestDedup2AlwaysRunsSIU(t *testing.T) {
 	eng, err := store.Open(t.TempDir(), store.Options{IndexBits: 12})
 	if err != nil {
@@ -327,6 +356,7 @@ func TestDedup2AlwaysRunsSIU(t *testing.T) {
 	const n = 5
 	a := openLiveSession(t, srvAddr, "siu-job", n)
 	a.ship(0, 0, n)
+	size := walSize(t, eng)
 	if done := sendDedup2(t, srvAddr); done.Err != "" || done.NewChunks != n {
 		t.Fatalf("pass = %+v, want %d new chunks", done, n)
 	}
@@ -335,8 +365,75 @@ func TestDedup2AlwaysRunsSIU(t *testing.T) {
 			t.Fatalf("chunk %d not in the index after the pass: %v", i, err)
 		}
 	}
-	if size := walSize(t, eng); size != 0 {
-		t.Fatalf("WAL holds %d bytes after the pass, want 0", size)
-	}
+	checkRetired(t, eng, size)
 	a.end(srvAddr, "siu-job")
+}
+
+// TestDedup2ReadsOnlyNewBytes: one session stays open across 10 passes,
+// logging one new chunk before each, while another session per pass backs
+// up eight more. Each pass reads from the WAL exactly the records of the
+// chunks it stores — dedup2_pass_read_bytes_total grows by their framed
+// bytes, and by nothing on the pass whose chunks are all duplicates of
+// stored ones — and after each the WAL holds no unconsumed record and
+// stays under two passes' worth of bytes on disk.
+func TestDedup2ReadsOnlyNewBytes(t *testing.T) {
+	eng, err := store.Open(t.TempDir(), store.Options{IndexBits: 12})
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, _, srvAddr := startServer(t, func(c *server.Config) { c.Storage = eng })
+	readBytes := obs.GetCounter("dedup2_pass_read_bytes_total")
+	framed := func(chunks [][]byte) (n int64) {
+		for _, c := range chunks {
+			n += 4 + fp.Size + 4 + int64(len(c))
+		}
+		return n
+	}
+
+	const passes, dupPass = 10, 6
+	open := openLiveSession(t, srvAddr, "open-job", passes)
+	var worth int64 // the most WAL bytes one pass has logged
+	var last [][]byte
+	for p := range passes {
+		var stored [][]byte // the chunks this pass must store
+		logged := int64(0)
+		if p == dupPass {
+			// A new job re-sends the previous pass's chunks: every one is
+			// logged, and SIL proves every one a duplicate.
+			dup := openSessionWith(t, srvAddr, "dup-job", last)
+			dup.ship(0, 0, len(last))
+			logged += framed(last)
+			dup.end(srvAddr, "dup-job")
+		} else {
+			open.ship(uint64(p), p, p+1)
+			stored = append(stored, open.chunks[p])
+			job := fmt.Sprintf("pass-%d", p)
+			b := openLiveSession(t, srvAddr, job, 8)
+			b.ship(0, 0, 8)
+			stored = append(stored, b.chunks...)
+			b.end(srvAddr, job)
+			last = b.chunks
+		}
+		logged += framed(stored)
+		worth = max(worth, logged)
+
+		before := readBytes.Value()
+		done := runDedup2Direct(t, srvAddr)
+		if done.NewChunks != int64(len(stored)) {
+			t.Fatalf("pass %d stored %d chunks, want %d", p, done.NewChunks, len(stored))
+		}
+		if got, want := readBytes.Value()-before, framed(stored); got != want {
+			t.Fatalf("pass %d read %d WAL bytes, want the %d of the chunks it stored", p, got, want)
+		}
+		if n := eng.ChunkLog().Count(); n != 0 {
+			t.Fatalf("pass %d left %d unconsumed records", p, n)
+		}
+		if size := walSize(t, eng); size >= 2*worth {
+			t.Fatalf("pass %d: WAL holds %d bytes on disk, want under two passes' worth (%d)", p, size, 2*worth)
+		}
+	}
+	// The chunk the open session skipped at the duplicate pass is still in
+	// the WAL when the session ends: its restore reads it from there.
+	open.ship(passes, dupPass, dupPass+1)
+	open.end(srvAddr, "open-job")
 }

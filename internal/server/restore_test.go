@@ -3,16 +3,20 @@ package server_test
 import (
 	"bytes"
 	"errors"
+	"fmt"
 	"math/rand"
 	"net"
 	"os"
 	"path/filepath"
+	"sync"
 	"testing"
 	"time"
 
 	"debar/internal/faultproxy"
 	"debar/internal/fp"
 	"debar/internal/proto"
+	"debar/internal/server"
+	"debar/internal/store"
 )
 
 // writeBigFile writes one deterministic multi-chunk file and returns its
@@ -265,18 +269,38 @@ func TestRestoreClientGoneServerReclaimed(t *testing.T) {
 	}
 }
 
-// TestRestoreAbortInBand triggers a server-side mid-stream failure (the
-// chunks were never stored: dedup-2 has not run) and checks the failure
-// arrives in-band, after which the same connection still serves requests.
+// TestRestoreAbortInBand triggers a server-side mid-stream failure (a
+// chunk no dedup-2 pass has stored is read from the WAL, and its record
+// there is damaged) and checks the failure arrives in-band, after which
+// the same connection still serves requests.
 func TestRestoreAbortInBand(t *testing.T) {
-	d, _, srvAddr := startServer(t, nil)
+	eng, err := store.Open(t.TempDir(), store.Options{IndexBits: 12})
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, _, srvAddr := startServer(t, func(c *server.Config) { c.Storage = eng })
 	src := t.TempDir()
 	writeBigFile(t, src, "data.bin", 256<<10, 53)
 	c := testClient(srvAddr)
 	if _, err := c.Backup("abort-job", src); err != nil {
 		t.Fatal(err)
 	}
-	_ = d // no dedup-2: the file index exists but no chunk is restorable
+	// No dedup-2: every chunk is in the WAL. Damage the records in the
+	// middle of its segment, so the restore fails part-way through.
+	segs, err := filepath.Glob(filepath.Join(eng.Dir(), "wal", "wal-*.log"))
+	if err != nil || len(segs) != 1 {
+		t.Fatalf("WAL segments %v, %v; want one", segs, err)
+	}
+	wal, err := os.OpenFile(segs[0], os.O_RDWR, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := wal.WriteAt(bytes.Repeat([]byte{0xA5}, 64<<10), 128<<10); err != nil {
+		t.Fatal(err)
+	}
+	if err := wal.Close(); err != nil {
+		t.Fatal(err)
+	}
 
 	conn, err := proto.Dial(srvAddr)
 	if err != nil {
@@ -331,5 +355,54 @@ func TestRestoreAbortInBand(t *testing.T) {
 	// And the client-visible behaviour: Restore reports the error.
 	if _, err := testClient(srvAddr).Restore("abort-job", t.TempDir()); err == nil {
 		t.Fatal("client restore of unstored chunks succeeded")
+	}
+}
+
+// TestRestoreRacesDedup2 restores each backup generation while its chunks
+// are still in the WAL and, at the same time, a dedup-2 pass drains them,
+// retires their WAL segment and recycles it for the next generation.
+// Under the race detector every restore succeeds and is byte-identical:
+// a chunk is read from the WAL before its segment retires, or from its
+// container after.
+func TestRestoreRacesDedup2(t *testing.T) {
+	d, _, srvAddr := startServer(t, nil)
+	for g := range 6 {
+		src := t.TempDir()
+		want := writeBigFile(t, src, "data.bin", 192<<10, int64(100+g))
+		job := fmt.Sprintf("race-%d", g)
+		if _, err := testClient(srvAddr).Backup(job, src); err != nil {
+			t.Fatal(err)
+		}
+		dsts := []string{t.TempDir(), t.TempDir()}
+		errs := make(chan error, len(dsts)+1)
+		var wg sync.WaitGroup
+		for _, dst := range dsts {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				if _, err := testClient(srvAddr).Restore(job, dst); err != nil {
+					errs <- fmt.Errorf("generation %d: %w", g, err)
+					return
+				}
+				got, err := os.ReadFile(filepath.Join(dst, "data.bin"))
+				if err != nil {
+					errs <- err
+				} else if !bytes.Equal(got, want) {
+					errs <- fmt.Errorf("generation %d restored different bytes", g)
+				}
+			}()
+		}
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			if err := d.TriggerDedup2(); err != nil {
+				errs <- err
+			}
+		}()
+		wg.Wait()
+		close(errs)
+		for err := range errs {
+			t.Fatal(err)
+		}
 	}
 }

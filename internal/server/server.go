@@ -51,7 +51,10 @@ var (
 	mDedup2Passes   = obs.GetCounter("server_dedup2_passes_total")
 	mDedup2Errors   = obs.GetCounter("server_dedup2_errors_total")
 	mDedup2SILSec   = obs.GetHistogram("server_dedup2_sil_seconds", obs.DurationBuckets)
+	mDedup2StoreSec = obs.GetHistogram("server_dedup2_store_seconds", obs.DurationBuckets)
 	mDedup2SIUSec   = obs.GetHistogram("server_dedup2_siu_seconds", obs.DurationBuckets)
+	mDedup2Read     = obs.GetCounter("dedup2_pass_read_bytes_total")
+	mDedup2Retire   = obs.GetHistogram("dedup2_pass_retire_seconds", obs.DurationBuckets)
 	mRestoreStreams = obs.GetCounter("server_restore_streams_total")
 	mBytesOut       = obs.GetCounter("server_restore_bytes_out_total")
 	mRestoreStalls  = obs.GetCounter("server_restore_window_stalls_total")
@@ -266,13 +269,16 @@ func New(cfg Config) (*Server, error) {
 	// recovered WAL: the next dedup-2 pass stores them, and no session
 	// needs to send a second copy.
 	mLogPending.Set(eng.ChunkLog().Count())
+	// A restore reads chunks no pass has stored yet from the WAL.
+	rs := tpds.NewRestorer(ix, repo, 16)
+	rs.Log = eng.ChunkLog()
 	return &Server{
 		cfg:      cfg,
 		sessions: make(map[uint64]*session),
 		conns:    make(map[*proto.Conn]struct{}),
 		log:      eng.ChunkLog(),
 		chunk:    cs,
-		restorer: tpds.NewRestorer(ix, repo, 16),
+		restorer: rs,
 		storage:  eng,
 		slog:     lg,
 	}, nil
@@ -944,15 +950,18 @@ func (s *Server) SessionCount() int {
 
 // runDedup2 runs one dedup-2 pass as a single transaction over the chunk
 // log (chunklog.Log.Drain): SIL over the transaction's fingerprints,
-// chunk storing over exactly its records, SIU, and a Checkpoint that
-// makes the index and containers durable. Only then are the records
-// consumed, live sessions or not. Any failure consumes nothing: the
-// records stay for the retry, and the server keeps nothing from the
-// failed pass (containers it appended stay unreferenced; the retry's SIL
-// finds whatever its SIU wrote and stores the rest again).
+// chunk storing over the records of the fingerprints SIL left new, SIU,
+// and a Checkpoint that makes the index and containers durable. Only then
+// are the records consumed, live sessions or not, and the WAL segments
+// they leave empty retired. Any failure consumes nothing: the records
+// stay for the retry, and the server keeps nothing from the failed pass
+// (containers it appended stay unreferenced; the retry's SIL finds
+// whatever its SIU wrote and stores the rest again).
 func (s *Server) runDedup2() proto.Dedup2Done {
 	var res tpds.Dedup2Result
 	var pending int
+	var read int64
+	var fnDone time.Time
 	err := s.log.Drain(func(tx *chunklog.Txn) error {
 		if roErr := s.storage.ReadOnlyErr(); roErr != nil {
 			// A pass on a faulted store would append containers it cannot
@@ -961,12 +970,14 @@ func (s *Server) runDedup2() proto.Dedup2Done {
 			return readOnlyRefusal(roErr)
 		}
 		pending = len(tx.FPs)
-		silStart := time.Now()
 		r, unreg, err := s.chunk.RunSILAndStore(tx.FPs, tx, cacheBits)
-		mDedup2SILSec.Since(silStart)
+		read = tx.ReadBytes()
+		mDedup2Read.Add(read)
 		if err != nil {
 			return err
 		}
+		mDedup2SILSec.ObserveDuration(r.SILTime)
+		mDedup2StoreSec.ObserveDuration(r.StoreTime)
 		s.stageHook("sil-stored")
 		siuStart := time.Now()
 		if err := s.chunk.RunSIU(unreg); err != nil {
@@ -978,9 +989,16 @@ func (s *Server) runDedup2() proto.Dedup2Done {
 		// Make the pass durable — fsync the index and write the clean
 		// marker, so a restart trusts the index file instead of
 		// rebuilding it from container metadata — before Drain consumes
-		// the records (and, caught up, truncates the WAL).
-		return s.storage.Checkpoint()
+		// the records and retires their WAL segments.
+		if err := s.storage.Checkpoint(); err != nil {
+			return err
+		}
+		fnDone = time.Now()
+		return nil
 	})
+	if !fnDone.IsZero() {
+		mDedup2Retire.Since(fnDone)
+	}
 	mLogPending.Set(s.log.Count())
 	if err != nil {
 		s.failOnDiskFault(err)
@@ -995,7 +1013,8 @@ func (s *Server) runDedup2() proto.Dedup2Done {
 		"undetermined_fps", pending,
 		"new_chunks", res.Store.NewChunks,
 		"dup_chunks", dups,
-		"containers", res.Store.Containers)
+		"containers", res.Store.Containers,
+		"read_bytes", read)
 	return proto.Dedup2Done{
 		NewChunks:  res.Store.NewChunks,
 		DupChunks:  dups,

@@ -272,8 +272,8 @@ func (r *SegRepo) addSegmentSized(n int, minMap int64) error {
 	}
 	// Persist the directory entry: without this a crash can lose the
 	// whole segment file even though its record data was fsynced.
-	if err := syncDir(r.dir); err != nil {
-		return errors.Join(err, f.Close())
+	if err := fsx.SyncDir(r.dir); err != nil {
+		return errors.Join(fmt.Errorf("store: %w", err), f.Close())
 	}
 	mapLen := r.segBytes
 	if minMap > mapLen {
@@ -285,19 +285,6 @@ func (r *SegRepo) addSegmentSized(n int, minMap int64) error {
 	}
 	r.segs = append(r.segs, &segment{path: segPath(r.dir, n), f: f, m: m})
 	r.end = 0
-	return nil
-}
-
-// syncDir fsyncs a directory so entry creation/removal survives a crash.
-func syncDir(dir string) error {
-	d, err := os.Open(dir)
-	if err != nil {
-		return fmt.Errorf("store: %w", err)
-	}
-	defer d.Close()
-	if err := d.Sync(); err != nil {
-		return fmt.Errorf("store: syncing %s: %w", dir, err)
-	}
 	return nil
 }
 

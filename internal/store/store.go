@@ -10,9 +10,11 @@
 //  1. the container log's last segment is scanned and any torn tail
 //     (crash mid-append) truncated; sealed segments are walked by frame
 //     headers to rebuild the container location table;
-//  2. the chunk-log WAL replays its longest checksum-valid prefix; every
-//     recovered record is pending dedup-2 work, so an interrupted pass
-//     simply re-runs;
+//  2. the chunk-log WAL (wal/, a directory of recycled segments) replays
+//     its sealed segments and the longest checksum-valid prefix of its
+//     last one; every recovered record is pending dedup-2 work, so an
+//     interrupted pass simply re-runs. A format-1 WAL file is removed when
+//     empty and refused otherwise;
 //  3. the disk index is reopened as-is only when the clean marker written
 //     by the last Checkpoint is present; otherwise (crash while the index
 //     was being written, or the file deleted) it is rebuilt from container
@@ -35,6 +37,7 @@ import (
 	"debar/internal/container"
 	"debar/internal/diskindex"
 	"debar/internal/fp"
+	"debar/internal/fsx"
 	"debar/internal/obs"
 )
 
@@ -140,7 +143,7 @@ const (
 	manifestName = "MANIFEST"
 	indexName    = "index.db"
 	markerName   = "index.clean"
-	walName      = "chunklog.wal"
+	walDir       = "wal"
 )
 
 // Open opens (creating if needed) the storage engine at dir.
@@ -167,7 +170,10 @@ func Open(dir string, o Options) (*Engine, error) {
 	if e.repo, err = OpenSegRepo(filepath.Join(dir, "containers"), man.SegmentBytes); err != nil {
 		return nil, errors.Join(err, lock.Close())
 	}
-	if e.wal, err = chunklog.OpenWAL(filepath.Join(dir, walName)); err != nil {
+	if err := chunklog.DropLegacy(filepath.Join(dir, chunklog.LegacyName)); err != nil {
+		return nil, errors.Join(fmt.Errorf("store: %w", err), e.repo.Close(), lock.Close())
+	}
+	if e.wal, err = chunklog.OpenWAL(filepath.Join(dir, walDir)); err != nil {
 		return nil, errors.Join(err, e.repo.Close(), lock.Close())
 	}
 	// The WAL never fsyncs on its own: this committer's window flushes
@@ -248,7 +254,10 @@ func writeFileAtomic(path string, data []byte) error {
 	if err := os.Rename(tmp, path); err != nil {
 		return err
 	}
-	return syncDir(filepath.Dir(path))
+	if err := fsx.SyncDir(filepath.Dir(path)); err != nil {
+		return fmt.Errorf("store: %w", err)
+	}
+	return nil
 }
 
 // trackedStore wraps the index's FileStore and drops the clean marker on
@@ -273,8 +282,8 @@ func (t *trackedStore) invalidate() error {
 	}
 	// The unlink must hit disk before any index write does: a lost
 	// removal would let a crash reopen a torn index as clean.
-	if err := syncDir(filepath.Dir(t.marker)); err != nil {
-		return err
+	if err := fsx.SyncDir(filepath.Dir(t.marker)); err != nil {
+		return fmt.Errorf("store: %w", err)
 	}
 	t.clean = false
 	return nil
@@ -427,8 +436,8 @@ func (e *Engine) WALTicket(n int64) Ticket { return e.walGC.Enqueue(n) }
 // appends are fsynced, staged container frames are flushed, the index
 // file is fsynced, and the clean marker is written so the next Open
 // trusts the index file instead of rebuilding. The container flush must
-// precede the marker (and any WAL truncation the caller performs): the
-// index entries and the WAL truncation are only trustworthy once every
+// precede the marker (and any WAL retirement the caller performs): the
+// index entries and the WAL retirement are only trustworthy once every
 // container they reference is durable. The server calls this after every
 // dedup-2 SIU.
 func (e *Engine) Checkpoint() error {

@@ -3,6 +3,7 @@ package store
 import (
 	"bytes"
 	"encoding/binary"
+	"errors"
 	"hash/crc32"
 	"os"
 	"path/filepath"
@@ -575,4 +576,47 @@ func TestEngineDataDirLocked(t *testing.T) {
 	if _, err := Open(dir, Options{IndexBits: 8}); err == nil {
 		t.Fatal("second engine over a live data dir was not rejected")
 	}
+}
+
+// TestEngineLegacyWAL: a data directory written before the WAL was
+// segmented holds chunklog.wal. Empty — a caught-up pass truncated it —
+// the file is removed and the engine opens; holding records (the golden
+// format-1 WAL) it is refused with a *chunklog.VersionError naming both
+// versions and left byte for byte.
+func TestEngineLegacyWAL(t *testing.T) {
+	dir := t.TempDir()
+	legacy := filepath.Join(dir, chunklog.LegacyName)
+	if err := os.WriteFile(legacy, nil, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	e := openTestEngine(t, dir)
+	if err := e.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := os.Stat(legacy); !errors.Is(err, os.ErrNotExist) {
+		t.Fatalf("empty legacy WAL kept: %v", err)
+	}
+
+	golden, err := os.ReadFile(filepath.Join("..", "chunklog", "testdata", "v1.wal"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(legacy, golden, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	var ve *chunklog.VersionError
+	if e, err := Open(dir, Options{IndexBits: 8, SegmentBytes: 1 << 20}); !errors.As(err, &ve) || *ve != (chunklog.VersionError{Found: 1, Want: 2}) {
+		if err == nil {
+			e.Close()
+		}
+		t.Fatalf("Open over a format-1 WAL = %v, want *chunklog.VersionError{1, 2}", err)
+	}
+	if got, err := os.ReadFile(legacy); err != nil || !bytes.Equal(got, golden) {
+		t.Fatalf("refused WAL changed (%d -> %d bytes, err %v)", len(golden), len(got), err)
+	}
+	// The refusal released the data directory: a fixed-up dir opens.
+	if err := os.Remove(legacy); err != nil {
+		t.Fatal(err)
+	}
+	openTestEngine(t, dir).Close()
 }

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"sync"
 
+	"debar/internal/chunklog"
 	"debar/internal/container"
 	"debar/internal/diskindex"
 	"debar/internal/fp"
@@ -18,12 +19,17 @@ var (
 	mRestoreChunks       = obs.GetCounter("server_restore_chunks_total")
 	mRestoreIndexLookups = obs.GetCounter("server_restore_index_lookups_total")
 	mRestoreLoads        = obs.GetCounter("server_restore_container_loads_total")
+	mRestoreWALReads     = obs.GetCounter("server_restore_wal_reads_total")
 )
 
 // Restorer is the Chunk Store's retrieval path (§3.3): look in the LPC
 // cache first; on a miss consult the disk index (one random I/O), read the
 // whole container, and insert its fingerprints into the cache so that the
 // stream's following chunks — stored adjacently by SISL — hit in memory.
+// With a chunk log attached, a chunk no dedup-2 pass has stored yet is
+// read from the log between the two: the log is asked before the index,
+// because a drain consumes a record only after its chunk is indexed and
+// checkpointed, so a fingerprint the log no longer holds is in the index.
 //
 // Restorer is safe for concurrent use: the internal lock scopes to the
 // mutable LPC state (the cache's LRU list and membership map), the stat
@@ -40,6 +46,7 @@ type Restorer struct {
 	Index *diskindex.Index
 	Repo  container.Repository
 	Cache *lpc.Cache
+	Log   *chunklog.Log // nil: every chunk is in a container
 
 	mu           sync.Mutex // guards Cache, loading and the counters below
 	loading      map[fp.ContainerID]chan struct{}
@@ -58,8 +65,9 @@ func NewRestorer(ix *diskindex.Index, repo container.Repository, capContainers i
 }
 
 // Chunk returns the payload of the chunk with fingerprint f. The returned
-// slice aliases the container's storage (cache or mmap) and stays valid
-// until the backing repository is closed; callers must not modify it.
+// slice aliases the container's storage (cache or mmap), or is a copy
+// read from the chunk log, and stays valid until the backing repository
+// is closed; callers must not modify it.
 func (r *Restorer) Chunk(f fp.FP) ([]byte, error) {
 	mRestoreChunks.Inc()
 	r.mu.Lock()
@@ -72,6 +80,16 @@ func (r *Restorer) Chunk(f fp.FP) ([]byte, error) {
 		cid, cached := r.Cache.Lookup(f) // metadata cached but container data evicted/not kept
 		if !cached {
 			r.mu.Unlock()
+			if r.Log != nil {
+				data, ok, err := r.Log.ReadChunk(f)
+				if err != nil {
+					return nil, fmt.Errorf("tpds: restore of %v: %w", f.Short(), err)
+				}
+				if ok {
+					mRestoreWALReads.Inc()
+					return data, nil
+				}
+			}
 			id, err := r.Index.Lookup(f) // random small disk I/O, outside the LPC lock
 			if err != nil {
 				return nil, fmt.Errorf("tpds: restore of %v: %w", f.Short(), err)

@@ -16,9 +16,10 @@
 //     number — and one sequential pass over the number-ordered disk index
 //     resolves every lookup. Fingerprints found on disk are duplicates and
 //     are deleted from the cache; the survivors are new.
-//   - Chunk storing (§5.3): the chunk log is read sequentially and chunks
+//   - Chunk storing (§5.3): the chunk log is read in log order and chunks
 //     whose fingerprints survive in the cache are packed into containers
-//     (SISL order) and appended to the chunk repository.
+//     (SISL order) and appended to the chunk repository. A durable log
+//     reads only those chunks: it knows where each record lives.
 //   - Sequential Index Update (SIU, §5.4): the new fingerprint→container
 //     entries are merged into the disk index with one sequential
 //     read-modify-write pass.
@@ -131,9 +132,11 @@ type StoreResult struct {
 }
 
 // Records is the chunk-log view chunk storing walks: a whole
-// *chunklog.Log, or the records of one drain (*chunklog.Txn).
+// *chunklog.Log, or the records of one drain (*chunklog.Txn). keep sees
+// each record's fingerprint and size, in log order, before the record is
+// read, and only the records it accepts are read and handed to fn.
 type Records interface {
-	Iterate(fn func(chunklog.Record) error) error
+	Select(keep func(fp.FP, uint32) bool, fn func(chunklog.Record) error) error
 }
 
 // StoreChunks reads the chunk log sequentially and writes every chunk whose
@@ -147,21 +150,25 @@ func StoreChunks(log Records, cache *indexcache.Cache, repo container.Repository
 	return res, err
 }
 
+// packing is the cache's container ID for a fingerprint chunk storing has
+// accepted and not yet sealed: not nil, so a later record of it is
+// discarded, and never a real ID, so it never reaches SIU — every
+// accepted chunk is sealed before chunk storing returns.
+const packing = fp.NilContainer + 1
+
 // storeChunks is StoreChunks that also returns the wall time spent in
 // repo.Append. It walks the log once and discards every record that is
-// not surviving in the cache, already mapped to a container, or already
-// packed into the open container; the survivors fill containers in record
-// order. Each sealed container is appended there and then, and its
-// fingerprints get the new container ID in the cache, so chunks of sealed
-// containers are caught by the non-nil-CID check and the packed map only
-// ever holds the open container's fingerprints.
+// not surviving in the cache or whose fingerprint already has a container
+// ID (a sealed container's, or packing); the survivors fill containers in
+// record order, and a durable log reads only the survivors. Each sealed
+// container is appended there and then, and its fingerprints get the new
+// container ID in the cache.
 func storeChunks(log Records, cache *indexcache.Cache, repo container.Repository,
 	containerSize int, metaOnly bool) (StoreResult, time.Duration, error) {
 	var res StoreResult
 	var appendTime time.Duration
 	w := container.NewWriter(containerSize, metaOnly)
-	var open []fp.FP               // fingerprints staged in the open container
-	packed := make(map[fp.FP]bool) // the same set, for the duplicate-record check
+	var open []fp.FP // fingerprints staged in the open container
 
 	seal := func() error {
 		if w.Empty() {
@@ -178,19 +185,21 @@ func storeChunks(log Records, cache *indexcache.Cache, repo container.Repository
 			cache.SetCID(f, id)
 		}
 		open = open[:0]
-		clear(packed)
 		return nil
 	}
 
-	err := log.Iterate(func(r chunklog.Record) error {
-		n, ok := cache.Lookup(r.FP)
-		if !ok || n.CID != fp.NilContainer || packed[r.FP] {
+	keep := func(f fp.FP, size uint32) bool {
+		if n, ok := cache.Lookup(f); !ok || n.CID != fp.NilContainer {
 			// Not new, already stored in a sealed container, or already
-			// packed from a duplicate log record: discard (§5.3).
+			// accepted from a duplicate log record: discard (§5.3).
 			res.DupChunks++
-			res.DupBytes += int64(r.Size)
-			return nil
+			res.DupBytes += int64(size)
+			return false
 		}
+		cache.SetCID(f, packing)
+		return true
+	}
+	pack := func(r chunklog.Record) error {
 		if !w.Fits(int(r.Size)) {
 			if err := seal(); err != nil {
 				return err
@@ -200,15 +209,14 @@ func storeChunks(log Records, cache *indexcache.Cache, repo container.Repository
 			return fmt.Errorf("tpds: chunk of %d bytes larger than container size %d", r.Size, containerSize)
 		}
 		open = append(open, r.FP)
-		packed[r.FP] = true
 		res.NewChunks++
 		res.NewBytes += int64(r.Size)
 		return nil
-	})
-	if err != nil {
+	}
+	if err := log.Select(keep, pack); err != nil {
 		return res, appendTime, err
 	}
-	err = seal()
+	err := seal()
 	return res, appendTime, err
 }
 
@@ -274,6 +282,9 @@ type Dedup2Result struct {
 	CheckingDups int64 // removed against the checking file
 	Store        StoreResult
 	Unregistered int64 // entries handed to SIU
+
+	SILTime   time.Duration // wall clock of the SIL index scan
+	StoreTime time.Duration // wall clock of chunk storing, container appends included
 }
 
 // ChunkStore is a backup server's dedup-2 engine (§3.3): it owns the
@@ -312,8 +323,8 @@ func NewChunkStore(ix *diskindex.Index, repo container.Repository, metaOnly, asy
 // RunSILAndStore executes SIL over the undetermined fingerprints and then
 // chunk storing over the log, returning the unregistered entries that a
 // (possibly asynchronous) SIU must still write to the disk index. The pass
-// records its wall-clock split in the dedup2_pass_{sil,pack,append}_seconds
-// histograms. A failed pass hands out no entries and leaves the checking
+// records its wall-clock split in the result and in the
+// dedup2_pass_{sil,pack,append}_seconds histograms. A failed pass hands out no entries and leaves the checking
 // file untouched; containers it appended before the failure stay in the
 // repository unreferenced, and a retry stores their chunks again.
 func (cs *ChunkStore) RunSILAndStore(undetermined []fp.FP, log Records, cacheBits uint) (Dedup2Result, []fp.Entry, error) {
@@ -329,7 +340,8 @@ func (cs *ChunkStore) RunSILAndStore(undetermined []fp.FP, log Records, cacheBit
 
 	silStart := time.Now()
 	dups, err := SIL(cs.Index, cache, cs.ScanBuckets)
-	mPassSILSec.Since(silStart)
+	res.SILTime = time.Since(silStart)
+	mPassSILSec.ObserveDuration(res.SILTime)
 	if err != nil {
 		return res, nil, fmt.Errorf("tpds: SIL: %w", err)
 	}
@@ -341,7 +353,8 @@ func (cs *ChunkStore) RunSILAndStore(undetermined []fp.FP, log Records, cacheBit
 
 	storeStart := time.Now()
 	store, appendTime, err := storeChunks(log, cache, cs.Repo, cs.ContainerSize, cs.MetaOnly)
-	mPassPackSec.ObserveDuration(time.Since(storeStart) - appendTime)
+	res.StoreTime = time.Since(storeStart)
+	mPassPackSec.ObserveDuration(res.StoreTime - appendTime)
 	mPassAppendSec.ObserveDuration(appendTime)
 	if err != nil {
 		return res, nil, fmt.Errorf("tpds: chunk storing: %w", err)
