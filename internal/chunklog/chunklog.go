@@ -16,6 +16,7 @@ import (
 
 	"debar/internal/disksim"
 	"debar/internal/fp"
+	"debar/internal/seglog"
 )
 
 // Record is one <F, D(F)> group.
@@ -65,20 +66,9 @@ type Log struct {
 	bytes    int64          // guarded by mu; payload bytes appended since the log was last emptied
 	disk     *disksim.Disk
 
-	// WAL mode (OpenWAL): segment files, checksummed record framing,
-	// owner-scheduled fsync, torn-tail recovery, recycling. See wal.go.
-	dir      string             // set once at open; empty for a memory log
-	segBytes int64              // set once at open: segment capacity
-	segs     []*segment         // guarded by mu; live segments in sequence order, the last takes appends
-	free     []spare            // guarded by mu; retired segment files kept for reuse, in sequence order
-	nextSeq  uint64             // guarded by mu; sequence number the next new or retired file takes
-	nextID   uint32             // guarded by mu; id the next segment brought up takes
-	dirty    int                // guarded by mu; bytes appended since the last completed fsync
-	zeroed   uint64             // guarded by mu; times a seal or a retirement zeroed dirty
-	renamed  bool               // guarded by mu; a retirement renamed files and no directory sync has succeeded since
-	frame    []byte             // guarded by mu; appendWAL's record buffer, grown to the largest record
-	closed   bool               // guarded by mu; Close ran: appends fail
-	stepFn   func(string) error // guarded by mu; test hook: called at each step of rotation and recycling
+	// WAL mode (OpenWAL): a segmented log of records. See wal.go.
+	wal   *seglog.Log // set once at open; nil for a memory log
+	frame []byte      // guarded by mu; appendWAL's record buffer, grown to the largest record
 
 	// drainMu serialises Drain: one transaction at a time owns the
 	// unconsumed records.
@@ -91,14 +81,7 @@ type Log struct {
 	// renamed or recycled file and no fsync in a closed one.
 	retireMu sync.RWMutex
 
-	// syncMu serialises Sync callers so the fsync itself runs outside mu
-	// — appends proceed while the disk flushes — without two syncers
-	// double-subtracting the same dirty bytes.
-	syncMu sync.Mutex
-
-	failFn     func() error // guarded by mu; fault injection: non-nil error fails the append
-	syncFailFn func() error // guarded by mu; fault injection: non-nil error fails Sync
-	dirFailFn  func() error // guarded by mu; fault injection: non-nil error fails a WAL directory sync
+	failFn func() error // guarded by mu; fault injection: non-nil error fails the append
 }
 
 // SetFailFunc installs a fault-injection hook consulted before every
@@ -111,17 +94,11 @@ func (l *Log) SetFailFunc(fn func() error) {
 	l.mu.Unlock()
 }
 
-// SetSyncFailFunc installs a fault-injection hook consulted by Sync
-// before the fsync is issued: a non-nil return fails the Sync with that
-// error, simulating a media failure at the sync layer. A failed Sync
-// must leave the dirty counter intact — the unflushed tail still needs
-// syncing — which is exactly the invariant the regression tests drive
-// through this hook. nil clears it. Test-only.
-func (l *Log) SetSyncFailFunc(fn func() error) {
-	l.mu.Lock()
-	l.syncFailFn = fn
-	l.mu.Unlock()
-}
+// SetSyncFailFunc installs a fault-injection hook consulted by a WAL's
+// Sync before the fsync: a non-nil return fails the Sync as a media
+// failure would, leaving the unsynced tail dirty. nil clears it.
+// Test-only.
+func (l *Log) SetSyncFailFunc(fn func() error) { l.wal.SetFaults(seglog.Faults{Sync: fn}) }
 
 // NewMem returns a memory-backed log. metaOnly drops payloads while
 // keeping sizes. disk may be nil.
@@ -170,8 +147,8 @@ func (l *Log) append(f fp.FP, size uint32, data []byte, owned, once bool) (bool,
 			return false, fmt.Errorf("chunklog: append: %w", err)
 		}
 	}
-	if l.dir != "" {
-		loc, err := l.appendWAL(f, size, data)
+	if l.wal != nil {
+		loc, err := l.appendWAL(f, data)
 		if err != nil {
 			return false, err
 		}
@@ -243,10 +220,9 @@ type Txn struct {
 	FPs []fp.FP // the records' fingerprints, in append order
 
 	l    *Log
-	segs []*segment // WAL: the live segments, which hold the records
-	locs []recLoc   // WAL: the records' positions
-	recs []Record   // memory log: the records
-	read int64      // WAL bytes Iterate and Select read
+	locs []recLoc // WAL: the records' positions
+	recs []Record // memory log: the records
+	read int64    // WAL bytes Iterate and Select read
 }
 
 // view returns the unconsumed records as a Txn. Appends only ever write
@@ -255,7 +231,7 @@ type Txn struct {
 //
 // debarvet:holds mu -- Drain and Select call it with l.mu held.
 func (l *Log) view() *Txn {
-	return &Txn{FPs: l.fps[:len(l.fps):len(l.fps)], l: l, segs: l.segs[:len(l.segs):len(l.segs)],
+	return &Txn{FPs: l.fps[:len(l.fps):len(l.fps)], l: l,
 		locs: l.locs[:len(l.locs):len(l.locs)], recs: l.recs[:len(l.recs):len(l.recs)]}
 }
 
@@ -274,10 +250,10 @@ func (t *Txn) Iterate(fn func(Record) error) error {
 // runs of adjacent ones into one read per window, and checks each one's
 // checksum before fn sees it; a rejected record is never read.
 func (t *Txn) Select(keep func(fp.FP, uint32) bool, fn func(Record) error) error {
-	if t.l.dir == "" {
+	if t.l.wal == nil {
 		return t.l.walkMem(t.recs, keep, fn)
 	}
-	n, err := readLocs(t.segs, t.locs, t.FPs, keep, fn)
+	n, err := readLocs(t.l.wal, t.locs, t.FPs, keep, fn)
 	t.read += n
 	return err
 }
@@ -338,10 +314,10 @@ func (l *Log) consume(fps []fp.FP) error {
 	l.fps = l.fps[n:]
 	old := l.first
 	var last uint32 // WAL: the segment of the last consumed record
-	if l.dir == "" {
+	if l.wal == nil {
 		l.recs = l.recs[n:]
 	} else {
-		last = l.locs[n-1].seg
+		last = l.locs[n-1].Seg
 		l.locs = l.locs[n:]
 		l.first += uint32(n)
 	}
@@ -351,7 +327,7 @@ func (l *Log) consume(fps []fp.FP) error {
 		l.recs, l.fps, l.locs = nil, nil, nil
 		l.index = make(map[fp.FP]held)
 		l.bytes = 0
-	} else if moved && l.dir != "" {
+	} else if moved && l.wal != nil {
 		// A fingerprint with records on both sides of the cut still names
 		// a consumed one: point it at its first remaining record.
 		for i, f := range l.fps {
@@ -361,10 +337,15 @@ func (l *Log) consume(fps []fp.FP) error {
 			}
 		}
 	}
-	if l.dir == "" {
+	if l.wal == nil {
 		return nil
 	}
-	return l.retireThrough(last)
+	// Retire the segments up to last, and last itself unless an
+	// unconsumed record lives in it.
+	if len(l.locs) == 0 || l.locs[0].Seg != last {
+		last++
+	}
+	return l.wal.RetireBefore(last)
 }
 
 // Iterate sequentially reads the unconsumed records, invoking fn per group
@@ -379,7 +360,7 @@ func (l *Log) Iterate(fn func(Record) error) error { return l.Select(nil, fn) }
 // concurrent walks do not serialise. A WAL walk holds off segment
 // retirement until it returns.
 func (l *Log) Select(keep func(fp.FP, uint32) bool, fn func(Record) error) error {
-	if l.dir != "" {
+	if l.wal != nil {
 		l.retireMu.RLock()
 		defer l.retireMu.RUnlock()
 	}

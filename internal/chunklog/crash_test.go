@@ -11,6 +11,7 @@ import (
 
 	"debar/internal/fp"
 	"debar/internal/obs"
+	"debar/internal/seglog"
 )
 
 var errCrash = errors.New("simulated crash")
@@ -67,7 +68,7 @@ func (m *crashModel) drain(extra int) error {
 		if err := m.appendSync(extra); err != nil {
 			return err
 		}
-		m.listing = segFiles(m.t, m.l.dir)
+		m.listing = segFiles(m.t, m.l.wal.Dir())
 		stored = true
 		return nil
 	})
@@ -258,7 +259,7 @@ func TestWALRecycleCrashPoints(t *testing.T) {
 	// A dry run names every step the scenario passes.
 	var steps []string
 	dry := &crashModel{t: t, l: openSized(t, t.TempDir(), fourRecords)}
-	dry.l.stepFn = func(step string) error { steps = append(steps, step); return nil }
+	dry.l.wal.SetFaults(seglog.Faults{Step: func(step string) error { steps = append(steps, step); return nil }})
 	if err := dry.scenario(); err != nil {
 		t.Fatal(err)
 	}
@@ -275,14 +276,14 @@ func TestWALRecycleCrashPoints(t *testing.T) {
 		variants := map[string]func(*testing.T, string){}
 		var snapDir string
 		seen := 0
-		m.l.stepFn = func(string) error {
+		m.l.wal.SetFaults(seglog.Faults{Step: func(string) error {
 			if seen++; seen-1 != k {
 				return nil
 			}
 			snapDir = copyWAL(t, dir)
 			variants = crashVariants(t, step, dir, m)
 			return errCrash
-		}
+		}})
 		if err := m.scenario(); !errors.Is(err, errCrash) {
 			t.Fatalf("step %d (%s): scenario returned %v, want the crash", k, step, err)
 		}
@@ -357,11 +358,7 @@ func TestWALRecycleDirSyncFails(t *testing.T) {
 	}
 	eio := errors.New("injected directory sync failure")
 	var variants map[string]func(*testing.T, string)
-	setDirFail := func(fn func() error) {
-		m.l.mu.Lock()
-		m.l.dirFailFn = fn
-		m.l.mu.Unlock()
-	}
+	setDirFail := func(fn func() error) { m.l.wal.SetFaults(seglog.Faults{Dir: fn}) }
 	setDirFail(func() error {
 		if variants == nil { // the first directory sync: the drain's renames are done
 			variants = crashVariants(t, "renamed", dir, m)

@@ -15,6 +15,7 @@ import (
 
 	"debar/internal/fp"
 	"debar/internal/obs"
+	"debar/internal/seglog"
 )
 
 // fixedRecord returns record i of a stream of 64-byte chunks: 92 framed
@@ -25,6 +26,35 @@ func fixedRecord(i int) (fp.FP, []byte) {
 }
 
 const fourRecords = segHeaderSize + 4*(walHeader+64)
+
+// segHeaderSize, segName, segHeader, parseSegName and readSegHeader spell
+// the WAL's segment files (internal/seglog) for the tests.
+const segHeaderSize = seglog.HeaderSize
+
+func segName(seq uint64) string { return fmt.Sprintf("wal-%016d.log", seq) }
+
+func segHeader(seq uint64) []byte {
+	h := []byte(walFormat.Magic)
+	h = binary.BigEndian.AppendUint32(h, walVersion)
+	return binary.BigEndian.AppendUint64(h, seq)
+}
+
+func parseSegName(name string) (uint64, bool) {
+	var seq uint64
+	n, err := fmt.Sscanf(name, "wal-%016d.log", &seq)
+	return seq, err == nil && n == 1 && name == segName(seq)
+}
+
+// readSegHeader returns the sequence number f's header names; ok is false
+// when f has no header of this format and version.
+func readSegHeader(f *os.File) (seq uint64, ok bool, err error) {
+	h := make([]byte, segHeaderSize)
+	if _, err := f.ReadAt(h, 0); err != nil {
+		return 0, false, err
+	}
+	seq = binary.BigEndian.Uint64(h[8:])
+	return seq, bytes.Equal(h, segHeader(seq)), nil
+}
 
 // segFiles returns the WAL's segment file names, live and spare, sorted.
 func segFiles(t *testing.T, dir string) []string {
@@ -386,8 +416,8 @@ func TestDropLegacy(t *testing.T) {
 		t.Fatal(err)
 	}
 	var ve *VersionError
-	if err := DropLegacy(path); !errors.As(err, &ve) || *ve != (VersionError{Found: 1, Want: 2}) {
-		t.Fatalf("DropLegacy(v1 WAL) = %v, want *VersionError{1, 2}", err)
+	if err := DropLegacy(path); !errors.As(err, &ve) || *ve != (VersionError{Found: 1, Want: 3}) {
+		t.Fatalf("DropLegacy(v1 WAL) = %v, want *VersionError{1, 3}", err)
 	}
 	if got, err := os.ReadFile(path); err != nil || !bytes.Equal(got, golden) {
 		t.Fatalf("refused WAL changed (%d -> %d bytes, err %v)", len(golden), len(got), err)
@@ -412,14 +442,14 @@ func TestDropLegacy(t *testing.T) {
 func TestWALVersionRefused(t *testing.T) {
 	dir := t.TempDir()
 	h := segHeader(1)
-	binary.BigEndian.PutUint32(h[4:], 3)
+	binary.BigEndian.PutUint32(h[4:], 4)
 	path := filepath.Join(dir, segName(1))
 	if err := os.WriteFile(path, h, 0o644); err != nil {
 		t.Fatal(err)
 	}
 	var ve *VersionError
-	if _, err := OpenWAL(dir); !errors.As(err, &ve) || *ve != (VersionError{Found: 3, Want: 2}) {
-		t.Fatalf("OpenWAL over a version-3 segment = %v, want *VersionError{3, 2}", err)
+	if _, err := OpenWAL(dir); !errors.As(err, &ve) || *ve != (VersionError{Found: 4, Want: 3}) {
+		t.Fatalf("OpenWAL over a version-4 segment = %v, want *VersionError{4, 3}", err)
 	}
 	if got, err := os.ReadFile(path); err != nil || !bytes.Equal(got, h) {
 		t.Fatal("refused segment changed")
@@ -536,5 +566,80 @@ func TestPendingRecordFootprint(t *testing.T) {
 	}
 	if got := unsafe.Sizeof(held{}); got != 8 {
 		t.Fatalf("held is %d bytes, want 8", got)
+	}
+}
+
+// copyGolden copies the golden WAL directory testdata/name to a new
+// directory and returns it with the golden files' contents.
+func copyGolden(t *testing.T, name string) (string, map[string][]byte) {
+	t.Helper()
+	src := filepath.Join("testdata", name)
+	dir, files := t.TempDir(), make(map[string][]byte)
+	for _, seg := range segFiles(t, src) {
+		data, err := os.ReadFile(filepath.Join(src, seg))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(filepath.Join(dir, seg), data, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		files[seg] = data
+	}
+	if len(files) == 0 {
+		t.Fatalf("no golden segment in %s", src)
+	}
+	return dir, files
+}
+
+// TestWALV2Refused: a format-2 WAL holding records (a golden one, three
+// 16-byte chunks written by the last build that used the format) is
+// refused with a *VersionError naming both versions and left byte for
+// byte.
+func TestWALV2Refused(t *testing.T) {
+	dir, golden := copyGolden(t, "v2-wal")
+	var ve *VersionError
+	if l, err := OpenWAL(dir); !errors.As(err, &ve) || *ve != (VersionError{Found: 2, Want: 3}) {
+		if err == nil {
+			l.Close()
+		}
+		t.Fatalf("OpenWAL over a format-2 WAL = %v, want *VersionError{2, 3}", err)
+	}
+	if segs := segFiles(t, dir); len(segs) != len(golden) {
+		t.Fatalf("refused WAL holds files %v, want the %d golden ones", segs, len(golden))
+	}
+	for seg, want := range golden {
+		if got, err := os.ReadFile(filepath.Join(dir, seg)); err != nil || !bytes.Equal(got, want) {
+			t.Fatalf("refused segment %s changed (%d -> %d bytes, err %v)", seg, len(want), len(got), err)
+		}
+	}
+}
+
+// TestWALV2EmptyReused: a format-2 WAL holding no record (a golden one,
+// left by a caught-up drain: one recycled segment whose stale records
+// fail their checksum) opens empty, and its file is reused as the first
+// format-3 segment instead of a new one.
+func TestWALV2EmptyReused(t *testing.T) {
+	dir, golden := copyGolden(t, "v2-wal-empty")
+	reused, created := obs.GetCounter("store_wal_segments_reused_total"), obs.GetCounter("store_wal_segments_created_total")
+	r0, c0 := reused.Value(), created.Value()
+	l, fps := reopenWAL(t, dir)
+	if len(fps) != 0 {
+		t.Fatalf("format-2 WAL without records replayed %d", len(fps))
+	}
+	if reused.Value() != r0+1 || created.Value() != c0 {
+		t.Fatalf("open reused %d spares and created %d segments, want 1 and 0", reused.Value()-r0, created.Value()-c0)
+	}
+	if segs := segFiles(t, dir); len(segs) != len(golden) {
+		t.Fatalf("WAL holds files %v, want its %d golden ones reused", segs, len(golden))
+	}
+	f, data := fixedRecord(1)
+	if err := l.Append(f, uint32(len(data)), data); err != nil {
+		t.Fatal(err)
+	}
+	if err := l.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if _, fps := reopenWAL(t, dir); !slices.Equal(fps, []fp.FP{f}) {
+		t.Fatalf("reopen replayed %d records, want the 1 appended", len(fps))
 	}
 }

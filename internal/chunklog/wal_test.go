@@ -472,8 +472,8 @@ func TestWALWalkRejectsOversizedRecord(t *testing.T) {
 		t.Fatal(err)
 	}
 	var size [4]byte
-	binary.BigEndian.PutUint32(size[:], 300<<20) // over walMaxRecord, still allocatable
-	if _, err := f.WriteAt(size[:], off+4+fp.Size); err != nil {
+	binary.BigEndian.PutUint32(size[:], 300<<20) // over any segment, still allocatable
+	if _, err := f.WriteAt(size[:], off+4); err != nil {
 		t.Fatal(err)
 	}
 	if err := f.Close(); err != nil {

@@ -8,24 +8,17 @@ import (
 )
 
 // Group commit: one flusher goroutine coalesces fsyncs across every
-// concurrent writer of a durable file.
-//
-// The durable backup path used to pay one fsync per chunk-batch window
-// and one per container append, each issued by the session that happened
-// to cross the batching threshold — and, worse, issued while holding the
-// structure's append lock, so every other session queued behind the
-// disk. A Committer inverts that: writers stage bytes with Enqueue (no
-// I/O, no waiting), a single flusher runs the sync function once per
+// concurrent writer of a durable file. Writers stage bytes with Enqueue
+// (no I/O, no waiting), a single flusher runs the sync function once per
 // window, and every writer whose bytes were staged before the sync
-// started is released by that one fsync. Under concurrent load the
-// coalescing is mostly free — while one fsync is in flight, every
-// arriving writer joins the next window — and a small optional hold
+// started is released by that one fsync. While one fsync is in flight,
+// every arriving writer joins the next window; a small optional hold
 // widens windows further when the disk is faster than the arrival rate.
 //
 // A Committer schedules; it never touches files. The sync function it is
-// built over (the chunk-log WAL's Sync, the container log's active-
-// segment sync) must be safe to call concurrently with writers appending,
-// and must guarantee that everything written before the call started is
+// built over (a seglog.Log's Sync: the chunk-log WAL's or the container
+// log's) must be safe to call concurrently with writers appending, and
+// must guarantee that everything written before the call started is
 // durable when it returns.
 
 const (

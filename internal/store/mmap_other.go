@@ -8,7 +8,7 @@ import "os"
 // false every segment read falls back to pread (ReadAt) with a copy.
 const mmapSupported = false
 
-func mmapFile(f *os.File, length int64) ([]byte, error) { return nil, nil }
+func mmapFile(f *os.File, length int64) []byte { return nil }
 
 func munmapFile(b []byte) error { return nil }
 

@@ -16,22 +16,18 @@ const mmapSupported = true
 // extend past the current end of file: pages become readable as appends
 // grow the file (the unified page cache keeps WriteAt and the mapping
 // coherent), which is how the active segment serves zero-copy reads while
-// it is still being written. A nil return with nil error means "no
-// mapping" and callers must use the pread path.
-func mmapFile(f *os.File, length int64) ([]byte, error) {
-	if length <= 0 {
-		return nil, nil
-	}
-	maxInt := int64(int(^uint(0) >> 1))
-	if length > maxInt {
-		return nil, fmt.Errorf("store: mapping of %d bytes exceeds address space", length)
+// it is still being written. A nil return means "no mapping" and callers
+// must use the pread path.
+func mmapFile(f *os.File, length int64) []byte {
+	if length <= 0 || length > int64(int(^uint(0)>>1)) {
+		return nil
 	}
 	b, err := syscall.Mmap(int(f.Fd()), 0, int(length), syscall.PROT_READ, syscall.MAP_SHARED)
 	if err != nil {
 		// Unsupported filesystem or exhausted mappings: degrade to pread.
-		return nil, nil
+		return nil
 	}
-	return b, nil
+	return b
 }
 
 func munmapFile(b []byte) error {

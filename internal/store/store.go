@@ -7,14 +7,16 @@
 //
 // Recovery on Open:
 //
-//  1. the container log's last segment is scanned and any torn tail
-//     (crash mid-append) truncated; sealed segments are walked by frame
-//     headers to rebuild the container location table;
-//  2. the chunk-log WAL (wal/, a directory of recycled segments) replays
-//     its sealed segments and the longest checksum-valid prefix of its
-//     last one; every recovered record is pending dedup-2 work, so an
-//     interrupted pass simply re-runs. A format-1 WAL file is removed when
-//     empty and refused otherwise;
+//  1. the container log (containers/, a segmented log, internal/seglog)
+//     keeps the longest checksum-valid prefix of its last segment and
+//     truncates any torn tail (crash mid-append); sealed segments are
+//     walked by frame and container headers to rebuild the container
+//     location table, and any damage in them refuses the open;
+//  2. the chunk-log WAL (wal/, a segmented log of recycled segments)
+//     recovers the same way, checksumming its sealed segments too; every
+//     recovered record is pending dedup-2 work, so an interrupted pass
+//     simply re-runs. A format-1 WAL file is removed when empty and
+//     refused otherwise;
 //  3. the disk index is reopened as-is only when the clean marker written
 //     by the last Checkpoint is present; otherwise (crash while the index
 //     was being written, or the file deleted) it is rebuilt from container
@@ -49,9 +51,8 @@ const manifestMagic = "DEBAR-STORE"
 // Options sizes a new engine. On reopen the manifest's recorded geometry
 // wins; explicitly conflicting options are an error.
 type Options struct {
-	IndexBits    uint  // disk index bucket bits (default 16)
-	IndexBlocks  int   // bucket size in 512-byte blocks (default 1)
-	SegmentBytes int64 // container-log segment capacity (default 256 MB)
+	IndexBits   uint // disk index bucket bits (default 16)
+	IndexBlocks int  // bucket size in 512-byte blocks (default 1)
 }
 
 func (o Options) withDefaults() Options {
@@ -61,13 +62,12 @@ func (o Options) withDefaults() Options {
 	if o.IndexBlocks == 0 {
 		o.IndexBlocks = 1
 	}
-	if o.SegmentBytes == 0 {
-		o.SegmentBytes = DefaultSegmentBytes
-	}
 	return o
 }
 
 // manifest is the engine superblock, serialised as JSON in <dir>/MANIFEST.
+// SegmentBytes is the container-log segment capacity the store was
+// created with.
 type manifest struct {
 	Magic        string `json:"magic"`
 	Version      int    `json:"version"`
@@ -147,7 +147,11 @@ const (
 )
 
 // Open opens (creating if needed) the storage engine at dir.
-func Open(dir string, o Options) (*Engine, error) {
+func Open(dir string, o Options) (*Engine, error) { return open(dir, o, segmentBytes) }
+
+// open is Open creating a store whose container-log segments hold
+// segBytes.
+func open(dir string, o Options, segBytes int64) (*Engine, error) {
 	o = o.withDefaults()
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return nil, fmt.Errorf("store: %w", err)
@@ -161,13 +165,13 @@ func Open(dir string, o Options) (*Engine, error) {
 	if err := lockFile(lock); err != nil {
 		return nil, errors.Join(err, lock.Close())
 	}
-	man, err := loadOrCreateManifest(dir, o)
+	man, err := loadOrCreateManifest(dir, o, segBytes)
 	if err != nil {
 		return nil, errors.Join(err, lock.Close())
 	}
 	e := &Engine{dir: dir, man: man, lock: lock}
 
-	if e.repo, err = OpenSegRepo(filepath.Join(dir, "containers"), man.SegmentBytes); err != nil {
+	if e.repo, err = openSegRepo(filepath.Join(dir, "containers"), man.SegmentBytes); err != nil {
 		return nil, errors.Join(err, lock.Close())
 	}
 	if err := chunklog.DropLegacy(filepath.Join(dir, chunklog.LegacyName)); err != nil {
@@ -192,7 +196,7 @@ func Open(dir string, o Options) (*Engine, error) {
 	return e, nil
 }
 
-func loadOrCreateManifest(dir string, o Options) (manifest, error) {
+func loadOrCreateManifest(dir string, o Options, segBytes int64) (manifest, error) {
 	path := filepath.Join(dir, manifestName)
 	raw, err := os.ReadFile(path)
 	if errors.Is(err, os.ErrNotExist) {
@@ -201,7 +205,7 @@ func loadOrCreateManifest(dir string, o Options) (manifest, error) {
 			Version:      FormatVersion,
 			IndexBits:    o.IndexBits,
 			IndexBlocks:  o.IndexBlocks,
-			SegmentBytes: o.SegmentBytes,
+			SegmentBytes: segBytes,
 		}
 		buf, err := json.MarshalIndent(man, "", "  ")
 		if err != nil {

@@ -13,6 +13,7 @@ import (
 	"debar/internal/chunklog"
 	"debar/internal/container"
 	"debar/internal/fp"
+	"debar/internal/seglog"
 )
 
 // testContainer builds a container with n deterministic chunks.
@@ -32,7 +33,7 @@ func testContainer(seed, n int) *container.Container {
 
 func openTestEngine(t *testing.T, dir string) *Engine {
 	t.Helper()
-	e, err := Open(dir, Options{IndexBits: 8, SegmentBytes: 1 << 20})
+	e, err := open(dir, Options{IndexBits: 8}, 1<<20)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -41,7 +42,7 @@ func openTestEngine(t *testing.T, dir string) *Engine {
 
 func TestSegRepoRoundTripAndRotation(t *testing.T) {
 	dir := t.TempDir()
-	r, err := OpenSegRepo(dir, 200<<10) // tiny segments force rotation
+	r, err := openSegRepo(dir, 200<<10) // tiny segments force rotation
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -90,7 +91,7 @@ func TestSegRepoRoundTripAndRotation(t *testing.T) {
 	}
 
 	// Reopen: the location table is rebuilt from the self-describing log.
-	r2, err := OpenSegRepo(dir, 200<<10)
+	r2, err := openSegRepo(dir, 200<<10)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -110,7 +111,7 @@ func TestSegRepoZeroCopyLoad(t *testing.T) {
 	if !mmapSupported {
 		t.Skip("no mmap on this platform")
 	}
-	r, err := OpenSegRepo(t.TempDir(), 0)
+	r, err := openSegRepo(t.TempDir(), segmentBytes)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -171,7 +172,7 @@ func TestSegRepoTornTailRecovered(t *testing.T) {
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
 			dir := t.TempDir()
-			r, err := OpenSegRepo(dir, 1<<20)
+			r, err := openSegRepo(dir, 1<<20)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -186,14 +187,14 @@ func TestSegRepoTornTailRecovered(t *testing.T) {
 			if err := r.Close(); err != nil {
 				t.Fatal(err)
 			}
-			path := segPath(dir, 0)
+			path := filepath.Join(dir, "seg-0000000000000001.log")
 			st, err := os.Stat(path)
 			if err != nil {
 				t.Fatal(err)
 			}
 			tc.damage(t, path, st.Size())
 
-			r2, err := OpenSegRepo(dir, 1<<20)
+			r2, err := openSegRepo(dir, 1<<20)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -207,9 +208,9 @@ func TestSegRepoTornTailRecovered(t *testing.T) {
 				if err != nil {
 					t.Fatalf("container %v unreadable: %v", id, err)
 				}
-				return segFrameHdr + int64(len(got.Marshal()))
+				return seglog.FrameHeader + int64(len(got.Marshal()))
 			}
-			var end int64
+			end := int64(seglog.HeaderSize)
 			for i := 0; i < tc.keep; i++ {
 				got, err := r2.Load(fp.ContainerID(i))
 				if err != nil || !bytes.Equal(got.Data, want[i].Data) {
@@ -237,7 +238,7 @@ func TestSegRepoTornTailRecovered(t *testing.T) {
 
 func TestSegRepoCorruptRecordDetected(t *testing.T) {
 	dir := t.TempDir()
-	r, err := OpenSegRepo(dir, 1<<20)
+	r, err := openSegRepo(dir, 1<<20)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -251,7 +252,7 @@ func TestSegRepoCorruptRecordDetected(t *testing.T) {
 	}
 	// Flip one payload byte inside the second record: the last-segment
 	// scan must reject it by checksum and recover only the first.
-	f, err := os.OpenFile(segPath(dir, 0), os.O_RDWR, 0o644)
+	f, err := os.OpenFile(filepath.Join(dir, "seg-0000000000000001.log"), os.O_RDWR, 0o644)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -261,7 +262,7 @@ func TestSegRepoCorruptRecordDetected(t *testing.T) {
 	}
 	f.Close()
 
-	r2, err := OpenSegRepo(dir, 1<<20)
+	r2, err := openSegRepo(dir, 1<<20)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -272,12 +273,13 @@ func TestSegRepoCorruptRecordDetected(t *testing.T) {
 }
 
 // TestSegRepoAppendFramePinned pins the segment frame Append writes:
-// magic | len | crc32c(img) | img, with img the Marshal image of the
+// crc32c(len | img) | len | img, the checksum seeded with the segment's
+// sequence number, with img the Marshal image of the
 // container under its assigned ID, and store_container_append_bytes_total
 // grows by exactly the frame length. A metaOnly (nil Data) container is
 // framed the same way.
 func TestSegRepoAppendFramePinned(t *testing.T) {
-	r, err := OpenSegRepo(t.TempDir(), 0)
+	r, err := openSegRepo(t.TempDir(), segmentBytes)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -293,21 +295,20 @@ func TestSegRepoAppendFramePinned(t *testing.T) {
 			t.Fatal(err)
 		}
 		img := (&container.Container{ID: id, Meta: c.Meta, Data: c.Data}).Marshal()
-		want := binary.BigEndian.AppendUint32(nil, segFrameMagic)
-		want = binary.BigEndian.AppendUint32(want, uint32(len(img)))
-		want = binary.BigEndian.AppendUint32(want, crc32.Checksum(img, crc32.MakeTable(crc32.Castagnoli)))
-		want = append(want, img...)
+		lenImg := append(binary.BigEndian.AppendUint32(nil, uint32(len(img))), img...)
+		want := binary.BigEndian.AppendUint32(nil, crc32.Update(1, crc32.MakeTable(crc32.Castagnoli), lenImg))
+		want = append(want, lenImg...)
 
-		seg, loc, err := r.locate(id)
+		loc, _, err := r.locate(id)
 		if err != nil {
 			t.Fatal(err)
 		}
 		got := make([]byte, len(want))
-		if _, err := seg.f.ReadAt(got, loc.off); err != nil {
+		if err := r.log.Segment(loc.pos.Seg).ReadAt(got, int64(loc.pos.Off)); err != nil {
 			t.Fatal(err)
 		}
 		if !bytes.Equal(got, want) {
-			t.Fatalf("container %v: segment frame differs from magic|len|crc32c(img)|img", id)
+			t.Fatalf("container %v: segment frame differs from crc32c(len|img)|len|img", id)
 		}
 		if n := mRepoAppendBytes.Value() - before; n != int64(len(want)) {
 			t.Fatalf("container %v: append bytes grew by %d, want the frame length %d", id, n, len(want))
@@ -470,7 +471,7 @@ func TestEngineGeometryConflictRejected(t *testing.T) {
 }
 
 func TestSegRepoConcurrentReadsDuringAppends(t *testing.T) {
-	r, err := OpenSegRepo(t.TempDir(), 200<<10)
+	r, err := openSegRepo(t.TempDir(), 200<<10)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -605,11 +606,11 @@ func TestEngineLegacyWAL(t *testing.T) {
 		t.Fatal(err)
 	}
 	var ve *chunklog.VersionError
-	if e, err := Open(dir, Options{IndexBits: 8, SegmentBytes: 1 << 20}); !errors.As(err, &ve) || *ve != (chunklog.VersionError{Found: 1, Want: 2}) {
+	if e, err := open(dir, Options{IndexBits: 8}, 1<<20); !errors.As(err, &ve) || *ve != (chunklog.VersionError{Found: 1, Want: 3}) {
 		if err == nil {
 			e.Close()
 		}
-		t.Fatalf("Open over a format-1 WAL = %v, want *chunklog.VersionError{1, 2}", err)
+		t.Fatalf("Open over a format-1 WAL = %v, want *chunklog.VersionError{1, 3}", err)
 	}
 	if got, err := os.ReadFile(legacy); err != nil || !bytes.Equal(got, golden) {
 		t.Fatalf("refused WAL changed (%d -> %d bytes, err %v)", len(golden), len(got), err)

@@ -26,6 +26,7 @@ var ErrDiscard = &analysis.Analyzer{
 	Packages: []string{
 		"debar/internal/store",
 		"debar/internal/chunklog",
+		"debar/internal/seglog",
 		"debar/internal/metastore",
 		"debar/internal/diskindex",
 		"debar/internal/fsx",
@@ -74,6 +75,7 @@ func runErrDiscard(pass *analysis.Pass) error {
 var storagePkgs = []string{
 	"debar/internal/store",
 	"debar/internal/chunklog",
+	"debar/internal/seglog",
 	"debar/internal/metastore",
 	"debar/internal/diskindex",
 	"debar/internal/fsx",

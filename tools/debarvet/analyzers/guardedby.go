@@ -49,6 +49,7 @@ var GuardedBy = &analysis.Analyzer{
 		"debar/internal/store",
 		"debar/internal/client",
 		"debar/internal/chunklog",
+		"debar/internal/seglog",
 		"debar/internal/metastore",
 		"debar/internal/diskindex",
 		"debar/internal/obs",

@@ -27,6 +27,7 @@ var SyncClose = &analysis.Analyzer{
 	Packages: []string{
 		"debar/internal/store",
 		"debar/internal/chunklog",
+		"debar/internal/seglog",
 		"debar/internal/metastore",
 		"debar/internal/diskindex",
 	},
