@@ -58,7 +58,7 @@ func main() {
 	if err := os.MkdirAll(*dataDir, 0o755); err != nil {
 		log.Fatalf("debar-director: %v", err)
 	}
-	ms, err := metastore.Open(filepath.Join(*dataDir, "meta.journal"), 0)
+	ms, err := metastore.Open(filepath.Join(*dataDir, "meta.journal"))
 	if err != nil {
 		log.Fatalf("debar-director: %v", err)
 	}

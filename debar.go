@@ -215,7 +215,7 @@ func StartLocal(n int, cfg ServerConfig) (*System, error) {
 		sys.Close()
 		return nil, fmt.Errorf("debar: %w", err)
 	}
-	ms, err := metastore.Open(filepath.Join(dirDir, "meta.journal"), 0)
+	ms, err := metastore.Open(filepath.Join(dirDir, "meta.journal"))
 	if err != nil {
 		sys.Close()
 		return nil, err

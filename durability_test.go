@@ -31,7 +31,7 @@ func bootDurable(t *testing.T, dirData, srvData string, eng *store.Engine) (*dir
 // that need fault-injection knobs (stage hooks, short timeouts).
 func bootDurableWith(t *testing.T, dirData, srvData string, eng *store.Engine, mod func(*server.Config)) (*director.Director, *metastore.Store, *server.Server, string) {
 	t.Helper()
-	ms, err := metastore.Open(filepath.Join(dirData, "meta.journal"), 0)
+	ms, err := metastore.Open(filepath.Join(dirData, "meta.journal"))
 	if err != nil {
 		t.Fatal(err)
 	}

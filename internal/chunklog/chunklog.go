@@ -13,6 +13,7 @@ package chunklog
 import (
 	"fmt"
 	"sync"
+	"time"
 
 	"debar/internal/disksim"
 	"debar/internal/fp"
@@ -67,8 +68,15 @@ type Log struct {
 	disk     *disksim.Disk
 
 	// WAL mode (OpenWAL): a segmented log of records. See wal.go.
-	wal   *seglog.Log // set once at open; nil for a memory log
-	frame []byte      // guarded by mu; appendWAL's record buffer, grown to the largest record
+	wal *seglog.Log // set once at open; nil for a memory log
+
+	// An append's scratch, reused so that a steady stream of batches
+	// allocates nothing: the batch's chunks to log, and (WAL) their
+	// records back to back, the records' sizes and their positions.
+	batch []int        // guarded by mu
+	frame []byte       // guarded by mu; grown to the largest batch
+	sizes []int        // guarded by mu
+	pos   []seglog.Pos // guarded by mu
 
 	// drainMu serialises Drain: one transaction at a time owns the
 	// unconsumed records.
@@ -111,7 +119,7 @@ func NewMem(metaOnly bool, disk *disksim.Disk) *Log {
 // takes a private copy of data; use AppendOwned when the caller hands
 // over ownership and the copy can be skipped.
 func (l *Log) Append(f fp.FP, size uint32, data []byte) error {
-	_, err := l.append(f, size, data, false, false)
+	_, _, err := l.append([]fp.FP{f}, []uint32{size}, [][]byte{data}, false, false)
 	return err
 }
 
@@ -119,62 +127,122 @@ func (l *Log) Append(f fp.FP, size uint32, data []byte) error {
 // log retains the slice directly (memory-backed logs) instead of copying
 // it. The caller must not modify data afterwards.
 func (l *Log) AppendOwned(f fp.FP, size uint32, data []byte) error {
-	_, err := l.append(f, size, data, true, false)
+	_, _, err := l.append([]fp.FP{f}, []uint32{size}, [][]byte{data}, true, false)
 	return err
 }
 
 // AppendNew is AppendOwned for a chunk the log does not hold yet: when an
 // unconsumed record already has f's fingerprint it appends nothing and
 // reports false. Check and append are one step under the log's lock, so
-// concurrent sessions racing the same content log it once. The server's
-// dedup-1 path uses this to land network receive buffers in the log.
+// concurrent sessions racing the same content log it once.
 func (l *Log) AppendNew(f fp.FP, size uint32, data []byte) (bool, error) {
-	return l.append(f, size, data, true, true)
+	n, _, err := l.append([]fp.FP{f}, []uint32{size}, [][]byte{data}, true, true)
+	return n == 1, err
 }
 
-func (l *Log) append(f fp.FP, size uint32, data []byte, owned, once bool) (bool, error) {
-	if !l.metaOnly && len(data) != int(size) {
-		return false, fmt.Errorf("chunklog: declared size %d != payload %d", size, len(data))
+// AppendNewBatch is AppendNew for a batch of chunks, data[i] of
+// fingerprint fps[i]: it logs, in order, each chunk that no unconsumed
+// record holds and no earlier chunk of the batch repeats, and returns how
+// many it logged and their payload bytes. The checks and appends of the
+// whole batch are one step under the log's lock, and a WAL writes the
+// batch's records with one write per segment they land in. A WAL copies
+// every payload into its own buffer, so the caller may reuse data's
+// memory once the call returns; a memory log retains the slices, like
+// AppendOwned. After a failed write the log holds, and Logged reports,
+// only the records written before it. The server's dedup-1 path logs
+// each ChunkBatch with it.
+func (l *Log) AppendNewBatch(fps []fp.FP, data [][]byte) (int, int64, error) {
+	return l.append(fps, nil, data, true, true)
+}
+
+// append logs the chunks of one batch: chunk i has fingerprint fps[i],
+// payload data[i] and declared size sizes[i] (len(data[i]) when sizes is
+// nil). owned and once are AppendOwned's and AppendNew's. It returns the
+// records appended and their payload bytes.
+func (l *Log) append(fps []fp.FP, sizes []uint32, data [][]byte, owned, once bool) (int, int64, error) {
+	if len(fps) != len(data) || sizes != nil && len(sizes) != len(fps) {
+		return 0, 0, fmt.Errorf("chunklog: %d fingerprints for %d payloads", len(fps), len(data))
+	}
+	size := func(i int) uint32 {
+		if sizes == nil {
+			return uint32(len(data[i]))
+		}
+		return sizes[i]
+	}
+	for i := range fps {
+		if !l.metaOnly && len(data[i]) != int(size(i)) {
+			return 0, 0, fmt.Errorf("chunklog: declared size %d != payload %d", size(i), len(data[i]))
+		}
 	}
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	h, ok := l.index[f]
-	if once && ok {
-		return false, nil
-	}
-	if l.failFn != nil {
-		if err := l.failFn(); err != nil {
-			return false, fmt.Errorf("chunklog: append: %w", err)
-		}
-	}
 	if l.wal != nil {
-		loc, err := l.appendWAL(f, data)
-		if err != nil {
-			return false, err
+		defer mLockSeconds.Since(time.Now())
+	}
+	// Index the batch's records before anything is written, so that a
+	// fingerprint the batch repeats is found; the records a failed write
+	// leaves out are taken back out below.
+	l.batch = l.batch[:0]
+	for i, f := range fps {
+		h, ok := l.index[f]
+		if once && ok {
+			continue
 		}
 		if !ok {
-			h.rec = l.first + uint32(len(l.locs))
+			h.rec = l.first + uint32(len(l.fps)+len(l.batch))
 		}
-		l.locs = append(l.locs, loc)
-	} else {
-		r := Record{FP: f, Size: size}
-		if !l.metaOnly {
-			if owned {
-				r.Data = data
-			} else {
-				r.Data = append([]byte(nil), data...)
+		h.n++
+		l.index[f] = h
+		l.batch = append(l.batch, i)
+	}
+	if len(l.batch) == 0 {
+		return 0, 0, nil
+	}
+	var err error
+	if l.failFn != nil {
+		err = l.failFn()
+		if err != nil {
+			err = fmt.Errorf("chunklog: append: %w", err)
+		}
+	}
+	written := 0
+	switch {
+	case err != nil:
+	case l.wal != nil:
+		written, err = l.appendWAL(fps, data)
+	default:
+		for _, i := range l.batch {
+			r := Record{FP: fps[i], Size: size(i)}
+			if !l.metaOnly {
+				if owned {
+					r.Data = data[i]
+				} else {
+					r.Data = append([]byte(nil), data[i]...)
+				}
 			}
+			l.recs = append(l.recs, r)
 		}
-		l.recs = append(l.recs, r)
+		written = len(l.batch)
 	}
-	h.n++
-	l.index[f] = h
-	l.fps = append(l.fps, f)
-	l.bytes += int64(size)
-	if l.disk != nil {
-		l.disk.SeqWrite(recordHeader + int64(size))
+	var bytes int64
+	for k, i := range l.batch {
+		if k >= written {
+			h := l.index[fps[i]]
+			if h.n--; h.n == 0 {
+				delete(l.index, fps[i])
+			} else {
+				l.index[fps[i]] = h
+			}
+			continue
+		}
+		l.fps = append(l.fps, fps[i])
+		bytes += int64(size(i))
+		if l.disk != nil {
+			l.disk.SeqWrite(recordHeader + int64(size(i)))
+		}
 	}
-	return true, nil
+	l.bytes += bytes
+	return written, bytes, err
 }
 
 // Logged reports, for each fingerprint, whether an unconsumed record

@@ -643,3 +643,51 @@ func TestWALV2EmptyReused(t *testing.T) {
 		t.Fatalf("reopen replayed %d records, want the 1 appended", len(fps))
 	}
 }
+
+// TestWALDamagedHeaderRefused: a WAL with three synced records in its
+// only segment whose header loses its magic (byte 0), and then its
+// sequence number as well (byte 15), is refused with a
+// *seglog.CorruptError each time — its first record still passes its
+// checksum under the file's number, so the file is a live segment with a
+// damaged header, not a spare to drop and reuse — and every file is left
+// byte for byte.
+func TestWALDamagedHeaderRefused(t *testing.T) {
+	dir := filepath.Join(t.TempDir(), "wal")
+	l, err := OpenWAL(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := range 3 {
+		f, data := walRecord(i)
+		if err := l.Append(f, uint32(len(data)), data); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := errors.Join(l.Sync(), l.Close()); err != nil {
+		t.Fatal(err)
+	}
+	seg := lastSegment(t, dir)
+	for _, at := range []int64{0, 15} {
+		b, err := os.ReadFile(seg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		b[at] ^= 0xFF
+		if err := os.WriteFile(seg, b, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		var ce *seglog.CorruptError
+		if l, err := OpenWAL(dir); !errors.As(err, &ce) {
+			if err == nil {
+				l.Close()
+			}
+			t.Fatalf("open with header byte %d flipped = %v, want *seglog.CorruptError", at, err)
+		}
+		if segs, _ := filepath.Glob(filepath.Join(dir, "*")); len(segs) != 1 || segs[0] != seg {
+			t.Fatalf("refused open left %v, want only %s", segs, seg)
+		}
+		if got, err := os.ReadFile(seg); err != nil || !bytes.Equal(got, b) {
+			t.Fatalf("refused open changed %s (err %v)", seg, err)
+		}
+	}
+}

@@ -8,6 +8,7 @@ import (
 	"io"
 	"os"
 	"path/filepath"
+	"slices"
 	"time"
 
 	"debar/internal/fp"
@@ -23,6 +24,7 @@ import (
 var (
 	mWALAppendBytes   = obs.GetCounter("store_wal_append_bytes_total")
 	mWALAppendSeconds = obs.GetHistogram("store_wal_append_seconds", obs.DurationBuckets)
+	mLockSeconds      = obs.GetHistogram("store_wal_append_lock_seconds", obs.DurationBuckets)
 )
 
 // WAL mode turns the chunk log into a durable write-ahead log: a
@@ -168,26 +170,44 @@ func openWAL(dir string, segBytes int64) (*Log, error) {
 	return l, nil
 }
 
-// appendWAL writes one record at the end of the log, as one write of the
-// log's frame buffer. It never fsyncs the record: it is durable once a
-// later Sync returns.
+// appendWAL writes the records of the chunks l.batch names, chunk i of
+// fingerprint fps[i] and payload data[i], at the end of the log: laid out
+// back to back in the log's frame buffer and written with one write per
+// segment they land in. It returns how many, from the first, were
+// written, and records where each of them lives. It never fsyncs the
+// records: they are durable once a later Sync returns.
 //
 // debarvet:holds mu -- append enters WAL mode with l.mu held.
-func (l *Log) appendWAL(f fp.FP, data []byte) (recLoc, error) {
+func (l *Log) appendWAL(fps []fp.FP, data [][]byte) (int, error) {
 	defer mWALAppendSeconds.Since(time.Now())
-	n := walHeader + len(data)
-	if cap(l.frame) < n {
-		l.frame = make([]byte, n)
+	total := 0
+	l.sizes = l.sizes[:0]
+	for _, i := range l.batch {
+		l.sizes = append(l.sizes, walHeader+len(data[i]))
+		total += walHeader + len(data[i])
 	}
-	rec := l.frame[:n]
-	copy(rec[seglog.FrameHeader:], f[:])
-	copy(rec[walHeader:], data)
-	p, err := l.wal.Append(rec, nil)
+	if cap(l.frame) < total {
+		l.frame = make([]byte, total)
+	}
+	buf := l.frame[:total]
+	off := 0
+	for k, i := range l.batch {
+		copy(buf[off+seglog.FrameHeader:], fps[i][:])
+		copy(buf[off+walHeader:], data[i])
+		off += l.sizes[k]
+	}
+	l.pos = slices.Grow(l.pos[:0], len(l.sizes))[:len(l.sizes)]
+	n, err := l.wal.AppendFrames(buf, l.sizes, l.pos)
+	var appended int
+	for k, p := range l.pos[:n] {
+		l.locs = append(l.locs, recLoc{Pos: p, size: uint32(l.sizes[k] - walHeader)})
+		appended += l.sizes[k]
+	}
+	mWALAppendBytes.Add(int64(appended))
 	if err != nil {
-		return recLoc{}, fmt.Errorf("chunklog: wal append: %w", err)
+		return n, fmt.Errorf("chunklog: wal append: %w", err)
 	}
-	mWALAppendBytes.Add(int64(n))
-	return recLoc{Pos: p, size: uint32(len(data))}, nil
+	return n, nil
 }
 
 // decode checks rec, the bytes read at loc in s, against its checksum

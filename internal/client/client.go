@@ -375,11 +375,12 @@ func (c *Client) restoreAttempt(jobName, destDir string, done map[string]bool, r
 		return fmt.Errorf("client: unexpected ListFiles reply %T", msg)
 	}
 
+	var buf []byte // the connection's receive buffer for restore batches
 	for _, path := range list.Paths {
 		if done[path] {
 			continue
 		}
-		if err := c.restoreOne(conn, jobName, path, destDir, res); err != nil {
+		if err := c.restoreOne(conn, &buf, jobName, path, destDir, res); err != nil {
 			return err
 		}
 		done[path] = true

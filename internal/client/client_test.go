@@ -21,7 +21,7 @@ import (
 // directory on loopback TCP; both close when the test ends.
 func startDirector(t *testing.T) (*director.Director, string) {
 	t.Helper()
-	ms, err := metastore.Open(filepath.Join(t.TempDir(), "meta.journal"), 0)
+	ms, err := metastore.Open(filepath.Join(t.TempDir(), "meta.journal"))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -107,6 +107,9 @@ func safeJoin(destDir, entryPath string) (string, error) {
 // failure never leaves a partial file behind — and never disturbs a
 // pre-existing file at the destination. The caller abandons the
 // connection on error, so no protocol resynchronisation is needed.
+// Every batch is received into *buf, which the connection reuses from one
+// batch to the next, and written to the temp file with one write once
+// all its chunks verify.
 //
 // Partial progress lives in res: if the connection dies mid-stream, the
 // temp file and its verified-chunk count stay open in res, and the next
@@ -114,7 +117,7 @@ func safeJoin(destDir, entryPath string) (string, error) {
 // resume offset is echoed in RestoreBegin and the entry is compared
 // fingerprint-for-fingerprint — a mismatch yields errResumeInvalid).
 // Permanent failures discard the partial state.
-func (c *Client) restoreOne(conn *proto.Conn, jobName, path, destDir string, res *fileResume) (err error) {
+func (c *Client) restoreOne(conn *proto.Conn, buf *[]byte, jobName, path, destDir string, res *fileResume) (err error) {
 	defer func() {
 		// Keep partial state only for failures a retry can resume through:
 		// connection-level errors. Verification and protocol failures (and
@@ -189,25 +192,29 @@ func (c *Client) restoreOne(conn *proto.Conn, jobName, path, destDir string, res
 	}
 
 	for {
-		msg, err := conn.Recv()
+		msg, err := conn.RecvInto(buf)
 		if err != nil {
 			return fmt.Errorf("client: restore %s interrupted: %w", path, err)
 		}
 		switch m := msg.(type) {
 		case proto.RestoreChunkBatch:
-			for _, chunk := range m.Data {
-				if res.idx >= len(entry.Chunks) {
-					return fmt.Errorf("client: restore %s: server sent more chunks than the file index holds", path)
-				}
-				if fp.New(chunk) != entry.Chunks[res.idx] {
-					return fmt.Errorf("client: restore %s: chunk %d fingerprint mismatch (corruption in transit or store)", path, res.idx)
-				}
-				if _, err := res.f.Write(chunk); err != nil {
-					return err
-				}
-				res.written += int64(len(chunk))
-				res.idx++
+			if res.idx+len(m.Data) > len(entry.Chunks) {
+				return fmt.Errorf("client: restore %s: server sent more chunks than the file index holds", path)
 			}
+			n := 0
+			for i, chunk := range m.Data {
+				if fp.New(chunk) != entry.Chunks[res.idx+i] {
+					return fmt.Errorf("client: restore %s: chunk %d fingerprint mismatch (corruption in transit or store)", path, res.idx+i)
+				}
+				n += len(chunk)
+			}
+			// The batch's chunks lie back to back at the end of the
+			// receive buffer (RecvInto).
+			if _, err := res.f.Write((*buf)[len(*buf)-n:]); err != nil {
+				return err
+			}
+			res.written += int64(n)
+			res.idx += len(m.Data)
 			if err := conn.Send(proto.RestoreAck{Seq: m.Seq}); err != nil {
 				return err
 			}

@@ -15,7 +15,7 @@ import (
 // directory; the journal closes when the test ends.
 func newTestDirector(t *testing.T) *Director {
 	t.Helper()
-	ms, err := metastore.Open(filepath.Join(t.TempDir(), "meta.journal"), 0)
+	ms, err := metastore.Open(filepath.Join(t.TempDir(), "meta.journal"))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -230,7 +230,7 @@ func TestLegacyGobPeerRefused(t *testing.T) {
 // succeeds and the run survives a reopen.
 func TestEndRunDurableBeforeComplete(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "meta.journal")
-	ms, err := metastore.Open(path, 0)
+	ms, err := metastore.Open(path)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -267,7 +267,7 @@ func TestEndRunDurableBeforeComplete(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	ms2, err := metastore.Open(path, 0)
+	ms2, err := metastore.Open(path)
 	if err != nil {
 		t.Fatal(err)
 	}

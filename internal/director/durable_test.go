@@ -15,7 +15,7 @@ import (
 
 func TestDurableDirectorReplays(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "meta.journal")
-	ms, err := metastore.Open(path, 0)
+	ms, err := metastore.Open(path)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -48,7 +48,7 @@ func TestDurableDirectorReplays(t *testing.T) {
 
 	// Restart: a fresh metastore over the same journal feeds a fresh
 	// director, which must see the same runs and file indexes.
-	ms2, err := metastore.Open(path, 0)
+	ms2, err := metastore.Open(path)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -85,7 +85,7 @@ func TestDurableDirectorReplays(t *testing.T) {
 
 func TestDurableDirectorManyRuns(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "meta.journal")
-	ms, err := metastore.Open(path, 0)
+	ms, err := metastore.Open(path)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -108,7 +108,7 @@ func TestDurableDirectorManyRuns(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	ms2, err := metastore.Open(path, 0)
+	ms2, err := metastore.Open(path)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -133,7 +133,7 @@ func TestDurableDirectorManyRuns(t *testing.T) {
 // director served before the restart, it serves after it.
 func TestRunNotJournaledIsNotOpened(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "meta.journal")
-	ms, err := metastore.Open(path, 0)
+	ms, err := metastore.Open(path)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -152,7 +152,7 @@ func TestRunNotJournaledIsNotOpened(t *testing.T) {
 	if err := ms.Close(); err != nil {
 		t.Fatal(err)
 	}
-	ms2, err := metastore.Open(path, 0)
+	ms2, err := metastore.Open(path)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -183,7 +183,7 @@ func TestGobJournalRefused(t *testing.T) {
 	if err := os.WriteFile(path, golden, 0o644); err != nil {
 		t.Fatal(err)
 	}
-	ms, err := metastore.Open(path, 0)
+	ms, err := metastore.Open(path)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -204,7 +204,7 @@ func TestGobJournalRefused(t *testing.T) {
 // stamp naming another version is refused with that version.
 func TestJournalStamp(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "meta.journal")
-	ms, err := metastore.Open(path, 0)
+	ms, err := metastore.Open(path)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -227,7 +227,7 @@ func TestJournalStamp(t *testing.T) {
 	ms.Close()
 
 	path = filepath.Join(t.TempDir(), "meta.journal")
-	if ms, err = metastore.Open(path, 0); err != nil {
+	if ms, err = metastore.Open(path); err != nil {
 		t.Fatal(err)
 	}
 	defer ms.Close()
@@ -247,7 +247,7 @@ func TestJournalStamp(t *testing.T) {
 // replays and the next run keeps its files.
 func TestFailedNewRunIDNotReused(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "meta.journal")
-	ms, err := metastore.Open(path, 0)
+	ms, err := metastore.Open(path)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -279,7 +279,7 @@ func TestFailedNewRunIDNotReused(t *testing.T) {
 	if err := ms.Close(); err != nil {
 		t.Fatal(err)
 	}
-	ms2, err := metastore.Open(path, 0)
+	ms2, err := metastore.Open(path)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -66,7 +66,7 @@ func FuzzJournalRecord(f *testing.F) {
 		}
 		ms.Close()
 
-		ms, err := metastore.Open(path, 0)
+		ms, err := metastore.Open(path)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -78,7 +78,7 @@ func FuzzJournalRecord(f *testing.F) {
 // openDirector opens the journal at path and replays it into a director.
 func openDirector(t *testing.T, path string) (*metastore.Store, *Director) {
 	t.Helper()
-	ms, err := metastore.Open(path, 0)
+	ms, err := metastore.Open(path)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -128,7 +128,7 @@ func TestReplayRefusesUnfitRecords(t *testing.T) {
 			t.Fatal(err)
 		}
 		ms.Close()
-		if ms, err = metastore.Open(path, 0); err != nil {
+		if ms, err = metastore.Open(path); err != nil {
 			t.Fatal(err)
 		}
 		if _, err := NewDurable(ms); err == nil {

@@ -62,9 +62,10 @@ type Store struct {
 
 // Open opens (creating if needed) the journal at path, locks it against a
 // second opener and truncates anything after its longest valid prefix.
-// The second argument is ignored: it sized an in-memory copy of the
-// records that the store no longer keeps.
-func Open(path string, _ int) (*Store, error) {
+// Any further argument is ignored: the second argument Open once took
+// sized an in-memory copy of the records that the store no longer keeps,
+// and the benchmark's metadata probe (bench/probes.go) still passes it.
+func Open(path string, _ ...int) (*Store, error) {
 	f, err := os.OpenFile(path, os.O_RDWR|os.O_CREATE, 0o644)
 	if err != nil {
 		return nil, fmt.Errorf("metastore: open journal: %w", err)

@@ -34,7 +34,7 @@ func replayAll(t *testing.T, s *Store) []record {
 
 func openJournal(t *testing.T, path string) *Store {
 	t.Helper()
-	s, err := Open(path, 0)
+	s, err := Open(path)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -277,7 +277,7 @@ func FuzzJournalReplay(f *testing.F) {
 
 		var before, after runtime.MemStats
 		runtime.ReadMemStats(&before)
-		s, err := Open(path, 0)
+		s, err := Open(path)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -9,12 +9,12 @@ import (
 
 func TestJournalLocked(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "meta.journal")
-	s, err := Open(path, 1)
+	s, err := Open(path)
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer s.Close()
-	if _, err := Open(path, 1); err == nil {
+	if _, err := Open(path); err == nil {
 		t.Fatal("second store over a live journal was not rejected")
 	}
 }

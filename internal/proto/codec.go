@@ -387,7 +387,8 @@ func (m ChunkBatch) encode(e *enc) byte {
 }
 
 // decode slices each chunk out of the payload without copying: the Data
-// slices alias the receive buffer, whose ownership passes to the message.
+// slices alias the receive buffer, a new one (Recv) or the caller's
+// (RecvInto), and the chunks lie back to back at the payload's end.
 func (m *ChunkBatch) decode(d *dec) {
 	m.SessionID = d.u64()
 	n := d.count(fp.Size + 4)

@@ -16,7 +16,8 @@
 // fingerprints travel as raw 20-byte arrays. An encoder never wraps a
 // length: Send returns an error for a string or list that does not fit
 // its field. Chunk payloads (ChunkBatch, RestoreChunkBatch) are sliced
-// out of the receive buffer without copying.
+// out of the receive buffer without copying, and RecvInto lets a
+// receiver reuse that buffer from one bulk frame to the next.
 //
 // Every decoder bounds each count by the bytes left before it allocates,
 // rejects trailing bytes, and treats an unknown tag as fatal to the
@@ -166,6 +167,7 @@ import (
 	"fmt"
 	"io"
 	"net"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -376,8 +378,20 @@ func (c *Conn) Send(msg any) error {
 	return nil
 }
 
-// Recv reads the next message. Safe to call concurrently with Send.
-func (c *Conn) Recv() (any, error) {
+// Recv reads the next message. Safe to call concurrently with Send. The
+// chunk payloads of a ChunkBatch or RestoreChunkBatch alias a new buffer
+// of their own.
+func (c *Conn) Recv() (any, error) { return c.RecvInto(nil) }
+
+// RecvInto is Recv for a caller that lends the receive buffer of the two
+// bulk frames, ChunkBatch and RestoreChunkBatch: such a frame's payload
+// is read into *buf, grown when it is short, and the message's chunk
+// payloads alias it. They lie back to back, in order, at the end of
+// *buf, so a receiver can pass a whole batch on with one write. The
+// caller must not lend *buf again, or write to it, while it still uses
+// such a message. Every other frame decodes as in Recv and leaves *buf
+// alone; a nil buf reads a bulk payload into a new buffer.
+func (c *Conn) RecvInto(buf *[]byte) (any, error) {
 	c.rmu.Lock()
 	defer c.rmu.Unlock()
 
@@ -405,15 +419,19 @@ func (c *Conn) Recv() (any, error) {
 	}
 
 	var payload []byte
-	if tag == tagChunkBatch || tag == tagRestoreChunkBatch {
-		// Zero-copy path: the payload buffer's ownership passes to the
-		// decoded message, whose Data slices alias it — so it is NOT
-		// pooled. Every other decoder copies what it keeps.
-		payload = make([]byte, n)
-	} else {
+	switch {
+	case tag != tagChunkBatch && tag != tagRestoreChunkBatch:
+		// Every other decoder copies what it keeps.
 		bp := getBuf(n)
 		defer putBuf(bp)
 		payload = (*bp)[:n]
+	case buf == nil:
+		payload = make([]byte, n)
+	default:
+		// Zero-copy into the caller's buffer: the message's Data slices
+		// alias it, so it stays the caller's, never the pool's.
+		*buf = slices.Grow((*buf)[:0], n)[:n]
+		payload = *buf
 	}
 	if _, err := io.ReadFull(c.br, payload); err != nil {
 		return nil, fmt.Errorf("proto: recv: %w", err)

@@ -217,7 +217,9 @@ func (l *Log) header(seq uint64) []byte {
 
 // live reports whether f, named seq, is a live segment: its header, of
 // this format, names seq. Anything else is a spare, except a header of a
-// newer version, or of an older one naming seq that Format.Older refuses.
+// newer version, or of an older one naming seq that Format.Older refuses,
+// and a header without the format's magic over a first frame that passes
+// its checksum under seq: a live segment whose header took damage.
 func (l *Log) live(f *os.File, seq uint64) (bool, error) {
 	var h [HeaderSize]byte
 	if _, err := f.ReadAt(h[:], 0); errors.Is(err, io.EOF) {
@@ -226,7 +228,11 @@ func (l *Log) live(f *os.File, seq uint64) (bool, error) {
 		return false, fmt.Errorf("seglog: reading header: %w", err)
 	}
 	if string(h[:4]) != l.format.Magic {
-		return false, nil
+		ok, err := firstFrameValid(f, seq)
+		if ok {
+			err = &CorruptError{Path: f.Name(), Why: "is a damaged segment header over a valid first frame"}
+		}
+		return false, err
 	}
 	v, named := binary.BigEndian.Uint32(h[4:]), binary.BigEndian.Uint64(h[8:])
 	switch {
@@ -236,6 +242,31 @@ func (l *Log) live(f *os.File, seq uint64) (bool, error) {
 		return false, l.format.Older(f, v, seq)
 	}
 	return v == l.format.Version && named == seq, nil
+}
+
+// firstFrameValid reports whether the first frame of f, named seq, is
+// whole and passes its checksum under seq. Its declared length is
+// bounded by the file before anything is read for it.
+func firstFrameValid(f *os.File, seq uint64) (bool, error) {
+	st, err := f.Stat()
+	if err != nil {
+		return false, fmt.Errorf("seglog: stat: %w", err)
+	}
+	var h [FrameHeader]byte
+	if st.Size() < HeaderSize+FrameHeader {
+		return false, nil
+	} else if _, err := f.ReadAt(h[:], HeaderSize); err != nil {
+		return false, fmt.Errorf("seglog: reading first frame: %w", err)
+	}
+	n := int64(binary.BigEndian.Uint32(h[4:]))
+	if HeaderSize+FrameHeader+n > st.Size() {
+		return false, nil
+	}
+	frame := make([]byte, FrameHeader+n)
+	if _, err := f.ReadAt(frame, HeaderSize); err != nil {
+		return false, fmt.Errorf("seglog: reading first frame: %w", err)
+	}
+	return binary.BigEndian.Uint32(frame) == crc32.Update(uint32(seq), castagnoli, frame[4:]), nil
 }
 
 // recover sorts the segment files into live segments and spares, visits
@@ -467,16 +498,10 @@ func (l *Log) Append(frame, tail []byte) (Pos, error) {
 	if l.closed {
 		return Pos{}, fmt.Errorf("seglog: %s append after Close", l.format.Name)
 	}
-	n := int64(len(frame) + len(tail))
-	if k := len(l.segs); k == 0 || l.segs[k-1].end > HeaderSize && l.segs[k-1].end+n > l.segBytes {
-		if err := l.rotate(); err != nil {
-			return Pos{}, err
-		}
+	s, err := l.place(0, frame, tail, nil)
+	if err != nil {
+		return Pos{}, err
 	}
-	s := l.segs[len(l.segs)-1]
-	binary.BigEndian.PutUint32(frame[4:], uint32(n-FrameHeader))
-	crc := crc32.Update(s.seed, castagnoli, frame[4:])
-	binary.BigEndian.PutUint32(frame, crc32.Update(crc, castagnoli, tail))
 	if _, err := s.f.WriteAt(frame, s.end); err != nil {
 		return Pos{}, fmt.Errorf("seglog: %s append: %w", l.format.Name, err)
 	}
@@ -486,15 +511,93 @@ func (l *Log) Append(frame, tail []byte) (Pos, error) {
 		}
 	}
 	p := Pos{Seg: s.id, Off: uint32(s.end)}
+	n := int64(len(frame) + len(tail))
 	s.end += n
 	l.dirty += n
 	return p, nil
 }
 
+// AppendFrames writes frames packed back to back in buf, frame i sizes[i]
+// bytes with its header, at the end of the log, and sets pos[i] to each
+// one's position. It fills in every frame's header like Append, and
+// writes each run of frames that lands in one segment with one write. It
+// returns how many frames, from the first, were written: all of them, or
+// on an error those before the failed write. Like Append, it never
+// fsyncs.
+func (l *Log) AppendFrames(buf []byte, sizes []int, pos []Pos) (int, error) {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	if l.closed {
+		return 0, fmt.Errorf("seglog: %s append after Close", l.format.Name)
+	}
+	i, done, lo, off := 0, 0, 0, 0 // frames [done, i) wait in buf[lo:off] for one write
+	write := func() error {
+		if err := l.writeRun(buf[lo:off]); err != nil {
+			return err
+		}
+		done, lo = i, off
+		return nil
+	}
+	for ; i < len(sizes); i++ {
+		s, err := l.place(int64(off-lo), buf[off:off+sizes[i]], nil, write)
+		if err != nil {
+			return done, err
+		}
+		pos[i] = Pos{Seg: s.id, Off: uint32(s.end + int64(off-lo))}
+		off += sizes[i]
+	}
+	err := write()
+	return done, err
+}
+
+// writeRun writes run, whole frames back to back, at the end of the last
+// segment, with one write.
+//
+// debarvet:holds mu -- AppendFrames enters with l.mu held.
+func (l *Log) writeRun(run []byte) error {
+	if len(run) == 0 {
+		return nil
+	}
+	s := l.segs[len(l.segs)-1]
+	if _, err := s.f.WriteAt(run, s.end); err != nil {
+		return fmt.Errorf("seglog: %s append: %w", l.format.Name, err)
+	}
+	s.end += int64(len(run))
+	l.dirty += int64(len(run))
+	return nil
+}
+
+// place fills in the header of a frame — payload frame[FrameHeader:]
+// followed by tail — for the segment it lands in, pending bytes past the
+// last segment's end, and returns that segment. A frame that does not
+// fit there goes to the next segment, brought up once write (if any) has
+// written the pending bytes; an empty segment takes any frame, so one
+// larger than a segment gets a segment of its own.
+//
+// debarvet:holds mu -- Append and AppendFrames enter with l.mu held.
+func (l *Log) place(pending int64, frame, tail []byte, write func() error) (*Segment, error) {
+	n := int64(len(frame) + len(tail))
+	if k := len(l.segs); k == 0 || l.segs[k-1].end+pending > HeaderSize && l.segs[k-1].end+pending+n > l.segBytes {
+		if write != nil {
+			if err := write(); err != nil {
+				return nil, err
+			}
+		}
+		if err := l.rotate(); err != nil {
+			return nil, err
+		}
+	}
+	s := l.segs[len(l.segs)-1]
+	binary.BigEndian.PutUint32(frame[4:], uint32(n-FrameHeader))
+	crc := crc32.Update(s.seed, castagnoli, frame[4:])
+	binary.BigEndian.PutUint32(frame, crc32.Update(crc, castagnoli, tail))
+	return s, nil
+}
+
 // rotate seals the last segment, if any — truncated to its exact end and
 // fsynced — and brings up the next one.
 //
-// debarvet:holds mu -- Append enters with l.mu held.
+// debarvet:holds mu -- place enters with l.mu held.
 func (l *Log) rotate() error {
 	if k := len(l.segs); k > 0 {
 		s := l.segs[k-1]

@@ -2,6 +2,7 @@ package server_test
 
 import (
 	"bytes"
+	"errors"
 	"fmt"
 	"os"
 	"path/filepath"
@@ -319,7 +320,10 @@ func TestDedup2FailedPassConsumesNothing(t *testing.T) {
 	a.ship(0, 0, n)
 	size := walSize(t, eng)
 
-	eng.SegRepo().SetFailFunc(func() error { return syscall.EIO })
+	// Not a medium error (EIO or ENOSPC would latch the store read-only,
+	// TestDedup2MediaErrorLatchesReadOnly): the pass fails and the
+	// server stays writable for the retry.
+	eng.SegRepo().SetFailFunc(func() error { return errContainerAppend })
 	if done := sendDedup2(t, srvAddr); done.Err == "" {
 		t.Fatalf("pass with a failing container append succeeded: %+v", done)
 	}
@@ -436,4 +440,55 @@ func TestDedup2ReadsOnlyNewBytes(t *testing.T) {
 	// the WAL when the session ends: its restore reads it from there.
 	open.ship(passes, dupPass, dupPass+1)
 	open.end(srvAddr, "open-job")
+}
+
+// errContainerAppend is a container-append failure that is not a medium
+// error.
+var errContainerAppend = errors.New("injected container append failure")
+
+// TestDedup2MediaErrorLatchesReadOnly: a dedup-2 pass that fails with a
+// media error (EIO) latches the store read-only, as a full disk does. A
+// completed run was backed up before the fault and a session left open:
+// after the failed pass the store is read-only, the open session's next
+// ChunkBatch and its BackupEnd are refused with a read-only refusal, and
+// the completed run still restores byte for byte (its chunks wait in the
+// WAL for a pass after the operator clears the fault).
+func TestDedup2MediaErrorLatchesReadOnly(t *testing.T) {
+	eng, err := store.Open(t.TempDir(), store.Options{IndexBits: 12})
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, _, srvAddr := startServer(t, func(c *server.Config) { c.Storage = eng })
+	src := t.TempDir()
+	files := writeTree(t, src, 61)
+	if _, err := testClient(srvAddr).Backup("done-job", src); err != nil {
+		t.Fatal(err)
+	}
+	open := openLiveSession(t, srvAddr, "open-job", 2)
+
+	eng.InjectWriteFault(func() error { return syscall.EIO })
+	if done := sendDedup2(t, srvAddr); done.Err == "" {
+		t.Fatalf("pass with a failing medium succeeded: %+v", done)
+	}
+	eng.InjectWriteFault(nil)
+	if eng.ReadOnlyErr() == nil {
+		t.Fatal("a pass failing with EIO left the store writable")
+	}
+
+	if err := open.conn.Send(proto.ChunkBatch{SessionID: open.id, FPs: open.entry.Chunks, Data: open.chunks}); err != nil {
+		t.Fatal(err)
+	}
+	refused := func(what string, reply any) {
+		t.Helper()
+		if ack, ok := reply.(proto.Ack); !ok || !proto.IsReadOnly(proto.AckError(ack)) {
+			t.Fatalf("%s on a latched store answered %#v, want a read-only refusal", what, reply)
+		}
+	}
+	reply, err := open.conn.Recv() // an accepted ChunkBatch has no reply
+	if err != nil {
+		t.Fatal(err)
+	}
+	refused("ChunkBatch", reply)
+	refused("BackupEnd", open.call(proto.BackupEnd{SessionID: open.id}))
+	restoreAndCompare(t, srvAddr, "done-job", files)
 }

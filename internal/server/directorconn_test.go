@@ -19,7 +19,7 @@ import (
 // returns it with its bound address; the caller closes both.
 func startDirector(t *testing.T, path, addr string) (*director.Director, *metastore.Store, string) {
 	t.Helper()
-	ms, err := metastore.Open(path, 0)
+	ms, err := metastore.Open(path)
 	if err != nil {
 		t.Fatal(err)
 	}

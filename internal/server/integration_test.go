@@ -21,7 +21,7 @@ import (
 // test temp dir.
 func startServer(t *testing.T, mod func(*server.Config)) (*director.Director, *server.Server, string) {
 	t.Helper()
-	ms, err := metastore.Open(filepath.Join(t.TempDir(), "meta.journal"), 0)
+	ms, err := metastore.Open(filepath.Join(t.TempDir(), "meta.journal"))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -17,6 +17,7 @@ import (
 	"fmt"
 	"log/slog"
 	"net"
+	"runtime/debug"
 	"sync"
 	"syscall"
 	"time"
@@ -480,11 +481,38 @@ func ackFromErr(err error) proto.Ack {
 	return ack
 }
 
-// frameQueueDepth bounds decode-ahead per connection. Each staged
-// ChunkBatch frame owns its receive buffer, so this bounds per-connection
-// memory; one frame of lookahead is what overlaps decode with the
-// filter/WAL work.
+// frameQueueDepth bounds decode-ahead per connection: one frame of
+// lookahead is what overlaps decode with the filter/WAL work.
 const frameQueueDepth = 2
+
+// frame is one decoded frame and, for a ChunkBatch or RestoreChunkBatch,
+// the connection's receive buffer its chunk payloads alias.
+type frame struct {
+	msg any
+	buf *[]byte // nil for every other frame
+}
+
+// recvBufs holds a connection's free receive buffers for bulk frames.
+// There are frameQueueDepth+2 of them — the queued frames', the one
+// being dispatched and the one being read — so the reader never waits
+// for one while the dispatcher makes progress. A buffer goes back once
+// nothing aliases it, and all of them go with the connection.
+type recvBufs chan *[]byte
+
+func newRecvBufs() recvBufs {
+	b := make(recvBufs, frameQueueDepth+2)
+	for range cap(b) {
+		b <- new([]byte)
+	}
+	return b
+}
+
+// put returns the buffer of a handled frame, if it has one.
+func (b recvBufs) put(f frame) {
+	if f.buf != nil {
+		b <- f.buf
+	}
+}
 
 // handle runs one connection as two stages: a reader goroutine decodes
 // frame N+1 off the wire while this goroutine dispatches frame N and
@@ -499,44 +527,56 @@ func (s *Server) handle(conn *proto.Conn) {
 	defer s.reclaimSessions(st)
 	defer st.closeDirector()
 
-	frames := make(chan any, frameQueueDepth)
+	frames := make(chan frame, frameQueueDepth)
+	bufs := newRecvBufs()
 	var recvErr error // the reader's last error; read only after frames closes
 	go func() {
 		defer close(frames)
+		buf := <-bufs
 		for {
-			msg, err := conn.Recv()
+			msg, err := conn.RecvInto(buf)
 			if err != nil {
 				recvErr = err
 				return
 			}
-			frames <- msg
+			f := frame{msg: msg}
+			switch msg.(type) {
+			case proto.ChunkBatch, proto.RestoreChunkBatch:
+				f.buf, buf = buf, <-bufs
+			}
+			frames <- f
 		}
 	}()
 	// Exit path (runs before the reclaim above): close the conn first —
-	// failing a Recv the reader is blocked in — then drain frames so a
-	// reader stuck sending a decoded frame can finish and exit. A close
-	// error here used to be discarded; it can be the only evidence of an
-	// unflushed failure on the connection, so it is logged.
+	// failing a Recv the reader is blocked in — then drain frames, giving
+	// their buffers back, so a reader stuck sending a decoded frame or
+	// waiting for a buffer can finish and exit. A close error here used
+	// to be discarded; it can be the only evidence of an unflushed
+	// failure on the connection, so it is logged.
 	defer func() {
 		if err := conn.Close(); err != nil && !errors.Is(err, net.ErrClosed) {
 			s.slog.Warn("connection close failed", "sessions", st.sess, "err", err)
 		}
-		for range frames {
+		for f := range frames {
+			bufs.put(f)
 		}
 	}()
 
-	for msg := range frames {
+	for f := range frames {
 		// RestoreFile opens a multi-frame exchange (batches out, acks in)
 		// rather than one reply: the stream owns the connection's send
 		// side while its acks keep arriving through frames. streamRestore
 		// only errors when the connection itself is dead.
-		if rf, ok := msg.(proto.RestoreFile); ok {
+		if rf, ok := f.msg.(proto.RestoreFile); ok {
 			if err := s.streamRestore(conn, frames, st, rf); err != nil {
 				return
 			}
 			continue
 		}
-		reply, err := s.dispatch(msg, st)
+		reply, err := s.dispatch(f.msg, st)
+		// No reply aliases the frame's buffer: chunkBatch's log copies
+		// the chunks it keeps.
+		bufs.put(f)
 		if err != nil {
 			reply = ackFromErr(err)
 		}
@@ -821,34 +861,29 @@ func (s *Server) chunkBatch(m proto.ChunkBatch) (err error) {
 		return readOnlyRefusal(roErr)
 	}
 	// The batch's Data slices alias the connection's receive buffer,
-	// whose ownership passed to this message (proto's zero-copy decode),
-	// so the log can retain them without another copy.
-	var batchBytes, staged, logged int64
-	for i, f := range m.FPs {
-		batchBytes += int64(len(m.Data[i]))
-		// A chunk whose fingerprint is already in the chunk log (this
-		// session's verdict raced a concurrent session's append) adds
-		// no information: AppendNew skips it, and BackupEnd's barrier
-		// covers the earlier append.
-		appended, err := s.log.AppendNew(f, uint32(len(m.Data[i])), m.Data[i])
-		if err != nil {
-			// A failed append (ENOSPC, media error) flips the store
-			// read-only: the WAL tail is no longer trustworthy for
-			// further writes, but every completed run is intact and
-			// restores keep serving. The client gets the typed refusal
-			// instead of a retry loop.
-			s.latchFault(err)
-			return readOnlyRefusal(err)
-		}
-		if !appended {
-			continue
-		}
-		staged += int64(len(m.Data[i]))
-		logged++
+	// which the handler reuses for a later frame once this returns: the
+	// WAL copies each chunk it logs into its own frame buffer, and
+	// nothing else here keeps a slice of it. A chunk whose fingerprint is
+	// already in the chunk log (this session's verdict raced a concurrent
+	// session's append) adds no information: AppendNewBatch skips it, and
+	// BackupEnd's barrier covers the earlier append.
+	var batchBytes int64
+	for _, d := range m.Data {
+		batchBytes += int64(len(d))
+	}
+	logged, staged, err := s.log.AppendNewBatch(m.FPs, m.Data)
+	if err != nil {
+		// A failed append (ENOSPC, media error) flips the store
+		// read-only: the WAL tail is no longer trustworthy for further
+		// writes, but every completed run is intact and restores keep
+		// serving. The client gets the typed refusal instead of a retry
+		// loop.
+		s.latchFault(err)
+		return readOnlyRefusal(err)
 	}
 	mChunkBatches.Inc()
 	mBytesIn.Add(batchBytes)
-	mLogPending.Add(logged)
+	mLogPending.Add(int64(logged))
 	sess.mu.Lock()
 	sess.xfer += batchBytes
 	for _, f := range m.FPs {
@@ -1008,6 +1043,15 @@ func (s *Server) runDedup2() proto.Dedup2Done {
 		return proto.Dedup2Done{Err: err.Error()}
 	}
 	dups := res.IndexDups + res.Store.DupChunks
+	if res.Store.NewChunks > 0 {
+		// A pass that stores chunks allocates a buffer per container it
+		// seals and drops them all here, as much heap as it stored.
+		// Backup ingest reuses its buffers and makes little garbage, so
+		// the next collection can be far off and that dead heap would stay
+		// resident through the restores and backups that follow: return
+		// it now.
+		debug.FreeOSMemory()
+	}
 	mDedup2Passes.Inc()
 	s.slog.Info("dedup-2 pass complete",
 		"undetermined_fps", pending,
@@ -1030,12 +1074,17 @@ func (s *Server) stageHook(stage string) {
 }
 
 // failOnDiskFault flips the store read-only when a dedup-2 stage failed
-// because the disk is full: further appends would only dig the hole
-// deeper, while the unconsumed chunk log keeps every logged chunk
-// reachable for a pass after the operator intervenes.
+// because the disk is full or the medium refuses writes: further appends
+// would only dig the hole deeper, while the unconsumed chunk log keeps
+// every logged chunk reachable for a pass after the operator intervenes.
+// A full disk index (diskindex.ErrIndexFull) is not a medium fault and
+// does not latch.
 func (s *Server) failOnDiskFault(err error) {
-	if errors.Is(err, syscall.ENOSPC) {
-		s.latchFault(err)
+	for _, fault := range []error{syscall.ENOSPC, syscall.EIO, syscall.EROFS, syscall.EDQUOT} {
+		if errors.Is(err, fault) {
+			s.latchFault(err)
+			return
+		}
 	}
 }
 
@@ -1107,7 +1156,7 @@ func (s *Server) restoreMeta(m proto.RestoreMeta, st *connState) (any, error) {
 // (the peer is gone); failures before the stream opens are answered with
 // an Ack and failures mid-stream are reported in-band via
 // RestoreDone.Err, leaving the connection usable for the next request.
-func (s *Server) streamRestore(conn *proto.Conn, frames <-chan any, st *connState, m proto.RestoreFile) error {
+func (s *Server) streamRestore(conn *proto.Conn, frames <-chan frame, st *connState, m proto.RestoreFile) error {
 	e, err := s.lookupEntry(st, m.JobName, m.Path)
 	if err != nil {
 		return conn.Send(proto.Ack{OK: false, Err: err.Error()})
@@ -1133,13 +1182,15 @@ func (s *Server) streamRestore(conn *proto.Conn, frames <-chan any, st *connStat
 		chunks    int64
 	)
 	recvAck := func() error {
-		msg, ok := <-frames
+		f, ok := <-frames
 		if !ok {
 			return errors.New("server: connection closed during restore stream")
 		}
-		ack, ok := msg.(proto.RestoreAck)
+		ack, ok := f.msg.(proto.RestoreAck)
 		if !ok {
-			return fmt.Errorf("server: unexpected %T during restore stream", msg)
+			// Connection-fatal: the handler's exit path gives back the
+			// receive buffers of the frames still queued.
+			return fmt.Errorf("server: unexpected %T during restore stream", f.msg)
 		}
 		if ack.Seq != acked {
 			return fmt.Errorf("server: restore ack for batch %d, expected %d", ack.Seq, acked)

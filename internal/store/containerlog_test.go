@@ -230,3 +230,70 @@ func TestSegRepoRotationCrashPoints(t *testing.T) {
 }
 
 var errCrash = errors.New("simulated crash")
+
+// TestSegRepoDamagedHeaderRefused: a container log with three containers
+// in its only segment whose header loses its magic (byte 0), and then
+// its sequence number as well (byte 15), is refused with a
+// *seglog.CorruptError each time — its first frame still passes its
+// checksum under the file's number, so the file is a live segment with a
+// damaged header, not a spare — and every file is left byte for byte.
+func TestSegRepoDamagedHeaderRefused(t *testing.T) {
+	dir := t.TempDir()
+	r, err := openSegRepo(dir, 1<<20)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := range 3 {
+		if _, err := r.Append(testContainer(i, 4)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := r.Close(); err != nil {
+		t.Fatal(err)
+	}
+	segs := segNames(t, dir)
+	if len(segs) != 1 {
+		t.Fatalf("3 containers left segments %v, want one", segs)
+	}
+	seg := filepath.Join(dir, segs[0])
+	for _, at := range []int64{0, 15} {
+		flipByte(t, seg, at)
+		want, err := os.ReadFile(seg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var ce *seglog.CorruptError
+		if r, err := openSegRepo(dir, 1<<20); !errors.As(err, &ce) {
+			if err == nil {
+				r.Close()
+			}
+			t.Fatalf("open with header byte %d flipped = %v, want *seglog.CorruptError", at, err)
+		}
+		if got := segNames(t, dir); !slices.Equal(got, segs) {
+			t.Fatalf("refused open left %v, want %v", got, segs)
+		}
+		if got, err := os.ReadFile(seg); err != nil || !bytes.Equal(got, want) {
+			t.Fatalf("refused open changed %s (err %v)", segs[0], err)
+		}
+	}
+}
+
+// flipByte inverts the byte at off of the file at path.
+func flipByte(t *testing.T, path string, off int64) {
+	t.Helper()
+	f, err := os.OpenFile(path, os.O_RDWR, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	b := make([]byte, 1)
+	if _, err := f.ReadAt(b, off); err != nil {
+		t.Fatal(errors.Join(err, f.Close()))
+	}
+	b[0] ^= 0xFF
+	if _, err := f.WriteAt(b, off); err != nil {
+		t.Fatal(errors.Join(err, f.Close()))
+	}
+	if err := f.Close(); err != nil {
+		t.Fatal(err)
+	}
+}
