@@ -1,13 +1,14 @@
-// Package chunklog implements the on-disk chunk log of dedup-1 (paper
-// §5.1): chunks that pass the preliminary filter are appended to a local
-// log as <F, D(F)> groups, to be read back by the chunk storing step of
-// dedup-2 (§5.3). The log is strictly append-then-drain: dedup-1 appends,
-// dedup-2 drains. A durable log knows where each unconsumed record lives,
-// so a drain reads back only the records it keeps.
+// Package chunklog implements the chunk log of dedup-1 (paper §5.1):
+// chunks that pass the preliminary filter are appended to a local log as
+// <F, D(F)> groups, to be read back by the chunk storing step of dedup-2
+// (§5.3). The log is strictly append-then-drain: dedup-1 appends, dedup-2
+// drains.
 //
-// A log can run in accounting mode (payload sizes recorded, bytes not
-// retained), which is how the fingerprint-granularity experiments keep
-// byte accounting exact without materialising terabytes (DESIGN.md §1.3).
+// Log is the backup server's chunk log: a durable, segmented WAL that
+// knows where each unconsumed record lives, so a drain reads back only
+// the records it keeps (wal.go). Mem is the paper's log as the
+// simulations model it: records in memory, charged to a simulated disk,
+// optionally without their payloads (mem.go).
 package chunklog
 
 import (
@@ -15,64 +16,53 @@ import (
 	"sync"
 	"time"
 
-	"debar/internal/disksim"
 	"debar/internal/fp"
 	"debar/internal/seglog"
 )
 
 // Record is one <F, D(F)> group.
 //
-// Data is nil in accounting mode. A record handed to an Iterate or Select
-// callback borrows Data from the walk's read window: it is valid only
-// until the callback returns, so a callback that keeps the payload copies
-// it.
+// Data is nil in a Mem's accounting mode. A record handed to a Log's
+// Iterate or Select callback borrows Data from the walk's read window: it
+// is valid only until the callback returns, so a callback that keeps the
+// payload copies it.
 type Record struct {
 	FP   fp.FP
 	Size uint32
 	Data []byte
 }
 
-const recordHeader = fp.Size + 4
-
 // held is the log's entry for a fingerprint with unconsumed records.
 type held struct {
 	n   int32  // unconsumed records of the fingerprint (never 0 in the map)
-	rec uint32 // WAL: the number of the first of them (see Log.first)
+	rec uint32 // the number of the first of them (see Log.first)
 }
 
-// Log is a chunk log. Appends are serialised by a mutex. Iterate bounds
-// its walk under that mutex and then walks without holding it, so the
-// File Store (dedup-1 writer) keeps appending while the Chunk Store
-// (dedup-2 reader) drains the log; records appended meanwhile lie past the
-// bound and wait for the next pass. Reset must not run while a walk or a
-// Drain is in progress.
+// Log is the durable chunk log: a segmented WAL of records (wal.go).
+// Appends are serialised by a mutex. Iterate bounds its walk under that
+// mutex and then walks without holding it, so the File Store (dedup-1
+// writer) keeps appending while the Chunk Store (dedup-2 reader) drains
+// the log; records appended meanwhile lie past the bound and wait for the
+// next pass. Reset must not run while a walk or a Drain is in progress.
 //
 // The log is its own work queue: the records appended since the last
 // Drain are exactly the chunks dedup-2 has yet to store, and the log
-// keeps their fingerprints (Logged), with each one's position in a WAL,
-// so dedup-1 never transfers or logs a chunk twice and a restore can
-// read a chunk no pass has stored yet (ReadChunk). Drain runs one dedup-2
-// pass as a transaction over them.
-//
-// A Log is either memory-backed (NewMem) or a durable, segmented WAL
-// (OpenWAL; see wal.go).
+// keeps their fingerprints (Logged) with each one's position, so dedup-1
+// never transfers or logs a chunk twice and a restore can read a chunk no
+// pass has stored yet (ReadChunk). Drain runs one dedup-2 pass as a
+// transaction over them.
 type Log struct {
-	mu       sync.Mutex
-	metaOnly bool
-	recs     []Record       // guarded by mu; memory log: the unconsumed records
-	fps      []fp.FP        // guarded by mu; fingerprints of the unconsumed records, in append order
-	locs     []recLoc       // guarded by mu; WAL: positions of the unconsumed records, parallel to fps
-	first    uint32         // guarded by mu; WAL: the number of the oldest unconsumed record, locs[0] (numbers wrap)
-	index    map[fp.FP]held // guarded by mu; every fingerprint with an unconsumed record
-	bytes    int64          // guarded by mu; payload bytes appended since the log was last emptied
-	disk     *disksim.Disk
+	wal *seglog.Log // set once at open
 
-	// WAL mode (OpenWAL): a segmented log of records. See wal.go.
-	wal *seglog.Log // set once at open; nil for a memory log
+	mu    sync.Mutex
+	fps   []fp.FP        // guarded by mu; fingerprints of the unconsumed records, in append order
+	locs  []recLoc       // guarded by mu; positions of the unconsumed records, parallel to fps
+	first uint32         // guarded by mu; the number of the oldest unconsumed record, locs[0] (numbers wrap)
+	index map[fp.FP]held // guarded by mu; every fingerprint with an unconsumed record
 
 	// An append's scratch, reused so that a steady stream of batches
-	// allocates nothing: the batch's chunks to log, and (WAL) their
-	// records back to back, the records' sizes and their positions.
+	// allocates nothing: the batch's chunks to log, their records back to
+	// back, the records' sizes and their positions.
 	batch []int        // guarded by mu
 	frame []byte       // guarded by mu; grown to the largest batch
 	sizes []int        // guarded by mu
@@ -88,55 +78,37 @@ type Log struct {
 	// retiring segments holds it exclusively, so no read lands in a
 	// renamed or recycled file and no fsync in a closed one.
 	retireMu sync.RWMutex
-
-	failFn func() error // guarded by mu; fault injection: non-nil error fails the append
 }
 
-// SetFailFunc installs a fault-injection hook consulted before every
-// append: a non-nil return fails the append with that error, simulating
-// ENOSPC or media failure without touching the filesystem. nil clears
-// the hook. Test-only; reads are unaffected.
-func (l *Log) SetFailFunc(fn func() error) {
-	l.mu.Lock()
-	l.failFn = fn
-	l.mu.Unlock()
-}
+// SetFaults installs the test hooks f on the WAL's segmented log (see
+// seglog.Faults): f.Write fails appends, f.Sync fails syncs.
+func (l *Log) SetFaults(f seglog.Faults) { l.wal.SetFaults(f) }
 
-// SetSyncFailFunc installs a fault-injection hook consulted by a WAL's
-// Sync before the fsync: a non-nil return fails the Sync as a media
-// failure would, leaving the unsynced tail dirty. nil clears it.
-// Test-only.
-func (l *Log) SetSyncFailFunc(fn func() error) { l.wal.SetFaults(seglog.Faults{Sync: fn}) }
-
-// NewMem returns a memory-backed log. metaOnly drops payloads while
-// keeping sizes. disk may be nil.
-func NewMem(metaOnly bool, disk *disksim.Disk) *Log {
-	return &Log{metaOnly: metaOnly, disk: disk, index: make(map[fp.FP]held)}
-}
-
-// Append adds one <F, D(F)> group. size declares the payload length; data
-// may be nil only in accounting mode. Charges a sequential write. The log
-// takes a private copy of data; use AppendOwned when the caller hands
-// over ownership and the copy can be skipped.
+// Append adds one <F, D(F)> group; size declares the payload length. The
+// log copies data into its own buffer.
 func (l *Log) Append(f fp.FP, size uint32, data []byte) error {
-	_, _, err := l.append([]fp.FP{f}, []uint32{size}, [][]byte{data}, false, false)
+	_, err := l.appendOne(f, size, data, false)
 	return err
 }
 
-// AppendOwned is Append for callers transferring ownership of data: the
-// log retains the slice directly (memory-backed logs) instead of copying
-// it. The caller must not modify data afterwards.
-func (l *Log) AppendOwned(f fp.FP, size uint32, data []byte) error {
-	_, _, err := l.append([]fp.FP{f}, []uint32{size}, [][]byte{data}, true, false)
-	return err
-}
+// AppendOwned is Append.
+func (l *Log) AppendOwned(f fp.FP, size uint32, data []byte) error { return l.Append(f, size, data) }
 
-// AppendNew is AppendOwned for a chunk the log does not hold yet: when an
+// AppendNew is Append for a chunk the log does not hold yet: when an
 // unconsumed record already has f's fingerprint it appends nothing and
 // reports false. Check and append are one step under the log's lock, so
 // concurrent sessions racing the same content log it once.
 func (l *Log) AppendNew(f fp.FP, size uint32, data []byte) (bool, error) {
-	n, _, err := l.append([]fp.FP{f}, []uint32{size}, [][]byte{data}, true, true)
+	return l.appendOne(f, size, data, true)
+}
+
+// appendOne logs one chunk whose declared size is size; once is
+// AppendNew's.
+func (l *Log) appendOne(f fp.FP, size uint32, data []byte, once bool) (bool, error) {
+	if len(data) != int(size) {
+		return false, fmt.Errorf("chunklog: declared size %d != payload %d", size, len(data))
+	}
+	n, _, err := l.append([]fp.FP{f}, [][]byte{data}, once)
 	return n == 1, err
 }
 
@@ -144,41 +116,26 @@ func (l *Log) AppendNew(f fp.FP, size uint32, data []byte) (bool, error) {
 // fingerprint fps[i]: it logs, in order, each chunk that no unconsumed
 // record holds and no earlier chunk of the batch repeats, and returns how
 // many it logged and their payload bytes. The checks and appends of the
-// whole batch are one step under the log's lock, and a WAL writes the
-// batch's records with one write per segment they land in. A WAL copies
-// every payload into its own buffer, so the caller may reuse data's
-// memory once the call returns; a memory log retains the slices, like
-// AppendOwned. After a failed write the log holds, and Logged reports,
-// only the records written before it. The server's dedup-1 path logs
-// each ChunkBatch with it.
+// whole batch are one step under the log's lock, and the batch's records
+// go out with one write per segment they land in. The log copies every
+// payload into its own buffer, so the caller may reuse data's memory once
+// the call returns. After a failed write the log holds, and Logged
+// reports, only the records written before it. The server's dedup-1 path
+// logs each ChunkBatch with it.
 func (l *Log) AppendNewBatch(fps []fp.FP, data [][]byte) (int, int64, error) {
-	return l.append(fps, nil, data, true, true)
+	return l.append(fps, data, true)
 }
 
-// append logs the chunks of one batch: chunk i has fingerprint fps[i],
-// payload data[i] and declared size sizes[i] (len(data[i]) when sizes is
-// nil). owned and once are AppendOwned's and AppendNew's. It returns the
-// records appended and their payload bytes.
-func (l *Log) append(fps []fp.FP, sizes []uint32, data [][]byte, owned, once bool) (int, int64, error) {
-	if len(fps) != len(data) || sizes != nil && len(sizes) != len(fps) {
+// append logs the chunks of one batch, chunk i of fingerprint fps[i] and
+// payload data[i]; once is AppendNew's. It returns the records appended
+// and their payload bytes.
+func (l *Log) append(fps []fp.FP, data [][]byte, once bool) (int, int64, error) {
+	if len(fps) != len(data) {
 		return 0, 0, fmt.Errorf("chunklog: %d fingerprints for %d payloads", len(fps), len(data))
-	}
-	size := func(i int) uint32 {
-		if sizes == nil {
-			return uint32(len(data[i]))
-		}
-		return sizes[i]
-	}
-	for i := range fps {
-		if !l.metaOnly && len(data[i]) != int(size(i)) {
-			return 0, 0, fmt.Errorf("chunklog: declared size %d != payload %d", size(i), len(data[i]))
-		}
 	}
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	if l.wal != nil {
-		defer mLockSeconds.Since(time.Now())
-	}
+	defer mLockSeconds.Since(time.Now())
 	// Index the batch's records before anything is written, so that a
 	// fingerprint the batch repeats is found; the records a failed write
 	// leaves out are taken back out below.
@@ -198,32 +155,7 @@ func (l *Log) append(fps []fp.FP, sizes []uint32, data [][]byte, owned, once boo
 	if len(l.batch) == 0 {
 		return 0, 0, nil
 	}
-	var err error
-	if l.failFn != nil {
-		err = l.failFn()
-		if err != nil {
-			err = fmt.Errorf("chunklog: append: %w", err)
-		}
-	}
-	written := 0
-	switch {
-	case err != nil:
-	case l.wal != nil:
-		written, err = l.appendWAL(fps, data)
-	default:
-		for _, i := range l.batch {
-			r := Record{FP: fps[i], Size: size(i)}
-			if !l.metaOnly {
-				if owned {
-					r.Data = data[i]
-				} else {
-					r.Data = append([]byte(nil), data[i]...)
-				}
-			}
-			l.recs = append(l.recs, r)
-		}
-		written = len(l.batch)
-	}
+	written, err := l.appendWAL(fps, data)
 	var bytes int64
 	for k, i := range l.batch {
 		if k >= written {
@@ -236,12 +168,8 @@ func (l *Log) append(fps []fp.FP, sizes []uint32, data [][]byte, owned, once boo
 			continue
 		}
 		l.fps = append(l.fps, fps[i])
-		bytes += int64(size(i))
-		if l.disk != nil {
-			l.disk.SeqWrite(recordHeader + int64(size(i)))
-		}
+		bytes += int64(len(data[i]))
 	}
-	l.bytes += bytes
 	return written, bytes, err
 }
 
@@ -264,14 +192,6 @@ func (l *Log) Count() int64 {
 	return int64(len(l.fps))
 }
 
-// Bytes returns the payload bytes appended since the log was last
-// emptied (by a drain that caught up, or Reset).
-func (l *Log) Bytes() int64 {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	return l.bytes
-}
-
 // Pending returns the fingerprints of the unconsumed records, in append
 // order. The returned slice must not be modified.
 func (l *Log) Pending() []fp.FP {
@@ -288,8 +208,7 @@ type Txn struct {
 	FPs []fp.FP // the records' fingerprints, in append order
 
 	l    *Log
-	locs []recLoc // WAL: the records' positions
-	recs []Record // memory log: the records
+	locs []recLoc // the records' positions
 	read int64    // WAL bytes Iterate and Select read
 }
 
@@ -299,8 +218,7 @@ type Txn struct {
 //
 // debarvet:holds mu -- Drain and Select call it with l.mu held.
 func (l *Log) view() *Txn {
-	return &Txn{FPs: l.fps[:len(l.fps):len(l.fps)], l: l,
-		locs: l.locs[:len(l.locs):len(l.locs)], recs: l.recs[:len(l.recs):len(l.recs)]}
+	return &Txn{FPs: l.fps[:len(l.fps):len(l.fps)], l: l, locs: l.locs[:len(l.locs):len(l.locs)]}
 }
 
 // Iterate walks the transaction's records in append order, like
@@ -314,13 +232,10 @@ func (t *Txn) Iterate(fn func(Record) error) error {
 // only those keep accepts; keep == nil accepts every record. keep sees
 // each record's fingerprint and size exactly once, in order, before fn
 // sees that record — and possibly before fn has seen the records before
-// it. A WAL reads from disk only the records keep accepts, coalescing
-// runs of adjacent ones into one read per window, and checks each one's
-// checksum before fn sees it; a rejected record is never read.
+// it. Only the records keep accepts are read from disk, runs of adjacent
+// ones coalesced into one read per window, and each one's checksum is
+// checked before fn sees it; a rejected record is never read.
 func (t *Txn) Select(keep func(fp.FP, uint32) bool, fn func(Record) error) error {
-	if t.l.wal == nil {
-		return t.l.walkMem(t.recs, keep, fn)
-	}
 	n, err := readLocs(t.l.wal, t.locs, t.FPs, keep, fn)
 	t.read += n
 	return err
@@ -334,10 +249,10 @@ func (t *Txn) ReadBytes() int64 { return t.read }
 // them as a Txn and may take as long as it needs, while appends continue
 // past the transaction. When fn returns nil, the transaction's records
 // are consumed: later Pending calls, walks and drains start after them,
-// and their fingerprints leave the Logged set. A WAL then retires every
+// and their fingerprints leave the Logged set. The log then retires every
 // segment whose records are all consumed (wal.go): if nothing was
 // appended past the transaction, that is every segment. Records that
-// share a segment with unconsumed ones stay on disk, and a reopened WAL
+// share a segment with unconsumed ones stay on disk, and a reopened log
 // replays them (their chunks are stored, and dedup-2 discards them as
 // duplicates). When fn fails, nothing is consumed and the records wait
 // for the next drain. Drains are serialised; fn must not call Drain.
@@ -360,17 +275,16 @@ func (l *Log) Drain(fn func(*Txn) error) error {
 	defer l.retireMu.Unlock()
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	return l.consume(t.FPs)
+	return l.consume(len(t.FPs))
 }
 
-// consume drops the first len(fps) unconsumed records, which hold fps,
-// and retires the segments left without an unconsumed record.
+// consume drops the first n unconsumed records and retires the segments
+// left without an unconsumed record.
 //
 // debarvet:holds mu -- Drain and Reset enter with l.mu (and retireMu) held.
-func (l *Log) consume(fps []fp.FP) error {
-	n := len(fps)
+func (l *Log) consume(n int) error {
 	moved := false
-	for _, f := range fps {
+	for _, f := range l.fps[:n] {
 		h := l.index[f]
 		if h.n--; h.n == 0 {
 			delete(l.index, f)
@@ -379,23 +293,16 @@ func (l *Log) consume(fps []fp.FP) error {
 			moved = true
 		}
 	}
-	l.fps = l.fps[n:]
+	last := l.locs[n-1].Seg // the segment of the last consumed record
+	l.fps, l.locs = l.fps[n:], l.locs[n:]
 	old := l.first
-	var last uint32 // WAL: the segment of the last consumed record
-	if l.wal == nil {
-		l.recs = l.recs[n:]
-	} else {
-		last = l.locs[n-1].Seg
-		l.locs = l.locs[n:]
-		l.first += uint32(n)
-	}
+	l.first += uint32(n)
 	if len(l.fps) == 0 {
 		// Empty: drop the backing arrays, and the map too, since a map
 		// never shrinks.
-		l.recs, l.fps, l.locs = nil, nil, nil
+		l.fps, l.locs = nil, nil
 		l.index = make(map[fp.FP]held)
-		l.bytes = 0
-	} else if moved && l.wal != nil {
+	} else if moved {
 		// A fingerprint with records on both sides of the cut still names
 		// a consumed one: point it at its first remaining record.
 		for i, f := range l.fps {
@@ -404,9 +311,6 @@ func (l *Log) consume(fps []fp.FP) error {
 				l.index[f] = h
 			}
 		}
-	}
-	if l.wal == nil {
-		return nil
 	}
 	// Retire the segments up to last, and last itself unless an
 	// unconsumed record lives in it.
@@ -417,51 +321,27 @@ func (l *Log) consume(fps []fp.FP) error {
 }
 
 // Iterate sequentially reads the unconsumed records, invoking fn per group
-// in append order. Charges one sequential read over the log. The Record's
-// Data is valid only during fn (see Record).
+// in append order. The Record's Data is valid only during fn (see
+// Record).
 func (l *Log) Iterate(fn func(Record) error) error { return l.Select(nil, fn) }
 
 // Select walks the unconsumed records like Txn.Select. Under the log's
 // lock it only snapshots the walk's bounds and then walks the records
 // appended before the call without the lock, so appends proceed while fn
 // runs (they land past the bound and wait for the next walk) and
-// concurrent walks do not serialise. A WAL walk holds off segment
+// concurrent walks do not serialise. The walk holds off segment
 // retirement until it returns.
 func (l *Log) Select(keep func(fp.FP, uint32) bool, fn func(Record) error) error {
-	if l.wal != nil {
-		l.retireMu.RLock()
-		defer l.retireMu.RUnlock()
-	}
+	l.retireMu.RLock()
+	defer l.retireMu.RUnlock()
 	l.mu.Lock()
 	t := l.view()
 	l.mu.Unlock()
 	return t.Select(keep, fn)
 }
 
-// walkMem visits the memory records recs that keep accepts (all of them
-// when keep is nil), charging the simulated disk one sequential read over
-// all of recs: the paper's chunk storing reads the whole log.
-func (l *Log) walkMem(recs []Record, keep func(fp.FP, uint32) bool, fn func(Record) error) error {
-	if l.disk != nil {
-		var n int64
-		for _, r := range recs {
-			n += recordHeader + int64(r.Size)
-		}
-		l.disk.SeqRead(n)
-	}
-	for _, r := range recs {
-		if keep != nil && !keep(r.FP, r.Size) {
-			continue
-		}
-		if err := fn(r); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-// Reset discards all records. A WAL retires every segment that holds a
-// record, durably, so a reopened WAL does not replay them.
+// Reset discards all records, retiring every segment that holds one,
+// durably, so a reopened log does not replay them.
 func (l *Log) Reset() error {
 	l.retireMu.Lock()
 	defer l.retireMu.Unlock()
@@ -470,5 +350,5 @@ func (l *Log) Reset() error {
 	if len(l.fps) == 0 {
 		return nil
 	}
-	return l.consume(l.fps)
+	return l.consume(len(l.fps))
 }

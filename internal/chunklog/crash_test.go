@@ -259,7 +259,7 @@ func TestWALRecycleCrashPoints(t *testing.T) {
 	// A dry run names every step the scenario passes.
 	var steps []string
 	dry := &crashModel{t: t, l: openSized(t, t.TempDir(), fourRecords)}
-	dry.l.wal.SetFaults(seglog.Faults{Step: func(step string) error { steps = append(steps, step); return nil }})
+	dry.l.SetFaults(seglog.Faults{Step: func(step string) error { steps = append(steps, step); return nil }})
 	if err := dry.scenario(); err != nil {
 		t.Fatal(err)
 	}
@@ -276,7 +276,7 @@ func TestWALRecycleCrashPoints(t *testing.T) {
 		variants := map[string]func(*testing.T, string){}
 		var snapDir string
 		seen := 0
-		m.l.wal.SetFaults(seglog.Faults{Step: func(string) error {
+		m.l.SetFaults(seglog.Faults{Step: func(string) error {
 			if seen++; seen-1 != k {
 				return nil
 			}
@@ -358,7 +358,7 @@ func TestWALRecycleDirSyncFails(t *testing.T) {
 	}
 	eio := errors.New("injected directory sync failure")
 	var variants map[string]func(*testing.T, string)
-	setDirFail := func(fn func() error) { m.l.wal.SetFaults(seglog.Faults{Dir: fn}) }
+	setDirFail := func(fn func() error) { m.l.SetFaults(seglog.Faults{Dir: fn}) }
 	setDirFail(func() error {
 		if variants == nil { // the first directory sync: the drain's renames are done
 			variants = crashVariants(t, "renamed", dir, m)

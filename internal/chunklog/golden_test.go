@@ -133,7 +133,7 @@ func TestAppendNewBatchFailedRotation(t *testing.T) {
 	}
 	const fit = 3 // records of 1 028 bytes in a segment of 4 KiB after its header
 	failed := errors.New("rotation failed")
-	l.wal.SetFaults(seglog.Faults{Step: func(step string) error {
+	l.SetFaults(seglog.Faults{Step: func(step string) error {
 		if step == "sealed" {
 			return failed
 		}
@@ -151,7 +151,7 @@ func TestAppendNewBatchFailedRotation(t *testing.T) {
 	if c := l.Count(); c != fit {
 		t.Fatalf("log holds %d records after the failed write, want %d", c, fit)
 	}
-	l.wal.SetFaults(seglog.Faults{})
+	l.SetFaults(seglog.Faults{})
 	if n, _, err := l.AppendNewBatch(fps, data); err != nil || n != len(fps)-fit {
 		t.Fatalf("offering the batch again logged %d records (%v), want the %d left out", n, err, len(fps)-fit)
 	}

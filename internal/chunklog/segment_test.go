@@ -503,11 +503,11 @@ func TestWALSyncAcrossRotation(t *testing.T) {
 	}
 	appendFixed(0, 2)
 	entered, release := make(chan struct{}), make(chan struct{})
-	l.SetSyncFailFunc(func() error {
+	l.SetFaults(seglog.Faults{Sync: func() error {
 		close(entered)
 		<-release
 		return nil
-	})
+	}})
 	synced := make(chan error, 1)
 	go func() { synced <- l.Sync() }()
 	<-entered
@@ -516,7 +516,7 @@ func TestWALSyncAcrossRotation(t *testing.T) {
 	if err := <-synced; err != nil {
 		t.Fatal(err)
 	}
-	l.SetSyncFailFunc(nil)
+	l.SetFaults(seglog.Faults{})
 
 	fsyncs := obs.GetCounter("store_wal_fsyncs_total")
 	before := fsyncs.Value()
@@ -645,12 +645,13 @@ func TestWALV2EmptyReused(t *testing.T) {
 }
 
 // TestWALDamagedHeaderRefused: a WAL with three synced records in its
-// only segment whose header loses its magic (byte 0), and then its
-// sequence number as well (byte 15), is refused with a
-// *seglog.CorruptError each time — its first record still passes its
-// checksum under the file's number, so the file is a live segment with a
-// damaged header, not a spare to drop and reuse — and every file is left
-// byte for byte.
+// only segment whose header takes damage in any one byte is refused with
+// a typed error, and every file is left byte for byte. Damage to the
+// version that names a newer format is a *VersionError. Any other —
+// magic, sequence number, or a version byte naming format 2, which holds
+// no format-2 record — would make the file a spare, but its first record
+// still passes its checksum under the file's number, so it is a live
+// segment with a damaged header: a *seglog.CorruptError.
 func TestWALDamagedHeaderRefused(t *testing.T) {
 	dir := filepath.Join(t.TempDir(), "wal")
 	l, err := OpenWAL(dir)
@@ -667,21 +668,34 @@ func TestWALDamagedHeaderRefused(t *testing.T) {
 		t.Fatal(err)
 	}
 	seg := lastSegment(t, dir)
-	for _, at := range []int64{0, 15} {
-		b, err := os.ReadFile(seg)
-		if err != nil {
-			t.Fatal(err)
-		}
-		b[at] ^= 0xFF
+	orig, err := os.ReadFile(seg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	type flip struct {
+		at   int
+		mask byte
+	}
+	flips := []flip{{7, 0x01}} // version 3 → 2
+	for at := range seglog.HeaderSize {
+		flips = append(flips, flip{at, 0xFF})
+	}
+	for _, fl := range flips {
+		b := slices.Clone(orig)
+		b[fl.at] ^= fl.mask
 		if err := os.WriteFile(seg, b, 0o644); err != nil {
 			t.Fatal(err)
 		}
-		var ce *seglog.CorruptError
-		if l, err := OpenWAL(dir); !errors.As(err, &ce) {
-			if err == nil {
-				l.Close()
-			}
-			t.Fatalf("open with header byte %d flipped = %v, want *seglog.CorruptError", at, err)
+		var want any = new(*seglog.CorruptError)
+		if fl.at >= 4 && fl.at < 8 && fl.mask == 0xFF { // a newer version
+			want = new(*VersionError)
+		}
+		l, err := OpenWAL(dir)
+		if err == nil {
+			l.Close()
+		}
+		if !errors.As(err, want) {
+			t.Fatalf("open with header byte %d ^ %#x = %v, want %T", fl.at, fl.mask, err, want)
 		}
 		if segs, _ := filepath.Glob(filepath.Join(dir, "*")); len(segs) != 1 || segs[0] != seg {
 			t.Fatalf("refused open left %v, want only %s", segs, seg)

@@ -27,9 +27,9 @@ var (
 	mLockSeconds      = obs.GetHistogram("store_wal_append_lock_seconds", obs.DurationBuckets)
 )
 
-// WAL mode turns the chunk log into a durable write-ahead log: a
-// segmented log (internal/seglog) of fixed-size segment files
-// wal-<seq>.log whose frames are records
+// The chunk log is a durable write-ahead log: a segmented log
+// (internal/seglog) of fixed-size segment files wal-<seq>.log whose
+// frames are records
 //
 //	+--------------+-----------+---------+------------------+
 //	| crc32c (u32) | len (u32) | fp (20) | data (len-20 B)  |
@@ -158,7 +158,6 @@ func openWAL(dir string, segBytes int64) (*Log, error) {
 		l.index[f] = h
 		l.fps = append(l.fps, f)
 		l.locs = append(l.locs, recLoc{Pos: p, size: n - fp.Size})
-		l.bytes += int64(n - fp.Size)
 		return true
 	})
 	if ve := (*seglog.VersionError)(nil); errors.As(err, &ve) {
@@ -177,7 +176,7 @@ func openWAL(dir string, segBytes int64) (*Log, error) {
 // written, and records where each of them lives. It never fsyncs the
 // records: they are durable once a later Sync returns.
 //
-// debarvet:holds mu -- append enters WAL mode with l.mu held.
+// debarvet:holds mu -- append enters with l.mu held.
 func (l *Log) appendWAL(fps []fp.FP, data [][]byte) (int, error) {
 	defer mWALAppendSeconds.Since(time.Now())
 	total := 0
@@ -298,13 +297,9 @@ func readLocs(wal *seglog.Log, locs []recLoc, fps []fp.FP, keep func(fp.FP, uint
 // ReadChunk returns a copy of the payload of the unconsumed record that
 // holds f, checked against its checksum and fingerprint. It reports false
 // when no unconsumed record holds f: the chunk was never logged, or a
-// drain consumed it and it is stored. A memory log always reports false.
-// The read holds off segment retirement, so it never lands in a renamed
-// or recycled file.
+// drain consumed it and it is stored. The read holds off segment
+// retirement, so it never lands in a renamed or recycled file.
 func (l *Log) ReadChunk(f fp.FP) ([]byte, bool, error) {
-	if l.wal == nil {
-		return nil, false, nil
-	}
 	l.retireMu.RLock()
 	defer l.retireMu.RUnlock()
 	l.mu.Lock()
@@ -333,20 +328,14 @@ func (l *Log) ReadChunk(f fp.FP) ([]byte, bool, error) {
 // appends proceed while the disk flushes, and segment retirement waits
 // for the fsync.
 func (l *Log) Sync() error {
-	if l.wal == nil {
-		return nil
-	}
 	l.retireMu.RLock()
 	defer l.retireMu.RUnlock()
 	return l.wal.Sync()
 }
 
-// Close syncs outstanding WAL appends and releases the segment files, if
-// any. Appends after Close fail.
+// Close syncs outstanding appends and releases the segment files.
+// Appends after Close fail.
 func (l *Log) Close() error {
-	if l.wal == nil {
-		return nil
-	}
 	l.retireMu.RLock()
 	defer l.retireMu.RUnlock()
 	return l.wal.Close()

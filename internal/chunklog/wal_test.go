@@ -15,6 +15,7 @@ import (
 
 	"debar/internal/fp"
 	"debar/internal/obs"
+	"debar/internal/seglog"
 )
 
 func walRecord(i int) (fp.FP, []byte) {
@@ -237,12 +238,12 @@ func TestWALSyncFailureKeepsDirty(t *testing.T) {
 
 	injected := errors.New("injected media failure")
 	failing := true
-	l.SetSyncFailFunc(func() error {
+	l.SetFaults(seglog.Faults{Sync: func() error {
 		if failing {
 			return injected
 		}
 		return nil
-	})
+	}})
 
 	if err := l.Sync(); !errors.Is(err, injected) {
 		t.Fatalf("Sync with failing media = %v, want injected error", err)
@@ -264,7 +265,7 @@ func TestWALSyncFailureKeepsDirty(t *testing.T) {
 		t.Fatalf("Sync with nothing dirty = %v, want nil no-op", err)
 	}
 
-	l.SetSyncFailFunc(nil)
+	l.SetFaults(seglog.Faults{})
 	if err := l.Close(); err != nil {
 		t.Fatal(err)
 	}
@@ -485,26 +486,18 @@ func TestWALWalkRejectsOversizedRecord(t *testing.T) {
 	}
 }
 
-// TestIterateDoesNotBlockAppend: Iterate walks a snapshot without the
-// log's lock, so dedup-1 appends proceed while a dedup-2 walk is parked
-// in its callback, and land past the snapshot.
+// TestIterateDoesNotBlockAppend: a walk reads a snapshot without the
+// log's lock, in a Mem and in a WAL, so dedup-1 appends proceed while a
+// dedup-2 walk is parked in its callback, and land past the snapshot.
 func TestIterateDoesNotBlockAppend(t *testing.T) {
-	for _, mode := range []string{"mem", "wal"} {
+	for mode, l := range openLogs(t) {
 		t.Run(mode, func(t *testing.T) {
-			l := NewMem(false, nil)
-			if mode == "wal" {
-				var err error
-				if l, err = OpenWAL(filepath.Join(t.TempDir(), "wal")); err != nil {
-					t.Fatal(err)
-				}
-				defer l.Close()
-			}
 			appendN(t, l, 0, 3)
 			entered, release := make(chan struct{}), make(chan struct{})
 			walked := 0
 			iterDone := make(chan error, 1)
 			go func() {
-				iterDone <- l.Iterate(func(Record) error {
+				iterDone <- l.Select(nil, func(Record) error {
 					if walked++; walked == 1 {
 						close(entered)
 						<-release
@@ -535,8 +528,8 @@ func TestIterateDoesNotBlockAppend(t *testing.T) {
 			if walked != 3 {
 				t.Fatalf("walk saw %d records, want the 3 appended before it", walked)
 			}
-			if got := l.Count(); got != 4 {
-				t.Fatalf("Count = %d, want 4", got)
+			if got := walkCount(t, l); got != 4 {
+				t.Fatalf("log holds %d records, want 4", got)
 			}
 		})
 	}
@@ -715,25 +708,24 @@ func TestWALPendingReplayAfterPartialConsume(t *testing.T) {
 // TestDrainFailureConsumesNothing: a drain whose callback fails leaves
 // every record pending, walkable and Logged, and the file untouched.
 func TestDrainFailureConsumesNothing(t *testing.T) {
-	for name, l := range openLogs(t) {
-		t.Run(name, func(t *testing.T) {
-			appendN(t, l, 0, 6)
-			want := l.Pending()
-			failed := errors.New("pass failed")
-			if err := l.Drain(func(*Txn) error { return failed }); err != failed {
-				t.Fatalf("Drain = %v, want the callback's error", err)
-			}
-			if got := l.Pending(); !slices.Equal(got, want) {
-				t.Fatalf("Pending after a failed drain = %d fps, want %d", len(got), len(want))
-			}
-			if held := l.Logged(want); slices.Contains(held, false) {
-				t.Fatalf("Logged after a failed drain = %v", held)
-			}
-			if got, _ := drainTxn(t, l, nil); !slices.Equal(got, want) {
-				t.Fatalf("retry drain got %d fps, want %d", len(got), len(want))
-			}
-		})
-	}
+	l := tempWAL(t)
+	t.Run("wal", func(t *testing.T) {
+		appendN(t, l, 0, 6)
+		want := l.Pending()
+		failed := errors.New("pass failed")
+		if err := l.Drain(func(*Txn) error { return failed }); err != failed {
+			t.Fatalf("Drain = %v, want the callback's error", err)
+		}
+		if got := l.Pending(); !slices.Equal(got, want) {
+			t.Fatalf("Pending after a failed drain = %d fps, want %d", len(got), len(want))
+		}
+		if held := l.Logged(want); slices.Contains(held, false) {
+			t.Fatalf("Logged after a failed drain = %v", held)
+		}
+		if got, _ := drainTxn(t, l, nil); !slices.Equal(got, want) {
+			t.Fatalf("retry drain got %d fps, want %d", len(got), len(want))
+		}
+	})
 }
 
 // TestAppendNewLogsOnce: AppendNew appends a fingerprint only while no
@@ -741,40 +733,39 @@ func TestDrainFailureConsumesNothing(t *testing.T) {
 // fingerprint leaves the Logged set only when its last unconsumed record
 // is drained.
 func TestAppendNewLogsOnce(t *testing.T) {
-	for name, l := range openLogs(t) {
-		t.Run(name, func(t *testing.T) {
-			a, b := fp.FromUint64(1), fp.FromUint64(2)
-			data := []byte("payload")
-			for i, want := range []bool{true, false} {
-				got, err := l.AppendNew(a, uint32(len(data)), data)
-				if err != nil || got != want {
-					t.Fatalf("AppendNew #%d = %v, %v; want %v", i+1, got, err, want)
-				}
+	l := tempWAL(t)
+	t.Run("wal", func(t *testing.T) {
+		a, b := fp.FromUint64(1), fp.FromUint64(2)
+		data := []byte("payload")
+		for i, want := range []bool{true, false} {
+			got, err := l.AppendNew(a, uint32(len(data)), data)
+			if err != nil || got != want {
+				t.Fatalf("AppendNew #%d = %v, %v; want %v", i+1, got, err, want)
 			}
-			if n := l.Count(); n != 1 {
-				t.Fatalf("Count = %d after a repeated AppendNew, want 1", n)
-			}
-			if held := l.Logged([]fp.FP{a, b}); !held[0] || held[1] {
-				t.Fatalf("Logged(a, b) = %v, want [true false]", held)
-			}
-			// A repeat of a lands past the drain; a must stay Logged.
-			drainTxn(t, l, func(*Txn) {
-				if err := l.Append(a, uint32(len(data)), data); err != nil {
-					t.Fatal(err)
-				}
-			})
-			if held := l.Logged([]fp.FP{a}); !held[0] {
-				t.Fatal("a left the Logged set while a record of it is unconsumed")
-			}
-			drainTxn(t, l, nil)
-			if held := l.Logged([]fp.FP{a}); held[0] {
-				t.Fatal("a still Logged after its last record was drained")
-			}
-			if got, err := l.AppendNew(a, uint32(len(data)), data); err != nil || !got {
-				t.Fatalf("AppendNew after the drain = %v, %v; want true", got, err)
+		}
+		if n := l.Count(); n != 1 {
+			t.Fatalf("Count = %d after a repeated AppendNew, want 1", n)
+		}
+		if held := l.Logged([]fp.FP{a, b}); !held[0] || held[1] {
+			t.Fatalf("Logged(a, b) = %v, want [true false]", held)
+		}
+		// A repeat of a lands past the drain; a must stay Logged.
+		drainTxn(t, l, func(*Txn) {
+			if err := l.Append(a, uint32(len(data)), data); err != nil {
+				t.Fatal(err)
 			}
 		})
-	}
+		if held := l.Logged([]fp.FP{a}); !held[0] {
+			t.Fatal("a left the Logged set while a record of it is unconsumed")
+		}
+		drainTxn(t, l, nil)
+		if held := l.Logged([]fp.FP{a}); held[0] {
+			t.Fatal("a still Logged after its last record was drained")
+		}
+		if got, err := l.AppendNew(a, uint32(len(data)), data); err != nil || !got {
+			t.Fatalf("AppendNew after the drain = %v, %v; want true", got, err)
+		}
+	})
 }
 
 // TestWALPendingRace runs four appenders against a loop of drains, each
@@ -783,76 +774,75 @@ func TestAppendNewLogsOnce(t *testing.T) {
 // a record for every fingerprint in it, and once drained a fingerprint is
 // no longer Logged.
 func TestWALPendingRace(t *testing.T) {
-	for name, l := range openLogs(t) {
-		t.Run(name, func(t *testing.T) {
-			const appenders, each = 4, 300
-			var wg sync.WaitGroup
-			appendErrs := make([]error, appenders)
-			for a := range appenders {
-				wg.Add(1)
-				go func() {
-					defer wg.Done()
-					for i := range each {
-						n := a*each + i
-						data := []byte{byte(n), byte(n >> 8), 0x5A}
-						if _, err := l.AppendNew(fp.FromUint64(uint64(n)), uint32(len(data)), data); err != nil {
-							appendErrs[a] = err
-							return
-						}
+	l := tempWAL(t)
+	t.Run("wal", func(t *testing.T) {
+		const appenders, each = 4, 300
+		var wg sync.WaitGroup
+		appendErrs := make([]error, appenders)
+		for a := range appenders {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				for i := range each {
+					n := a*each + i
+					data := []byte{byte(n), byte(n >> 8), 0x5A}
+					if _, err := l.AppendNew(fp.FromUint64(uint64(n)), uint32(len(data)), data); err != nil {
+						appendErrs[a] = err
+						return
 					}
-				}()
-			}
-			done := make(chan struct{})
-			go func() { wg.Wait(); close(done) }()
+				}
+			}()
+		}
+		done := make(chan struct{})
+		go func() { wg.Wait(); close(done) }()
 
-			seen := make(map[fp.FP]bool)
-			for {
-				finished := false
-				select {
-				case <-done:
-					finished = true // this drain takes every append
-				default:
+		seen := make(map[fp.FP]bool)
+		for {
+			finished := false
+			select {
+			case <-done:
+				finished = true // this drain takes every append
+			default:
+			}
+			fps, walked := drainTxn(t, l, func(*Txn) {
+				l.Pending()
+				if err := l.Iterate(func(Record) error { return nil }); err != nil {
+					t.Error(err)
 				}
-				fps, walked := drainTxn(t, l, func(*Txn) {
-					l.Pending()
-					if err := l.Iterate(func(Record) error { return nil }); err != nil {
-						t.Error(err)
-					}
-				})
-				inWalk := make(map[fp.FP]bool, len(walked))
-				for _, f := range walked {
-					inWalk[f] = true
+			})
+			inWalk := make(map[fp.FP]bool, len(walked))
+			for _, f := range walked {
+				inWalk[f] = true
+			}
+			if len(walked) != len(fps) {
+				t.Fatalf("drain of %d fps walked %d records", len(fps), len(walked))
+			}
+			for _, f := range fps {
+				if seen[f] {
+					t.Fatalf("fingerprint %s in two drains", f.Short())
 				}
-				if len(walked) != len(fps) {
-					t.Fatalf("drain of %d fps walked %d records", len(fps), len(walked))
-				}
-				for _, f := range fps {
-					if seen[f] {
-						t.Fatalf("fingerprint %s in two drains", f.Short())
-					}
-					seen[f] = true
-					if !inWalk[f] {
-						t.Fatalf("drain's walk missed fingerprint %s", f.Short())
-					}
-				}
-				if held := l.Logged(fps); slices.Contains(held, true) {
-					t.Fatal("a drained fingerprint is still Logged")
-				}
-				if finished {
-					break
+				seen[f] = true
+				if !inWalk[f] {
+					t.Fatalf("drain's walk missed fingerprint %s", f.Short())
 				}
 			}
-			for _, err := range appendErrs {
-				if err != nil {
-					t.Fatal(err)
-				}
+			if held := l.Logged(fps); slices.Contains(held, true) {
+				t.Fatal("a drained fingerprint is still Logged")
 			}
-			if len(seen) != appenders*each {
-				t.Fatalf("drains held %d fingerprints, want %d", len(seen), appenders*each)
+			if finished {
+				break
 			}
-			if n := l.Count(); n != 0 {
-				t.Fatalf("Count after draining = %d, want 0", n)
+		}
+		for _, err := range appendErrs {
+			if err != nil {
+				t.Fatal(err)
 			}
-		})
-	}
+		}
+		if len(seen) != appenders*each {
+			t.Fatalf("drains held %d fingerprints, want %d", len(seen), appenders*each)
+		}
+		if n := l.Count(); n != 0 {
+			t.Fatalf("Count after draining = %d, want 0", n)
+		}
+	})
 }

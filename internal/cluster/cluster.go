@@ -37,7 +37,7 @@ type Node struct {
 	ID    int
 	Chunk *tpds.ChunkStore // owns index part ID and the repository handle
 	Link  *disksim.Link    // NIC for client traffic and peer exchange
-	Log   *chunklog.Log    // local chunk log (dedup-1 output)
+	Log   *chunklog.Mem    // local chunk log (dedup-1 output)
 }
 
 // Cluster is a set of 2^w backup servers.
@@ -115,7 +115,6 @@ func (c *Cluster) Size() int { return len(c.Nodes) }
 type ClockSnapshot struct {
 	index []time.Duration
 	link  []time.Duration
-	log   []time.Duration
 }
 
 // Snapshot records the current clocks.
@@ -123,7 +122,6 @@ func (c *Cluster) Snapshot() ClockSnapshot {
 	s := ClockSnapshot{
 		index: make([]time.Duration, len(c.Nodes)),
 		link:  make([]time.Duration, len(c.Nodes)),
-		log:   make([]time.Duration, len(c.Nodes)),
 	}
 	for i, n := range c.Nodes {
 		if d := n.Chunk.Index.Disk(); d != nil {
@@ -131,13 +129,6 @@ func (c *Cluster) Snapshot() ClockSnapshot {
 		}
 		if n.Link != nil {
 			s.link[i] = n.Link.Clock.Now()
-		}
-		if n.Log != nil {
-			// The log's disk clock lives inside the Log; expose via Bytes
-			// accounting — the Log was built with its own Disk whose clock
-			// we cannot reach here, so log time is folded into index time
-			// by the experiments when needed.
-			s.log[i] = 0
 		}
 	}
 	return s

@@ -73,7 +73,7 @@ func TestPSILRoutesAndFinds(t *testing.T) {
 	}
 	// Second pass: 300 old + 100 new → PSIL must separate them.
 	for _, n := range c.Nodes {
-		_ = n.Log.Reset()
+		n.Log.Reset()
 	}
 	und2 := fill(c, 100, 400, 1000)
 	res, _, err := c.RunDedup2(und2, 6, false)
@@ -172,7 +172,7 @@ func TestAsyncDeferredPSIU(t *testing.T) {
 	// Second batch overlapping the first, still before any PSIU: the
 	// checking files must prevent duplicate storage.
 	for _, n := range c.Nodes {
-		_ = n.Log.Reset()
+		n.Log.Reset()
 	}
 	und2 := fill(c, 50, 100, 1000)
 	res2, unreg2, err := c.RunDedup2(und2, 6, true)

@@ -163,9 +163,7 @@ func RunCluster(cfg ClusterConfig) (*ClusterRunResult, error) {
 		}
 		for i := range pendingUnd {
 			pendingUnd[i] = pendingUnd[i][:0]
-			if err := cl.Nodes[i].Log.Reset(); err != nil {
-				return err
-			}
+			cl.Nodes[i].Log.Reset()
 		}
 		pendingCount = 0
 		psilRuns++
@@ -394,7 +392,7 @@ func RunFig14b(cfg ClusterConfig) (*Fig14bResult, error) {
 		}
 		for i := range und {
 			und[i] = und[i][:0]
-			_ = cl.Nodes[i].Log.Reset()
+			cl.Nodes[i].Log.Reset()
 		}
 	}
 

@@ -231,9 +231,7 @@ func RunMonth(cfg MonthConfig) (*MonthResult, error) {
 			}
 			pendingUnreg = append(pendingUnreg, unreg...)
 			pendingUndetermined = pendingUndetermined[:0]
-			if err := log.Reset(); err != nil {
-				return nil, err
-			}
+			log.Reset()
 			res.Dedup2Runs++
 			ds.Dedup2Ran = true
 			ds.StoredBytes = d2res.Store.NewBytes

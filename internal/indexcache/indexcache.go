@@ -56,9 +56,6 @@ func New(mbits uint, maxEntries int) *Cache {
 	}
 }
 
-// Bits returns m, the number of prefix bits selecting a cache bucket.
-func (c *Cache) Bits() uint { return c.mbits }
-
 // Len returns the number of cached fingerprints.
 func (c *Cache) Len() int { return c.len }
 

@@ -21,7 +21,9 @@
 // it — truncated to its exact end and fsynced — before the next segment
 // comes up. Recovery keeps the longest valid prefix of the last segment
 // and truncates the rest (a torn frame, a zero-filled tail, stale frames
-// of a recycled file); any damage in a sealed segment refuses the open.
+// of a recycled file); any damage in a sealed segment refuses the open,
+// and so does a header that does not name its file over a first frame
+// valid under the file's number: a live segment whose header took damage.
 //
 // Retiring a segment renames it to the next unused sequence number,
 // header untouched, and syncs the directory: a file whose header names
@@ -216,10 +218,12 @@ func (l *Log) header(seq uint64) []byte {
 }
 
 // live reports whether f, named seq, is a live segment: its header, of
-// this format, names seq. Anything else is a spare, except a header of a
-// newer version, or of an older one naming seq that Format.Older refuses,
-// and a header without the format's magic over a first frame that passes
-// its checksum under seq: a live segment whose header took damage.
+// this format, names seq. A header of a newer version, or of an older one
+// naming seq that Format.Older refuses, refuses the open. Anything else
+// is a spare — unless its first frame passes its checksum under seq: then
+// it is a live segment whose header took damage, and the open is refused
+// with a *CorruptError. A genuine spare never passes, since retirement
+// keeps its header and its frames' checksum seed.
 func (l *Log) live(f *os.File, seq uint64) (bool, error) {
 	var h [HeaderSize]byte
 	if _, err := f.ReadAt(h[:], 0); errors.Is(err, io.EOF) {
@@ -227,21 +231,24 @@ func (l *Log) live(f *os.File, seq uint64) (bool, error) {
 	} else if err != nil {
 		return false, fmt.Errorf("seglog: reading header: %w", err)
 	}
-	if string(h[:4]) != l.format.Magic {
-		ok, err := firstFrameValid(f, seq)
-		if ok {
-			err = &CorruptError{Path: f.Name(), Why: "is a damaged segment header over a valid first frame"}
+	if string(h[:4]) == l.format.Magic {
+		v, named := binary.BigEndian.Uint32(h[4:]), binary.BigEndian.Uint64(h[8:])
+		switch {
+		case v == l.format.Version && named == seq:
+			return true, nil
+		case v > l.format.Version || v < l.format.Version && named == seq && l.format.Older == nil:
+			return false, &VersionError{Path: f.Name(), Found: v, Want: l.format.Version}
+		case v < l.format.Version && named == seq:
+			if err := l.format.Older(f, v, seq); err != nil {
+				return false, err
+			}
 		}
-		return false, err
 	}
-	v, named := binary.BigEndian.Uint32(h[4:]), binary.BigEndian.Uint64(h[8:])
-	switch {
-	case v > l.format.Version || v < l.format.Version && named == seq && l.format.Older == nil:
-		return false, &VersionError{Path: f.Name(), Found: v, Want: l.format.Version}
-	case v < l.format.Version && named == seq:
-		return false, l.format.Older(f, v, seq)
+	ok, err := firstFrameValid(f, seq)
+	if ok {
+		err = &CorruptError{Path: f.Name(), Why: "is a damaged segment header over a valid first frame"}
 	}
-	return v == l.format.Version && named == seq, nil
+	return false, err
 }
 
 // firstFrameValid reports whether the first frame of f, named seq, is
@@ -495,8 +502,8 @@ func (l *Log) Dir() string { return l.dir }
 func (l *Log) Append(frame, tail []byte) (Pos, error) {
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	if l.closed {
-		return Pos{}, fmt.Errorf("seglog: %s append after Close", l.format.Name)
+	if err := l.writable(); err != nil {
+		return Pos{}, err
 	}
 	s, err := l.place(0, frame, tail, nil)
 	if err != nil {
@@ -527,8 +534,8 @@ func (l *Log) Append(frame, tail []byte) (Pos, error) {
 func (l *Log) AppendFrames(buf []byte, sizes []int, pos []Pos) (int, error) {
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	if l.closed {
-		return 0, fmt.Errorf("seglog: %s append after Close", l.format.Name)
+	if err := l.writable(); err != nil {
+		return 0, err
 	}
 	i, done, lo, off := 0, 0, 0, 0 // frames [done, i) wait in buf[lo:off] for one write
 	write := func() error {
@@ -756,14 +763,32 @@ func (l *Log) step(name string) error {
 	return l.faults.Step(name)
 }
 
+// writable refuses an append after Close, and one the Write hook fails,
+// before anything is written.
+//
+// debarvet:holds mu -- Append and AppendFrames enter with l.mu held.
+func (l *Log) writable() error {
+	if l.closed {
+		return fmt.Errorf("seglog: %s append after Close", l.format.Name)
+	}
+	if l.faults.Write == nil {
+		return nil
+	}
+	if err := l.faults.Write(); err != nil {
+		return fmt.Errorf("seglog: %s append: %w", l.format.Name, err)
+	}
+	return nil
+}
+
 // Faults are test hooks. Step is called at each step of rotation and
 // recycling — "sealed", "created", "renamed", "header" — and its error
-// aborts the step's operation, as a crash there would. Sync is called
+// aborts the step's operation, as a crash there would. Write is called
+// before each Append or AppendFrames writes or rotates anything, Sync
 // before Sync's fsync and Dir before each directory sync; an error from
-// either fails that sync as the medium would.
+// any of them fails that operation as the medium would.
 type Faults struct {
-	Step      func(step string) error
-	Sync, Dir func() error
+	Step             func(step string) error
+	Write, Sync, Dir func() error
 }
 
 // SetFaults installs f in place of the hooks installed before.

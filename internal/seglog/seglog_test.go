@@ -437,10 +437,13 @@ func appendFrames(t *testing.T, l *Log, lo, hi int) {
 	}
 }
 
-// TestSpareNeverRevivesFrames: a segment whose header no longer names it
-// is a spare, though it still holds frames checksummed under its number.
-// Reusing it under a new number keeps those frames invalid: after the
-// spare takes one new frame, a reopen recovers that frame alone.
+// TestSpareNeverRevivesFrames: a retired segment is a spare — its rename
+// keeps the header naming its old number — though it still holds frames
+// checksummed under that number. Opening over it recovers none of them,
+// and reusing it under a new number keeps them invalid: after the spare
+// takes one new frame, a reopen recovers that frame alone. A live
+// segment whose header names another number over frames valid under its
+// own is no spare: its open is refused, and the file left as it is.
 func TestSpareNeverRevivesFrames(t *testing.T) {
 	dir := t.TempDir()
 	l, _, err := openTest(dir, fourFrames)
@@ -448,18 +451,48 @@ func TestSpareNeverRevivesFrames(t *testing.T) {
 		t.Fatal(err)
 	}
 	appendFrames(t, l, 0, 3)
-	if err := l.Close(); err != nil {
-		t.Fatal(err)
-	}
-	f, err := os.OpenFile(filepath.Join(dir, l.name(1)), os.O_RDWR, 0)
+
+	damaged := copyDir(t, dir)
+	path := filepath.Join(damaged, l.name(1))
+	b, err := os.ReadFile(path)
 	if err != nil {
 		t.Fatal(err)
 	}
-	_, err = f.WriteAt([]byte{0xFF}, 15) // the header names another number
-	if err = errors.Join(err, f.Close()); err != nil {
+	b[15] ^= 0xFF // the header names another number
+	if err := os.WriteFile(path, b, 0o644); err != nil {
 		t.Fatal(err)
 	}
-	l, got, err := openTest(dir, fourFrames)
+	var ce *CorruptError
+	if l, _, err := openTest(damaged, fourFrames); !errors.As(err, &ce) {
+		if err == nil {
+			l.Close()
+		}
+		t.Fatalf("open over a live segment naming another number = %v, want *CorruptError", err)
+	}
+	if got, err := os.ReadFile(path); err != nil || !bytes.Equal(got, b) || !slices.Equal(listing(t, damaged), []string{l.name(1)}) {
+		t.Fatalf("refused open changed the log (err %v)", err)
+	}
+
+	// Retire the segment and crash before the spare is reused.
+	var retired string
+	l.SetFaults(Faults{Step: func(step string) error {
+		if step != "renamed" {
+			return nil
+		}
+		retired = copyDir(t, dir)
+		return errCrash
+	}})
+	if err := l.RetireBefore(l.Last() + 1); !errors.Is(err, errCrash) {
+		t.Fatalf("RetireBefore = %v, want the crash", err)
+	}
+	l.SetFaults(Faults{})
+	if err := l.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if names := listing(t, retired); !slices.Equal(names, []string{l.name(2)}) {
+		t.Fatalf("retirement left %v, want the spare %s", names, l.name(2))
+	}
+	l, got, err := openTest(retired, fourFrames)
 	if err != nil || len(got) != 0 {
 		t.Fatalf("open over a spare = %v, %v; want no frames", got, err)
 	}
@@ -467,7 +500,7 @@ func TestSpareNeverRevivesFrames(t *testing.T) {
 	if err := l.Close(); err != nil {
 		t.Fatal(err)
 	}
-	l, got, err = openTest(dir, fourFrames)
+	l, got, err = openTest(retired, fourFrames)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -14,6 +14,7 @@ import (
 	"debar/internal/fp"
 	"debar/internal/obs"
 	"debar/internal/proto"
+	"debar/internal/seglog"
 	"debar/internal/server"
 	"debar/internal/store"
 )
@@ -323,11 +324,11 @@ func TestDedup2FailedPassConsumesNothing(t *testing.T) {
 	// Not a medium error (EIO or ENOSPC would latch the store read-only,
 	// TestDedup2MediaErrorLatchesReadOnly): the pass fails and the
 	// server stays writable for the retry.
-	eng.SegRepo().SetFailFunc(func() error { return errContainerAppend })
+	eng.SegRepo().SetFaults(seglog.Faults{Write: func() error { return errContainerAppend }})
 	if done := sendDedup2(t, srvAddr); done.Err == "" {
 		t.Fatalf("pass with a failing container append succeeded: %+v", done)
 	}
-	eng.SegRepo().SetFailFunc(nil)
+	eng.SegRepo().SetFaults(seglog.Faults{})
 	if got := walSize(t, eng); got != size {
 		t.Fatalf("failed pass changed the WAL: %d -> %d bytes", size, got)
 	}

@@ -7,6 +7,7 @@ import (
 
 	"debar/internal/fp"
 	"debar/internal/proto"
+	"debar/internal/seglog"
 	"debar/internal/server"
 	"debar/internal/store"
 )
@@ -23,8 +24,8 @@ func TestChunkBatchAckHeldForWALSync(t *testing.T) {
 		t.Fatal(err)
 	}
 	injected := errors.New("injected media failure")
-	eng.ChunkLog().SetSyncFailFunc(func() error { return injected })
-	t.Cleanup(func() { eng.ChunkLog().SetSyncFailFunc(nil) })
+	eng.ChunkLog().SetFaults(seglog.Faults{Sync: func() error { return injected }})
+	t.Cleanup(func() { eng.ChunkLog().SetFaults(seglog.Faults{}) })
 	_, _, srvAddr := startServer(t, func(c *server.Config) { c.Storage = eng })
 
 	conn, err := proto.Dial(srvAddr)

@@ -232,11 +232,12 @@ func TestSegRepoRotationCrashPoints(t *testing.T) {
 var errCrash = errors.New("simulated crash")
 
 // TestSegRepoDamagedHeaderRefused: a container log with three containers
-// in its only segment whose header loses its magic (byte 0), and then
-// its sequence number as well (byte 15), is refused with a
-// *seglog.CorruptError each time — its first frame still passes its
-// checksum under the file's number, so the file is a live segment with a
-// damaged header, not a spare — and every file is left byte for byte.
+// in its only segment whose header takes damage in any one byte is
+// refused with a typed error, and every file is left byte for byte. A
+// damaged version is a *seglog.VersionError. Damage to the magic or the
+// sequence number would make the file a spare, but its first frame still
+// passes its checksum under the file's number, so it is a live segment
+// with a damaged header: a *seglog.CorruptError.
 func TestSegRepoDamagedHeaderRefused(t *testing.T) {
 	dir := t.TempDir()
 	r, err := openSegRepo(dir, 1<<20)
@@ -256,18 +257,21 @@ func TestSegRepoDamagedHeaderRefused(t *testing.T) {
 		t.Fatalf("3 containers left segments %v, want one", segs)
 	}
 	seg := filepath.Join(dir, segs[0])
-	for _, at := range []int64{0, 15} {
+	for at := range int64(seglog.HeaderSize) {
 		flipByte(t, seg, at)
 		want, err := os.ReadFile(seg)
 		if err != nil {
 			t.Fatal(err)
 		}
-		var ce *seglog.CorruptError
-		if r, err := openSegRepo(dir, 1<<20); !errors.As(err, &ce) {
+		var target any = new(*seglog.CorruptError)
+		if at >= 4 && at < 8 {
+			target = new(*seglog.VersionError)
+		}
+		if r, err := openSegRepo(dir, 1<<20); !errors.As(err, target) {
 			if err == nil {
 				r.Close()
 			}
-			t.Fatalf("open with header byte %d flipped = %v, want *seglog.CorruptError", at, err)
+			t.Fatalf("open with header byte %d flipped = %v, want %T", at, err, target)
 		}
 		if got := segNames(t, dir); !slices.Equal(got, segs) {
 			t.Fatalf("refused open left %v, want %v", got, segs)
@@ -275,6 +279,7 @@ func TestSegRepoDamagedHeaderRefused(t *testing.T) {
 		if got, err := os.ReadFile(seg); err != nil || !bytes.Equal(got, want) {
 			t.Fatalf("refused open changed %s (err %v)", segs[0], err)
 		}
+		flipByte(t, seg, at)
 	}
 }
 

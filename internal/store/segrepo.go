@@ -44,19 +44,11 @@ type SegRepo struct {
 	closed bool                      // guarded by mu
 
 	gc *Committer // group-commit scheduler over the log's Sync; set once at open
-
-	failFn func() error // guarded by mu; fault injection: non-nil error fails Append
 }
 
-// SetFailFunc installs a fault-injection hook consulted before every
-// container Append: a non-nil return fails the append with that error,
-// simulating ENOSPC or media failure. nil clears the hook. Test-only;
-// reads are unaffected.
-func (r *SegRepo) SetFailFunc(fn func() error) {
-	r.mu.Lock()
-	r.failFn = fn
-	r.mu.Unlock()
-}
+// SetFaults installs the test hooks f on the container log's segmented
+// log (see seglog.Faults): f.Write fails container appends.
+func (r *SegRepo) SetFaults(f seglog.Faults) { r.log.SetFaults(f) }
 
 // segLoc is where a container's frame lives, and its image length.
 type segLoc struct {
@@ -134,11 +126,6 @@ func (r *SegRepo) Append(c *container.Container) (fp.ContainerID, error) {
 	defer r.mu.Unlock()
 	if r.closed {
 		return 0, errors.New("store: repository closed")
-	}
-	if r.failFn != nil {
-		if err := r.failFn(); err != nil {
-			return 0, fmt.Errorf("store: appending container: %w", err)
-		}
 	}
 	id := r.next
 	if id > fp.MaxContainerID {

@@ -41,6 +41,7 @@ import (
 	"debar/internal/fp"
 	"debar/internal/fsx"
 	"debar/internal/obs"
+	"debar/internal/seglog"
 )
 
 // FormatVersion is the on-disk format this engine reads and writes.
@@ -129,14 +130,14 @@ func (e *Engine) ReadOnlyErr() error {
 	return e.roErr
 }
 
-// InjectWriteFault installs fn as a fault-injection hook on both durable
-// write paths (chunk-log WAL appends and container appends): a non-nil
-// return fails the write with that error. nil clears the hooks. Used by
-// the chaos test suite to simulate a disk filling up; read paths are
-// never affected.
+// InjectWriteFault installs fn as the Write fault hook of both durable
+// logs (chunk-log WAL appends and container appends), in place of any
+// hooks installed before: a non-nil return fails the write with that
+// error. nil clears the hooks. Used by the chaos test suite to simulate a
+// disk filling up; read paths are never affected.
 func (e *Engine) InjectWriteFault(fn func() error) {
-	e.wal.SetFailFunc(fn)
-	e.repo.SetFailFunc(fn)
+	e.wal.SetFaults(seglog.Faults{Write: fn})
+	e.repo.SetFaults(seglog.Faults{Write: fn})
 }
 
 const (

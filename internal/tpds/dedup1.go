@@ -17,7 +17,7 @@ import (
 // be derived from the NIC model.
 type Dedup1Session struct {
 	Filter *prefilter.Filter
-	Log    *chunklog.Log
+	Log    *chunklog.Mem
 	Link   *disksim.Link // nil disables network accounting
 
 	logicalBytes int64
@@ -36,7 +36,7 @@ const fpWireBytes = fp.Size + 1
 
 // NewDedup1Session wires a session. The filter should be primed with the
 // previous run of the same job (the job-chain filtering fingerprints).
-func NewDedup1Session(filter *prefilter.Filter, log *chunklog.Log, link *disksim.Link) *Dedup1Session {
+func NewDedup1Session(filter *prefilter.Filter, log *chunklog.Mem, link *disksim.Link) *Dedup1Session {
 	return &Dedup1Session{Filter: filter, Log: log, Link: link}
 }
 

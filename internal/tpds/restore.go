@@ -155,15 +155,6 @@ func (r *Restorer) Known(f fp.FP) bool {
 	return err == nil
 }
 
-// IndexLookups returns the number of random on-disk index lookups the
-// restore path could not avoid. The paper measures LPC eliminating 99.3%
-// of them (§6.2).
-func (r *Restorer) IndexLookups() int64 {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	return r.indexLookups
-}
-
 // ChunksServed returns the number of chunks restored.
 func (r *Restorer) ChunksServed() int64 {
 	r.mu.Lock()

@@ -132,9 +132,10 @@ type StoreResult struct {
 }
 
 // Records is the chunk-log view chunk storing walks: a whole
-// *chunklog.Log, or the records of one drain (*chunklog.Txn). keep sees
-// each record's fingerprint and size, in log order, before the record is
-// read, and only the records it accepts are read and handed to fn.
+// *chunklog.Log, the records of one drain (*chunklog.Txn), or the
+// paper's memory log (*chunklog.Mem). keep sees each record's
+// fingerprint and size, in log order, before the record is read, and only
+// the records it accepts are read and handed to fn.
 type Records interface {
 	Select(keep func(fp.FP, uint32) bool, fn func(chunklog.Record) error) error
 }

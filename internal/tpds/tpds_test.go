@@ -135,7 +135,7 @@ func TestSILSIUSpeedMatchesEfficiencyLaw(t *testing.T) {
 	}
 }
 
-func storeFixture(t *testing.T, metaOnly bool) (*chunklog.Log, *indexcache.Cache, *container.MemRepository) {
+func storeFixture(t *testing.T, metaOnly bool) (*chunklog.Mem, *indexcache.Cache, *container.MemRepository) {
 	t.Helper()
 	log := chunklog.NewMem(metaOnly, nil)
 	cache := indexcache.New(6, 0)
@@ -320,7 +320,7 @@ func TestChunkStoreAsyncNoDuplicateStorage(t *testing.T) {
 	cs.ContainerSize = 1 << 16
 	cs.ScanBuckets = 64
 
-	mkLog := func(start, n int) (*chunklog.Log, []fp.FP) {
+	mkLog := func(start, n int) (*chunklog.Mem, []fp.FP) {
 		log := chunklog.NewMem(true, nil)
 		var und []fp.FP
 		for _, f := range fps(start, n) {
@@ -384,7 +384,7 @@ func newDedup2Fixture(t *testing.T) *dedup2Fixture {
 // feed builds a chunk log holding the payloads for counter values
 // [start, start+n), re-logging every loggedTwice'th record to exercise the
 // intra-log duplicate guard, and returns the log with its undetermined set.
-func (fx *dedup2Fixture) feed(start, n int, loggedTwice int) (*chunklog.Log, []fp.FP) {
+func (fx *dedup2Fixture) feed(start, n int, loggedTwice int) (*chunklog.Mem, []fp.FP) {
 	log := chunklog.NewMem(false, nil)
 	var und []fp.FP
 	for i := 0; i < n; i++ {
