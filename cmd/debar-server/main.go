@@ -2,9 +2,10 @@
 // dedup-2 Chunk Store (paper §3.3), on the storage engine (internal/store)
 // in the required -data-dir: containers, disk index and chunk-log WAL
 // live there and survive restarts, with crash recovery on open.
-// Chunk-log and container appends are group committed: concurrent
-// sessions share each fsync, and a backup is reported complete only once
-// an fsync covering every chunk it references has landed.
+// The chunk-log WAL and the container log each sync their appends in the
+// background, concurrent sessions sharing each fsync, and a backup is
+// reported complete only once an fsync covering every chunk it references
+// has landed.
 //
 // Usage:
 //
@@ -26,7 +27,7 @@ import (
 
 func main() {
 	listen := flag.String("listen", ":7701", "address to listen on")
-	dir := flag.String("director", "", "director address (required for metadata)")
+	dir := flag.String("director", "", "director address (required)")
 	indexBits := flag.Uint("index-bits", 0, "disk index bucket bits, 2^n buckets, for a new data dir (0 = store default 16; an existing data dir keeps its manifest geometry)")
 	dataDir := flag.String("data-dir", "", "data directory for containers, disk index and chunk-log WAL (required)")
 	idleTimeout := flag.Duration("idle-timeout", 0, "reap connections (and their backup sessions) silent this long (0 = 5m, negative = never)")
@@ -38,8 +39,8 @@ func main() {
 	logJSON := flag.Bool("log-json", false, "emit logs as JSON instead of text")
 	debugAddr := flag.String("debug-addr", "", "serve /metrics, /metrics.json and /debug/pprof on this address (empty = disabled)")
 	flag.Parse()
-	if *dataDir == "" {
-		fmt.Fprintln(os.Stderr, "debar-server: -data-dir is required")
+	if *dataDir == "" || *dir == "" {
+		fmt.Fprintln(os.Stderr, "debar-server: -data-dir and -director are required")
 		flag.Usage()
 		os.Exit(2)
 	}

@@ -120,13 +120,12 @@
 //
 // Metric names are prefixed by layer: server_* (sessions, prefilter
 // hits/misses, chunk ingest, dedup-2 pass latencies, restore streams),
-// store_* (WAL append/fsync latencies, group-commit window
-// distributions, segment rotations, index lookups), dedup2_pass_* (the
-// dedup-2 pass's SIL scan, packing and container-append split), director_* (run
-// lifecycle, dedup-2 trigger outcomes, control retries) and client_*
-// (retries, resumes, pipeline window occupancy). The storage-engine
-// series, and how to read the group-commit coalescing histograms, are
-// catalogued in internal/store/README.md. The benchmark (bench/) turns
+// store_* (WAL append latencies, each durable log's fsyncs and their
+// latencies, segment rotations, index lookups), dedup2_pass_* (the
+// dedup-2 pass's SIL scan, packing and container-append split),
+// director_* (run lifecycle, dedup-2 trigger outcomes, control retries)
+// and client_* (retries, resumes, pipeline window occupancy). The
+// storage-engine series are catalogued in internal/store/README.md. The benchmark (bench/) turns
 // these series into per-layer metrics of a whole backup cycle:
 // go run ./bench, whose --trace 1 runs report them (bench/README.md).
 //

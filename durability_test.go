@@ -510,7 +510,7 @@ func walBytes(t *testing.T, srvData string) int64 {
 
 // TestDurabilityCrashMidGroupCommit drives the group-commit durability
 // contract end to end: several clients back up concurrently, so their
-// chunk batches share the engine's coalesced fsync windows and no batch
+// chunk batches share the WAL flusher's coalesced fsyncs and no batch
 // waits for its own, but every BackupDone was held until an fsync
 // covered the whole run. The deployment is then "killed" — live data
 // directories snapshotted byte-for-byte with no dedup-2, no checkpoint

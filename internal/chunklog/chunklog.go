@@ -72,11 +72,12 @@ type Log struct {
 	// unconsumed records.
 	drainMu sync.Mutex
 
-	// retireMu orders segment retirement after every use of a segment
+	// retireMu orders segment retirement after every read of a segment
 	// file: ReadChunk, Iterate and Select hold it shared while they
-	// resolve and read positions, Sync while it fsyncs, and a drain
-	// retiring segments holds it exclusively, so no read lands in a
-	// renamed or recycled file and no fsync in a closed one.
+	// resolve and read positions, and a drain retiring segments holds it
+	// exclusively, so no read lands in a renamed or recycled file. Close
+	// holds it shared too, so it never closes the files a retirement is
+	// renaming.
 	retireMu sync.RWMutex
 }
 
@@ -108,30 +109,29 @@ func (l *Log) appendOne(f fp.FP, size uint32, data []byte, once bool) (bool, err
 	if len(data) != int(size) {
 		return false, fmt.Errorf("chunklog: declared size %d != payload %d", size, len(data))
 	}
-	n, _, err := l.append([]fp.FP{f}, [][]byte{data}, once)
+	n, err := l.append([]fp.FP{f}, [][]byte{data}, once)
 	return n == 1, err
 }
 
 // AppendNewBatch is AppendNew for a batch of chunks, data[i] of
 // fingerprint fps[i]: it logs, in order, each chunk that no unconsumed
 // record holds and no earlier chunk of the batch repeats, and returns how
-// many it logged and their payload bytes. The checks and appends of the
+// many it logged. The checks and appends of the
 // whole batch are one step under the log's lock, and the batch's records
 // go out with one write per segment they land in. The log copies every
 // payload into its own buffer, so the caller may reuse data's memory once
 // the call returns. After a failed write the log holds, and Logged
 // reports, only the records written before it. The server's dedup-1 path
 // logs each ChunkBatch with it.
-func (l *Log) AppendNewBatch(fps []fp.FP, data [][]byte) (int, int64, error) {
+func (l *Log) AppendNewBatch(fps []fp.FP, data [][]byte) (int, error) {
 	return l.append(fps, data, true)
 }
 
 // append logs the chunks of one batch, chunk i of fingerprint fps[i] and
-// payload data[i]; once is AppendNew's. It returns the records appended
-// and their payload bytes.
-func (l *Log) append(fps []fp.FP, data [][]byte, once bool) (int, int64, error) {
+// payload data[i]; once is AppendNew's. It returns the records appended.
+func (l *Log) append(fps []fp.FP, data [][]byte, once bool) (int, error) {
 	if len(fps) != len(data) {
-		return 0, 0, fmt.Errorf("chunklog: %d fingerprints for %d payloads", len(fps), len(data))
+		return 0, fmt.Errorf("chunklog: %d fingerprints for %d payloads", len(fps), len(data))
 	}
 	l.mu.Lock()
 	defer l.mu.Unlock()
@@ -153,10 +153,9 @@ func (l *Log) append(fps []fp.FP, data [][]byte, once bool) (int, int64, error) 
 		l.batch = append(l.batch, i)
 	}
 	if len(l.batch) == 0 {
-		return 0, 0, nil
+		return 0, nil
 	}
 	written, err := l.appendWAL(fps, data)
-	var bytes int64
 	for k, i := range l.batch {
 		if k >= written {
 			h := l.index[fps[i]]
@@ -168,9 +167,8 @@ func (l *Log) append(fps []fp.FP, data [][]byte, once bool) (int, int64, error) 
 			continue
 		}
 		l.fps = append(l.fps, fps[i])
-		bytes += int64(len(data[i]))
 	}
-	return written, bytes, err
+	return written, err
 }
 
 // Logged reports, for each fingerprint, whether an unconsumed record

@@ -75,7 +75,7 @@ func TestWALGolden(t *testing.T) {
 		for i, d := range data {
 			fps[i] = fp.New(d)
 		}
-		if _, _, err := l.AppendNewBatch(fps, data); err != nil {
+		if _, err := l.AppendNewBatch(fps, data); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -139,9 +139,9 @@ func TestAppendNewBatchFailedRotation(t *testing.T) {
 		}
 		return nil
 	}})
-	n, b, err := l.AppendNewBatch(fps, data)
-	if !errors.Is(err, failed) || n != fit || b != fit*1000 {
-		t.Fatalf("AppendNewBatch across a failing rotation = %d records, %d bytes, %v; want %d, %d, %v", n, b, err, fit, fit*1000, failed)
+	n, err := l.AppendNewBatch(fps, data)
+	if !errors.Is(err, failed) || n != fit {
+		t.Fatalf("AppendNewBatch across a failing rotation = %d records, %v; want %d, %v", n, err, fit, failed)
 	}
 	for i, held := range l.Logged(fps) {
 		if held != (i < fit) {
@@ -152,7 +152,7 @@ func TestAppendNewBatchFailedRotation(t *testing.T) {
 		t.Fatalf("log holds %d records after the failed write, want %d", c, fit)
 	}
 	l.SetFaults(seglog.Faults{})
-	if n, _, err := l.AppendNewBatch(fps, data); err != nil || n != len(fps)-fit {
+	if n, err := l.AppendNewBatch(fps, data); err != nil || n != len(fps)-fit {
 		t.Fatalf("offering the batch again logged %d records (%v), want the %d left out", n, err, len(fps)-fit)
 	}
 	if err := l.Close(); err != nil {

@@ -18,9 +18,7 @@ import (
 )
 
 // WAL metrics: append volume and latency. The log's fsyncs and segment
-// bring-ups are counted by internal/seglog under store_wal_*; the fsync
-// series pairs with store_commit_wal_* (group-commit scheduling) — fsyncs
-// are the syncs those windows resolve into.
+// bring-ups are counted by internal/seglog under store_wal_*.
 var (
 	mWALAppendBytes   = obs.GetCounter("store_wal_append_bytes_total")
 	mWALAppendSeconds = obs.GetHistogram("store_wal_append_seconds", obs.DurationBuckets)
@@ -41,10 +39,10 @@ var (
 // plus what the latest drain retired, and a backup overwrites recycled
 // blocks instead of allocating new ones.
 //
-// Append never fsyncs: the log's owner schedules Sync. In the storage
-// engine that owner is the "wal" group committer, and the backup server
-// answers BackupEnd only after a sync covering every chunk the run
-// references, so a completed run's chunks are always recoverable — see
+// Append never fsyncs: seglog's flusher syncs the records in the
+// background, and Sync is the barrier. The backup server answers
+// BackupEnd only after a Sync covering every chunk the run references, so
+// a completed run's chunks are always recoverable — see
 // internal/store/README.md ("Consistency model").
 
 const (
@@ -324,17 +322,16 @@ func (l *Log) ReadChunk(f fp.FP) ([]byte, bool, error) {
 	return r.Data, true, nil
 }
 
-// Sync makes every append before the call durable (seglog.Log.Sync):
-// appends proceed while the disk flushes, and segment retirement waits
-// for the fsync.
-func (l *Log) Sync() error {
-	l.retireMu.RLock()
-	defer l.retireMu.RUnlock()
-	return l.wal.Sync()
-}
+// Sync is the WAL's barrier (seglog.Log.Sync): it returns once every
+// append before the call is durable, or the first failed fsync.
+func (l *Log) Sync() error { return l.wal.Sync() }
 
-// Close syncs outstanding appends and releases the segment files.
-// Appends after Close fail.
+// Err returns the WAL's first failed fsync, nil while none has failed.
+func (l *Log) Err() error { return l.wal.Err() }
+
+// Close syncs outstanding appends, stops the WAL's flusher and releases
+// the segment files. Appends after Close fail; after a failed fsync,
+// Close returns that first error.
 func (l *Log) Close() error {
 	l.retireMu.RLock()
 	defer l.retireMu.RUnlock()

@@ -10,11 +10,11 @@ import (
 	"slices"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
 	"debar/internal/fp"
-	"debar/internal/obs"
 	"debar/internal/seglog"
 )
 
@@ -216,17 +216,28 @@ func TestWALCorruptMiddleTruncates(t *testing.T) {
 	}
 }
 
-// TestWALSyncFailureKeepsDirty is the regression test for the failed-
-// fsync bug: a Sync that errors must leave the dirty counter intact so
-// a later Sync retries the unflushed tail. A counter reset on the error
-// path let a subsequent Sync (or Close) return success while appended
-// records had never reached the disk.
+// TestWALSyncFailureKeepsDirty: a failed fsync never counts the WAL's
+// tail as durable. The failure is sticky: every later Sync returns the
+// first error, also once the medium has recovered, and so does Close,
+// because the kernel may have dropped the dirty pages the failed fsync
+// covered. A counter reset on the error path once let a later Sync (or
+// Close) return success while appended records had never reached the
+// disk. The records, still in the page cache, reopen.
 func TestWALSyncFailureKeepsDirty(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "wal")
 	l, err := OpenWAL(path)
 	if err != nil {
 		t.Fatal(err)
 	}
+	injected := errors.New("injected media failure")
+	var failing atomic.Bool
+	failing.Store(true)
+	l.SetFaults(seglog.Faults{Sync: func() error {
+		if failing.Load() {
+			return injected
+		}
+		return nil
+	}})
 
 	const n = 3
 	for i := 0; i < n; i++ {
@@ -235,39 +246,17 @@ func TestWALSyncFailureKeepsDirty(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-
-	injected := errors.New("injected media failure")
-	failing := true
-	l.SetFaults(seglog.Faults{Sync: func() error {
-		if failing {
-			return injected
-		}
-		return nil
-	}})
-
 	if err := l.Sync(); !errors.Is(err, injected) {
 		t.Fatalf("Sync with failing media = %v, want injected error", err)
 	}
-	// The tail must still be dirty: a retry reaches the sync layer again
-	// rather than short-circuiting on a zeroed counter.
-	if err := l.Sync(); !errors.Is(err, injected) {
-		t.Fatalf("retry after failed Sync = %v, want injected error (dirty counter was reset)", err)
+	failing.Store(false)
+	for i := 0; i < 2; i++ {
+		if err := l.Sync(); !errors.Is(err, injected) {
+			t.Fatalf("Sync after media recovers = %v, want the first error", err)
+		}
 	}
-
-	failing = false
-	if err := l.Sync(); err != nil {
-		t.Fatalf("Sync after media recovers: %v", err)
-	}
-	// Now the counter is drained: another Sync is a no-op and never
-	// consults the (re-armed) failure hook.
-	failing = true
-	if err := l.Sync(); err != nil {
-		t.Fatalf("Sync with nothing dirty = %v, want nil no-op", err)
-	}
-
-	l.SetFaults(seglog.Faults{})
-	if err := l.Close(); err != nil {
-		t.Fatal(err)
+	if err := l.Close(); !errors.Is(err, injected) {
+		t.Fatalf("Close after a failed fsync = %v, want the first error", err)
 	}
 	_, fps := reopenWAL(t, path)
 	if len(fps) != n {
@@ -276,33 +265,53 @@ func TestWALSyncFailureKeepsDirty(t *testing.T) {
 }
 
 // TestWALAppendNeverSyncsInline pins the WAL's one durability policy:
-// Append never fsyncs on its own, however much it has buffered. The log's
-// owner schedules Sync (in the storage engine, the "wal" group committer),
-// and one Sync covers every earlier append.
+// Append never fsyncs or waits for an fsync, however much it has
+// buffered. The log's flusher syncs in the background: with its fsync
+// blocked in the Sync hook, appends still complete, and one Sync after
+// the hook lets go covers every one of them.
 func TestWALAppendNeverSyncsInline(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "wal")
 	l, err := OpenWAL(path)
 	if err != nil {
 		t.Fatal(err)
 	}
-	fsyncs := obs.GetCounter("store_wal_fsyncs_total")
-	before := fsyncs.Value()
+	var once sync.Once
+	entered, release := make(chan struct{}), make(chan struct{})
+	l.SetFaults(seglog.Faults{Sync: func() error {
+		once.Do(func() {
+			close(entered)
+			<-release
+		})
+		return nil
+	}})
 	data := make([]byte, 32<<10)
 	const n = 40 // 1.25 MiB of records
-	for i := 0; i < n; i++ {
-		data[0] = byte(i)
-		if err := l.Append(fp.New(data), uint32(len(data)), data); err != nil {
+	appended := make(chan error, 1)
+	go func() {
+		for i := 0; i < n; i++ {
+			data[0] = byte(i)
+			if err := l.Append(fp.New(data), uint32(len(data)), data); err != nil {
+				appended <- err
+				return
+			}
+			if i == 0 {
+				<-entered // the flusher now holds an fsync open
+			}
+		}
+		appended <- nil
+	}()
+	select {
+	case err := <-appended:
+		if err != nil {
 			t.Fatal(err)
 		}
+	case <-time.After(10 * time.Second):
+		close(release)
+		t.Fatal("Append waited for the blocked fsync")
 	}
-	if got := fsyncs.Value() - before; got != 0 {
-		t.Fatalf("%d fsyncs during Append, want 0", got)
-	}
+	close(release)
 	if err := l.Sync(); err != nil {
 		t.Fatal(err)
-	}
-	if got := fsyncs.Value() - before; got != 1 {
-		t.Fatalf("%d fsyncs after one Sync, want 1", got)
 	}
 	if err := l.Close(); err != nil {
 		t.Fatal(err)

@@ -239,11 +239,14 @@ func (w *Writer) Len() int { return len(w.meta) }
 func (w *Writer) Empty() bool { return len(w.meta) == 0 }
 
 // Seal closes the container, assigning it the given ID, and resets the
-// writer for the next container.
+// writer for the next container. The writer keeps its data section for
+// the next container, so one buffer serves a whole stream of them: the
+// returned container's Data is valid only until the next Add, while its
+// Meta is its own.
 func (w *Writer) Seal(id fp.ContainerID) *Container {
 	c := &Container{ID: id, Meta: w.meta, Data: w.data}
 	w.meta = nil
-	w.data = nil
+	w.data = w.data[:0]
 	w.used = 0
 	return c
 }

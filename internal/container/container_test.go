@@ -232,6 +232,37 @@ func TestMemRepository(t *testing.T) {
 	}
 }
 
+// TestRepositoriesKeepTheirCopy: a Writer reuses its data buffer for the
+// next container, so a memory repository stores its own copy: a stored
+// container reads back intact after the writer has filled the next one.
+func TestRepositoriesKeepTheirCopy(t *testing.T) {
+	cluster, err := NewClusterRepository(2, false, disksim.DiskModel{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for name, repo := range map[string]Repository{"mem": NewMemRepository(false, nil), "cluster": cluster} {
+		w := NewWriter(4096, false)
+		f1, d1 := chunkOf(1, 500)
+		w.Add(f1, 500, d1)
+		id, err := repo.Append(w.Seal(0))
+		if err != nil {
+			t.Fatal(err)
+		}
+		f2, d2 := chunkOf(2, 500)
+		w.Add(f2, 500, d2)
+		if _, err := repo.Append(w.Seal(0)); err != nil {
+			t.Fatal(err)
+		}
+		c, err := repo.Load(id)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got, ok := c.Chunk(f1); !ok || !bytes.Equal(got, d1) {
+			t.Fatalf("%s: the first container's chunk changed when the writer filled the next", name)
+		}
+	}
+}
+
 func TestMemRepositorySequentialIDs(t *testing.T) {
 	repo := NewMemRepository(true, nil)
 	for i := 0; i < 5; i++ {

@@ -3,6 +3,7 @@ package container
 import (
 	"errors"
 	"fmt"
+	"slices"
 	"sync"
 
 	"debar/internal/disksim"
@@ -13,7 +14,9 @@ import (
 // global de-duplication storage pool (paper §3.4). Append assigns and
 // returns the container ID.
 type Repository interface {
-	// Append stores a sealed container and returns its assigned ID.
+	// Append stores a sealed container and returns its assigned ID. It
+	// must not keep c.Data after returning: a Writer reuses it for the
+	// next container (Writer.Seal).
 	Append(c *Container) (fp.ContainerID, error)
 	// Load reads back a whole container (one large sequential I/O —
 	// exactly how LPC prefetches, §3.3).
@@ -62,7 +65,7 @@ func (r *MemRepository) Append(c *Container) (fp.ContainerID, error) {
 	}
 	stored := &Container{ID: id, Meta: c.Meta}
 	if !r.metaOnly {
-		stored.Data = c.Data
+		stored.Data = slices.Clone(c.Data)
 	}
 	r.stored = append(r.stored, stored)
 	r.byID[id] = stored
@@ -168,12 +171,12 @@ func (cr *ClusterRepository) Append(c *Container) (fp.ContainerID, error) {
 	cr.home[id] = node
 	cr.mu.Unlock()
 
-	stored := &Container{ID: id, Meta: c.Meta, Data: c.Data}
+	stored := &Container{ID: id, Meta: c.Meta}
 	// Delegate to the node but override its local ID assignment.
 	n := cr.nodes[node]
 	n.mu.Lock()
-	if n.metaOnly {
-		stored.Data = nil
+	if !n.metaOnly {
+		stored.Data = slices.Clone(c.Data)
 	}
 	n.stored = append(n.stored, stored)
 	n.byID[id] = stored

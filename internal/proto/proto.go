@@ -52,8 +52,8 @@
 // in the file entry and ships nothing).
 //
 // Replies come back in request order, with one exception: an accepted
-// ChunkBatch gets no reply at all. The server logs its chunks and stages
-// them with the chunk log's group commit without waiting for the fsync;
+// ChunkBatch gets no reply at all. The server logs its chunks, which the
+// chunk log syncs in the background, without waiting for the fsync;
 // BackupDone is the durability point, sent only after an fsync that
 // covers every chunk the run references. A refused ChunkBatch (read-only
 // store, fingerprint mismatch, unknown session) is answered with a typed

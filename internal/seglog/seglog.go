@@ -34,8 +34,15 @@
 // a directory sync. Only then does a segment take appends, so a crash
 // anywhere in between leaves a spare or an empty segment.
 //
-// Append never fsyncs: the log's owner schedules Sync. Rotation,
-// retirement and Close always sync, every sync through internal/fsx.
+// Group commit is the log's own: Append never fsyncs, it wakes the log's
+// flusher, one goroutine started on demand that fsyncs the last segment
+// until every append is durable and then exits. Sync is the barrier: it
+// returns once a sync covering every earlier append has completed, so
+// concurrent callers share one fsync. A failed fsync is sticky: the
+// kernel may have dropped the dirty pages, so a later fsync that succeeds
+// proves nothing about them, and every later Sync and Close returns the
+// first error (Err). Rotation, retirement and Close always sync, every
+// sync through internal/fsx.
 package seglog
 
 import (
@@ -142,15 +149,18 @@ type Log struct {
 	free    []spare    // guarded by mu; retired segment files kept for reuse, in sequence order
 	nextSeq uint64     // guarded by mu; sequence number the next new or retired file takes
 	nextID  uint32     // guarded by mu; id the next segment brought up takes
-	dirty   int64      // guarded by mu; bytes appended since the last completed fsync
-	zeroed  uint64     // guarded by mu; times a seal or a retirement zeroed dirty
 	renamed bool       // guarded by mu; a retirement renamed files and no directory sync has succeeded since
 	closed  bool       // guarded by mu; Close ran: appends fail
 
-	// syncMu serialises Sync callers so the fsync itself runs outside mu
-	// — appends proceed while the disk flushes — without two syncers
-	// double-subtracting the same dirty bytes.
-	syncMu sync.Mutex
+	// Group commit. Every byte before synced is durable or retired, and
+	// the bytes from synced to appended all lie in the last segment, since
+	// sealing a segment syncs it.
+	cond     *sync.Cond // on mu: synced moved, failed was set, or the flusher exited
+	appended int64      // guarded by mu; frame bytes appended since open
+	synced   int64      // guarded by mu; appended as of the last completed sync
+	flushing bool       // guarded by mu; the flusher goroutine runs
+	retiring bool       // guarded by mu; a retirement may close files: no flusher starts
+	failed   error      // guarded by mu; the first failed fsync, returned by every later Sync and Close
 
 	faults Faults // guarded by mu
 
@@ -179,6 +189,7 @@ func Open(dir string, f Format, segBytes int64, visit func(p Pos, n uint32, payl
 		mReused:       obs.GetCounter(p + "segments_reused_total"),
 		mCreated:      obs.GetCounter(p + "segments_created_total"),
 	}
+	l.cond = sync.NewCond(&l.mu)
 	l.mu.Lock()
 	defer l.mu.Unlock()
 	err = l.recover(ents, visit)
@@ -498,10 +509,11 @@ func (l *Log) Dir() string { return l.dir }
 // payload is frame[FrameHeader:] followed by tail; Append fills in
 // frame[:FrameHeader]. frame goes out in one write and tail, if any, in a
 // second, straight from the caller's buffer. It never fsyncs the frame:
-// it is durable once a later Sync returns.
+// the flusher does, and it is durable once a later Sync returns.
 func (l *Log) Append(frame, tail []byte) (Pos, error) {
 	l.mu.Lock()
 	defer l.mu.Unlock()
+	defer l.kick()
 	if err := l.writable(); err != nil {
 		return Pos{}, err
 	}
@@ -520,7 +532,7 @@ func (l *Log) Append(frame, tail []byte) (Pos, error) {
 	p := Pos{Seg: s.id, Off: uint32(s.end)}
 	n := int64(len(frame) + len(tail))
 	s.end += n
-	l.dirty += n
+	l.appended += n
 	return p, nil
 }
 
@@ -534,6 +546,7 @@ func (l *Log) Append(frame, tail []byte) (Pos, error) {
 func (l *Log) AppendFrames(buf []byte, sizes []int, pos []Pos) (int, error) {
 	l.mu.Lock()
 	defer l.mu.Unlock()
+	defer l.kick()
 	if err := l.writable(); err != nil {
 		return 0, err
 	}
@@ -570,7 +583,7 @@ func (l *Log) writeRun(run []byte) error {
 		return fmt.Errorf("seglog: %s append: %w", l.format.Name, err)
 	}
 	s.end += int64(len(run))
-	l.dirty += int64(len(run))
+	l.appended += int64(len(run))
 	return nil
 }
 
@@ -612,10 +625,12 @@ func (l *Log) rotate() error {
 			return fmt.Errorf("seglog: sealing %s segment: %w", l.format.Name, err)
 		}
 		if err := fsx.SyncData(s.f); err != nil {
-			return fmt.Errorf("seglog: sealing %s segment: %w", l.format.Name, err)
+			err = fmt.Errorf("seglog: sealing %s segment: %w", l.format.Name, err)
+			l.fail(err)
+			return err
 		}
-		l.dirty = 0 // every append so far is in a synced segment
-		l.zeroed++
+		l.synced = l.appended // every append so far is in a synced segment
+		l.cond.Broadcast()
 		if err := l.step("sealed"); err != nil {
 			return err
 		}
@@ -627,7 +642,7 @@ func (l *Log) rotate() error {
 // spare, its header rewritten and fsynced, or else a new file, created
 // with its header, fsynced, and its directory synced.
 //
-// debarvet:holds mu -- rotate, RetireBefore and Open enter with l.mu held.
+// debarvet:holds mu -- rotate, retire and Open enter with l.mu held.
 func (l *Log) bringUp() error {
 	if len(l.free) > 0 {
 		// A spare whose rename is not durable could come back after a
@@ -684,10 +699,25 @@ func (l *Log) bringUp() error {
 // files become spares (see the package comment). When that retires the
 // segment taking appends, its unsynced tail retired with it, the next
 // segment comes up at once. The caller orders retirement after every
-// read and Sync of the retired segments.
+// read of the retired segments; the log orders it after the flusher's
+// fsync, which may be on one of them.
 func (l *Log) RetireBefore(id uint32) error {
 	l.mu.Lock()
 	defer l.mu.Unlock()
+	l.retiring = true
+	for l.flushing {
+		l.cond.Wait()
+	}
+	err := l.retire(id)
+	l.retiring = false
+	l.kick()
+	return err
+}
+
+// retire is RetireBefore once no fsync is in flight.
+//
+// debarvet:holds mu -- RetireBefore enters with l.mu held.
+func (l *Log) retire(id uint32) error {
 	cut := int(id - l.segs[0].id)
 	retired := l.segs[:cut:cut]
 	l.segs = l.segs[cut:]
@@ -695,8 +725,8 @@ func (l *Log) RetireBefore(id uint32) error {
 	if len(l.segs) == 0 {
 		// Bring up the next segment now, so the next append does not wait
 		// for it. (An append brings it up if this fails.)
-		l.dirty = 0
-		l.zeroed++
+		l.synced = l.appended
+		l.cond.Broadcast()
 		err = errors.Join(err, l.bringUp())
 	}
 	return err
@@ -707,7 +737,7 @@ func (l *Log) RetireBefore(id uint32) error {
 // directory. Should that sync fail, no spare is reused before a later one
 // succeeds (bringUp).
 //
-// debarvet:holds mu -- RetireBefore enters with l.mu held.
+// debarvet:holds mu -- retire enters with l.mu held.
 func (l *Log) recycle(retired []*Segment) error {
 	var errs []error
 	for _, s := range retired {
@@ -784,8 +814,9 @@ func (l *Log) writable() error {
 // recycling — "sealed", "created", "renamed", "header" — and its error
 // aborts the step's operation, as a crash there would. Write is called
 // before each Append or AppendFrames writes or rotates anything, Sync
-// before Sync's fsync and Dir before each directory sync; an error from
-// any of them fails that operation as the medium would.
+// before each of the flusher's fsyncs and Dir before each directory
+// sync; an error from any of them fails that operation as the medium
+// would.
 type Faults struct {
 	Step             func(step string) error
 	Write, Sync, Dir func() error
@@ -798,56 +829,107 @@ func (l *Log) SetFaults(f Faults) {
 	l.mu.Unlock()
 }
 
-// Sync makes every append before the call durable. The fsync of the last
-// segment (earlier ones were synced when sealed) runs outside the append
-// lock and subtracts only the dirty bytes it observed, so appends proceed
-// and bytes appended mid-sync stay dirty for the next one. A failed sync
-// subtracts nothing: a later Sync retries the tail. The caller orders
-// Sync before any retirement of the last segment.
-func (l *Log) Sync() error {
-	l.syncMu.Lock()
-	defer l.syncMu.Unlock()
+// kick starts the flusher when appends wait for a sync and none runs.
+//
+// debarvet:holds mu -- every caller holds l.mu.
+func (l *Log) kick() {
+	if !l.flushing && !l.retiring && l.failed == nil && l.synced < l.appended {
+		l.flushing = true
+		go l.flush()
+	}
+}
+
+// flush is the flusher: it fsyncs the last segment, outside the append
+// lock so appends proceed meanwhile, until every append is durable, a
+// sync fails or a retirement holds it off. Bytes appended during an fsync
+// wait for the next one; a seal during it has synced them already.
+func (l *Log) flush() {
 	l.mu.Lock()
-	dirty, zeroed := l.dirty, l.zeroed
-	var file *os.File
-	if k := len(l.segs); k > 0 {
-		file = l.segs[k-1].f
+	defer l.mu.Unlock()
+	for !l.retiring && l.failed == nil && l.synced < l.appended {
+		target, file, hook := l.appended, l.segs[len(l.segs)-1].f, l.faults.Sync
+		l.mu.Unlock()
+		err := l.fsync(file, hook)
+		l.mu.Lock()
+		if err != nil {
+			l.fail(fmt.Errorf("seglog: %s sync: %w", l.format.Name, err))
+		} else if target > l.synced {
+			l.mSyncedBytes.Add(target - l.synced)
+			l.synced = target
+		}
+		l.cond.Broadcast()
 	}
-	failFn := l.faults.Sync
-	l.mu.Unlock()
-	if file == nil || dirty == 0 {
-		return nil
-	}
-	if failFn != nil {
-		if err := failFn(); err != nil {
-			return fmt.Errorf("seglog: %s sync: %w", l.format.Name, err)
+	l.flushing = false
+	l.cond.Broadcast()
+}
+
+// fsync runs the Sync hook, if any, and then the fsync of file.
+func (l *Log) fsync(file *os.File, hook func() error) error {
+	if hook != nil {
+		if err := hook(); err != nil {
+			return err
 		}
 	}
 	start := time.Now()
 	if err := fsx.SyncData(file); err != nil {
-		return fmt.Errorf("seglog: %s sync: %w", l.format.Name, err)
+		return err
 	}
 	l.mFsyncs.Inc()
 	l.mFsyncSeconds.Since(start)
-	l.mSyncedBytes.Add(dirty)
-	l.mu.Lock()
-	// A seal or a retirement while the fsync was in flight zeroed the
-	// counter, every byte it counted then durable or retired: what it
-	// counts now lies in a later segment, not yet synced.
-	if l.zeroed == zeroed {
-		l.dirty -= dirty
-	}
-	l.mu.Unlock()
 	return nil
 }
 
-// Close syncs outstanding appends and releases the segment files.
-// Appends after Close fail.
+// fail records err as the log's sticky failure unless one is recorded.
+//
+// debarvet:holds mu -- every caller holds l.mu.
+func (l *Log) fail(err error) {
+	if l.failed == nil {
+		l.failed = err
+		l.cond.Broadcast()
+	}
+}
+
+// Err returns the log's first failed fsync, nil while none has failed.
+func (l *Log) Err() error {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	return l.failed
+}
+
+// Sync is the log's barrier: it returns once a sync covering every
+// append before the call has completed, sharing the flusher's fsyncs with
+// every concurrent caller. After a failed fsync it returns that first
+// error, whatever the call would cover.
+func (l *Log) Sync() error {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	return l.await()
+}
+
+// await waits until every append so far is durable or an fsync has
+// failed, and returns the failure.
+//
+// debarvet:holds mu -- Sync and Close enter with l.mu held.
+func (l *Log) await() error {
+	target := l.appended
+	l.kick()
+	for l.failed == nil && l.synced < target {
+		l.cond.Wait()
+	}
+	return l.failed
+}
+
+// Close syncs outstanding appends, waits for the flusher to exit and
+// releases the segment files. Appends after Close fail; after a failed
+// fsync, Close still releases the files and returns the first error.
 func (l *Log) Close() error {
-	err := l.Sync()
 	l.mu.Lock()
 	defer l.mu.Unlock()
 	l.closed = true
+	err := l.await()
+	for l.flushing {
+		l.cond.Wait()
+	}
 	return errors.Join(err, l.closeFiles())
 }
 

@@ -13,8 +13,8 @@ import (
 )
 
 // TestChunkBatchAckHeldForWALSync is the durability-point regression
-// test. An accepted ChunkBatch gets no reply, so nothing waits on its
-// group-commit window; with the WAL's sync failing, that window's
+// test. An accepted ChunkBatch gets no reply, so nothing waits on the
+// WAL flusher's fsync of it; with the WAL's sync failing, that fsync's
 // failure must latch the store read-only on its own, and BackupEnd —
 // the durability point — must be refused instead of promising a run
 // the disk never made durable. The batch must never be answered OK.
@@ -63,8 +63,8 @@ func TestChunkBatchAckHeldForWALSync(t *testing.T) {
 	}); err != nil {
 		t.Fatal(err)
 	}
-	// Nobody waits on the batch's window, yet its failed sync latches
-	// the store.
+	// Nobody waits on the batch's fsync, yet its failure latches the
+	// store.
 	deadline := time.Now().Add(10 * time.Second)
 	for eng.ReadOnlyErr() == nil {
 		if time.Now().After(deadline) {

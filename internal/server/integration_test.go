@@ -5,12 +5,17 @@ import (
 	"math/rand"
 	"os"
 	"path/filepath"
+	"runtime"
 	"testing"
+	"time"
 
 	"debar/internal/chunker"
 	"debar/internal/client"
+	"debar/internal/container"
 	"debar/internal/director"
+	"debar/internal/fp"
 	"debar/internal/metastore"
+	"debar/internal/seglog"
 	"debar/internal/server"
 	"debar/internal/store"
 )
@@ -60,18 +65,23 @@ func startServer(t *testing.T, mod func(*server.Config)) (*director.Director, *s
 }
 
 // TestNewNeedsStorage pins the one-storage-design contract: a server
-// needs exactly one of an engine or a data directory.
+// needs exactly one of an engine or a data directory, and a director to
+// record its runs in.
 func TestNewNeedsStorage(t *testing.T) {
-	if srv, err := server.New(server.Config{}); err == nil {
+	if srv, err := server.New(server.Config{DirectorAddr: "127.0.0.1:1"}); err == nil {
 		srv.Close()
 		t.Fatal("server.New with neither Storage nor DataDir succeeded")
+	}
+	if srv, err := server.New(server.Config{DataDir: t.TempDir()}); err == nil {
+		srv.Close()
+		t.Fatal("server.New without a DirectorAddr succeeded")
 	}
 	eng, err := store.Open(t.TempDir(), store.Options{IndexBits: 10})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer eng.Close()
-	if srv, err := server.New(server.Config{Storage: eng, DataDir: t.TempDir()}); err == nil {
+	if srv, err := server.New(server.Config{Storage: eng, DataDir: t.TempDir(), DirectorAddr: "127.0.0.1:1"}); err == nil {
 		srv.Close()
 		t.Fatal("server.New with both Storage and DataDir succeeded")
 	}
@@ -322,5 +332,50 @@ func TestVerifyUnknownJob(t *testing.T) {
 	c := testClient(srvAddr)
 	if _, err := c.Verify("ghost-job", t.TempDir()); err == nil {
 		t.Fatal("verify of unknown job succeeded")
+	}
+}
+
+// TestServerCloseStopsFlushers: Close of a server closes its engine and
+// returns only once both durable logs' flushers have exited, though each
+// is busy in an fsync when Close starts.
+func TestServerCloseStopsFlushers(t *testing.T) {
+	eng, err := store.Open(t.TempDir(), store.Options{IndexBits: 12})
+	if err != nil {
+		t.Fatal(err)
+	}
+	slow := seglog.Faults{Sync: func() error {
+		time.Sleep(5 * time.Millisecond)
+		return nil
+	}}
+	eng.ChunkLog().SetFaults(slow)
+	eng.SegRepo().SetFaults(slow)
+	_, srv, srvAddr := startServer(t, func(c *server.Config) { c.Storage = eng })
+	src := t.TempDir()
+	writeTree(t, src, 5)
+	if _, err := testClient(srvAddr).Backup("close-job", src); err != nil {
+		t.Fatal(err)
+	}
+
+	data := []byte("a chunk appended as the server closes")
+	if err := eng.ChunkLog().Append(fp.New(data), uint32(len(data)), data); err != nil {
+		t.Fatal(err)
+	}
+	w := container.NewWriter(64<<10, false)
+	w.Add(fp.New(data), uint32(len(data)), data)
+	if _, err := eng.Repo().Append(w.Seal(0)); err != nil {
+		t.Fatal(err)
+	}
+	if err := srv.Close(); err != nil {
+		t.Fatal(err)
+	}
+	for deadline := time.Now().Add(5 * time.Second); ; time.Sleep(time.Millisecond) {
+		buf := make([]byte, 1<<20)
+		buf = buf[:runtime.Stack(buf, true)]
+		if !bytes.Contains(buf, []byte("debar/internal/seglog.(*Log).flush(")) {
+			break
+		}
+		if time.Now().After(deadline) {
+			t.Fatal("a log's flusher outlived Server.Close")
+		}
 	}
 }

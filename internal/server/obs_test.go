@@ -18,9 +18,9 @@ func snapshotDelta(base map[string]float64) func(name string) float64 {
 // TestObservabilityCountersMove drives a durable server through two
 // generations of the same dataset and checks the instrumentation tells
 // the story: generation one moves chunk batches and bytes through the
-// WAL's group commit, generation two — duplicate-heavy by construction
-// — lands as preliminary-filter hits, and the fsync-coalescing series
-// stay consistent (every window serves at least one enqueue).
+// WAL and its fsyncs, generation two — duplicate-heavy by construction
+// — lands as preliminary-filter hits, and the fsync series stays
+// consistent with coalescing (every fsync covers at least one batch).
 func TestObservabilityCountersMove(t *testing.T) {
 	d, _, srvAddr := startServer(t, nil)
 
@@ -58,18 +58,15 @@ func TestObservabilityCountersMove(t *testing.T) {
 		}
 	}
 
-	// Group commit: every fsync window must have served >= 1 enqueue,
-	// and a durable backup cannot complete without syncing at all.
-	enq := gen1("store_commit_wal_enqueues_total")
-	win := gen1("store_commit_wal_windows_total")
-	if win < 1 {
-		t.Fatal("no WAL group-commit windows recorded for a durable backup")
-	}
-	if enq < win {
-		t.Fatalf("WAL enqueues %v < windows %v: coalescing accounting broken", enq, win)
-	}
-	if gen1("store_wal_fsyncs_total") < 1 {
+	// Group commit: a durable backup cannot complete without syncing
+	// the WAL, and the flusher fsyncs only when a batch has appended
+	// since its last fsync began, so fsyncs never outnumber batches.
+	fsyncs, batches := gen1("store_wal_fsyncs_total"), gen1("server_chunk_batches_total")
+	if fsyncs < 1 {
 		t.Fatal("no WAL fsyncs recorded for a durable backup")
+	}
+	if fsyncs > batches {
+		t.Fatalf("%v WAL fsyncs for %v chunk batches: an fsync covered no append", fsyncs, batches)
 	}
 
 	// Generation two: identical data, so the preliminary filter (primed

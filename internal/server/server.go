@@ -5,11 +5,12 @@
 //
 // A server has one storage design: a store.Engine owns the chunk-log WAL
 // the File Store appends to, and the container log and disk index the
-// Chunk Store drains it into. An accepted chunk batch gets no reply: its
-// bytes join the WAL's group-commit window and nothing waits on it. The
-// durability point is BackupDone, which goes out only after an fsync
-// covering every chunk the run references. A short-lived server (tests,
-// examples) is simply an engine on a temporary directory.
+// Chunk Store drains it into. An accepted chunk batch gets no reply: the
+// WAL's flusher syncs its records in the background and nothing waits on
+// it. The durability point is BackupDone, which goes out only after the
+// WAL's barrier, an fsync covering every chunk the run references. A
+// short-lived server (tests, examples) is simply an engine on a
+// temporary directory.
 package server
 
 import (
@@ -66,10 +67,9 @@ var (
 
 // Config sizes a backup server.
 type Config struct {
-	IndexBits     uint // disk index bucket bits for a new DataDir (0 = store default)
-	IndexBlocks   int  // bucket blocks for a new DataDir (0 = store default)
-	ContainerSize int  // default 8 MB
-	DirectorAddr  string
+	IndexBits     uint   // disk index bucket bits for a new DataDir (0 = store default)
+	ContainerSize int    // default 8 MB
+	DirectorAddr  string // the director this server registers with and records runs in; required
 
 	// Storage and DataDir name the server's store engine; exactly one
 	// must be set. Storage is an engine the caller already opened (fault
@@ -246,14 +246,14 @@ func New(cfg Config) (*Server, error) {
 	if (cfg.Storage == nil) == (cfg.DataDir == "") {
 		return nil, errors.New("server: exactly one of Config.Storage and Config.DataDir must be set")
 	}
+	if cfg.DirectorAddr == "" {
+		return nil, errors.New("server: Config.DirectorAddr must be set: a server without a director cannot record a run")
+	}
 	cfg = cfg.withDefaults()
 	eng := cfg.Storage
 	if eng == nil {
 		var err error
-		eng, err = store.Open(cfg.DataDir, store.Options{
-			IndexBits:   cfg.IndexBits,
-			IndexBlocks: cfg.IndexBlocks,
-		})
+		eng, err = store.Open(cfg.DataDir, store.Options{IndexBits: cfg.IndexBits})
 		if err != nil {
 			return nil, fmt.Errorf("server: opening data dir: %w", err)
 		}
@@ -285,8 +285,8 @@ func New(cfg Config) (*Server, error) {
 	}, nil
 }
 
-// Serve starts the TCP endpoint and registers with the director (when
-// configured). Returns the bound address.
+// Serve starts the TCP endpoint and registers with the director. Returns
+// the bound address.
 func (s *Server) Serve(addr string) (string, error) {
 	ln, err := net.Listen("tcp", addr)
 	if err != nil {
@@ -298,21 +298,19 @@ func (s *Server) Serve(addr string) (string, error) {
 	s.addr = lnAddr
 	s.mu.Unlock()
 
-	if s.cfg.DirectorAddr != "" {
-		// A one-shot connection: registration is the only director call
-		// outside a connection handler.
-		reg := &connState{}
-		msg, err := s.directorCall(reg, proto.RegisterServer{Addr: lnAddr})
-		reg.closeDirector()
-		if err != nil {
-			ln.Close()
-			return "", fmt.Errorf("server: registering with director: %w", err)
-		}
-		if ok, is := msg.(proto.RegisterOK); is {
-			s.mu.Lock()
-			s.serverID = ok.ServerID
-			s.mu.Unlock()
-		}
+	// A one-shot connection: registration is the only director call
+	// outside a connection handler.
+	reg := &connState{}
+	msg, err := s.directorCall(reg, proto.RegisterServer{Addr: lnAddr})
+	reg.closeDirector()
+	if err != nil {
+		ln.Close()
+		return "", fmt.Errorf("server: registering with director: %w", err)
+	}
+	if ok, is := msg.(proto.RegisterOK); is {
+		s.mu.Lock()
+		s.serverID = ok.ServerID
+		s.mu.Unlock()
 	}
 
 	go func() {
@@ -395,9 +393,6 @@ func (s *Server) Close() error {
 // dialDirector opens a control connection to the director, with the
 // control dial and I/O deadlines armed.
 func (s *Server) dialDirector() (*proto.Conn, error) {
-	if s.cfg.DirectorAddr == "" {
-		return nil, errors.New("server: no director configured")
-	}
 	conn, err := proto.DialTimeout(s.cfg.DirectorAddr, s.cfg.ControlTimeout)
 	if err != nil {
 		return nil, err
@@ -666,25 +661,22 @@ func (s *Server) startBackup(m proto.BackupStart, st *connState) (any, error) {
 	}
 	// Allocate a run with the director and fetch the job chain's
 	// filtering fingerprints (§5.1).
-	var runID uint64
+	reply, err := s.directorCall(st, proto.NewRun{JobName: m.JobName, Client: m.Client})
+	if err != nil {
+		return nil, err
+	}
+	if ack, is := reply.(proto.Ack); is && !ack.OK {
+		return nil, fmt.Errorf("server: director opened no run: %w", proto.AckError(ack))
+	}
+	ok, is := reply.(proto.NewRunOK)
+	if !is {
+		return nil, fmt.Errorf("server: unexpected NewRun reply %T", reply)
+	}
+	runID := ok.RunID
 	var filterFPs []fp.FP
-	if s.cfg.DirectorAddr != "" {
-		reply, err := s.directorCall(st, proto.NewRun{JobName: m.JobName, Client: m.Client})
-		if err != nil {
-			return nil, err
-		}
-		if ack, is := reply.(proto.Ack); is && !ack.OK {
-			return nil, fmt.Errorf("server: director opened no run: %w", proto.AckError(ack))
-		}
-		ok, is := reply.(proto.NewRunOK)
-		if !is {
-			return nil, fmt.Errorf("server: unexpected NewRun reply %T", reply)
-		}
-		runID = ok.RunID
-		if fpsReply, err := s.directorCall(st, proto.GetFilterFPs{JobName: m.JobName}); err == nil {
-			if ff, is := fpsReply.(proto.FilterFPs); is {
-				filterFPs = ff.FPs
-			}
+	if fpsReply, err := s.directorCall(st, proto.GetFilterFPs{JobName: m.JobName}); err == nil {
+		if ff, is := fpsReply.(proto.FilterFPs); is {
+			filterFPs = ff.FPs
 		}
 	}
 
@@ -866,12 +858,14 @@ func (s *Server) chunkBatch(m proto.ChunkBatch) (err error) {
 	// nothing else here keeps a slice of it. A chunk whose fingerprint is
 	// already in the chunk log (this session's verdict raced a concurrent
 	// session's append) adds no information: AppendNewBatch skips it, and
-	// BackupEnd's barrier covers the earlier append.
+	// BackupEnd's barrier covers the earlier append. Nothing waits on the
+	// batch's records here: the WAL's flusher syncs them, and a failed
+	// fsync latches the store read-only (ReadOnlyErr) on its own.
 	var batchBytes int64
 	for _, d := range m.Data {
 		batchBytes += int64(len(d))
 	}
-	logged, staged, err := s.log.AppendNewBatch(m.FPs, m.Data)
+	logged, err := s.log.AppendNewBatch(m.FPs, m.Data)
 	if err != nil {
 		// A failed append (ENOSPC, media error) flips the store
 		// read-only: the WAL tail is no longer trustworthy for further
@@ -890,11 +884,6 @@ func (s *Server) chunkBatch(m proto.ChunkBatch) (err error) {
 		delete(sess.owed, f)
 	}
 	sess.mu.Unlock()
-	// Stage the bytes with the WAL's group commit, which fsyncs them on
-	// its usual schedule. Nothing waits on this window: BackupEnd's
-	// barrier does, and a failed window sync latches the store read-only
-	// by itself.
-	s.storage.WALTicket(staged)
 	return nil
 }
 
@@ -903,16 +892,14 @@ func (s *Server) fileMeta(m proto.FileMeta, st *connState) (any, error) {
 	if err != nil {
 		return nil, err
 	}
-	if s.cfg.DirectorAddr != "" {
-		reply, err := s.directorCall(st, proto.PutFileIndex{
-			JobName: sess.jobName, RunID: sess.runID, Entry: m.Entry,
-		})
-		if err != nil {
-			return nil, err
-		}
-		if ack, is := reply.(proto.Ack); is && !ack.OK {
-			return nil, errors.New(ack.Err)
-		}
+	reply, err := s.directorCall(st, proto.PutFileIndex{
+		JobName: sess.jobName, RunID: sess.runID, Entry: m.Entry,
+	})
+	if err != nil {
+		return nil, err
+	}
+	if ack, is := reply.(proto.Ack); is && !ack.OK {
+		return nil, errors.New(ack.Err)
 	}
 	return proto.Ack{OK: true}, nil
 }
@@ -940,12 +927,13 @@ func (s *Server) endBackup(m proto.BackupEnd, st *connState) (any, error) {
 	}
 
 	// Durability barrier before the run is marked complete, and the only
-	// wait on the WAL's group commit: this run's recipes reference chunks
-	// its own batches staged and chunks a concurrent session appended
-	// (the log-layer dedup above). A zero-byte ticket waits for the next
-	// cumulative fsync, after which everything the run references is on
-	// disk. A failed sync has already latched the store read-only.
-	if err := s.storage.WALTicket(0).Wait(); err != nil {
+	// wait on the WAL: this run's recipes reference chunks its own
+	// batches logged and chunks a concurrent session appended (the
+	// log-layer dedup above). The barrier returns once an fsync covering
+	// every earlier append has completed, after which everything the run
+	// references is on disk, or with the WAL's first failed fsync, which
+	// has latched the store read-only.
+	if err := s.log.Sync(); err != nil {
 		return nil, readOnlyRefusal(err)
 	}
 
@@ -953,16 +941,14 @@ func (s *Server) endBackup(m proto.BackupEnd, st *connState) (any, error) {
 	// down: only complete runs serve as a restore source or contribute
 	// filtering fingerprints, so an aborted backup (whose FileMeta entries
 	// may reference chunks that never arrived) is never trusted.
-	if s.cfg.DirectorAddr != "" {
-		reply, err := s.directorCall(st, proto.EndRun{
-			JobName: sess.jobName, RunID: sess.runID,
-		})
-		if err != nil {
-			return nil, err
-		}
-		if ack, is := reply.(proto.Ack); is && !ack.OK {
-			return nil, errors.New(ack.Err)
-		}
+	reply, err := s.directorCall(st, proto.EndRun{
+		JobName: sess.jobName, RunID: sess.runID,
+	})
+	if err != nil {
+		return nil, err
+	}
+	if ack, is := reply.(proto.Ack); is && !ack.OK {
+		return nil, errors.New(ack.Err)
 	}
 
 	s.mu.Lock()
@@ -1044,12 +1030,12 @@ func (s *Server) runDedup2() proto.Dedup2Done {
 	}
 	dups := res.IndexDups + res.Store.DupChunks
 	if res.Store.NewChunks > 0 {
-		// A pass that stores chunks allocates a buffer per container it
-		// seals and drops them all here, as much heap as it stored.
-		// Backup ingest reuses its buffers and makes little garbage, so
-		// the next collection can be far off and that dead heap would stay
-		// resident through the restores and backups that follow: return
-		// it now.
+		// A pass that stores chunks drops its working set here: the index
+		// cache, the WAL read window, the container buffer and the SIL
+		// scan's buffers. Backup ingest reuses its buffers and makes
+		// little garbage, so the next collection can be far off and that
+		// dead heap would stay resident through the restores and backups
+		// that follow: return it now.
 		debug.FreeOSMemory()
 	}
 	mDedup2Passes.Inc()

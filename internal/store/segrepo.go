@@ -24,14 +24,14 @@ var (
 // so Load/LoadMeta return zero-copy slices into the mapping for the
 // LPC/restore path.
 //
-// Durability is group-committed: Append stages the frame with the "repo"
-// committer, whose flusher syncs the log in coalesced windows. A
-// container ID is durable once its window has synced or Flush returned;
-// the engine's Checkpoint flushes before dedup-2 retires WAL segments or
-// trusts the index, so the WAL replays the chunks of any container a
-// crash tears off. Opening reads only the frame and container headers of
-// sealed segments, never a data section. Container IDs are consecutive
-// through the log, so a lost sealed segment refuses the open.
+// Durability is the log's group commit: Append writes the frame and the
+// log's flusher syncs it in the background. A container ID is durable
+// once Flush, the log's barrier, has returned; the engine's Checkpoint
+// flushes before dedup-2 retires WAL segments or trusts the index, so
+// the WAL replays the chunks of any container a crash tears off.
+// Opening reads only the frame and container headers of sealed segments,
+// never a data section. Container IDs are consecutive through the log,
+// so a lost sealed segment refuses the open.
 type SegRepo struct {
 	log      *seglog.Log // set once at open
 	segBytes int64       // set once at open: segment capacity
@@ -42,8 +42,6 @@ type SegRepo struct {
 	next   fp.ContainerID            // guarded by mu
 	bytes  int64                     // guarded by mu; data-section bytes stored
 	closed bool                      // guarded by mu
-
-	gc *Committer // group-commit scheduler over the log's Sync; set once at open
 }
 
 // SetFaults installs the test hooks f on the container log's segmented
@@ -100,7 +98,6 @@ func openSegRepo(dir string, segBytes int64) (*SegRepo, error) {
 	for id := uint32(0); id <= last; id++ {
 		r.mapSegment(id, r.log.End(id))
 	}
-	r.gc = NewNamedCommitter("repo", r.log.Sync, DefaultCommitHold, DefaultCommitMaxBytes)
 	return r, nil
 }
 
@@ -119,8 +116,7 @@ func (r *SegRepo) mapSegment(id uint32, end int64) {
 
 // Append implements container.Repository: it assigns the next container
 // ID, appends its image as one frame (the log rotates first when the
-// segment is full), and stages the frame with the committer. The
-// returned ID is durable once the covering window syncs or Flush returns.
+// segment is full). The returned ID is durable once Flush returns.
 func (r *SegRepo) Append(c *container.Container) (fp.ContainerID, error) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
@@ -151,7 +147,6 @@ func (r *SegRepo) Append(c *container.Container) (fp.ContainerID, error) {
 		r.mapSegment(seg, r.log.End(seg))
 		grew += seglog.HeaderSize
 	}
-	r.gc.Enqueue(frameLen)
 	r.loc[id] = segLoc{pos: p, imgLen: imgLen}
 	r.bytes += stored.DataBytes()
 	r.next++
@@ -161,8 +156,12 @@ func (r *SegRepo) Append(c *container.Container) (fp.ContainerID, error) {
 }
 
 // Flush blocks until every container appended before the call is durable:
-// the commit barrier.
-func (r *SegRepo) Flush() error { return r.gc.Commit(0) }
+// the log's barrier. After a failed fsync it returns that first error.
+func (r *SegRepo) Flush() error { return r.log.Sync() }
+
+// Err returns the container log's first failed fsync, nil while none has
+// failed.
+func (r *SegRepo) Err() error { return r.log.Err() }
 
 // locate snapshots a container's location and its segment's mapping
 // under a short read lock. The record bytes are immutable once
@@ -280,12 +279,10 @@ func (r *SegRepo) ForEachMeta(fn func(id fp.ContainerID, metas []container.Chunk
 	return nil
 }
 
-// Close stops the committer, unmaps every segment and closes the log,
-// which syncs what the last window did not. Zero-copy slices handed out
-// by Load become invalid.
+// Close unmaps every segment and closes the log, which syncs what its
+// flusher has not and stops it. Zero-copy slices handed out by Load
+// become invalid.
 func (r *SegRepo) Close() error {
-	// Outside r.mu: the flusher's sync may still be running.
-	r.gc.Close()
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	if r.closed {

@@ -52,19 +52,19 @@ const manifestMagic = "DEBAR-STORE"
 // Options sizes a new engine. On reopen the manifest's recorded geometry
 // wins; explicitly conflicting options are an error.
 type Options struct {
-	IndexBits   uint // disk index bucket bits (default 16)
-	IndexBlocks int  // bucket size in 512-byte blocks (default 1)
+	IndexBits uint // disk index bucket bits (default 16)
 }
 
 func (o Options) withDefaults() Options {
 	if o.IndexBits == 0 {
 		o.IndexBits = 16
 	}
-	if o.IndexBlocks == 0 {
-		o.IndexBlocks = 1
-	}
 	return o
 }
+
+// indexBlocks is a new store's bucket size in 512-byte blocks. MANIFEST
+// records it, and an existing store keeps the size it was created with.
+const indexBlocks = 1
 
 // manifest is the engine superblock, serialised as JSON in <dir>/MANIFEST.
 // SegmentBytes is the container-log segment capacity the store was
@@ -88,10 +88,6 @@ type Engine struct {
 
 	rebuilt bool // index was rebuilt from container metadata
 	lock    *os.File
-
-	// walGC schedules the WAL's fsyncs; the container log owns its own
-	// committer, so a WAL window never waits behind a container-log fsync.
-	walGC *Committer
 
 	roMu  sync.Mutex
 	roErr error // guarded by roMu; non-nil: engine is read-only (see Fail)
@@ -123,8 +119,11 @@ func (e *Engine) Fail(err error) {
 var mReadOnlyLatched = obs.GetCounter("store_readonly_latched_total")
 
 // ReadOnlyErr returns the write fault that switched the engine read-only,
-// or nil when the engine accepts writes.
+// or nil when the engine accepts writes. A failed fsync of either durable
+// log is such a fault, waited on or not: the log keeps it (seglog's
+// sticky rule), and the engine latches it here.
 func (e *Engine) ReadOnlyErr() error {
+	e.Fail(errors.Join(e.wal.Err(), e.repo.Err()))
 	e.roMu.Lock()
 	defer e.roMu.Unlock()
 	return e.roErr
@@ -181,16 +180,6 @@ func open(dir string, o Options, segBytes int64) (*Engine, error) {
 	if e.wal, err = chunklog.OpenWAL(filepath.Join(dir, walDir)); err != nil {
 		return nil, errors.Join(err, e.repo.Close(), lock.Close())
 	}
-	// The WAL never fsyncs on its own: this committer's window flushes
-	// are its sync schedule, and Checkpoint is the barrier both the WAL
-	// and the container log are flushed through. Most windows have no
-	// waiter (the server waits only at BackupEnd), so a failed window
-	// sync latches the engine read-only itself.
-	e.walGC = NewNamedCommitter("wal", func() error {
-		err := e.wal.Sync()
-		e.Fail(err)
-		return err
-	}, DefaultCommitHold, DefaultCommitMaxBytes)
 	if err := e.openIndex(); err != nil {
 		return nil, errors.Join(err, e.wal.Close(), e.repo.Close(), lock.Close())
 	}
@@ -205,7 +194,7 @@ func loadOrCreateManifest(dir string, o Options, segBytes int64) (manifest, erro
 			Magic:        manifestMagic,
 			Version:      FormatVersion,
 			IndexBits:    o.IndexBits,
-			IndexBlocks:  o.IndexBlocks,
+			IndexBlocks:  indexBlocks,
 			SegmentBytes: segBytes,
 		}
 		buf, err := json.MarshalIndent(man, "", "  ")
@@ -232,9 +221,6 @@ func loadOrCreateManifest(dir string, o Options, segBytes int64) (manifest, erro
 	defaults := Options{}.withDefaults()
 	if o.IndexBits != defaults.IndexBits && o.IndexBits != man.IndexBits {
 		return man, fmt.Errorf("store: index bits %d conflicts with existing store (%d)", o.IndexBits, man.IndexBits)
-	}
-	if o.IndexBlocks != defaults.IndexBlocks && o.IndexBlocks != man.IndexBlocks {
-		return man, fmt.Errorf("store: index blocks %d conflicts with existing store (%d)", o.IndexBlocks, man.IndexBlocks)
 	}
 	return man, nil
 }
@@ -430,21 +416,26 @@ func (e *Engine) ChunkLog() *chunklog.Log { return e.wal }
 // container metadata.
 func (e *Engine) IndexRebuilt() bool { return e.rebuilt }
 
-// WALTicket stages n freshly appended WAL bytes with the group-commit
-// scheduler and returns a Ticket resolving when the covering fsync has
-// landed. The backup server stages every chunk batch without waiting and
-// waits on a zero-byte ticket before it answers BackupEnd, so a run
-// reported complete references only chunks that are on disk.
-func (e *Engine) WALTicket(n int64) Ticket { return e.walGC.Enqueue(n) }
+// Ticket is a claim on the chunk-log WAL's durability.
+type Ticket struct{ wal *chunklog.Log }
 
-// Checkpoint makes the engine's state durable and consistent: batched WAL
-// appends are fsynced, staged container frames are flushed, the index
-// file is fsynced, and the clean marker is written so the next Open
-// trusts the index file instead of rebuilding. The container flush must
-// precede the marker (and any WAL retirement the caller performs): the
-// index entries and the WAL retirement are only trustworthy once every
-// container they reference is durable. The server calls this after every
-// dedup-2 SIU.
+// Wait is the WAL's barrier (chunklog.Log.Sync): it returns once every
+// WAL append made before it is durable, or the WAL's first failed fsync.
+func (t Ticket) Wait() error { return t.wal.Sync() }
+
+// WALTicket returns a Ticket on the WAL for n bytes the caller appended.
+// The WAL counts its own bytes, so n only documents the call.
+func (e *Engine) WALTicket(n int64) Ticket { return Ticket{e.wal} }
+
+// Checkpoint makes the engine's state durable and consistent: it waits
+// on the WAL's and the container log's barriers, fsyncs the index file,
+// and writes the clean marker so the next Open trusts the index file
+// instead of rebuilding. The container barrier must precede the marker
+// (and any WAL retirement the caller performs): the index entries and the
+// WAL retirement are only trustworthy once every container they
+// reference is durable. After a failed fsync of either log, Checkpoint
+// returns that first error. The server calls this after every dedup-2
+// SIU.
 func (e *Engine) Checkpoint() error {
 	if err := e.wal.Sync(); err != nil {
 		return err
@@ -463,11 +454,7 @@ func (e *Engine) Checkpoint() error {
 func (e *Engine) Close() error {
 	e.closeOnce.Do(func() {
 		err := e.Checkpoint()
-		// Stop the WAL flusher after the final checkpoint and before the
-		// file closes underneath it (the container log stops its own);
-		// post-close Enqueues resolve immediately (the server drains its
-		// handlers first).
-		e.walGC.Close()
+		// Each log's Close stops its flusher before its files close.
 		if werr := e.wal.Close(); err == nil {
 			err = werr
 		}

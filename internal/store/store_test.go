@@ -525,8 +525,8 @@ func TestSegRepoConcurrentReadsDuringAppends(t *testing.T) {
 }
 
 // TestEngineGroupCommitRoundTrip: the engine group-commits — appends
-// stage, Checkpoint is the durability barrier — and everything
-// checkpointed must survive a reopen.
+// leave the fsync to each log's flusher, Checkpoint is the durability
+// barrier — and everything checkpointed must survive a reopen.
 func TestEngineGroupCommitRoundTrip(t *testing.T) {
 	dir := t.TempDir()
 	e := openTestEngine(t, dir)
@@ -541,7 +541,7 @@ func TestEngineGroupCommitRoundTrip(t *testing.T) {
 	if err := e.ChunkLog().Append(f, uint32(len(data)), data); err != nil {
 		t.Fatal(err)
 	}
-	// The covering window's sync is the durability edge for the WAL.
+	// The WAL's barrier is its durability edge.
 	if err := e.WALTicket(int64(len(data))).Wait(); err != nil {
 		t.Fatal(err)
 	}

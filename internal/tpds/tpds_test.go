@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"errors"
 	"fmt"
+	"runtime"
 	"sort"
 	"testing"
 
@@ -781,5 +782,59 @@ func BenchmarkSIU(b *testing.B) {
 		if err := SIU(ix, entries, 0); err != nil {
 			b.Fatal(err)
 		}
+	}
+}
+
+// discardRepo keeps nothing of what it is handed but the counts: a
+// repository that allocates nothing, so a pass's allocations are its own.
+type discardRepo struct{ containers, bytes int64 }
+
+func (r *discardRepo) Append(c *container.Container) (fp.ContainerID, error) {
+	r.containers++
+	r.bytes += int64(len(c.Data))
+	return fp.ContainerID(r.containers - 1), nil
+}
+
+func (r *discardRepo) Load(id fp.ContainerID) (*container.Container, error) {
+	return nil, container.ErrNotFound
+}
+
+func (r *discardRepo) LoadMeta(id fp.ContainerID) ([]container.ChunkMeta, error) {
+	return nil, container.ErrNotFound
+}
+
+func (r *discardRepo) Containers() int64 { return r.containers }
+func (r *discardRepo) Bytes() int64      { return r.bytes }
+
+// TestStoreChunksReusesContainerBuffer: chunk storing packs every
+// container through one data buffer, so a pass that seals 16 containers
+// allocates about one container's worth of memory, not 16.
+func TestStoreChunksReusesContainerBuffer(t *testing.T) {
+	const size, chunk, containers = 1 << 20, 8 << 10, 16
+	log := chunklog.NewMem(false, nil)
+	cache := indexcache.New(12, 0)
+	data := make([]byte, chunk)
+	for i := 0; i < containers*size/chunk; i++ {
+		f := fp.FromUint64(uint64(i))
+		if err := log.Append(f, chunk, data); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := cache.Insert(f); err != nil {
+			t.Fatal(err)
+		}
+	}
+	repo := &discardRepo{}
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	res, err := StoreChunks(log, cache, repo, size, false)
+	runtime.ReadMemStats(&after)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.Containers < containers {
+		t.Fatalf("sealed %d containers, want at least %d", res.Containers, containers)
+	}
+	if got := after.TotalAlloc - before.TotalAlloc; got > 3*size {
+		t.Fatalf("storing %d containers of %d bytes allocated %d bytes, want about one container's worth", res.Containers, size, got)
 	}
 }

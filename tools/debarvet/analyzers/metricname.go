@@ -15,7 +15,7 @@ import (
 // intentional shared handles), and histogram bucket literals are
 // strictly increasing.
 //
-// Dynamic names built with + (the group-commit per-instance prefixes)
+// Dynamic names built with + (the segmented logs' per-instance prefixes)
 // are checked part-wise: every string literal in the concatenation must
 // itself be lowercase-snake, so a typo'd suffix still trips the check
 // even though the full name is runtime-assembled.
