@@ -24,6 +24,11 @@ type Repository interface {
 	// LoadMeta reads only the container's metadata section (what a
 	// DDFS-style fingerprint prefetch needs), charging proportionally.
 	LoadMeta(id fp.ContainerID) ([]ChunkMeta, error)
+	// Release tells the repository that no cache holds container id any
+	// more (the LPC evicted it), so storage it keeps resident for reads
+	// may go. Slices handed out by Load stay valid. A no-op where reads
+	// keep nothing resident, and for an unknown ID.
+	Release(id fp.ContainerID)
 	// Containers returns the number of stored containers.
 	Containers() int64
 	// Bytes returns the physical bytes stored (data sections).
@@ -105,6 +110,10 @@ func (r *MemRepository) LoadMeta(id fp.ContainerID) ([]ChunkMeta, error) {
 	}
 	return c.Meta, nil
 }
+
+// Release implements Repository: the stored containers are the memory
+// itself, so there is nothing to drop.
+func (r *MemRepository) Release(fp.ContainerID) {}
 
 // Containers implements Repository.
 func (r *MemRepository) Containers() int64 {
@@ -209,6 +218,9 @@ func (cr *ClusterRepository) LoadMeta(id fp.ContainerID) ([]ChunkMeta, error) {
 	}
 	return cr.nodes[node].LoadMeta(id)
 }
+
+// Release implements Repository; a no-op, as for its nodes.
+func (cr *ClusterRepository) Release(fp.ContainerID) {}
 
 // Containers implements Repository.
 func (cr *ClusterRepository) Containers() int64 {

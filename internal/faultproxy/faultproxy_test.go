@@ -132,8 +132,17 @@ func TestFaultProxyFailConnsPrefix(t *testing.T) {
 	c1 := dialProxy(t, px)
 	c1.SetReadDeadline(time.Now().Add(5 * time.Second))
 	c1.Write([]byte("xx"))
-	if _, err := c1.Read(make([]byte, 1)); err == nil {
+	// The proxy forwards the first byte before it cuts, so its echo may
+	// come back; the second byte never reaches the echo server. Read to
+	// the end: a cut ends in EOF or a reset, a surviving link in the
+	// deadline.
+	echoed, err := io.ReadAll(c1)
+	var ne net.Error
+	if errors.As(err, &ne) && ne.Timeout() {
 		t.Fatal("first connection survived the cut plan")
+	}
+	if len(echoed) >= 2 {
+		t.Fatalf("first connection echoed %q through the cut plan", echoed)
 	}
 
 	c2 := dialProxy(t, px)

@@ -6,6 +6,11 @@
 // same container — the following lookups hit in memory. One disk access
 // thereby resolves many subsequent fingerprints; the paper measures 99.3%
 // of random index lookups eliminated during restore (§6.2).
+//
+// The cache's capacity is also the restore path's memory bound: a
+// container it holds with data may alias the container log's mapping,
+// and Insert reports each such container it evicts so that the restorer
+// releases its pages (tpds.Restorer, store.SegRepo.Release).
 package lpc
 
 import (
@@ -81,17 +86,20 @@ func (c *Cache) Chunk(f fp.FP) ([]byte, bool) {
 
 // Insert caches a container's fingerprint set (and optionally the loaded
 // container itself, for restore data paths), evicting the LRU container
-// if needed. Inserting an already-cached ID refreshes it.
-func (c *Cache) Insert(id fp.ContainerID, metas []container.ChunkMeta, loaded *container.Container) {
+// if needed. Inserting an already-cached ID refreshes it. When the evicted
+// container held data, Insert returns its ID and true: the caller may then
+// release that container's storage (container.Repository.Release), which
+// is how the LPC bounds the container pages a restore keeps resident.
+func (c *Cache) Insert(id fp.ContainerID, metas []container.ChunkMeta, loaded *container.Container) (evicted fp.ContainerID, held bool) {
 	if el, ok := c.byID[id]; ok {
 		if loaded != nil {
 			el.Value.(*cacheEntry).data = loaded
 		}
 		c.ll.MoveToFront(el)
-		return
+		return 0, false
 	}
-	for c.ll.Len() >= c.cap {
-		c.evict()
+	if c.ll.Len() >= c.cap {
+		evicted, held = c.evict()
 	}
 	ent := &cacheEntry{id: id, data: loaded}
 	ent.fps = make([]fp.FP, len(metas))
@@ -100,14 +108,13 @@ func (c *Cache) Insert(id fp.ContainerID, metas []container.ChunkMeta, loaded *c
 		c.member[m.FP] = id
 	}
 	c.byID[id] = c.ll.PushFront(ent)
+	return evicted, held
 }
 
-func (c *Cache) evict() {
-	el := c.ll.Back()
-	if el == nil {
-		return
-	}
-	ent := el.Value.(*cacheEntry)
+// evict drops the LRU container and reports its ID and whether it held
+// data.
+func (c *Cache) evict() (fp.ContainerID, bool) {
+	ent := c.ll.Remove(c.ll.Back()).(*cacheEntry)
 	for _, f := range ent.fps {
 		// A fingerprint can legitimately appear in multiple containers'
 		// meta (duplicate storing race, §5.4); only clear our claim.
@@ -116,7 +123,7 @@ func (c *Cache) evict() {
 		}
 	}
 	delete(c.byID, ent.id)
-	c.ll.Remove(el)
+	return ent.id, ent.data != nil
 }
 
 // Len returns the number of cached containers.

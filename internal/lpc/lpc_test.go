@@ -58,6 +58,33 @@ func TestLRUEviction(t *testing.T) {
 	}
 }
 
+// TestInsertReportsEvictedData: Insert names the container it evicts
+// when that container held data, and only then; the restorer releases
+// those containers' pages.
+func TestInsertReportsEvictedData(t *testing.T) {
+	w := container.NewWriter(1<<16, false)
+	w.Add(fp.FromUint64(1), 1, []byte{1})
+	cont := w.Seal(1)
+
+	c := New(2)
+	if _, held := c.Insert(1, makeMetas(0, 5), cont); held {
+		t.Fatal("insert into a cache with room evicted a container")
+	}
+	c.Insert(2, makeMetas(100, 5), nil)
+	if _, held := c.Insert(1, makeMetas(0, 5), cont); held {
+		t.Fatal("refreshing a cached container evicted one")
+	}
+	if id, held := c.Insert(3, makeMetas(200, 5), nil); held {
+		t.Fatalf("evicting metadata-only container 2 reported %v as holding data", id)
+	}
+	if id, held := c.Insert(4, makeMetas(300, 5), nil); !held || id != 1 {
+		t.Fatalf("evicting data container 1 = %v,%v, want 1,true", id, held)
+	}
+	if c.Len() != 2 {
+		t.Fatalf("Len = %d, want 2", c.Len())
+	}
+}
+
 func TestSISLLocalityGivesHighHitRate(t *testing.T) {
 	// The whole point of LPC+SISL: a restore of a stream laid out in
 	// containers should miss once per container, then hit for every other

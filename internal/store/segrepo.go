@@ -3,6 +3,7 @@ package store
 import (
 	"errors"
 	"fmt"
+	"os"
 	"sync"
 
 	"debar/internal/container"
@@ -21,8 +22,14 @@ var (
 // SegRepo is the durable chunk repository: the container log, a
 // segmented log (internal/seglog) under <dir>/containers/ whose frames
 // each hold one container image. Segments are memory-mapped read-only,
-// so Load/LoadMeta return zero-copy slices into the mapping for the
-// LPC/restore path.
+// so Load returns zero-copy slices into the mapping for the LPC/restore
+// path; LoadMeta, the index rebuild's read, copies with pread and maps
+// nothing in.
+//
+// Residency: a mapped page stays in the process once a read touched it,
+// so the mapped pages a SegRepo keeps are those of the containers the
+// restorer's LPC holds. When the LPC evicts a container, Release drops
+// its pages (madvise on Linux), and Close unmaps everything.
 //
 // Durability is the log's group commit: Append writes the frame and the
 // log's flusher syncs it in the background. A container ID is durable
@@ -177,9 +184,10 @@ func (r *SegRepo) locate(id fp.ContainerID) (segLoc, []byte, error) {
 }
 
 // read returns n bytes of container id's image from off, n < 0 meaning
-// the rest of it. From a mapped segment the slice aliases the mapping
-// (zero copy, shared=true); otherwise it is a fresh pread copy.
-func (r *SegRepo) read(id fp.ContainerID, off, n int64) ([]byte, bool, error) {
+// the rest of it. With zeroCopy set and the segment mapped, the slice
+// aliases the mapping (shared=true); otherwise it is a fresh pread copy,
+// which leaves no page of the mapping resident.
+func (r *SegRepo) read(id fp.ContainerID, off, n int64, zeroCopy bool) ([]byte, bool, error) {
 	l, m, err := r.locate(id)
 	if err != nil {
 		return nil, false, err
@@ -190,7 +198,7 @@ func (r *SegRepo) read(id fp.ContainerID, off, n int64) ([]byte, bool, error) {
 		return nil, false, fmt.Errorf("%w: container %v metadata overruns its record", container.ErrCorrupt, id)
 	}
 	start := int64(l.pos.Off) + seglog.FrameHeader + off
-	if end := start + n; m != nil && end <= int64(len(m)) {
+	if end := start + n; zeroCopy && m != nil && end <= int64(len(m)) {
 		return m[start:end:end], true, nil
 	}
 	buf := make([]byte, n)
@@ -202,9 +210,10 @@ func (r *SegRepo) read(id fp.ContainerID, off, n int64) ([]byte, bool, error) {
 
 // Load implements container.Repository. On mmap-capable platforms the
 // returned container's Data aliases the segment mapping — zero copies into
-// the LPC/restore path — and remains valid until the repository is closed.
+// the LPC/restore path — and remains valid until the repository is
+// closed, across Release too.
 func (r *SegRepo) Load(id fp.ContainerID) (*container.Container, error) {
-	img, shared, err := r.read(id, 0, -1)
+	img, shared, err := r.read(id, 0, -1, true)
 	if err != nil {
 		return nil, err
 	}
@@ -215,10 +224,11 @@ func (r *SegRepo) Load(id fp.ContainerID) (*container.Container, error) {
 }
 
 // LoadMeta implements container.Repository, reading and decoding only the
-// header and metadata section (never the data section): without a
-// mapping, two small reads instead of the whole (8 MB) image.
+// header and metadata section (never the data section) with two small
+// preads, so that a walk over every container (ForEachMeta) leaves none
+// of their pages mapped in.
 func (r *SegRepo) LoadMeta(id fp.ContainerID) ([]container.ChunkMeta, error) {
-	head, _, err := r.read(id, 0, container.HeaderSize)
+	head, _, err := r.read(id, 0, container.HeaderSize, false)
 	if err != nil {
 		return nil, err
 	}
@@ -226,11 +236,37 @@ func (r *SegRepo) LoadMeta(id fp.ContainerID) ([]container.ChunkMeta, error) {
 	if err != nil {
 		return nil, err
 	}
-	metas, _, err := r.read(id, container.HeaderSize, h.RecordLen()-h.DataLen-container.HeaderSize)
+	metas, _, err := r.read(id, container.HeaderSize, h.RecordLen()-h.DataLen-container.HeaderSize, false)
 	if err != nil {
 		return nil, err
 	}
 	return container.DecodeMetas(metas, h.NumMeta), nil
+}
+
+// Release implements container.Repository: it drops the mapped pages of
+// container id's frame from the process, rounded out to whole pages (a
+// neighbour's boundary page faults back in when next read) and clipped to
+// the segment's mapping. Slices Load handed out stay valid: a read-only
+// shared file mapping faults a released page back in from the page cache.
+// A no-op on the pread fallback, off Linux, after Close and for an
+// unknown ID.
+func (r *SegRepo) Release(id fp.ContainerID) {
+	// The read lock is held across the madvise: Close unmaps under the
+	// write lock, and the runtime may reuse unmapped addresses, where
+	// MADV_DONTNEED would zero live memory.
+	r.mu.RLock()
+	defer r.mu.RUnlock()
+	l, ok := r.loc[id]
+	if r.closed || !ok {
+		return
+	}
+	m := r.maps[l.pos.Seg] // nil on the pread fallback: end clips to 0
+	page := int64(os.Getpagesize())
+	start := int64(l.pos.Off) / page * page
+	end := min(int64(len(m)), (int64(l.pos.Off)+seglog.FrameHeader+l.imgLen+page-1)/page*page)
+	if start < end {
+		releasePages(m[start:end])
+	}
 }
 
 // Containers implements container.Repository.
@@ -281,7 +317,7 @@ func (r *SegRepo) ForEachMeta(fn func(id fp.ContainerID, metas []container.Chunk
 
 // Close unmaps every segment and closes the log, which syncs what its
 // flusher has not and stops it. Zero-copy slices handed out by Load
-// become invalid.
+// become invalid; a later Release is a no-op.
 func (r *SegRepo) Close() error {
 	r.mu.Lock()
 	defer r.mu.Unlock()

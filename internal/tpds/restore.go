@@ -26,6 +26,8 @@ var (
 // cache first; on a miss consult the disk index (one random I/O), read the
 // whole container, and insert its fingerprints into the cache so that the
 // stream's following chunks — stored adjacently by SISL — hit in memory.
+// The container the insert evicts is released to the repository, so the
+// container pages a restore keeps resident are bounded by the LPC.
 // With a chunk log attached, a chunk no dedup-2 pass has stored yet is
 // read from the log between the two: the log is asked before the index,
 // because a drain consumes a record only after its chunk is indexed and
@@ -127,8 +129,14 @@ func (r *Restorer) Chunk(f fp.FP) ([]byte, error) {
 			r.mu.Unlock()
 			return nil, fmt.Errorf("tpds: restore of %v: %w", f.Short(), err)
 		}
-		r.Cache.Insert(cid, c.Meta, c)
+		evicted, held := r.Cache.Insert(cid, c.Meta, c)
 		r.mu.Unlock()
+		if held {
+			// Outside the lock: the release is a system call, and a
+			// stream still encoding the evicted container's chunks keeps
+			// valid slices (the repository faults them back in).
+			r.Repo.Release(evicted)
+		}
 		data, ok := c.Chunk(f)
 		if !ok {
 			return nil, fmt.Errorf("tpds: restore of %v: container %v does not hold it (index corrupt?)",

@@ -803,8 +803,9 @@ func (r *discardRepo) LoadMeta(id fp.ContainerID) ([]container.ChunkMeta, error)
 	return nil, container.ErrNotFound
 }
 
-func (r *discardRepo) Containers() int64 { return r.containers }
-func (r *discardRepo) Bytes() int64      { return r.bytes }
+func (r *discardRepo) Release(fp.ContainerID) {}
+func (r *discardRepo) Containers() int64      { return r.containers }
+func (r *discardRepo) Bytes() int64           { return r.bytes }
 
 // TestStoreChunksReusesContainerBuffer: chunk storing packs every
 // container through one data buffer, so a pass that seals 16 containers
